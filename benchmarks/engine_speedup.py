@@ -8,12 +8,8 @@ throughput over time:
 1. **dict kernel** — ``_simulate_runs`` (the reference string-keyed
    engine) on prebuilt plans and a presampled realization batch;
 2. **compiled kernel** — ``_simulate_runs_compiled`` (the integer-
-   indexed section program) on the same plans and batch, verified
-   bit-identical.  Timed once per kernel tier: ``legacy`` (the
-   original entry-tuple loop), ``numpy`` (the tape interpreter;
-   ``tape_speedup`` = legacy/numpy is what ``--min-tape-speedup``
-   gates) and ``jit`` (``jit_speedup``, recorded only when numba is
-   installed);
+   indexed section program and its tape-interpreted batch kernels) on
+   the same plans and batch, verified bit-identical;
 3. **pool (small)** — ``evaluate_application`` sequential vs a
    default-config multi-worker request at ``--runs``, verified
    bit-identical.  Since run-level pooling became opt-in
@@ -37,8 +33,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/engine_speedup.py \
         [--runs 200] [--jobs 0] [--load 0.8] [--out BENCH_engine.json] \
-        [--budget-seconds 0] [--min-speedup 0] [--min-kernel-speedup 0] \
-        [--min-tape-speedup 0]
+        [--budget-seconds 0] [--min-speedup 0] [--min-kernel-speedup 0]
 
 ``--budget-seconds`` (> 0) fails the invocation if the *sequential*
 small-point evaluation exceeds the budget — the CI smoke guard against
@@ -48,10 +43,7 @@ demoted default path is two timings of the same serial work, so the
 ratio hovers around 1.0).  ``--min-kernel-speedup`` (> 0) requires the
 compiled kernel to beat the dict kernel by at least that factor — CI
 runs it at 1.0 so a regression that makes the default engine *slower*
-than the reference engine fails the build.  ``--min-tape-speedup``
-(> 0) requires the numpy tape tier to beat the legacy entry loop by at
-least that factor (same 5% timing-noise tolerance) — CI runs it at 1.0
-so the default tier can never regress below the loop it replaced.
+than the reference engine fails the build.
 """
 
 from __future__ import annotations
@@ -71,7 +63,6 @@ from repro.experiments.runner import (
     _simulate_runs_compiled,
     build_plans,
 )
-from repro.sim.kernels import jit_available
 from repro.sim.realization import sample_realization_batch
 from repro.workloads import AtrConfig, application_with_load, atr_graph
 
@@ -95,10 +86,6 @@ def main(argv=None) -> int:
     ap.add_argument("--budget-seconds", type=float, default=0.0)
     ap.add_argument("--min-speedup", type=float, default=0.0)
     ap.add_argument("--min-kernel-speedup", type=float, default=0.0)
-    ap.add_argument("--min-tape-speedup", type=float, default=0.0,
-                    dest="min_tape_speedup",
-                    help="required numpy-tape-tier speedup over the "
-                         "legacy entry loop (0 = report only)")
     args = ap.parse_args(argv)
 
     graph = atr_graph(AtrConfig(alpha=ATR_ALPHA))
@@ -118,36 +105,21 @@ def main(argv=None) -> int:
         return _simulate_runs(plan_dyn, plan_static, scheme_names, power,
                               cfg.overhead, batch)
 
-    def compiled_kernel(tier=None):
+    def compiled_kernel():
         return _simulate_runs_compiled(plan_dyn, plan_static, scheme_names,
-                                       power, cfg.overhead, batch,
-                                       kernel_tier=tier)
+                                       power, cfg.overhead, batch)
 
     d_npm, d_abs, _, d_keys = dict_kernel()   # warm-up + reference output
-    tiers = ["legacy", "numpy"]
-    if jit_available():
-        tiers.append("jit")
-    tier_seconds = {}
-    for tier in tiers:
-        c_npm, c_abs, _, c_keys = compiled_kernel(tier)  # warm-up + check
-        assert d_keys == c_keys, f"{tier} kernel diverged on path keys"
-        assert np.array_equal(d_npm, c_npm), f"{tier} kernel diverged on NPM"
-        for scheme in d_abs:
-            assert np.array_equal(d_abs[scheme], c_abs[scheme]), \
-                f"{tier} kernel diverged for {scheme}"
-        tier_seconds[tier] = best_of(lambda: compiled_kernel(tier),
-                                     args.reps)
+    c_npm, c_abs, _, c_keys = compiled_kernel()  # warm-up + check
+    assert d_keys == c_keys, "compiled kernel diverged on path keys"
+    assert np.array_equal(d_npm, c_npm), "compiled kernel diverged on NPM"
+    for scheme in d_abs:
+        assert np.array_equal(d_abs[scheme], c_abs[scheme]), \
+            f"compiled kernel diverged for {scheme}"
 
     t_dict = best_of(dict_kernel, args.reps)
-    # the default tier is what "the compiled kernel" means everywhere
-    # else in the repo — keep kernel_speedup comparable across PRs
-    t_compiled = tier_seconds["numpy"]
+    t_compiled = best_of(compiled_kernel, args.reps)
     kernel_speedup = t_dict / t_compiled if t_compiled > 0 else float("inf")
-    tape_speedup = (tier_seconds["legacy"] / t_compiled
-                    if t_compiled > 0 else float("inf"))
-    jit_speedup = None
-    if "jit" in tier_seconds and tier_seconds["jit"] > 0:
-        jit_speedup = tier_seconds["legacy"] / tier_seconds["jit"]
 
     # -- serial vs default multi-worker request (demoted to serial) ---------
     t0 = time.perf_counter()
@@ -219,15 +191,6 @@ def main(argv=None) -> int:
         "dict_us_per_run": round(t_dict / args.runs * 1e6, 1),
         "compiled_us_per_run": round(t_compiled / args.runs * 1e6, 1),
         "kernel_speedup": round(kernel_speedup, 3),
-        "legacy_kernel_seconds": round(tier_seconds["legacy"], 4),
-        "legacy_us_per_run": round(
-            tier_seconds["legacy"] / args.runs * 1e6, 1),
-        "tape_speedup": round(tape_speedup, 3),
-        "jit_kernel_seconds": (round(tier_seconds["jit"], 4)
-                               if "jit" in tier_seconds else None),
-        "jit_speedup": (round(jit_speedup, 3)
-                        if jit_speedup is not None else None),
-        "kernel_tiers_timed": tiers,
         "serial_seconds": round(t_serial, 4),
         "parallel_seconds": round(t_pooled, 4),
         "speedup_small": round(speedup_small, 3),
@@ -248,16 +211,9 @@ def main(argv=None) -> int:
           f"m={args.procs}")
     print(f"  dict kernel     {t_dict:8.4f} s "
           f"({t_dict / args.runs * 1e6:7.1f} us/run)")
-    print(f"  legacy kernel   {tier_seconds['legacy']:8.4f} s "
-          f"({tier_seconds['legacy'] / args.runs * 1e6:7.1f} us/run)")
-    print(f"  numpy tape      {t_compiled:8.4f} s "
+    print(f"  compiled kernel {t_compiled:8.4f} s "
           f"({t_compiled / args.runs * 1e6:7.1f} us/run)")
-    if "jit" in tier_seconds:
-        print(f"  jit kernel      {tier_seconds['jit']:8.4f} s "
-              f"({tier_seconds['jit'] / args.runs * 1e6:7.1f} us/run, "
-              f"{jit_speedup:.2f} x vs legacy)")
-    print(f"  kernel speedup  {kernel_speedup:8.2f} x  (dict -> numpy)")
-    print(f"  tape speedup    {tape_speedup:8.2f} x  (legacy -> numpy)")
+    print(f"  kernel speedup  {kernel_speedup:8.2f} x  (dict -> compiled)")
     print(f"  serial eval     {t_serial:8.3f} s  ({args.runs} runs)")
     print(f"  default eval    {t_pooled:8.3f} s  (jobs={args.jobs}, "
           f"cores={effective_cores()}, pool demoted)")
@@ -283,12 +239,6 @@ def main(argv=None) -> int:
     if args.min_kernel_speedup > 0 and kernel_speedup < args.min_kernel_speedup:
         print(f"FAIL: compiled kernel speedup {kernel_speedup:.2f}x below "
               f"required {args.min_kernel_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if args.min_tape_speedup > 0 and \
-            tape_speedup < args.min_tape_speedup * 0.95:
-        print(f"FAIL: tape-tier speedup {tape_speedup:.2f}x below required "
-              f"{args.min_tape_speedup:.2f}x (with 5% tolerance)",
-              file=sys.stderr)
         return 1
     return 0
 

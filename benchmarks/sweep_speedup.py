@@ -20,12 +20,6 @@ processors) four ways and emits ``BENCH_sweep.json``:
 4. **cache** — the identical sweep re-run against the now-populated
    cache: every point is served from disk without touching a pool.
 
-The fused pass is additionally re-timed once per kernel tier (legacy
-entry loop, numpy tape interpreter, numba jit when installed) on warm
-compile caches, so ``BENCH_sweep.json`` records ``tape_speedup`` (and
-``jit_speedup``) at sweep scale alongside the per-point numbers in
-``BENCH_engine.json``.
-
 A fifth **fused_shard** section times the sharded fused path at a
 larger run count (``--shard-runs``): the same sweep executed
 monolithically in one process versus split into ``--shards``
@@ -71,7 +65,6 @@ from _common import (
 )
 from repro.experiments import (EvaluationCache, ExecutionContext, RunConfig,
                                sweep_load)
-from repro.sim.kernels import jit_available
 from repro.workloads import AtrConfig, atr_graph
 
 
@@ -145,30 +138,6 @@ def main(argv=None) -> int:
     assert fused_pools == 0, \
         f"fused sweep engaged {fused_pools} pool(s); it must use none"
     print(f"  fused (one array program){t_fused:8.3f} s  (pools: 0)")
-
-    # per-tier fused passes on the now-warm compile caches (the pass
-    # above already stacked the sweep and lowered its tape), so each
-    # tier pays only kernel execution — the fair tier-vs-tier number
-    tier_list = ["legacy", "numpy"]
-    if jit_available():
-        tier_list.append("jit")
-    fused_tier_seconds = {}
-    for tier in tier_list:
-        with ExecutionContext(n_jobs=1) as ctx:
-            t0 = time.perf_counter()
-            series_tier = sweep_load(
-                graph, cfg_fused.with_(kernel_tier=tier), loads, context=ctx)
-            fused_tier_seconds[tier] = time.perf_counter() - t0
-        assert_series_equal(series_fused, series_tier, f"fused[{tier}]")
-        print(f"  fused [{tier:>6}] tier    "
-              f"{fused_tier_seconds[tier]:8.3f} s")
-    tape_speedup = (fused_tier_seconds["legacy"]
-                    / fused_tier_seconds["numpy"]
-                    if fused_tier_seconds["numpy"] > 0 else float("inf"))
-    jit_speedup = None
-    if "jit" in fused_tier_seconds and fused_tier_seconds["jit"] > 0:
-        jit_speedup = (fused_tier_seconds["legacy"]
-                       / fused_tier_seconds["jit"])
 
     t0 = time.perf_counter()
     series_cold = sweep_load(graph, cfg_pool, loads, fused=False)
@@ -246,14 +215,6 @@ def main(argv=None) -> int:
         "jobs": args.jobs,
         "cores": effective_cores(),
         "fused_seconds": round(t_fused, 4),
-        "fused_legacy_seconds": round(fused_tier_seconds["legacy"], 4),
-        "fused_numpy_seconds": round(fused_tier_seconds["numpy"], 4),
-        "fused_jit_seconds": (round(fused_tier_seconds["jit"], 4)
-                              if "jit" in fused_tier_seconds else None),
-        "tape_speedup": round(tape_speedup, 3),
-        "jit_speedup": (round(jit_speedup, 3)
-                        if jit_speedup is not None else None),
-        "kernel_tiers_timed": tier_list,
         "cold_seconds": round(t_cold, 4),
         "warm_seconds": round(t_warm, 4),
         "cache_seconds": round(t_hit, 4),
@@ -279,7 +240,6 @@ def main(argv=None) -> int:
     write_record(record, args.out)
     print(f"  fused speedup {fused_speedup:8.2f} x  (vs cold)")
     print(f"  fused vs warm {fused_vs_warm:8.2f} x")
-    print(f"  tape speedup  {tape_speedup:8.2f} x  (legacy -> numpy, fused)")
     print(f"  warm speedup  {warm_speedup:8.2f} x")
     print(f"  shard speedup {shard_speedup:8.2f} x  "
           f"({shards_ran} shards vs mono at {args.shard_runs} runs)")

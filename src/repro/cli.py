@@ -109,15 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulation kernel (results are "
                              "bit-identical; 'dict' is the reference "
                              "engine, ~4x slower)")
-        fp.add_argument("--kernel-tier", dest="kernel_tier",
-                        choices=("auto", "legacy", "numpy", "jit"),
-                        default=None,
-                        help="batch-kernel tier for the compiled engine "
-                             "(results are bit-identical; default: the "
-                             "numpy tape interpreter, or "
-                             "$REPRO_KERNEL_TIER; 'auto' prefers the "
-                             "numba JIT when the [jit] extra is "
-                             "installed)")
         fp.add_argument("--shards", type=int, default=None,
                         help="split the fused sweep's runs axis into "
                              "this many seed-aligned shards executed on "
@@ -190,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="compiled",
                     help="simulation kernel (results are bit-identical; "
                          "'dict' is the reference engine, ~4x slower)")
-    rp.add_argument("--kernel-tier", dest="kernel_tier",
-                    choices=("auto", "legacy", "numpy", "jit"),
-                    default=None,
-                    help="batch-kernel tier for the compiled engine "
-                         "(results are bit-identical; default: the numpy "
-                         "tape interpreter, or $REPRO_KERNEL_TIER)")
     rp.add_argument("--cache-stats", action="store_true",
                     dest="cache_stats",
                     help="print the kernel-side cache counters "
@@ -274,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--engine", choices=("compiled", "dict"),
                     default="compiled",
                     help="simulation kernel (results are bit-identical)")
-    op.add_argument("--kernel-tier", dest="kernel_tier",
-                    choices=("auto", "legacy", "numpy", "jit"),
-                    default=None,
-                    help="batch-kernel tier for the compiled engine "
-                         "(results are bit-identical)")
     op.add_argument("--schemes", nargs="*", default=list(PAPER_SCHEMES),
                     help=f"subset of {list(ALL_SCHEMES)}")
 
@@ -393,9 +373,8 @@ def _print_cache_stats(context) -> None:
               + ")")
 
 
-def _print_kernel_stats(kernel_tier: Optional[str],
-                        context=None) -> None:
-    """--cache-stats: the resolved tier plus compile-side cache counters.
+def _print_kernel_stats(context=None) -> None:
+    """--cache-stats: the compile-side cache counters.
 
     The parent-process counters come first; when the context still has
     a live worker pool, each worker's program/tape/stacked counters are
@@ -405,7 +384,7 @@ def _print_kernel_stats(kernel_tier: Optional[str],
     are separate processes reached over sockets and are not probed.
     """
     from .sim.kernels import kernel_meta
-    meta = kernel_meta(kernel_tier)
+    meta = kernel_meta()
     parts = []
     for label in ("program_cache", "tape_cache", "stacked_cache"):
         stats = meta[label]
@@ -414,7 +393,7 @@ def _print_kernel_stats(kernel_tier: Optional[str],
         if "size" in stats:  # tapes live on their programs: no store
             part += f" size={stats['size']}"
         parts.append(part)
-    print(f"(kernel: tier={meta['tier']}; " + ", ".join(parts) + ")")
+    print("(kernel: " + ", ".join(parts) + ")")
     if context is None:
         return
     worker_stats = context.worker_kernel_stats()
@@ -499,7 +478,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 chunk_timeout=args.chunk_timeout,
                 degrade=not args.no_degrade,
                 backend=args.backend, executors=executors,
-                connect=args.connect, kernel_tier=args.kernel_tier,
+                connect=args.connect,
                 shards=args.shards, shard_mem_mb=args.shard_mem_mb,
                 context=ctx, fused=not args.no_fused)
             if args.command == "fig_online":
@@ -515,7 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit_figure(series, args.csv, chart=args.chart)
             _print_cache_stats(ctx)
             if args.cache_stats:
-                _print_kernel_stats(args.kernel_tier, context=ctx)
+                _print_kernel_stats(context=ctx)
         if args.save:
             from .experiments.persist import save_series
             save_series(series, args.save)
@@ -534,8 +513,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         max_retries=args.max_retries,
                         chunk_timeout=args.chunk_timeout,
                         degrade=not args.no_degrade,
-                        run_level_pool=(args.n_jobs != 1),
-                        kernel_tier=args.kernel_tier)
+                        run_level_pool=(args.n_jobs != 1))
         if args.profile:
             result = _run_profiled(evaluate_application, app, cfg)
         else:
@@ -549,7 +527,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{scheme:>8} {means[scheme]:>10.4f} "
                   f"{switches[scheme]:>10.1f}")
         if args.cache_stats:
-            _print_kernel_stats(args.kernel_tier)
+            _print_kernel_stats()
         return 0
 
     if args.command == "gantt":
@@ -612,8 +590,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = RunConfig(schemes=tuple(args.schemes),
                         power_model=args.model,
                         n_processors=args.procs, seed=args.seed,
-                        engine=args.engine,
-                        kernel_tier=args.kernel_tier)
+                        engine=args.engine)
         online = OnlineConfig(arrival=args.arrival, rate=args.rate,
                               horizon=args.horizon, load=args.load,
                               burstiness=args.burstiness,

@@ -40,6 +40,7 @@ import warnings
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -249,30 +250,46 @@ _ATTACHED: "OrderedDict[str, object]" = OrderedDict()
 _ATTACHED_MAX = 2
 
 
+@contextmanager
+def _untracked():
+    """Keep shared-memory segments out of the resource tracker (pre-3.13).
+
+    Pre-3.13 every ``SharedMemory`` create *and* attach registers the
+    segment with the calling process's resource tracker, and every
+    ``unlink`` unregisters it there (bpo-39959) — even when a different
+    process (and so possibly a different tracker) owns the segment.
+    Inside this block shared-memory registrations and unregistrations
+    are dropped, the pre-3.13 equivalent of ``track=False``; the
+    caller's own create/close/unlink calls then own the lifetime.
+    """
+    from multiprocessing import resource_tracker
+    original = resource_tracker.register, resource_tracker.unregister
+
+    def _skipping_shm(call):
+        def wrapper(rname, rtype):
+            if rtype != "shared_memory":  # pragma: no cover
+                call(rname, rtype)
+        return wrapper
+
+    resource_tracker.register = _skipping_shm(original[0])
+    resource_tracker.unregister = _skipping_shm(original[1])
+    try:
+        yield
+    finally:
+        resource_tracker.register, resource_tracker.unregister = original
+
+
 def _open_segment(name: str):
     """Attach an existing segment without registering ownership."""
     try:  # Python >= 3.13: opt out of resource tracking directly
         return _shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
-        # Pre-3.13 the resource tracker registers attached segments as
-        # if the attaching process owned them (bpo-39959): forked
-        # workers share the parent's tracker, so the registration —
-        # and a later unregister — would fight the parent's own
-        # create/unlink bookkeeping of the same segment.  Suppress the
-        # attach-side registration entirely: the parent owns the
-        # segment's lifetime.
-        from multiprocessing import resource_tracker
-        original_register = resource_tracker.register
-
-        def _register_skipping_shm(rname, rtype):
-            if rtype != "shared_memory":  # pragma: no cover
-                original_register(rname, rtype)
-
-        resource_tracker.register = _register_skipping_shm
-        try:
+        # forked workers may share the parent's tracker: an attach-side
+        # registration (and a later unregister) would fight the parent's
+        # own create/unlink bookkeeping of the same segment.  The parent
+        # owns the segment's lifetime.
+        with _untracked():
             return _shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
 
 
 def _attach_segment(name: str):
@@ -359,10 +376,10 @@ class ShardBlock:
     the segment and ships ``(name, shape, dtype)``; the parent attaches
     exactly once, copies the matrix out, and closes **and unlinks** the
     segment (:meth:`take`).  A block whose result the resilient
-    executor discards (a straggler beaten by its own re-dispatch) can
-    leak its segment until process teardown — acceptable because blocks
-    only exist above :data:`SHARD_SHM_MIN_BYTES` and stragglers are
-    rare; the pickled fallback has no such window.
+    executor discards (a straggler beaten by its own re-dispatch)
+    leaks its segment, since no resource tracker owns it — acceptable
+    because blocks only exist above :data:`SHARD_SHM_MIN_BYTES` and
+    stragglers are rare; the pickled fallback has no such window.
     """
 
     __slots__ = ("name", "shape", "dtype")
@@ -381,9 +398,12 @@ class ShardBlock:
     def take(self) -> np.ndarray:
         """Copy the matrix out and release the segment (parent, once).
 
-        Attach problems surface as :class:`~repro.errors.TransportError`
-        — the caller recomputes that shard inline rather than failing
-        the sweep.
+        The segment is unlinked without touching the resource tracker:
+        the publishing worker never left a registration behind, so an
+        unregister here would only make this process's tracker raise
+        ``KeyError`` on a name it never held.  Attach problems surface
+        as :class:`~repro.errors.TransportError` — the caller recomputes
+        that shard inline rather than failing the sweep.
         """
         if not _SHM_AVAILABLE:  # pragma: no cover - publisher had shm
             raise TransportError(
@@ -401,7 +421,8 @@ class ShardBlock:
         finally:
             try:
                 seg.close()
-                seg.unlink()
+                with _untracked():
+                    seg.unlink()
             except (OSError, FileNotFoundError):  # pragma: no cover
                 pass
 
@@ -410,14 +431,15 @@ def _create_segment(size: int):
     """Create a fresh segment without registering ownership here.
 
     The attaching *parent* unlinks shard-block segments, so the
-    creating worker must not leave a tracker registration behind
-    (Python >= 3.13 tracks per-instance; earlier interpreters share one
-    forked tracker whose registration the parent's unlink clears)."""
+    creating worker must not leave a tracker registration behind: a
+    worker's own tracker would report the segment as leaked at exit
+    and try to unlink it a second time."""
     try:
         return _shared_memory.SharedMemory(create=True, size=size,
                                            track=False)
-    except TypeError:  # pre-3.13: tracker shared across fork
-        return _shared_memory.SharedMemory(create=True, size=size)
+    except TypeError:  # pre-3.13: no per-instance opt-out
+        with _untracked():
+            return _shared_memory.SharedMemory(create=True, size=size)
 
 
 def publish_shard_block(matrix: np.ndarray) -> Optional[ShardBlock]:
@@ -495,8 +517,7 @@ def _eval_chunk_task(setup_key: str, app, config, start: int, chunk):
         chunk = chunk.resolve()
     if engine == "compiled":
         npm, absolute, changes, keys = _simulate_runs_compiled(
-            plan_dyn, plan_static, scheme_names, power, overhead, chunk,
-            kernel_tier=config.kernel_tier)
+            plan_dyn, plan_static, scheme_names, power, overhead, chunk)
     else:
         npm, absolute, changes, keys = _simulate_runs(
             plan_dyn, plan_static, scheme_names, power, overhead, chunk)

@@ -52,7 +52,6 @@ def _fig_config(n_runs: int, n_processors: int, power_model: str,
                 backend: Optional[str] = None,
                 executors: Optional[int] = None,
                 connect: Optional[str] = None,
-                kernel_tier: Optional[str] = None,
                 shards: Optional[int] = None,
                 shard_mem_mb: int = 0) -> RunConfig:
     # asking for run-level workers is the explicit opt-in to the legacy
@@ -64,7 +63,6 @@ def _fig_config(n_runs: int, n_processors: int, power_model: str,
                      chunk_timeout=chunk_timeout, degrade=degrade,
                      run_level_pool=(run_jobs != 1),
                      backend=backend, executors=executors, connect=connect,
-                     kernel_tier=kernel_tier,
                      shards=shards, shard_mem_mb=shard_mem_mb)
 
 
@@ -82,7 +80,6 @@ def figure4(n_runs: int = 1000,
             backend: Optional[str] = None,
             executors: Optional[int] = None,
             connect: Optional[str] = None,
-            kernel_tier: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -103,7 +100,7 @@ def figure4(n_runs: int = 1000,
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
                           run_jobs, runs_per_chunk, engine,
                           max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
+                          backend, executors, connect,
                           shards, shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
                                 name=f"figure4-{model}", context=context,
@@ -125,7 +122,6 @@ def figure5(n_runs: int = 1000,
             backend: Optional[str] = None,
             executors: Optional[int] = None,
             connect: Optional[str] = None,
-            kernel_tier: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -144,7 +140,7 @@ def figure5(n_runs: int = 1000,
         cfg = _fig_config(n_runs, 6, model, schemes, seed,
                           run_jobs, runs_per_chunk, engine,
                           max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
+                          backend, executors, connect,
                           shards, shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
                                 name=f"figure5-{model}", context=context,
@@ -166,7 +162,6 @@ def figure6(n_runs: int = 1000,
             backend: Optional[str] = None,
             executors: Optional[int] = None,
             connect: Optional[str] = None,
-            kernel_tier: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -180,7 +175,7 @@ def figure6(n_runs: int = 1000,
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
                           run_jobs, runs_per_chunk, engine,
                           max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
+                          backend, executors, connect,
                           shards, shard_mem_mb)
         out[model] = sweep_alpha(figure3_graph, cfg, load, alphas,
                                  n_jobs=n_jobs, name=f"figure6-{model}",
@@ -203,7 +198,6 @@ def fig_online(n_runs: int = 1000,
                backend: Optional[str] = None,
                executors: Optional[int] = None,
                connect: Optional[str] = None,
-               kernel_tier: Optional[str] = None,
                shards: Optional[int] = None,
                shard_mem_mb: int = 0,
                context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -226,7 +220,7 @@ def fig_online(n_runs: int = 1000,
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
                           run_jobs, runs_per_chunk, engine,
                           max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
+                          backend, executors, connect,
                           shards, shard_mem_mb)
         out[model] = sweep_arrival_rate(figure3_graph(), cfg, online,
                                         rates, n_jobs=n_jobs,

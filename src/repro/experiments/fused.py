@@ -154,18 +154,16 @@ class _FusedBuild:
     runs, so the sampling/execution half can be invoked per run-range.
     """
 
-    __slots__ = ("base", "power", "overhead", "scheme_names", "tier",
-                 "plans", "static_plans", "static_progs", "stacked_static",
+    __slots__ = ("base", "power", "overhead", "scheme_names", "plans", "static_plans", "static_progs", "stacked_static",
                  "dyn_points", "dyn_plans", "dyn_progs", "stacked_dyn")
 
-    def __init__(self, base, power, overhead, scheme_names, tier, plans,
+    def __init__(self, base, power, overhead, scheme_names, plans,
                  static_plans, static_progs, stacked_static, dyn_points,
                  dyn_plans, dyn_progs, stacked_dyn):
         self.base = base
         self.power = power
         self.overhead = overhead
         self.scheme_names = scheme_names
-        self.tier = tier
         self.plans = plans
         self.static_plans = static_plans
         self.static_progs = static_progs
@@ -209,11 +207,6 @@ def _build_fused(apps: Sequence[Application],
     power = base.make_power()
     overhead = base.overhead
     scheme_names = tuple(get_policy(n).name for n in base.schemes)
-    # resolved once so every kernel call of the sweep uses one tier
-    # (kernel_tier is an execution knob: not fusability-gated, not part
-    # of the evaluation-cache key)
-    from ..sim.kernels import resolve_kernel_tier
-    tier = resolve_kernel_tier(base.kernel_tier)
 
     plans = []
     static_progs = []
@@ -238,7 +231,7 @@ def _build_fused(apps: Sequence[Application],
         stacked_dyn = stack_programs(dyn_progs)
         if stacked_dyn is None:
             return None
-    return _FusedBuild(base, power, overhead, scheme_names, tier, plans,
+    return _FusedBuild(base, power, overhead, scheme_names, plans,
                        static_plans, static_progs, stacked_static,
                        dyn_points, dyn_plans, dyn_progs, stacked_dyn)
 
@@ -302,8 +295,7 @@ def _scalar_fallback(policy, view: _View, power, overhead):
     return abs_arr, chg_arr
 
 
-def _eval_scheme(policy, name: str, view: _View, power, overhead,
-                 kernel_tier=None):
+def _eval_scheme(policy, name: str, view: _View, power, overhead):
     """One scheme's (absolute, changes) over a view's whole run axis.
 
     The fused mirror of the per-scheme dispatch in
@@ -317,8 +309,7 @@ def _eval_scheme(policy, name: str, view: _View, power, overhead,
         speed = _stack_values(speeds)
         res = run_fixed_batch(view.prog, power, overhead, view.matrix,
                               view.groups, view.keys, speed, name,
-                              point_of=view.point_of,
-                              kernel_tier=kernel_tier)
+                              point_of=view.point_of)
         per_point = np.asarray(res.n_speed_changes, dtype=float)
         if per_point.ndim == 0:  # every point stacked to one scalar speed
             changes = np.full(view.matrix.shape[0], float(per_point))
@@ -338,8 +329,7 @@ def _eval_scheme(policy, name: str, view: _View, power, overhead,
                 res = run_dynamic_batch(view.prog, power, overhead,
                                         view.matrix, view.groups,
                                         view.keys, spec, name,
-                                        point_of=view.point_of,
-                                        kernel_tier=kernel_tier)
+                                        point_of=view.point_of)
                 return res.total_energy, res.n_speed_changes.astype(float)
     return _scalar_fallback(policy, view, power, overhead)
 
@@ -357,7 +347,7 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
     sweep to per-point evaluation.
     """
     n_points = len(configs)
-    power, overhead, tier = build.power, build.overhead, build.tier
+    power, overhead = build.power, build.overhead
     scheme_names = build.scheme_names
     static_plans = build.static_plans
     static_progs = build.static_progs
@@ -416,7 +406,7 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
 
     base_res = run_fixed_batch(stacked_static, power, NO_OVERHEAD, matrix,
                                groups, path_keys, power.s_max, "NPM",
-                               point_of=point_of, kernel_tier=tier)
+                               point_of=point_of)
     npm_energy = base_res.total_energy
     absolute = {}
     changes = {}
@@ -437,8 +427,7 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
             view = dyn_view
         else:
             view = static_view
-        out = _eval_scheme(policy, name, view, power, overhead,
-                           kernel_tier=tier)
+        out = _eval_scheme(policy, name, view, power, overhead)
         if out is None:
             return None
         abs_v, chg_v = out

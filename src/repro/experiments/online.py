@@ -307,7 +307,7 @@ def _admit_stream(times: np.ndarray, t_worst: float, t_avg: float,
 def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
               scheme_names: Sequence[str], power: PowerModel,
               overhead: OverheadModel, batch: RealizationBatch,
-              engine: str, kernel_tier: Optional[str]
+              engine: str
               ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray],
                          Dict[str, np.ndarray], Dict[str, np.ndarray],
                          List[str]]:
@@ -324,9 +324,6 @@ def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
     if engine == "dict":
         return _run_jobs_dict(plan_dyn, plan_static, scheme_names, power,
                               overhead, batch)
-    from ..sim.kernels import resolve_kernel_tier
-    tier = resolve_kernel_tier(kernel_tier)
-
     policies: Dict[str, SpeedPolicy] = {}
     for name in scheme_names:
         policy = get_policy(name)
@@ -339,8 +336,7 @@ def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
     groups, path_keys = prog_static.executed_paths(batch.choices, n)
 
     base = run_fixed_batch(prog_static, power, NO_OVERHEAD, matrix,
-                           groups, path_keys, power.s_max, "NPM",
-                           kernel_tier=tier)
+                           groups, path_keys, power.s_max, "NPM")
     npm_energy = base.total_energy
     npm_finish = base.finish_time
     absolute: Dict[str, np.ndarray] = {}
@@ -365,7 +361,7 @@ def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
         speed = policy.batch_fixed_speed(plan, power, overhead)
         if speed is not None:
             res = run_fixed_batch(prog, power, overhead, matrix, groups,
-                                  path_keys, speed, name, kernel_tier=tier)
+                                  path_keys, speed, name)
             absolute[name] = res.total_energy
             finish[name] = res.finish_time
             changes[name] = np.full(n, float(res.n_speed_changes))
@@ -376,8 +372,7 @@ def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
             probe = policy.start_run(plan, power, overhead)
             if supports_dynamic_batch(probe, power):
                 res = run_dynamic_batch(prog, power, overhead, matrix,
-                                        groups, path_keys, probe, name,
-                                        kernel_tier=tier)
+                                        groups, path_keys, probe, name)
                 absolute[name] = res.total_energy
                 finish[name] = res.finish_time
                 changes[name] = res.n_speed_changes.astype(float)
@@ -480,7 +475,7 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     fixes the arrival instants (via the derived arrival stream) and
     the realizations (via ``default_rng(seed)``, the offline
     evaluator's stream) — repeated calls are bit-identical on every
-    backend and kernel tier.
+    backend.
     """
     m = config.n_processors
     t_worst = worst_case_length(graph, m)
@@ -519,7 +514,7 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
                                      sigma_fraction=config.sigma_fraction)
     npm_energy, _npm_finish, absolute, finish, changes, path_keys = \
         _run_jobs(plan_dyn, plan_static, scheme_names, power,
-                  config.overhead, batch, config.engine, config.kernel_tier)
+                  config.overhead, batch, config.engine)
 
     result.npm_energy = npm_energy
     result.path_keys = path_keys
@@ -577,7 +572,7 @@ def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
                           meta={"app": graph.name,
                                 "power_model": config.power_model,
                                 "n_processors": config.n_processors,
-                                "kernel": kernel_meta(config.kernel_tier)})
+                                "kernel": kernel_meta()})
     series.meta["speed_changes"] = []
     for r, res in zip(rates, results):
         x = float(r)

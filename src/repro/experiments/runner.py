@@ -134,14 +134,6 @@ class RunConfig:
     #: (``None`` = loopback, ephemeral port).  Execution knob — never
     #: part of the evaluation cache key.
     connect: Optional[str] = None
-    #: kernel tier for the compiled batch kernels: ``"legacy"`` (entry-
-    #: tuple loop), ``"numpy"`` (tape interpreter), ``"jit"`` (numba
-    #: tape cores) or ``"auto"`` (jit when numba is importable, else
-    #: numpy with a one-time warning).  ``None`` resolves to the session
-    #: default (``REPRO_KERNEL_TIER``, default numpy).  All tiers are
-    #: bit-identical — execution knob, never part of the evaluation
-    #: cache key.
-    kernel_tier: Optional[str] = None
     #: shard request for the fused sweep path: ``None`` (resolve the
     #: ``REPRO_SHARDS`` session default; unset everywhere = monolithic),
     #: ``0`` (auto: effective cores, raised to fit ``shard_mem_mb``) or
@@ -202,13 +194,6 @@ class RunConfig:
         if self.connect is not None:
             from .dispatch import parse_endpoint
             parse_endpoint(self.connect)  # raises ConfigError when bad
-        # hardcoded (not kernels.TIERS) to keep runner import-light;
-        # the registry test pins the two in sync
-        if self.kernel_tier is not None and self.kernel_tier not in (
-                "auto", "legacy", "numpy", "jit"):
-            raise ConfigError(
-                f"kernel_tier must be 'auto', 'legacy', 'numpy' or "
-                f"'jit', got {self.kernel_tier!r}")
         if self.shards is not None and self.shards < 0:
             raise ConfigError(
                 f"shards must be >= 0 (0 = auto), got {self.shards}")
@@ -393,8 +378,7 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
                             scheme_names: Sequence[str],
                             power: PowerModel,
                             overhead: OverheadModel,
-                            batch: RealizationBatch,
-                            kernel_tier: Optional[str] = None
+                            batch: RealizationBatch
                             ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
                                        Dict[str, np.ndarray], List[str]]:
     """The compiled-engine counterpart of :func:`_simulate_runs`.
@@ -407,13 +391,7 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
     dynamic path, and anything else runs the scalar compiled kernel per
     run — no per-run dict materialization anywhere except for schemes
     that declare ``needs_realization`` (the oracle).
-
-    ``kernel_tier`` selects the batch-kernel tier (resolved once here so
-    every batch call of the evaluation uses the same tier and any
-    jit-fallback warning fires at most once per evaluation).
     """
-    from ..sim.kernels import resolve_kernel_tier
-    tier = resolve_kernel_tier(kernel_tier)
 
     policies: Dict[str, SpeedPolicy] = {}
     for name in scheme_names:
@@ -427,8 +405,7 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
     groups, path_keys = prog_static.executed_paths(batch.choices, n)
 
     base = run_fixed_batch(prog_static, power, NO_OVERHEAD, matrix,
-                           groups, path_keys, power.s_max, "NPM",
-                           kernel_tier=tier)
+                           groups, path_keys, power.s_max, "NPM")
     npm_energy = base.total_energy
     absolute: Dict[str, np.ndarray] = {}
     changes: Dict[str, np.ndarray] = {}
@@ -449,7 +426,7 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
         speed = policy.batch_fixed_speed(plan, power, overhead)
         if speed is not None:
             res = run_fixed_batch(prog, power, overhead, matrix, groups,
-                                  path_keys, speed, name, kernel_tier=tier)
+                                  path_keys, speed, name)
             absolute[name] = res.total_energy
             changes[name] = np.full(n, float(res.n_speed_changes))
             continue
@@ -459,8 +436,7 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
             probe = policy.start_run(plan, power, overhead)
             if supports_dynamic_batch(probe, power):
                 res = run_dynamic_batch(prog, power, overhead, matrix,
-                                        groups, path_keys, probe, name,
-                                        kernel_tier=tier)
+                                        groups, path_keys, probe, name)
                 absolute[name] = res.total_energy
                 changes[name] = res.n_speed_changes.astype(float)
                 continue
@@ -576,8 +552,7 @@ def evaluate_application(app: Application,
             npm_energy, absolute, changes, path_keys = \
                 _simulate_runs_compiled(
                     plan_dyn, plan_static, scheme_names, power,
-                    config.overhead, realizations,
-                    kernel_tier=config.kernel_tier)
+                    config.overhead, realizations)
         else:
             npm_energy, absolute, changes, path_keys = _simulate_runs(
                 plan_dyn, plan_static, scheme_names, power,

@@ -11,10 +11,9 @@ across several sweeps instead of paying pool spin-up per sweep.  When a
 cache is attached, the sweep's hit/miss counts land in
 ``series.meta["cache"]``.
 
-Every sweep also records the resolved kernel tier and the compile-side
-cache counters (program / tape / stacked caches) in
-``series.meta["kernel"]`` so a regenerated figure states how it was
-computed.
+Every sweep also records the compile-side cache counters (program /
+tape / stacked caches) in ``series.meta["kernel"]`` so a regenerated
+figure states how it was computed.
 """
 
 from __future__ import annotations
@@ -134,8 +133,7 @@ def sweep_load(graph: AndOrGraph, config: RunConfig,
                                           "power_model": config.power_model,
                                           "n_processors": config.n_processors,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)})))
+                                          "kernel": kernel_meta()})))
 
 
 def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
@@ -166,8 +164,7 @@ def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
                                           "power_model": config.power_model,
                                           "n_processors": config.n_processors,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)})))
+                                          "kernel": kernel_meta()})))
 
 
 def sweep_processors(graph_builder: Callable[[], AndOrGraph],
@@ -200,8 +197,7 @@ def sweep_processors(graph_builder: Callable[[], AndOrGraph],
                                          {"load": load,
                                           "power_model": config.power_model,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)}))
+                                          "kernel": kernel_meta()}))
 
 
 def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
@@ -234,5 +230,4 @@ def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
                                          {"load": load, "app": graph.name,
                                           "power_model": config.power_model,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)}))
+                                          "kernel": kernel_meta()}))

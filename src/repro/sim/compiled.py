@@ -13,14 +13,16 @@ interchangeable kernels:
   flat tuples (WCET, finish bound, realization column), intra-section
   predecessors in a CSR-style id list, and the ``finishes``/
   ``proc_free`` buffers are preallocated and reused across runs.  Used
-  for the dynamic schemes (GSS, SS1, SS2, AS, PS) and any per-run fixed
-  speed (ORACLE).
-* :func:`run_fixed_batch` — a fully vectorized fixed-speed path that
-  evaluates NPM/SPM for an entire ``(n_runs, n_tasks)`` realization
-  matrix: runs are grouped by executed path and every dispatch step is
-  one NumPy operation across the whole group, so the per-run Python
-  loop disappears.  NPM is the denominator of every normalized energy,
-  so this path touches every run of every scheme.
+  by :func:`simulate_compiled` and, in batch evaluation, for any
+  scheme the batch kernels cannot replay (ORACLE, custom policies).
+* :func:`run_fixed_batch` / :func:`run_dynamic_batch` — the vectorized
+  batch kernels, implemented once in :mod:`repro.sim.kernels.interp`
+  over the program's lowered tape and re-exported here.  They evaluate
+  NPM/SPM and GSS/SS1/SS2/AS/PS for an entire ``(n_runs, n_tasks)``
+  realization matrix: runs are grouped by executed path and every
+  dispatch step is one NumPy operation across the whole group, so the
+  per-run Python loop disappears.  NPM is the denominator of every
+  normalized energy, so the fixed kernel touches every run.
 
 Both batch kernels also accept a :class:`~repro.sim.sweepc.
 StackedProgram` plus a ``point_of`` run→point index, executing a whole
@@ -66,6 +68,12 @@ from ..offline.plan import OfflinePlan
 from ..power.model import PowerModel
 from ..power.overhead import OverheadModel
 from ..types import EnergyBreakdown, SimResult, TaskRecord
+from .kernels.interp import (  # noqa: F401  (re-exported)
+    DynamicBatchResult,
+    FixedBatchResult,
+    run_dynamic_batch,
+    run_fixed_batch,
+)
 from .realization import Realization, RealizationBatch
 
 _EPS = 1e-9
@@ -546,246 +554,6 @@ def simulate_compiled(plan: OfflinePlan, policy_run, power: PowerModel,
                       check_deadline=check_deadline)
 
 
-class FixedBatchResult:
-    """Per-run outputs of one vectorized fixed-speed batch simulation."""
-
-    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes",
-                 "path_keys")
-
-    def __init__(self, scheme: str, total_energy: np.ndarray,
-                 finish_time: np.ndarray, n_speed_changes,
-                 path_keys: List[str]):
-        self.scheme = scheme
-        self.total_energy = total_energy
-        self.finish_time = finish_time
-        #: switches per run (identical across runs for a fixed speed):
-        #: an int, or an ``(n_points,)`` int array when the batch was a
-        #: fused sweep with one fixed speed per point
-        self.n_speed_changes = n_speed_changes
-        self.path_keys = path_keys
-
-
-def _gather(value, pt):
-    """One group's values of a possibly per-point constant.
-
-    Scalars pass through unchanged (the non-fused path, and stacked
-    constants that every point agrees on — broadcasting then performs
-    the exact scalar operation); a stacked ``(n_points,)`` vector is
-    fancy-indexed by the group's per-run point indices ``pt``.
-    """
-    if isinstance(value, np.ndarray):
-        return value[pt]
-    return value
-
-
-def _at(value, k):
-    """Row ``k``'s value of a gathered constant, for error messages."""
-    if isinstance(value, np.ndarray):
-        return value[k]
-    return value
-
-
-def run_fixed_batch(prog, power: PowerModel,
-                    overhead: OverheadModel, matrix: np.ndarray,
-                    groups, path_keys: List[str], speed,
-                    scheme: str,
-                    check_deadline: bool = True,
-                    point_of: Optional[np.ndarray] = None,
-                    kernel_tier: Optional[str] = None
-                    ) -> FixedBatchResult:
-    """Vectorized fixed-speed simulation of a whole realization batch.
-
-    Dispatches to the kernel tier selected by ``kernel_tier`` (None for
-    the session default — see
-    :func:`repro.sim.kernels.resolve_kernel_tier`): ``legacy`` runs
-    :func:`_run_fixed_legacy` below, ``numpy`` the tape interpreter,
-    ``jit`` the numba-compiled tape cores.  All tiers are bit-identical;
-    the contract is documented on :func:`_run_fixed_legacy`.
-    """
-    from . import kernels  # local import breaks the cycle
-    tier = kernels.resolve_kernel_tier(kernel_tier)
-    if tier == "legacy":
-        return _run_fixed_legacy(prog, power, overhead, matrix, groups,
-                                 path_keys, speed, scheme,
-                                 check_deadline=check_deadline,
-                                 point_of=point_of)
-    fixed, _dynamic = kernels.get_kernels(tier)
-    return fixed(prog, power, overhead, matrix, groups, path_keys, speed,
-                 scheme, check_deadline=check_deadline, point_of=point_of)
-
-
-def _run_fixed_legacy(prog, power: PowerModel,
-                      overhead: OverheadModel, matrix: np.ndarray,
-                      groups, path_keys: List[str], speed,
-                      scheme: str,
-                      check_deadline: bool = True,
-                      point_of: Optional[np.ndarray] = None
-                      ) -> FixedBatchResult:
-    """Vectorized fixed-speed simulation of a whole realization batch
-    (the ``legacy`` kernel tier: the original entry-tuple loop, kept as
-    the differential-testing reference the tape tiers are pinned
-    bit-identical against).
-
-    ``matrix`` is the ``(n_runs, n_tasks)`` actual-time matrix in
-    program column order and ``groups``/``path_keys`` the output of
-    :meth:`CompiledPlan.executed_paths`.  Runs sharing an executed path
-    are simulated together: each dispatch step is one NumPy operation
-    over the group, in exactly the dict engine's float-operation order,
-    so every per-run output is bit-identical to a scalar simulation.
-
-    **Fused sweeps.**  ``prog`` may be a
-    :class:`~repro.sim.sweepc.StackedProgram` covering several sweep
-    points at once; ``point_of`` is then the ``(n_runs,)`` point index
-    of every row of ``matrix``, and ``speed`` may be an ``(n_points,)``
-    vector of per-point fixed speeds.  Per-point constants are gathered
-    into each path group, so every run still sees exactly its own
-    point's floats — fused outputs are bit-identical to evaluating the
-    points one program at a time.
-    """
-    n = matrix.shape[0]
-    m = prog.m
-    deadline = prog.deadline
-    s_max = power.s_max
-
-    if isinstance(speed, np.ndarray):
-        # fused: one fixed speed per point; every derived preamble
-        # constant is computed with the same scalar formulas, selected
-        # per point — bit-identical to the scalar preamble per point
-        switched = np.abs(speed - s_max) > _EPS
-        t0 = np.where(switched, overhead.adjust_time, 0.0)
-        overhead_time = np.where(switched, m * overhead.adjust_time, 0.0)
-        e_over = np.where(switched, m * overhead.adjustment_energy(power),
-                          0.0)
-        n_changes = np.where(switched, m, 0)
-        p_busy = power.power_table(speed)
-    else:
-        switched = abs(speed - s_max) > _EPS
-        t0 = overhead.adjust_time if switched else 0.0
-        overhead_time = m * overhead.adjust_time if switched else 0.0
-        e_over = m * overhead.adjustment_energy(power) if switched else 0.0
-        n_changes = m if switched else 0
-        p_busy = power.power(speed)
-    idle_power = power.idle_power
-
-    total_energy = np.empty(n)
-    finish_time = np.empty(n)
-
-    for path, idx in groups:
-        block = matrix[idx]
-        ng = idx.size
-        rows = np.arange(ng)
-        pt = point_of[idx] if point_of is not None else None
-        speed_g = _gather(speed, pt)
-        p_busy_g = _gather(p_busy, pt)
-        t0_g = _gather(t0, pt)
-        dl_g = _gather(deadline, pt)
-        ot_g = _gather(overhead_time, pt)
-        eo_g = _gather(e_over, pt)
-        fin = np.empty((ng, prog.n_slots))
-        if isinstance(t0_g, np.ndarray):
-            proc_free = np.repeat(t0_g[:, None], m, axis=1)
-            last_dispatch = t0_g.copy()
-            t_section = t0_g.copy()
-            t_end = t0_g.copy()
-        else:
-            proc_free = np.full((ng, m), t0_g)
-            last_dispatch = np.full(ng, t0_g)
-            t_section = np.full(ng, t0_g)
-            t_end = np.full(ng, t0_g)
-        busy_time = np.zeros(ng)
-        e_busy = np.zeros(ng)
-
-        for sid in path:
-            sec = prog.sections[sid]
-            sec_max = None
-            for is_and, gid, col, c, fb, name, preds in sec.entries:
-                ready = t_section.copy()
-                for p in preds:
-                    np.maximum(ready, fin[:, p], out=ready)
-                if is_and:
-                    fin[:, gid] = ready
-                    if sec_max is None:
-                        sec_max = ready.copy()
-                    else:
-                        np.maximum(sec_max, ready, out=sec_max)
-                    continue
-
-                j = np.argmin(proc_free, axis=1)  # first-idle, lowest id
-                t = np.maximum(np.maximum(ready, last_dispatch),
-                               proc_free[rows, j])
-                last_dispatch = t
-                actual = block[:, col]
-                c_g = _gather(c, pt)
-                over = actual > c_g * (1 + 1e-9)
-                if over.any():
-                    k = int(np.argmax(over))
-                    raise SimulationError(
-                        f"actual time {actual[k]} of {name!r} exceeds "
-                        f"WCET {_at(c_g, k)}")
-                wall = actual / speed_g
-                finish = t + wall
-                busy_time += wall
-                e_busy += p_busy_g * wall
-                proc_free[rows, j] = finish
-                fin[:, gid] = finish
-                if sec_max is None:
-                    sec_max = finish.copy()
-                else:
-                    np.maximum(sec_max, finish, out=sec_max)
-
-            if sec_max is None:
-                t_end = t_section
-            else:
-                t_end = np.maximum(sec_max, t_section)
-            # synchronize at the OR before the next section of the path
-            t_section = t_end
-            last_dispatch = t_end
-            proc_free = np.broadcast_to(t_end[:, None], (ng, m)).copy()
-
-        if check_deadline:
-            late = t_end > dl_g * (1 + 1e-9) + _EPS
-            if late.any():
-                k = int(np.argmax(late))
-                raise DeadlineMissError(float(t_end[k]),
-                                        float(_at(dl_g, k)),
-                                        scheme=scheme)
-        window = m * np.maximum(dl_g, t_end)
-        idle_time = window - busy_time - ot_g
-        if isinstance(dl_g, np.ndarray):
-            thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
-        else:
-            thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
-        bad = idle_time < thresh
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SimulationError(
-                f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
-                f"overhead={_at(ot_g, k)}, window={window[k]}")
-        e_idle = idle_power * np.maximum(idle_time, 0.0)
-        total_energy[idx] = e_busy + e_idle + eo_g
-        finish_time[idx] = t_end
-
-    return FixedBatchResult(scheme, total_energy, finish_time, n_changes,
-                            list(path_keys))
-
-
-class DynamicBatchResult:
-    """Per-run outputs of one vectorized dynamic-scheme batch simulation."""
-
-    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes",
-                 "path_keys")
-
-    def __init__(self, scheme: str, total_energy: np.ndarray,
-                 finish_time: np.ndarray, n_speed_changes: np.ndarray,
-                 path_keys: List[str]):
-        self.scheme = scheme
-        self.total_energy = total_energy
-        self.finish_time = finish_time
-        #: switches per run, as an int array (runs differ)
-        self.n_speed_changes = n_speed_changes
-        self.path_keys = path_keys
-
-
 def supports_dynamic_batch(policy_run, power: PowerModel) -> bool:
     """Whether :func:`run_dynamic_batch` can replay ``policy_run`` exactly.
 
@@ -809,246 +577,3 @@ def supports_dynamic_batch(policy_run, power: PowerModel) -> bool:
             and policy_run.or_respec not in ("average", "worst")):
         return False
     return True
-
-
-def run_dynamic_batch(prog, power: PowerModel,
-                      overhead: OverheadModel, matrix: np.ndarray,
-                      groups, path_keys: List[str], policy_run,
-                      scheme: str,
-                      check_deadline: bool = True,
-                      point_of: Optional[np.ndarray] = None,
-                      kernel_tier: Optional[str] = None
-                      ) -> DynamicBatchResult:
-    """Vectorized dynamic-scheme simulation of a whole realization batch.
-
-    Dispatches to the kernel tier selected by ``kernel_tier`` (None for
-    the session default — see
-    :func:`repro.sim.kernels.resolve_kernel_tier`); all tiers are
-    bit-identical, and the contract is documented on
-    :func:`_run_dynamic_legacy`.
-    """
-    from . import kernels  # local import breaks the cycle
-    tier = kernels.resolve_kernel_tier(kernel_tier)
-    if tier == "legacy":
-        return _run_dynamic_legacy(prog, power, overhead, matrix, groups,
-                                   path_keys, policy_run, scheme,
-                                   check_deadline=check_deadline,
-                                   point_of=point_of)
-    _fixed, dynamic = kernels.get_kernels(tier)
-    return dynamic(prog, power, overhead, matrix, groups, path_keys,
-                   policy_run, scheme, check_deadline=check_deadline,
-                   point_of=point_of)
-
-
-def _run_dynamic_legacy(prog, power: PowerModel,
-                        overhead: OverheadModel, matrix: np.ndarray,
-                        groups, path_keys: List[str], policy_run,
-                        scheme: str,
-                        check_deadline: bool = True,
-                        point_of: Optional[np.ndarray] = None
-                        ) -> DynamicBatchResult:
-    """Vectorized dynamic-scheme simulation of a whole realization batch
-    (the ``legacy`` kernel tier — the differential-testing reference).
-
-    The dynamic counterpart of :func:`run_fixed_batch` for the schemes
-    that :func:`supports_dynamic_batch` accepts.  Each processor's
-    current speed is tracked as an *index* into the discrete level
-    table, so the per-level speed-computation time and power draw become
-    single fancy-indexing gathers; the greedy required speed, the floor,
-    the snap-up (``searchsorted`` with the same ``1e-12`` epsilon as
-    ``DiscretePowerModel.snap_up``) and the switch bookkeeping are one
-    NumPy operation each across a path group.  Where the scalar engine
-    *skips* an accumulation (no speed-computation overhead, no switch),
-    this kernel adds an exact ``0.0``, which is bit-identical on the
-    non-negative accumulators involved.
-
-    ``policy_run`` is consulted only for its protocol attributes
-    (``floor_const``/``floor_step``/``or_respec``) and is not mutated.
-    The only observable difference from running the scalar kernel n
-    times is *which* run raises first when a plan is infeasible — errors
-    surface in path-group order rather than run order.
-
-    **Fused sweeps.**  ``prog`` may be a
-    :class:`~repro.sim.sweepc.StackedProgram` with ``point_of`` the
-    per-run point index; the run's protocol attributes
-    (``floor_const``, the ``floor_step`` triple) may then hold
-    ``(n_points,)`` vectors, and the program's per-entry constants and
-    branch statistics are gathered per group — every run computes with
-    exactly its own point's floats.
-    """
-    n = matrix.shape[0]
-    m = prog.m
-    deadline = prog.deadline
-    s_max = power.s_max
-    s_max_guard = s_max * (1 + 1e-6)
-
-    # per-level constants, cached on the model/overhead instances and
-    # computed through the scalar API, so every gathered value is the
-    # exact float the dict engine uses
-    speeds_arr = power.level_speed_table()
-    n_lv = speeds_arr.size
-    pow_arr = power.level_power_table()
-    tc_arr = overhead.computation_time_table(power)
-    adjust_time = overhead.adjust_time
-    adj_energy = overhead.adjustment_energy(power)
-    idle_power = power.idle_power
-
-    fc = policy_run.floor_const
-    step = policy_run.floor_step
-    respec = policy_run.or_respec
-
-    total_energy = np.empty(n)
-    finish_time = np.empty(n)
-    n_changes = np.empty(n, dtype=np.int64)
-
-    for path, idx in groups:
-        block = matrix[idx]
-        ng = idx.size
-        rows = np.arange(ng)
-        pt = point_of[idx] if point_of is not None else None
-        fc_g = _gather(fc, pt)
-        if step is not None:
-            f_lo_g = _gather(step[0], pt)
-            f_hi_g = _gather(step[1], pt)
-            theta_g = _gather(step[2], pt)
-        dl_g = _gather(deadline, pt)
-        fin = np.empty((ng, prog.n_slots))
-        proc_free = np.zeros((ng, m))
-        # every processor starts at S_max = the top level
-        proc_idx = np.full((ng, m), n_lv - 1, dtype=np.intp)
-        last_dispatch = np.zeros(ng)
-        t_section = np.zeros(ng)
-        busy_time = np.zeros(ng)
-        overhead_time = np.zeros(ng)
-        e_busy = np.zeros(ng)
-        e_over = np.zeros(ng)
-        changes = np.zeros(ng, dtype=np.int64)
-        fl_vec = None  # AS/PS floor after the first OR fires
-        t_end = np.zeros(ng)
-
-        for pos, sid in enumerate(path):
-            sec = prog.sections[sid]
-            sec_max = None
-            for is_and, gid, col, c, fb, name, preds in sec.entries:
-                ready = t_section.copy()
-                for p in preds:
-                    np.maximum(ready, fin[:, p], out=ready)
-                if is_and:
-                    fin[:, gid] = ready
-                    if sec_max is None:
-                        sec_max = ready.copy()
-                    else:
-                        np.maximum(sec_max, ready, out=sec_max)
-                    continue
-
-                j = np.argmin(proc_free, axis=1)  # first-idle, lowest id
-                t = np.maximum(np.maximum(ready, last_dispatch),
-                               proc_free[rows, j])
-                last_dispatch = t
-                actual = block[:, col]
-                c_g = _gather(c, pt)
-                fb_g = _gather(fb, pt)
-                over = actual > c_g * (1 + 1e-9)
-                if over.any():
-                    k = int(np.argmax(over))
-                    raise SimulationError(
-                        f"actual time {actual[k]} of {name!r} exceeds "
-                        f"WCET {_at(c_g, k)}")
-
-                si = proc_idx[rows, j]
-                t_comp = tc_arr[si]
-                avail = fb_g - t - t_comp
-                denom = avail - adjust_time
-                with np.errstate(divide="ignore"):
-                    s_req = np.where(denom > 0, c_g / denom, math.inf)
-                if step is not None:
-                    fl = np.where(t < theta_g, f_lo_g, f_hi_g)
-                elif fl_vec is not None:
-                    fl = fl_vec
-                else:
-                    fl = fc_g
-                target = np.maximum(s_req, fl)
-                viol = target > s_max_guard
-                if viol.any():
-                    k = int(np.argmax(viol))
-                    raise SimulationError(
-                        f"guarantee violated for {name!r}: required "
-                        f"speed {target[k]:.6g} exceeds maximum "
-                        f"(t={t[k]:.6g}, bound={_at(fb_g, k):.6g})")
-                want = np.minimum(target, s_max)
-                new_idx = np.searchsorted(speeds_arr, want - 1e-12,
-                                          side="left")
-                np.clip(new_idx, 0, n_lv - 1, out=new_idx)
-                speed = speeds_arr[new_idx]
-                s_cur = speeds_arr[si]
-                changed = np.abs(speed - s_cur) > _EPS
-                t_adj = np.where(changed, adjust_time, 0.0)
-                start_exec = t + t_comp + t_adj
-                overhead_time += t_comp
-                e_over += pow_arr[si] * t_comp
-                overhead_time += t_adj
-                e_over += np.where(changed, adj_energy, 0.0)
-                changes += changed
-                proc_idx[rows, j] = np.where(changed, new_idx, si)
-
-                wall = actual / speed
-                finish = start_exec + wall
-                busy_time += wall
-                e_busy += pow_arr[new_idx] * wall
-                proc_free[rows, j] = finish
-                fin[:, gid] = finish
-                if sec_max is None:
-                    sec_max = finish.copy()
-                else:
-                    np.maximum(sec_max, finish, out=sec_max)
-
-            if sec_max is None:
-                t_end = t_section
-            else:
-                t_end = np.maximum(sec_max, t_section)
-            # synchronize at the OR before the next section of the path
-            t_section = t_end
-            last_dispatch = t_end
-            proc_free = np.broadcast_to(t_end[:, None], (ng, m)).copy()
-            if respec is not None and pos + 1 < len(path):
-                # on_or_fired: re-speculate the constant floor from the
-                # fired branch's remaining-time statistics, exactly like
-                # speculative_speed() but across the group
-                worst, average = sec.branch_stats[path[pos + 1]]
-                work = _gather(average if respec == "average" else worst,
-                               pt)
-                horizon = dl_g - t_end
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    raw = work / horizon
-                want = np.minimum(raw, s_max)
-                snap_idx = np.searchsorted(speeds_arr, want - 1e-12,
-                                           side="left")
-                np.clip(snap_idx, 0, n_lv - 1, out=snap_idx)
-                fl_vec = np.where(horizon > 0, speeds_arr[snap_idx], s_max)
-
-        if check_deadline:
-            late = t_end > dl_g * (1 + 1e-9) + _EPS
-            if late.any():
-                k = int(np.argmax(late))
-                raise DeadlineMissError(float(t_end[k]),
-                                        float(_at(dl_g, k)),
-                                        scheme=scheme)
-        window = m * np.maximum(dl_g, t_end)
-        idle_time = window - busy_time - overhead_time
-        if isinstance(dl_g, np.ndarray):
-            thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
-        else:
-            thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
-        bad = idle_time < thresh
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SimulationError(
-                f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
-                f"overhead={overhead_time[k]}, window={window[k]}")
-        e_idle = idle_power * np.maximum(idle_time, 0.0)
-        total_energy[idx] = e_busy + e_idle + e_over
-        finish_time[idx] = t_end
-        n_changes[idx] = changes
-
-    return DynamicBatchResult(scheme, total_energy, finish_time, n_changes,
-                              list(path_keys))

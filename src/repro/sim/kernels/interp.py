@@ -1,42 +1,59 @@
-"""The ``numpy`` kernel tier: batch kernels over the lowered tape.
+"""The batch simulation kernels: vectorized runs over the lowered tape.
 
-Same group-at-a-time vectorization as the legacy entry-tuple loop in
-``repro.sim.compiled``, but iterating the program's
-:class:`~repro.sim.kernels.tape.SectionTape` instead of per-entry
-tuples: predecessor readiness is a CSR-row gather + ``max`` reduction
-(one ``np.maximum`` against the single-predecessor column, or a fancy
-slice ``fin[:, pred].max(axis=1)`` for joins) and a stacked section's
-per-point constants are gathered for *all* entries at once
-(``c_pt[:, pt]``) instead of one ``_gather`` per entry.
+:func:`run_fixed_batch` (NPM, SPM and any batch-constant fixed speed)
+and :func:`run_dynamic_batch` (GSS, SS1, SS2, AS, PS) simulate a whole
+realization batch one *path group* at a time: runs sharing an executed
+path go through each dispatch step together, one NumPy operation
+across the group.  Both iterate the program's
+:class:`~repro.sim.kernels.tape.SectionTape` rather than per-entry
+Python tuples: predecessor readiness is a row gather + ``max``
+reduction (one ``np.maximum`` against the single-predecessor column,
+or a fancy slice ``fin[:, pred].max(axis=1)`` for joins) and a stacked
+section's per-point constants are gathered for *all* entries at once
+(``c_pt[:, pt]``).
 
-Bit-identity with the legacy tier holds operation by operation:
+**Bit-identity with the dict engine.**  Every float operation happens
+in exactly the order of :func:`repro.sim.engine.simulate`, so each
+per-run energy, finish time and switch count is equal *bit for bit* to
+a scalar dict-engine run; the golden suites
+(``tests/property/test_compiled_equivalence``,
+``test_fused_equivalence``) pin this with exact float equality:
 
-* ``max(a, max(b, c))`` equals the legacy fold ``maximum(maximum(...))``
-  exactly — max is associative and exact on floats;
+* the predecessor reduction ``max(a, max(b, c))`` is exact and
+  associative on floats, so it matches the engine's running ``max``;
+* ``np.argmin`` returns the first minimal processor, matching the
+  engine's first-idle, lowest-id ``min(range(m), key=...)`` tie-break;
 * when an entry has no predecessors, ``ready`` aliases ``t_section``
-  instead of copying it; both kernels only ever *rebind* ``t_section``,
-  never mutate it in place, so the values are the same objects' floats;
-* the per-entry constant is the same float whether read from the tape
-  lane, the Python tuple, or a broadcast row of ``c_pt``;
-* the WCET check runs once per *path group* over every computation
-  entry on the path at once (``act > guard`` with the guard products
-  precomputed and concatenated per path on the tape) instead of once
-  per entry — the same comparisons on the same floats, just batched —
-  and the fixed kernel likewise batches ``actual / speed`` and the
-  busy-energy product per section (identical elementwise operations,
-  consumed column by column in entry order).
+  instead of copying it; both kernels only ever *rebind*
+  ``t_section``, never mutate it in place;
+* the fixed kernel batches ``actual / speed`` and the busy-energy
+  product per section — identical elementwise operations, consumed
+  column by column in entry order;
+* where the engine *skips* an accumulation (no speed-computation
+  overhead, no switch), the dynamic kernel adds an exact ``0.0``,
+  which is bit-identical on the non-negative accumulators involved.
 
-Error classes, messages and the group-order error surface match the
-legacy kernels; entry names come from ``tape.names`` only on those
-paths (the path-level check re-scans section by section on violation
-to reproduce the legacy selection: first entry in path order with any
-violating run, first violating run in the group).  One documented
-divergence: because the WCET check is hoisted ahead of the group's
-dispatch loop, a batch containing *both* a WCET violation and a
-guarantee violation in the same path group may report the WCET error
-where the legacy entry loop would have reported the guarantee error
-first.  Realization sampling clamps actuals to WCET, so this defensive
-path never fires on sampler-produced batches.
+**Fused sweeps.**  ``prog`` may be a
+:class:`~repro.sim.sweepc.StackedProgram` covering several sweep
+points at once; ``point_of`` is then the ``(n_runs,)`` point index of
+every row of ``matrix``, and ``speed`` (fixed kernel) or the run's
+protocol attributes ``floor_const``/``floor_step`` (dynamic kernel)
+may hold ``(n_points,)`` vectors.  Per-point constants are gathered
+into each path group, so every run computes with exactly its own
+point's floats — fused outputs are bit-identical to evaluating the
+points one program at a time.
+
+**Errors.**  Invalid batches raise the engine's error classes and
+messages, in *path-group* order rather than run order.  The WCET guard
+runs once per path group over every computation entry on the path
+(``act > guard``, with the guard products ``c * (1 + 1e-9)``
+precomputed on the tape); on violation the sections are re-scanned in
+path order so the error names the first entry in path order with any
+violating run, and the first violating run within the group.  Because
+that check precedes the group's dispatch loop, a group holding both a
+WCET violation and a guarantee violation reports the WCET error.
+Realization sampling clamps actuals to WCET, so this defensive path
+never fires on sampler-produced batches.
 """
 
 from __future__ import annotations
@@ -49,14 +66,65 @@ import numpy as np
 from ...errors import DeadlineMissError, SimulationError
 from ...power.model import PowerModel
 from ...power.overhead import OverheadModel
-from ..compiled import (
-    _EPS,
-    DynamicBatchResult,
-    FixedBatchResult,
-    _at,
-    _gather,
-)
 from .tape import build_tape
+
+_EPS = 1e-9
+
+
+class FixedBatchResult:
+    """Per-run outputs of one vectorized fixed-speed batch simulation."""
+
+    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes",
+                 "path_keys")
+
+    def __init__(self, scheme: str, total_energy: np.ndarray,
+                 finish_time: np.ndarray, n_speed_changes,
+                 path_keys: List[str]):
+        self.scheme = scheme
+        self.total_energy = total_energy
+        self.finish_time = finish_time
+        #: switches per run (identical across runs for a fixed speed):
+        #: an int, or an ``(n_points,)`` int array when the batch was a
+        #: fused sweep with one fixed speed per point
+        self.n_speed_changes = n_speed_changes
+        self.path_keys = path_keys
+
+
+class DynamicBatchResult:
+    """Per-run outputs of one vectorized dynamic-scheme batch simulation."""
+
+    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes",
+                 "path_keys")
+
+    def __init__(self, scheme: str, total_energy: np.ndarray,
+                 finish_time: np.ndarray, n_speed_changes: np.ndarray,
+                 path_keys: List[str]):
+        self.scheme = scheme
+        self.total_energy = total_energy
+        self.finish_time = finish_time
+        #: switches per run, as an int array (runs differ)
+        self.n_speed_changes = n_speed_changes
+        self.path_keys = path_keys
+
+
+def _gather(value, pt):
+    """One group's values of a possibly per-point constant.
+
+    Scalars pass through unchanged (the non-fused path, and stacked
+    constants that every point agrees on — broadcasting then performs
+    the exact scalar operation); a stacked ``(n_points,)`` vector is
+    fancy-indexed by the group's per-run point indices ``pt``.
+    """
+    if isinstance(value, np.ndarray):
+        return value[pt]
+    return value
+
+
+def _at(value, k):
+    """Row ``k``'s value of a gathered constant, for error messages."""
+    if isinstance(value, np.ndarray):
+        return value[k]
+    return value
 
 
 def _check_wcet(st, block: np.ndarray,
@@ -65,11 +133,10 @@ def _check_wcet(st, block: np.ndarray,
     columns ``(ng, n_comp)`` in computation-entry order.
 
     The guard products (``c * (1 + 1e-9)``) are precomputed on the tape
-    for the scalar case, so the comparisons are float-for-float the ones
-    the per-entry legacy loop performs.  On violation the raised error
-    replicates the legacy selection exactly: the first entry in entry
-    order with any violating run, the first violating run within the
-    group, and the same message.
+    for the scalar case, so the comparisons are float-for-float the
+    dict engine's.  On violation the raised error names the first entry
+    in entry order with any violating run and the first violating run
+    within the group, with the engine's message.
     """
     act = block[:, st.comp_cols]
     if c_all is not None:
@@ -89,7 +156,7 @@ def _check_wcet(st, block: np.ndarray,
 
 def _raise_first_wcet(tape, path, block: np.ndarray,
                       pt: Optional[np.ndarray]) -> None:
-    """Legacy-order error selection once the path-level WCET check has
+    """Path-order error selection once the path-level WCET check has
     tripped: re-scan the sections in path order; the first one with a
     violation raises through :func:`_check_wcet`."""
     for sid in path:
@@ -102,14 +169,26 @@ def _raise_first_wcet(tape, path, block: np.ndarray,
         "path-level WCET check tripped but no section reproduced it")
 
 
-def run_fixed_tape(prog, power: PowerModel,
-                   overhead: OverheadModel, matrix: np.ndarray,
-                   groups, path_keys: List[str], speed,
-                   scheme: str,
-                   check_deadline: bool = True,
-                   point_of: Optional[np.ndarray] = None
-                   ) -> FixedBatchResult:
-    """Tape-interpreted :func:`repro.sim.compiled.run_fixed_batch`."""
+def run_fixed_batch(prog, power: PowerModel,
+                    overhead: OverheadModel, matrix: np.ndarray,
+                    groups, path_keys: List[str], speed,
+                    scheme: str,
+                    check_deadline: bool = True,
+                    point_of: Optional[np.ndarray] = None
+                    ) -> FixedBatchResult:
+    """Vectorized fixed-speed simulation of a whole realization batch.
+
+    ``matrix`` is the ``(n_runs, n_tasks)`` actual-time matrix in
+    program column order and ``groups``/``path_keys`` the output of
+    :meth:`~repro.sim.compiled.CompiledPlan.executed_paths`.  Every
+    per-run output is bit-identical to a scalar dict-engine simulation
+    at ``speed``; for a fused sweep (``prog`` a stacked program,
+    ``point_of`` its run→point index) ``speed`` may be an
+    ``(n_points,)`` vector of per-point fixed speeds, and every derived
+    preamble constant is computed with the same scalar formulas,
+    selected per point.  See the module docstring for the full
+    bit-identity, fused-sweep and error-selection contract.
+    """
     tape = build_tape(prog)
     n = matrix.shape[0]
     m = prog.m
@@ -165,8 +244,7 @@ def run_fixed_tape(prog, power: PowerModel,
         if cols.size:
             # one gather and one WCET check for the whole path group;
             # on violation the error path re-scans section by section
-            # so the raised error matches the legacy per-entry
-            # selection exactly
+            # to name the first violating entry in path order
             act_path = block[:, cols]
             viol = (act_path > g_pt[:, pt].T * (1 + 1e-9)
                     if g_pt is not None and pt is not None
@@ -260,14 +338,32 @@ def run_fixed_tape(prog, power: PowerModel,
 # (~1us each); it only silences divide/invalid *warnings* — the guarded
 # np.where selections below are unchanged float for float
 @np.errstate(divide="ignore", invalid="ignore")
-def run_dynamic_tape(prog, power: PowerModel,
-                     overhead: OverheadModel, matrix: np.ndarray,
-                     groups, path_keys: List[str], policy_run,
-                     scheme: str,
-                     check_deadline: bool = True,
-                     point_of: Optional[np.ndarray] = None
-                     ) -> DynamicBatchResult:
-    """Tape-interpreted :func:`repro.sim.compiled.run_dynamic_batch`."""
+def run_dynamic_batch(prog, power: PowerModel,
+                      overhead: OverheadModel, matrix: np.ndarray,
+                      groups, path_keys: List[str], policy_run,
+                      scheme: str,
+                      check_deadline: bool = True,
+                      point_of: Optional[np.ndarray] = None
+                      ) -> DynamicBatchResult:
+    """Vectorized dynamic-scheme simulation of a whole realization batch.
+
+    The dynamic counterpart of :func:`run_fixed_batch` for the schemes
+    that :func:`~repro.sim.compiled.supports_dynamic_batch` accepts.
+    Each processor's current speed is tracked as an *index* into the
+    discrete level table, so the per-level speed-computation time and
+    power draw become single fancy-indexing gathers; the greedy
+    required speed, the floor, the snap-up (``searchsorted`` with the
+    same ``1e-12`` epsilon as ``DiscretePowerModel.snap_up``) and the
+    switch bookkeeping are one NumPy operation each across a path
+    group.
+
+    ``policy_run`` is consulted only for its protocol attributes
+    (``floor_const``/``floor_step``/``or_respec``) and is not mutated;
+    for a fused sweep those attributes may hold ``(n_points,)``
+    vectors, gathered per group like the program's per-entry constants
+    and branch statistics.  See the module docstring for the full
+    bit-identity, fused-sweep and error-selection contract.
+    """
     tape = build_tape(prog)
     n = matrix.shape[0]
     m = prog.m
@@ -318,7 +414,7 @@ def run_dynamic_tape(prog, power: PowerModel,
         cols, _offs, guard, g_pt = tape.path_wcet(path)
         if cols.size:
             # one gather and one WCET check for the whole path group
-            # (see run_fixed_tape and the module docstring)
+            # (see run_fixed_batch and the module docstring)
             act_path = block[:, cols]
             viol = (act_path > g_pt[:, pt].T * (1 + 1e-9)
                     if g_pt is not None and pt is not None
@@ -384,10 +480,9 @@ def run_dynamic_tape(prog, power: PowerModel,
                 want = np.minimum(target, s_max)
                 new_idx = speeds_arr.searchsorted(want - 1e-12,
                                                   side="left")
-                # searchsorted never returns < 0, so the legacy
-                # clip(0, n_lv - 1) is exactly an upper clamp — and
-                # np.minimum is a raw ufunc where np.clip is a ~4us
-                # python wrapper
+                # searchsorted never returns < 0, so clip(0, n_lv - 1)
+                # is exactly an upper clamp — and np.minimum is a raw
+                # ufunc where np.clip is a ~4us python wrapper
                 np.minimum(new_idx, n_lv - 1, out=new_idx)
                 speed = speeds_arr[new_idx]
                 s_cur = speeds_arr[si]

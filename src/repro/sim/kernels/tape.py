@@ -5,16 +5,19 @@ A :class:`~repro.sim.compiled.CompiledPlan` (or a
 tuple of per-entry tuples — convenient to build, but the batch kernels
 then pay CPython tuple unpacking and a nested ``for p in preds`` Python
 reduction on every entry of every path group.  This module lowers a
-program once into a **tape**: parallel ``int32``/``float64`` arrays per
-section —
+program once into a **tape** per section —
 
-* ``kind``  — 1 for AND nodes, 0 for computation tasks;
-* ``gid``   — the entry's slot in the global finishes buffer;
-* ``col``   — its column in the realization matrix (``-1`` for AND);
-* ``c``/``fb`` — WCET and finish bound (the scalar lanes);
-* ``pred_off``/``pred_idx`` — intra-section predecessors in CSR form,
-  so the readiness max-reduction becomes one gather + ``max`` over the
-  CSR row instead of a Python loop;
+* ``steps`` — one ``(is_and, gid, col, pred, crel)`` tuple per entry:
+  the entry's slot in the global finishes buffer, its column in the
+  realization matrix (``-1`` for AND), its intra-section predecessors
+  pre-split as ``None`` / a single ``int`` / an index array (so the
+  readiness max-reduction is one gather + ``max`` instead of a Python
+  loop), and its ordinal among the section's computation entries;
+* ``c`` — the WCET lane, plus the computation-entry selectors
+  ``comp_sel``/``comp_cols`` and guard row ``c_guard`` for the
+  hoisted WCET check;
+* ``c_list``/``fb_list`` — the per-entry WCET and finish-bound
+  constants as stored on the program;
 
 plus, for stacked programs whose constants vary per sweep point,
 ``c_pt``/``fb_pt`` matrices of shape ``(n_entries, n_points)`` with
@@ -22,17 +25,14 @@ scalar rows broadcast — one fancy-index per section per path group then
 gathers *every* entry's per-run constants at once.  Broadcasting a
 scalar to a vector changes no float: the kernels perform the same
 elementwise operations on the same values, so tape execution stays
-bit-identical to the entry-tuple loop.
+bit-identical to the dict engine.
 
 Entry *names* survive only in ``names`` for error paths (WCET
 violations, guarantee violations); the hot loop never touches a string.
 
 The tape is built lazily and cached on the program instance
 (``prog._tape``), so it compiles once per program per process and
-travels with the program through the pool initializer.  ``steps`` is a
-derived iteration structure for the pure-NumPy interpreter (pre-split
-predecessor rows: ``None`` / single ``int`` / index array); the
-canonical arrays above are what the JIT tier consumes.
+travels with the program through the pool initializer.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ def clear_tape_cache() -> None:
 class SectionTape:
     """One section of a program, lowered to flat arrays."""
 
-    __slots__ = ("n_entries", "kind", "gid", "col", "c", "fb",
-                 "pred_off", "pred_idx", "names", "steps",
+    __slots__ = ("n_entries", "c", "names", "steps",
                  "c_pt", "fb_pt", "c_list", "fb_list",
                  "comp_sel", "comp_cols", "c_guard")
 
@@ -71,13 +70,9 @@ class SectionTape:
         entries = sec.entries
         n = len(entries)
         self.n_entries = n
-        kind = np.empty(n, dtype=np.int32)
-        gid = np.empty(n, dtype=np.int32)
-        col = np.empty(n, dtype=np.int32)
         c_lane = np.empty(n, dtype=np.float64)
-        fb_lane = np.empty(n, dtype=np.float64)
-        pred_off = np.zeros(n + 1, dtype=np.int32)
-        pred_flat = []
+        comp_sel = []
+        comp_cols = []
         steps = []
         names = []
         c_cols = []
@@ -85,12 +80,7 @@ class SectionTape:
         stacked = False
         n_comp = 0
         for e, (is_and, g, cl, c, fb, name, preds) in enumerate(entries):
-            kind[e] = 1 if is_and else 0
-            gid[e] = g
-            col[e] = cl
             names.append(name)
-            pred_flat.extend(preds)
-            pred_off[e + 1] = len(pred_flat)
             if not preds:
                 pred = None
             elif len(preds) == 1:
@@ -104,22 +94,16 @@ class SectionTape:
             if not is_and:
                 crel = n_comp
                 n_comp += 1
+                comp_sel.append(e)
+                comp_cols.append(cl)
             steps.append((bool(is_and), int(g), int(cl), pred, crel))
             c_cols.append(c)
             fb_cols.append(fb)
             c_vec = isinstance(c, np.ndarray)
-            fb_vec = isinstance(fb, np.ndarray)
-            stacked = stacked or c_vec or fb_vec
-            # the scalar lane is only meaningful when c_pt/fb_pt is None
+            stacked = stacked or c_vec or isinstance(fb, np.ndarray)
+            # the scalar lane is only meaningful when c_pt is None
             c_lane[e] = np.nan if c_vec else float(c)
-            fb_lane[e] = np.nan if fb_vec else float(fb)
-        self.kind = kind
-        self.gid = gid
-        self.col = col
         self.c = c_lane
-        self.fb = fb_lane
-        self.pred_off = pred_off
-        self.pred_idx = np.asarray(pred_flat, dtype=np.int32)
         self.names = tuple(names)
         self.steps = tuple(steps)
         self.c_list = tuple(c_cols)
@@ -128,8 +112,8 @@ class SectionTape:
         #: columns, and WCET guard row (``c * (1 + 1e-9)``, the exact
         #: product the per-entry check computes) — lets the interpreter
         #: run one whole-section WCET check instead of one per entry
-        self.comp_sel = np.nonzero(kind == 0)[0].astype(np.intp)
-        self.comp_cols = col[self.comp_sel].astype(np.intp)
+        self.comp_sel = np.asarray(comp_sel, dtype=np.intp)
+        self.comp_cols = np.asarray(comp_cols, dtype=np.intp)
         self.c_guard = c_lane[self.comp_sel] * (1 + 1e-9)
         self.c_pt: Optional[np.ndarray] = None
         self.fb_pt: Optional[np.ndarray] = None
@@ -146,14 +130,11 @@ class SectionTape:
 class ProgramTape:
     """The tape of every section of one program, plus per-path caches."""
 
-    __slots__ = ("sections", "n_points", "path_cache", "_wcet_cache")
+    __slots__ = ("sections", "n_points", "_wcet_cache")
 
     def __init__(self, sections: Dict[int, SectionTape], n_points: int):
         self.sections = sections
         self.n_points = n_points
-        #: flattened (concatenated-section) views per executed path,
-        #: built on demand by the JIT driver
-        self.path_cache: Dict[Tuple[int, ...], tuple] = {}
         self._wcet_cache: Dict[Tuple[int, ...], tuple] = {}
 
     def path_wcet(self, path: Tuple[int, ...]) -> tuple:

@@ -65,6 +65,15 @@ class TestEvaluationKey:
         assert evaluation_key(app, cfg) == \
             evaluation_key(app, cfg.with_(**change))
 
+    def test_default_config_key_is_pinned(self, app):
+        # the literal digest users' .repro-cache entries are filed
+        # under: removing an execution knob from RunConfig, or any
+        # other refactor, must not silently move it.  Change this
+        # value only together with a deliberate cache-format bump.
+        assert evaluation_key(app, RunConfig()) == (
+            "3e48b520f07db9ff364e34c84ac03e39"
+            "e1c462bf96e5887af1df182f752cb50e")
+
     def test_scheme_aliases_canonicalized(self, app, cfg):
         lower = cfg.with_(schemes=("gss", "ss1"))
         canon = cfg.with_(schemes=("GSS", "SS1"))

@@ -1,93 +1,22 @@
-"""Kernel-tier registry: resolution rules, cache-key exclusion, tape
-lowering, and the JIT drivers' python cores (exercised without numba).
+"""Batch-kernel mechanics: tape lowering, the WCET precheck's error
+selection, and the kernel observability snapshot.
 
-The golden suites pin the tiers bit-identical through the public
-evaluation APIs; these tests pin the registry mechanics — what a tier
-name resolves to, that the tier can never split the evaluation cache,
-and that the tape lowered onto a program is cached and structurally
-sound.
+The golden suites pin the kernels bit-identical to the dict engine
+through the public evaluation APIs; these tests pin what those suites
+cannot see — that the tape lowered onto a program is cached and
+structurally sound, and which error an invalid batch raises.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.experiments import RunConfig, evaluate_application
-from repro.experiments.evalcache import evaluation_key
+from repro.errors import SimulationError
+from repro.experiments import RunConfig
 from repro.offline import build_plan
 from repro.sim import kernels
 from repro.sim.compiled import compile_plan
 from repro.workloads import application_with_load, atr_graph
 from tests.conftest import build_nested_or_graph
-
-
-class TestTierResolution:
-    def test_default_is_the_numpy_tape_interpreter(self):
-        # RunConfig.kernel_tier=None must resolve to the session
-        # default, which (absent REPRO_KERNEL_TIER) is the tape tier
-        assert kernels.resolve_kernel_tier(None) == \
-            kernels.DEFAULT_KERNEL_TIER
-
-    def test_session_default_is_monkeypatchable(self, monkeypatch):
-        monkeypatch.setattr(kernels, "DEFAULT_KERNEL_TIER", "legacy")
-        assert kernels.resolve_kernel_tier(None) == "legacy"
-
-    def test_concrete_tiers_pass_through_idempotently(self):
-        for tier in ("legacy", "numpy"):
-            assert kernels.resolve_kernel_tier(tier) == tier
-            assert kernels.resolve_kernel_tier(
-                kernels.resolve_kernel_tier(tier)) == tier
-
-    def test_auto_without_numba_warns_once_and_falls_back(self,
-                                                          monkeypatch):
-        monkeypatch.setattr(kernels, "_jit_probe", False)
-        monkeypatch.setattr(kernels, "_warned_no_jit", False)
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            assert kernels.resolve_kernel_tier("auto") == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            assert kernels.resolve_kernel_tier("jit") == "numpy"
-
-    def test_auto_with_numba_selects_jit(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_jit_probe", True)
-        assert kernels.resolve_kernel_tier("auto") == "jit"
-        assert kernels.resolve_kernel_tier("jit") == "jit"
-
-    def test_unknown_tier_raises(self):
-        with pytest.raises(ConfigError):
-            kernels.resolve_kernel_tier("vectorized")
-        with pytest.raises(ConfigError):
-            kernels.get_kernels("vectorized")
-
-    def test_runconfig_validation_in_sync_with_registry(self):
-        # RunConfig hardcodes the accepted names to stay import-light;
-        # this pins them to the registry so they cannot drift apart
-        for tier in ("auto",) + kernels.TIERS:
-            assert RunConfig(kernel_tier=tier).kernel_tier == tier
-        with pytest.raises(ConfigError):
-            RunConfig(kernel_tier="vectorized")
-
-    def test_get_kernels_returns_distinct_callables_per_tier(self):
-        fixed_l, dyn_l = kernels.get_kernels("legacy")
-        fixed_n, dyn_n = kernels.get_kernels("numpy")
-        fixed_j, dyn_j = kernels.get_kernels("jit")
-        assert len({fixed_l, fixed_n, fixed_j}) == 3
-        assert len({dyn_l, dyn_n, dyn_j}) == 3
-
-
-class TestCacheKeyExclusion:
-    def test_tier_never_splits_the_evaluation_cache(self):
-        # the tier is an execution knob: every tier is bit-identical,
-        # so cached results must be shared across them
-        app = application_with_load(atr_graph(), 0.5, 2)
-        base = RunConfig(schemes=("GSS",), n_runs=10, seed=1)
-        keys = {evaluation_key(app, base.with_(kernel_tier=t))
-                for t in (None, "auto", "legacy", "numpy", "jit")}
-        assert len(keys) == 1
-        # sanity: result-relevant fields do split the key
-        assert evaluation_key(app, base.with_(seed=2)) not in keys
 
 
 class TestTapeLowering:
@@ -109,22 +38,31 @@ class TestTapeLowering:
         tape = kernels.build_tape(prog)
         for sid, sec in prog.sections.items():
             st = tape.sections[sid]
-            n = len(sec.entries)
-            assert st.kind.shape == (n,)
-            assert st.pred_off.shape == (n + 1,)
-            assert st.pred_off[0] == 0
-            assert st.pred_off[-1] == len(st.pred_idx)
-            # CSR rows reproduce each entry's predecessor list exactly
+            assert len(st.steps) == st.n_entries == len(sec.entries)
+            comp = [k for k, entry in enumerate(sec.entries)
+                    if not entry[0]]
+            assert list(st.comp_sel) == comp
+            assert list(st.comp_cols) == [sec.entries[k][2] for k in comp]
+            # each step reproduces its entry's slot, column and
+            # predecessor list exactly
             for k, entry in enumerate(sec.entries):
-                row = st.pred_idx[st.pred_off[k]:st.pred_off[k + 1]]
-                assert list(row) == list(entry[6])
+                is_and, gid, col, pred, crel = st.steps[k]
+                assert (is_and, gid, col) == tuple(entry[:3])
+                if pred is None:
+                    row = []
+                elif isinstance(pred, int):
+                    row = [pred]
+                else:
+                    row = list(pred)
+                assert row == list(entry[6])
+                assert crel == (-1 if is_and else comp.index(k))
 
 
 class TestWcetPrecheck:
-    """The tape interpreter hoists the per-entry WCET check into one
-    per-section precheck; pin its error selection (first entry in entry
-    order with any violating run, first violating run in the group) and
-    its message to the legacy kernel, which checks entry by entry."""
+    """The kernels hoist the per-entry WCET check into one per-path
+    precheck; pin its error selection (first entry in path order with
+    any violating run, first violating run in the group) and its
+    message, which names the offending task."""
 
     def _doctored_batch(self):
         from repro.sim import sample_realization_batch
@@ -146,84 +84,50 @@ class TestWcetPrecheck:
             for sid in path if tape.sections[sid].comp_cols.size >= 2)
         matrix[idx[1:], st.comp_cols[0]] = 1e9
         matrix[idx, st.comp_cols[1]] = 1e9
-        return plan, prog, matrix, groups, path_keys
+        # only this section was doctored, so it is the first violating
+        # section in path order; its first computation entry must be
+        # the one the error names
+        name = st.names[int(st.comp_sel[0])]
+        return plan, prog, matrix, groups, path_keys, name
 
     def test_fixed_kernel_error_matches_legacy(self):
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim.compiled import run_fixed_batch
-        _plan, prog, matrix, groups, path_keys = self._doctored_batch()
+        _plan, prog, matrix, groups, path_keys, name = \
+            self._doctored_batch()
         power = transmeta_model()
-        msgs = {}
-        for tier in ("legacy", "numpy"):
-            with pytest.raises(SimulationError) as ei:
-                run_fixed_batch(prog, power, PAPER_OVERHEAD, matrix,
-                                groups, path_keys, power.s_max, "NPM",
-                                kernel_tier=tier)
-            msgs[tier] = str(ei.value)
-        assert "exceeds WCET" in msgs["legacy"]
-        assert msgs["numpy"] == msgs["legacy"]
+        with pytest.raises(SimulationError) as ei:
+            run_fixed_batch(prog, power, PAPER_OVERHEAD, matrix,
+                            groups, path_keys, power.s_max, "NPM")
+        msg = str(ei.value)
+        assert "exceeds WCET" in msg
+        assert repr(name) in msg
+        assert "actual time 1000000000.0 " in msg
 
     def test_dynamic_kernel_error_matches_legacy(self):
         from repro.core import get_policy
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim import supports_dynamic_batch
         from repro.sim.compiled import run_dynamic_batch
-        plan, prog, matrix, groups, path_keys = self._doctored_batch()
+        plan, prog, matrix, groups, path_keys, name = \
+            self._doctored_batch()
         power = transmeta_model()
         run = get_policy("GSS").start_run(plan, power, PAPER_OVERHEAD)
         assert supports_dynamic_batch(run, power)
-        msgs = {}
-        for tier in ("legacy", "numpy"):
-            with pytest.raises(SimulationError) as ei:
-                run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix,
-                                  groups, path_keys, run, "GSS",
-                                  kernel_tier=tier)
-            msgs[tier] = str(ei.value)
-        assert "exceeds WCET" in msgs["legacy"]
-        assert msgs["numpy"] == msgs["legacy"]
-
-
-class TestJitPythonCores:
-    """The jit drivers run their (numba-targeted) cores as plain
-    python when numba is absent — pin them bit-identical to the
-    legacy kernels through the full evaluation API."""
-
-    @pytest.fixture(autouse=True)
-    def force_jit_driver(self, monkeypatch):
-        # bypass the numba probe: resolve every request to the jit
-        # driver, whose cores run uncompiled without numba
-        monkeypatch.setattr(kernels, "resolve_kernel_tier",
-                            lambda tier=None: "jit")
-
-    @pytest.mark.parametrize("model", ["transmeta", "xscale"])
-    def test_jit_driver_equals_dict_engine(self, model):
-        from repro.core import ALL_SCHEMES
-        app = application_with_load(build_nested_or_graph(), 0.8, 2)
-        cfg = RunConfig(schemes=ALL_SCHEMES, n_runs=25, seed=13,
-                        power_model=model)
-        r_jit = evaluate_application(app, cfg)
-        r_dict = evaluate_application(app, cfg.with_(engine="dict"))
-        assert r_jit.path_keys == r_dict.path_keys
-        for scheme in ALL_SCHEMES:
-            assert np.array_equal(r_jit.absolute[scheme],
-                                  r_dict.absolute[scheme]), scheme
-            assert np.array_equal(r_jit.speed_changes[scheme],
-                                  r_dict.speed_changes[scheme]), scheme
-
-    def test_jit_driver_handles_infeasible_dynamic_plans(self):
-        app = application_with_load(atr_graph(), 1.0, 2)
-        cfg = RunConfig(schemes=("GSS", "AS"), n_runs=10, seed=11)
-        r_jit = evaluate_application(app, cfg)
-        r_dict = evaluate_application(app, cfg.with_(engine="dict"))
-        for scheme in cfg.schemes:
-            assert np.array_equal(r_jit.normalized[scheme],
-                                  r_dict.normalized[scheme]), scheme
+        with pytest.raises(SimulationError) as ei:
+            run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix,
+                              groups, path_keys, run, "GSS")
+        msg = str(ei.value)
+        assert "exceeds WCET" in msg
+        assert repr(name) in msg
+        assert "actual time 1000000000.0 " in msg
 
 
 class TestKernelMeta:
     def test_meta_snapshot_shape(self):
-        meta = kernels.kernel_meta("legacy")
-        assert meta["tier"] == "legacy"
+        meta = kernels.kernel_meta()
+        assert set(meta) == {"program_cache", "tape_cache",
+                             "stacked_cache"}
         assert set(meta["program_cache"]) == {"hits", "misses", "size"}
         assert set(meta["stacked_cache"]) == {"hits", "misses", "size"}
         # tapes live on their program instances — no store, no size
@@ -234,5 +138,4 @@ class TestKernelMeta:
         cfg = RunConfig(schemes=("SPM",), n_runs=5, seed=2)
         series = sweep_load(atr_graph(), cfg, loads=(0.4, 0.6))
         kernel = series.meta["kernel"]
-        assert kernel["tier"] == kernels.resolve_kernel_tier(None)
         assert "tape_cache" in kernel and "stacked_cache" in kernel

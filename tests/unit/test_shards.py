@@ -8,6 +8,11 @@ default / auto), config validation, the shm result-block round-trip,
 and the cache-key contract that sharding is an execution knob.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -230,3 +235,47 @@ class TestShardBlockTransport:
         block.take()  # consumes and unlinks the segment
         with pytest.raises(TransportError):
             block.take()
+
+    def test_sharded_run_leaves_no_tracker_noise_or_segments(self):
+        # a whole sharded sweep in a fresh interpreter, every shard
+        # result forced through a shared-memory block: the resource
+        # trackers of the parent and of the workers must stay silent
+        # (no KeyError on unregister, no "leaked" warning at exit) and
+        # every published segment must be gone afterwards
+        shm_dir = "/dev/shm"
+        if not os.path.isdir(shm_dir):
+            pytest.skip("no /dev/shm on this platform")
+        script = textwrap.dedent("""
+            from repro.experiments import RunConfig, engine
+            from repro.experiments import fused
+            from repro.experiments.sweeps import sweep_load
+            from repro.workloads import figure3_graph
+
+            fused.SHARD_SHM_MIN_BYTES = 0
+            taken = []
+            take = engine.ShardBlock.take
+
+            def counting_take(block):
+                taken.append(block.name)
+                return take(block)
+
+            engine.ShardBlock.take = counting_take
+            cfg = RunConfig(schemes=("NPM", "GSS"), n_runs=40, seed=3,
+                            shards=2)
+            with engine.ExecutionContext(n_jobs=2) as ctx:
+                sweep_load(figure3_graph(), cfg, (0.5, 0.7), context=ctx)
+            print("blocks taken:", len(taken))
+        """)
+        before = {f for f in os.listdir(shm_dir) if f.startswith("psm_")}
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "blocks taken: 2" in proc.stdout, proc.stdout
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr
+        after = {f for f in os.listdir(shm_dir) if f.startswith("psm_")}
+        assert after <= before, sorted(after - before)
