@@ -59,6 +59,18 @@ class SimulationError(ReproError):
     """
 
 
+def invalid_actual(actual: float, name: str, wcet) -> SimulationError:
+    """The engines' error for an actual execution time outside
+    ``[0, wcet]``: over-WCET actuals keep the "exceeds WCET" wording;
+    NaN and negative actuals are named as invalid."""
+    if actual >= 0.0:
+        return SimulationError(
+            f"actual time {actual} of {name!r} exceeds WCET {wcet}")
+    return SimulationError(
+        f"invalid actual time {actual} of {name!r}: must lie in "
+        f"[0, WCET {wcet}]")
+
+
 class DeadlineMissError(SimulationError):
     """A simulated run finished after its deadline.
 

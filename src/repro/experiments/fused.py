@@ -334,6 +334,35 @@ def _eval_scheme(policy, name: str, view: _View, power, overhead):
     return _scalar_fallback(policy, view, power, overhead)
 
 
+def _sub_grouping(groups, path_keys: List[str],
+                  spans: Sequence[Tuple[int, int]], total: int):
+    """``(sel, groups, keys)`` for the rows in ``spans`` (ascending,
+    disjoint ``[lo, hi)`` ranges) of a ``total``-run batch: the selected
+    row indices and their ``executed_paths`` grouping, derived from the
+    batch's own grouping instead of re-decoding the OR choices.
+
+    Each group's run indices are remapped to positions within ``sel``
+    (rows outside it are dropped), and the groups are re-ordered by
+    their first row — the first-occurrence order a fresh decode of the
+    sub-batch yields.  Valid because the dynamic and static programs
+    share one section topology.
+    """
+    sel = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+    pos = np.full(total, -1, dtype=np.intp)
+    pos[sel] = np.arange(sel.size)
+    sub_groups = []
+    for path, idx in groups:
+        sub = pos.take(idx)
+        sub = sub[sub >= 0]
+        if sub.size:
+            sub_groups.append((path, sub))
+    sub_groups.sort(key=lambda g: int(g[1][0]))
+    sub_keys: List[str] = []
+    for lo, hi in spans:
+        sub_keys.extend(path_keys[lo:hi])
+    return sel, sub_groups, sub_keys
+
+
 def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
                    run_range: Optional[Tuple[int, int]] = None):
     """Sample and execute a fused sweep over one run-range.
@@ -390,14 +419,12 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
             return _View(stacked_dyn, dyn_plans, dyn_progs, batches,
                          matrix, groups, path_keys, point_of, offsets,
                          np.arange(total))
-        sel = np.concatenate([np.arange(offsets[i], offsets[i + 1])
-                              for i in dyn_points])
+        sel, sub_groups, sub_keys = _sub_grouping(
+            groups, path_keys, [(offsets[i], offsets[i + 1])
+                                for i in dyn_points], total)
         sub_counts = [counts[i] for i in dyn_points]
         sub_offsets = np.concatenate(([0], np.cumsum(sub_counts)))
-        sub_matrix = matrix[sel]
-        sub_choices = {name: v[sel] for name, v in choices.items()}
-        sub_groups, sub_keys = stacked_dyn.executed_paths(
-            sub_choices, sel.size)
+        sub_matrix = matrix.take(sel, axis=0)
         sub_point_of = np.repeat(np.arange(len(dyn_points)), sub_counts)
         sub_batches = [batches[i] for i in dyn_points]
         return _View(stacked_dyn, dyn_plans, dyn_progs, sub_batches,

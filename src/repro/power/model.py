@@ -202,6 +202,14 @@ class DiscretePowerModel(PowerModel):
         self.f_max_mhz = pairs[-1][0]
         self.idle_fraction = idle_fraction
         norm = normalized_levels(pairs)
+        # level_index and the batch kernels' index-based switch test
+        # both resolve speeds to levels within 1e-9
+        for (f1, _), (f2, _), (s1, _), (s2, _) in zip(
+                pairs, pairs[1:], norm, norm[1:]):
+            if s2 - s1 <= 1e-9:
+                raise PowerModelError(
+                    f"frequencies {f1} and {f2} MHz normalize to speeds "
+                    f"within 1e-9 of each other")
         self._speeds: List[float] = [s for s, _ in norm]
         self._vratio: List[float] = [v for _, v in norm]
         # power lookup is the simulator's hottest call (profiled: the

@@ -63,7 +63,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DeadlineMissError, SimulationError
+from ..errors import DeadlineMissError, SimulationError, invalid_actual
 from ..offline.plan import OfflinePlan
 from ..power.model import PowerModel
 from ..power.overhead import OverheadModel
@@ -410,9 +410,8 @@ class CompiledKernel:
                     t = pf
                 last_dispatch = t
                 actual = actuals[col]
-                if actual > c * (1 + 1e-9):
-                    raise SimulationError(
-                        f"actual time {actual} of {name!r} exceeds WCET {c}")
+                if not 0.0 <= actual <= c * (1 + 1e-9):
+                    raise invalid_actual(actual, name, c)
 
                 if fixed is not None:
                     speed = fixed

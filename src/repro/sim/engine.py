@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from ..errors import DeadlineMissError, SimulationError
+from ..errors import DeadlineMissError, SimulationError, invalid_actual
 from ..offline.plan import OfflinePlan
 from ..power.model import PowerModel
 from ..power.overhead import OverheadModel
@@ -110,9 +110,8 @@ def simulate(plan: OfflinePlan, policy_run, power: PowerModel,
             last_dispatch = t
             actual = realization.actual(name)
             c = node.wcet
-            if actual > c * (1 + 1e-9):
-                raise SimulationError(
-                    f"actual time {actual} of {name!r} exceeds WCET {c}")
+            if not 0.0 <= actual <= c * (1 + 1e-9):
+                raise invalid_actual(actual, name, c)
 
             if fixed is not None:
                 speed = fixed

@@ -31,7 +31,7 @@ import heapq
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import DeadlineMissError, SimulationError
+from ..errors import DeadlineMissError, SimulationError, invalid_actual
 from ..offline.plan import OfflinePlan
 from ..power.model import PowerModel
 from ..power.overhead import OverheadModel
@@ -149,9 +149,8 @@ def simulate_events(plan: OfflinePlan, policy_run, power: PowerModel,
                 node = graph.node(name)
                 actual = realization.actual(name)
                 c = node.wcet
-                if actual > c * (1 + 1e-9):
-                    raise SimulationError(
-                        f"actual time {actual} of {name!r} exceeds WCET")
+                if not 0.0 <= actual <= c * (1 + 1e-9):
+                    raise invalid_actual(actual, name, c)
                 if fixed is not None:
                     speed = fixed
                     start_exec = t

@@ -6,11 +6,26 @@ realization batch one *path group* at a time: runs sharing an executed
 path go through each dispatch step together, one NumPy operation
 across the group.  Both iterate the program's
 :class:`~repro.sim.kernels.tape.SectionTape` rather than per-entry
-Python tuples: predecessor readiness is a row gather + ``max``
-reduction (one ``np.maximum`` against the single-predecessor column,
-or a fancy slice ``fin[:, pred].max(axis=1)`` for joins) and a stacked
-section's per-point constants are gathered for *all* entries at once
-(``c_pt[:, pt]``).
+Python tuples.
+
+**Entries-major layout.**  Every per-group buffer keeps the group's
+runs on its *last* axis, so each per-entry read or write is a
+contiguous row:
+
+* the realization columns of a path group are read with one flat
+  gather, ``matrix.ravel().take(cols[:, None] + idx * n_cols)``, which
+  yields the ``(n_cols, ng)`` block of exactly the path's
+  computation-entry columns (never the full ``matrix[idx]`` row copy);
+* the finishes buffer ``fin`` is ``(n_slots, ng)``: predecessor
+  readiness is a row read (one ``np.maximum`` against the single
+  predecessor) or a row gather + ``max(axis=0)`` for joins;
+* the processor state ``proc_free`` (and the dynamic kernel's level
+  index ``proc_idx``) is one flat ``(m * ng,)`` array, processor ``j``
+  of run ``r`` at ``j * ng + r``, viewed as ``(m, ng)`` for the
+  minimum; get and set are a ``take`` and an index store on that
+  flat index;
+* a stacked section's per-point constants are gathered for *all*
+  entries at once (``c_pt.take(pt, axis=1)``).
 
 **Bit-identity with the dict engine.**  Every float operation happens
 in exactly the order of :func:`repro.sim.engine.simulate`, so each
@@ -21,17 +36,27 @@ a scalar dict-engine run; the golden suites
 
 * the predecessor reduction ``max(a, max(b, c))`` is exact and
   associative on floats, so it matches the engine's running ``max``;
-* ``np.argmin`` returns the first minimal processor, matching the
-  engine's first-idle, lowest-id ``min(range(m), key=...)`` tie-break;
+* :func:`_first_min` takes the column minimum of ``(m, ng)`` and
+  counts the leading processors strictly above it: the first minimal
+  processor, i.e. the engine's first-idle, lowest-id
+  ``min(range(m), key=...)`` tie-break, and its free time (the
+  minimum itself) without a second gather;
 * when an entry has no predecessors, ``ready`` aliases ``t_section``
   instead of copying it; both kernels only ever *rebind*
   ``t_section``, never mutate it in place;
 * the fixed kernel batches ``actual / speed`` and the busy-energy
   product per section — identical elementwise operations, consumed
-  column by column in entry order;
+  row by row in entry order;
+* a level switch is ``new_idx != si`` on level *indices*: the speed
+  table's adjacent levels differ by more than the engine's ``1e-9``
+  switch tolerance (a :class:`~repro.power.DiscretePowerModel`
+  precondition), so index inequality is exactly the engine's
+  ``abs(speed - s_cur) > 1e-9``, and the new index is stored
+  unconditionally (an unchanged index rewrites itself);
 * where the engine *skips* an accumulation (no speed-computation
-  overhead, no switch), the dynamic kernel adds an exact ``0.0``,
-  which is bit-identical on the non-negative accumulators involved.
+  overhead, no switch), the dynamic kernel adds ``changed * x`` —
+  an exact ``0.0`` for finite ``x`` — which is bit-identical on the
+  non-negative accumulators involved.
 
 **Fused sweeps.**  ``prog`` may be a
 :class:`~repro.sim.sweepc.StackedProgram` covering several sweep
@@ -45,25 +70,26 @@ points one program at a time.
 
 **Errors.**  Invalid batches raise the engine's error classes and
 messages, in *path-group* order rather than run order.  The WCET guard
-runs once per path group over every computation entry on the path
-(``act > guard``, with the guard products ``c * (1 + 1e-9)``
-precomputed on the tape); on violation the sections are re-scanned in
-path order so the error names the first entry in path order with any
-violating run, and the first violating run within the group.  Because
-that check precedes the group's dispatch loop, a group holding both a
-WCET violation and a guarantee violation reports the WCET error.
-Realization sampling clamps actuals to WCET, so this defensive path
-never fires on sampler-produced batches.
+runs once per path group over every computation entry on the path:
+an actual time is valid in ``[0, c * (1 + 1e-9)]`` (the guard products
+precomputed on the tape), so a NaN, a negative or an over-WCET actual
+trips it.  On violation the sections are re-scanned in path order, over
+``matrix[idx]`` (built only then), so the error names the first entry in
+path order with any violating run, and the first violating run within
+the group.  Because that check precedes the group's dispatch loop, a
+group holding both a WCET violation and a guarantee violation reports
+the WCET error.  Realization sampling clips actuals into ``(0, WCET]``,
+so this defensive path never fires on sampler-produced batches.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import DeadlineMissError, SimulationError
+from ...errors import DeadlineMissError, SimulationError, invalid_actual
 from ...power.model import PowerModel
 from ...power.overhead import OverheadModel
 from .tape import build_tape
@@ -113,10 +139,10 @@ def _gather(value, pt):
     Scalars pass through unchanged (the non-fused path, and stacked
     constants that every point agrees on — broadcasting then performs
     the exact scalar operation); a stacked ``(n_points,)`` vector is
-    fancy-indexed by the group's per-run point indices ``pt``.
+    gathered by the group's per-run point indices ``pt``.
     """
     if isinstance(value, np.ndarray):
-        return value[pt]
+        return value.take(pt)
     return value
 
 
@@ -127,42 +153,75 @@ def _at(value, k):
     return value
 
 
-def _check_wcet(st, block: np.ndarray,
-                c_all: Optional[np.ndarray]) -> np.ndarray:
-    """One whole-section WCET check; returns the section's actual-time
-    columns ``(ng, n_comp)`` in computation-entry order.
+def _first_min(pf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per column of ``pf`` ``(m, ng)``: the index of the first minimal
+    row and the minimum — ``(pf.argmin(axis=0), pf.min(axis=0))``.
 
-    The guard products (``c * (1 + 1e-9)``) are precomputed on the tape
-    for the scalar case, so the comparisons are float-for-float the
-    dict engine's.  On violation the raised error names the first entry
-    in entry order with any violating run and the first violating run
-    within the group, with the engine's message.
+    The index is the number of leading rows strictly above the column
+    minimum, so ties go to the lowest row (the engine's first-idle,
+    lowest-id processor).  Every operation is a contiguous row op, and
+    the count runs in bytes (``int8`` for fewer than 128 rows).
+    """
+    m = pf.shape[0]
+    mn = pf.min(axis=0)
+    above = pf[0] > mn
+    j = above.astype(np.int8 if m < 128 else np.intp)
+    for r in range(1, m - 1):
+        above &= pf[r] > mn
+        j += above
+    return j, mn
+
+
+def _check_wcet(st, block: np.ndarray,
+                c_all: Optional[np.ndarray]) -> None:
+    """One whole-section WCET check over a group's ``(ng, n_tasks)``
+    realization rows ``block``.
+
+    An actual time is valid in ``[0, c * (1 + 1e-9)]``; the guard
+    products are precomputed on the tape for the scalar case, so the
+    comparisons are float-for-float the dict engine's.  On violation
+    the raised error names the first entry in entry order with any
+    invalid run and the first invalid run within the group, with the
+    engine's message.
     """
     act = block[:, st.comp_cols]
     if c_all is not None:
-        viol = act > c_all[st.comp_sel].T * (1 + 1e-9)
+        guard = c_all[st.comp_sel].T * (1 + 1e-9)
     else:
-        viol = act > st.c_guard
+        guard = st.c_guard
+    viol = ~((act >= 0.0) & (act <= guard))
     if viol.any():
         e_rel = int(np.nonzero(viol.any(axis=0))[0][0])
         e = int(st.comp_sel[e_rel])
         k = int(np.argmax(viol[:, e_rel]))
         c_g = c_all[e] if c_all is not None else st.c_list[e]
-        raise SimulationError(
-            f"actual time {act[k, e_rel]} of {st.names[e]!r} "
-            f"exceeds WCET {_at(c_g, k)}")
-    return act
+        raise invalid_actual(act[k, e_rel], st.names[e], _at(c_g, k))
 
 
-def _raise_first_wcet(tape, path, block: np.ndarray,
-                      pt: Optional[np.ndarray]) -> None:
-    """Path-order error selection once the path-level WCET check has
-    tripped: re-scan the sections in path order; the first one with a
-    violation raises through :func:`_check_wcet`."""
+def _path_block(flat: np.ndarray, n_cols: int, cols: np.ndarray,
+                idx: np.ndarray) -> np.ndarray:
+    """The ``(len(cols), ng)`` entries-major block of a path group's
+    realization columns, in one flat gather."""
+    return flat.take(cols[:, None] + idx * n_cols)
+
+
+def _precheck(tape, path, guard, g_pt, act_path: np.ndarray,
+              matrix: np.ndarray, idx: np.ndarray,
+              pt: Optional[np.ndarray]) -> None:
+    """One WCET check for a whole path group; on violation re-scan the
+    sections in path order so the error names the first invalid entry
+    (see the module docstring)."""
+    if g_pt is not None and pt is not None:
+        lim = g_pt.take(pt, axis=1) * (1 + 1e-9)
+    else:
+        lim = guard[:, None]
+    if (act_path <= lim).all() and act_path.min() >= 0.0:
+        return
+    block = matrix[idx]
     for sid in path:
         st = tape.sections[sid]
         if st.comp_sel.size:
-            c_all = (st.c_pt[:, pt]
+            c_all = (st.c_pt.take(pt, axis=1)
                      if st.c_pt is not None and pt is not None else None)
             _check_wcet(st, block, c_all)
     raise AssertionError(
@@ -186,11 +245,12 @@ def run_fixed_batch(prog, power: PowerModel,
     ``point_of`` its run→point index) ``speed`` may be an
     ``(n_points,)`` vector of per-point fixed speeds, and every derived
     preamble constant is computed with the same scalar formulas,
-    selected per point.  See the module docstring for the full
+    selected per point.  See the module docstring for the layout,
     bit-identity, fused-sweep and error-selection contract.
     """
     tape = build_tape(prog)
-    n = matrix.shape[0]
+    n, n_cols = matrix.shape
+    flat = np.ascontiguousarray(matrix).reshape(-1)
     m = prog.m
     deadline = prog.deadline
     s_max = power.s_max
@@ -216,24 +276,24 @@ def run_fixed_batch(prog, power: PowerModel,
     finish_time = np.empty(n)
 
     for path, idx in groups:
-        block = matrix[idx]
         ng = idx.size
         rows = np.arange(ng)
-        pt = point_of[idx] if point_of is not None else None
+        pt = point_of.take(idx) if point_of is not None else None
         speed_g = _gather(speed, pt)
         p_busy_g = _gather(p_busy, pt)
         t0_g = _gather(t0, pt)
         dl_g = _gather(deadline, pt)
         ot_g = _gather(overhead_time, pt)
         eo_g = _gather(e_over, pt)
-        fin = np.empty((ng, prog.n_slots))
+        fin = np.empty((prog.n_slots, ng))
+        proc_free = np.empty(m * ng)
+        pf = proc_free.reshape(m, ng)
+        pf[:] = t0_g
         if isinstance(t0_g, np.ndarray):
-            proc_free = np.repeat(t0_g[:, None], m, axis=1)
             last_dispatch = t0_g.copy()
             t_section = t0_g.copy()
             t_end = t0_g.copy()
         else:
-            proc_free = np.full((ng, m), t0_g)
             last_dispatch = np.full(ng, t0_g)
             t_section = np.full(ng, t0_g)
             t_end = np.full(ng, t0_g)
@@ -242,58 +302,44 @@ def run_fixed_batch(prog, power: PowerModel,
 
         cols, offs, guard, g_pt = tape.path_wcet(path)
         if cols.size:
-            # one gather and one WCET check for the whole path group;
-            # on violation the error path re-scans section by section
-            # to name the first violating entry in path order
-            act_path = block[:, cols]
-            viol = (act_path > g_pt[:, pt].T * (1 + 1e-9)
-                    if g_pt is not None and pt is not None
-                    else act_path > guard)
-            if viol.any():
-                _raise_first_wcet(tape, path, block, pt)
+            act_path = _path_block(flat, n_cols, cols, idx)
+            _precheck(tape, path, guard, g_pt, act_path, matrix, idx, pt)
 
         for sec_i, sid in enumerate(path):
             st = tape.sections[sid]
             sec_max = None
             if st.comp_sel.size:
-                # the section's slice of the path gather (a view), its
+                # the section's rows of the path block (a view), its
                 # wall-time division and busy-power product batched;
-                # the dispatch loop below consumes them column by
-                # column in entry order
-                act = act_path[:, offs[sec_i]:offs[sec_i + 1]]
-                wall_all = (act / speed_g[:, None]
-                            if isinstance(speed_g, np.ndarray)
-                            else act / speed_g)
-                e_all = (wall_all * p_busy_g[:, None]
-                         if isinstance(p_busy_g, np.ndarray)
-                         else wall_all * p_busy_g)
+                # the dispatch loop below consumes them row by row in
+                # entry order
+                wall_all = act_path[offs[sec_i]:offs[sec_i + 1]] / speed_g
+                e_all = wall_all * p_busy_g
             for is_and, gid, col, pred, crel in st.steps:
                 if pred is None:
                     ready = t_section
                 elif type(pred) is int:
-                    ready = np.maximum(t_section, fin[:, pred])
+                    ready = np.maximum(t_section, fin[pred])
                 else:
-                    ready = np.maximum(t_section, fin[:, pred].max(axis=1))
+                    ready = np.maximum(t_section, fin[pred].max(axis=0))
                 if is_and:
-                    fin[:, gid] = ready
+                    fin[gid] = ready
                     if sec_max is None:
                         sec_max = ready.copy()
                     else:
                         np.maximum(sec_max, ready, out=sec_max)
                     continue
 
-                # ndarray methods dodge the np.* python wrappers (~1us
-                # per call); identical algorithm, identical result
-                j = proc_free.argmin(axis=1)  # first-idle, lowest id
-                t = np.maximum(np.maximum(ready, last_dispatch),
-                               proc_free[rows, j])
+                j, free = _first_min(pf)
+                t = np.maximum(np.maximum(ready, last_dispatch), free)
                 last_dispatch = t
-                wall = wall_all[:, crel]
-                finish = t + wall
+                wall = wall_all[crel]
+                finish = np.add(t, wall, out=fin[gid])
                 busy_time += wall
-                e_busy += e_all[:, crel]
-                proc_free[rows, j] = finish
-                fin[:, gid] = finish
+                e_busy += e_all[crel]
+                fj = np.multiply(j, ng, dtype=np.intp)
+                fj += rows
+                proc_free[fj] = finish
                 if sec_max is None:
                     sec_max = finish.copy()
                 else:
@@ -305,7 +351,7 @@ def run_fixed_batch(prog, power: PowerModel,
                 t_end = np.maximum(sec_max, t_section)
             t_section = t_end
             last_dispatch = t_end
-            proc_free = np.broadcast_to(t_end[:, None], (ng, m)).copy()
+            pf[:] = t_end
 
         if check_deadline:
             late = t_end > dl_g * (1 + 1e-9) + _EPS
@@ -351,21 +397,21 @@ def run_dynamic_batch(prog, power: PowerModel,
     that :func:`~repro.sim.compiled.supports_dynamic_batch` accepts.
     Each processor's current speed is tracked as an *index* into the
     discrete level table, so the per-level speed-computation time and
-    power draw become single fancy-indexing gathers; the greedy
-    required speed, the floor, the snap-up (``searchsorted`` with the
-    same ``1e-12`` epsilon as ``DiscretePowerModel.snap_up``) and the
-    switch bookkeeping are one NumPy operation each across a path
-    group.
+    power draw become single gathers; the greedy required speed, the
+    floor, the snap-up (``searchsorted`` with the same ``1e-12``
+    epsilon as ``DiscretePowerModel.snap_up``) and the switch
+    bookkeeping are one NumPy operation each across a path group.
 
     ``policy_run`` is consulted only for its protocol attributes
     (``floor_const``/``floor_step``/``or_respec``) and is not mutated;
     for a fused sweep those attributes may hold ``(n_points,)``
     vectors, gathered per group like the program's per-entry constants
-    and branch statistics.  See the module docstring for the full
+    and branch statistics.  See the module docstring for the layout,
     bit-identity, fused-sweep and error-selection contract.
     """
     tape = build_tape(prog)
-    n = matrix.shape[0]
+    n, n_cols = matrix.shape
+    flat = np.ascontiguousarray(matrix).reshape(-1)
     m = prog.m
     deadline = prog.deadline
     s_max = power.s_max
@@ -388,19 +434,19 @@ def run_dynamic_batch(prog, power: PowerModel,
     n_changes = np.empty(n, dtype=np.int64)
 
     for path, idx in groups:
-        block = matrix[idx]
         ng = idx.size
         rows = np.arange(ng)
-        pt = point_of[idx] if point_of is not None else None
+        pt = point_of.take(idx) if point_of is not None else None
         fc_g = _gather(fc, pt)
         if step is not None:
             f_lo_g = _gather(step[0], pt)
             f_hi_g = _gather(step[1], pt)
             theta_g = _gather(step[2], pt)
         dl_g = _gather(deadline, pt)
-        fin = np.empty((ng, prog.n_slots))
-        proc_free = np.zeros((ng, m))
-        proc_idx = np.full((ng, m), n_lv - 1, dtype=np.intp)
+        fin = np.empty((prog.n_slots, ng))
+        proc_free = np.zeros(m * ng)
+        pf = proc_free.reshape(m, ng)
+        proc_idx = np.full(m * ng, n_lv - 1, dtype=np.intp)
         last_dispatch = np.zeros(ng)
         t_section = np.zeros(ng)
         busy_time = np.zeros(ng)
@@ -411,43 +457,37 @@ def run_dynamic_batch(prog, power: PowerModel,
         fl_vec = None
         t_end = np.zeros(ng)
 
-        cols, _offs, guard, g_pt = tape.path_wcet(path)
+        cols, offs, guard, g_pt = tape.path_wcet(path)
         if cols.size:
-            # one gather and one WCET check for the whole path group
-            # (see run_fixed_batch and the module docstring)
-            act_path = block[:, cols]
-            viol = (act_path > g_pt[:, pt].T * (1 + 1e-9)
-                    if g_pt is not None and pt is not None
-                    else act_path > guard)
-            if viol.any():
-                _raise_first_wcet(tape, path, block, pt)
+            act_path = _path_block(flat, n_cols, cols, idx)
+            _precheck(tape, path, guard, g_pt, act_path, matrix, idx, pt)
 
         for pos, sid in enumerate(path):
             st = tape.sections[sid]
             stacked = st.c_pt is not None and pt is not None
-            c_all = st.c_pt[:, pt] if stacked else None
-            fb_all = st.fb_pt[:, pt] if stacked else None
+            c_all = st.c_pt.take(pt, axis=1) if stacked else None
+            fb_all = st.fb_pt.take(pt, axis=1) if stacked else None
+            off = offs[pos]
             sec_max = None
-            for e, (is_and, gid, col, pred, _crel) in enumerate(st.steps):
+            for e, (is_and, gid, col, pred, crel) in enumerate(st.steps):
                 if pred is None:
                     ready = t_section
                 elif type(pred) is int:
-                    ready = np.maximum(t_section, fin[:, pred])
+                    ready = np.maximum(t_section, fin[pred])
                 else:
-                    ready = np.maximum(t_section, fin[:, pred].max(axis=1))
+                    ready = np.maximum(t_section, fin[pred].max(axis=0))
                 if is_and:
-                    fin[:, gid] = ready
+                    fin[gid] = ready
                     if sec_max is None:
                         sec_max = ready.copy()
                     else:
                         np.maximum(sec_max, ready, out=sec_max)
                     continue
 
-                j = proc_free.argmin(axis=1)  # first-idle, lowest id
-                t = np.maximum(np.maximum(ready, last_dispatch),
-                               proc_free[rows, j])
+                j, free = _first_min(pf)
+                t = np.maximum(np.maximum(ready, last_dispatch), free)
                 last_dispatch = t
-                actual = block[:, col]
+                actual = act_path[off + crel]
                 if stacked:
                     c_g = c_all[e]
                     fb_g = fb_all[e]
@@ -458,8 +498,10 @@ def run_dynamic_batch(prog, power: PowerModel,
                     c_g = st.c_list[e]
                     fb_g = st.fb_list[e]
 
-                si = proc_idx[rows, j]
-                t_comp = tc_arr[si]
+                fj = np.multiply(j, ng, dtype=np.intp)
+                fj += rows
+                si = proc_idx.take(fj)
+                t_comp = tc_arr.take(si)
                 avail = fb_g - t - t_comp
                 denom = avail - adjust_time
                 s_req = np.where(denom > 0, c_g / denom, math.inf)
@@ -470,38 +512,39 @@ def run_dynamic_batch(prog, power: PowerModel,
                 else:
                     fl = fc_g
                 target = np.maximum(s_req, fl)
-                viol = target > s_max_guard
-                if viol.any():
-                    k = int(np.argmax(viol))
+                if target.max() > s_max_guard:
+                    k = int(np.argmax(target > s_max_guard))
                     raise SimulationError(
                         f"guarantee violated for {st.names[e]!r}: required "
                         f"speed {target[k]:.6g} exceeds maximum "
                         f"(t={t[k]:.6g}, bound={_at(fb_g, k):.6g})")
-                want = np.minimum(target, s_max)
-                new_idx = speeds_arr.searchsorted(want - 1e-12,
+                # the engine snaps min(target, s_max); a target in
+                # (s_max, s_max_guard] already lands past the top level,
+                # and the upper clamp maps it there.  searchsorted never
+                # returns < 0, so clip(0, n_lv - 1) is exactly that
+                # clamp — and np.minimum is a raw ufunc where np.clip is
+                # a ~4us python wrapper
+                new_idx = speeds_arr.searchsorted(target - 1e-12,
                                                   side="left")
-                # searchsorted never returns < 0, so clip(0, n_lv - 1)
-                # is exactly an upper clamp — and np.minimum is a raw
-                # ufunc where np.clip is a ~4us python wrapper
                 np.minimum(new_idx, n_lv - 1, out=new_idx)
-                speed = speeds_arr[new_idx]
-                s_cur = speeds_arr[si]
-                changed = np.abs(speed - s_cur) > _EPS
-                t_adj = np.where(changed, adjust_time, 0.0)
+                speed = speeds_arr.take(new_idx)
+                # index inequality is the engine's 1e-9 speed test (the
+                # level table's adjacent speeds are > 1e-9 apart)
+                changed = new_idx != si
+                t_adj = changed * adjust_time
                 start_exec = t + t_comp + t_adj
                 overhead_time += t_comp
-                e_over += pow_arr[si] * t_comp
+                e_over += pow_arr.take(si) * t_comp
                 overhead_time += t_adj
-                e_over += np.where(changed, adj_energy, 0.0)
+                e_over += changed * adj_energy
                 changes += changed
-                proc_idx[rows, j] = np.where(changed, new_idx, si)
+                proc_idx[fj] = new_idx
 
                 wall = actual / speed
-                finish = start_exec + wall
+                finish = np.add(start_exec, wall, out=fin[gid])
                 busy_time += wall
-                e_busy += pow_arr[new_idx] * wall
-                proc_free[rows, j] = finish
-                fin[:, gid] = finish
+                e_busy += pow_arr.take(new_idx) * wall
+                proc_free[fj] = finish
                 if sec_max is None:
                     sec_max = finish.copy()
                 else:
@@ -513,7 +556,7 @@ def run_dynamic_batch(prog, power: PowerModel,
                 t_end = np.maximum(sec_max, t_section)
             t_section = t_end
             last_dispatch = t_end
-            proc_free = np.broadcast_to(t_end[:, None], (ng, m)).copy()
+            pf[:] = t_end
             if respec is not None and pos + 1 < len(path):
                 # branch stats stay on the program (not the tape): the
                 # respec floor is per OR firing, outside the entry loop

@@ -1,5 +1,6 @@
-"""Batch-kernel mechanics: tape lowering, the WCET precheck's error
-selection, and the kernel observability snapshot.
+"""Batch-kernel mechanics: tape lowering, the first-idle processor
+choice, the WCET precheck's error selection, and the kernel
+observability snapshot.
 
 The golden suites pin the kernels bit-identical to the dict engine
 through the public evaluation APIs; these tests pin what those suites
@@ -9,12 +10,15 @@ structurally sound, and which error an invalid batch raises.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.experiments import RunConfig
 from repro.offline import build_plan
 from repro.sim import kernels
 from repro.sim.compiled import compile_plan
+from repro.sim.kernels.interp import _first_min
 from repro.workloads import application_with_load, atr_graph
 from tests.conftest import build_nested_or_graph
 
@@ -58,6 +62,39 @@ class TestTapeLowering:
                 assert crel == (-1 if is_and else comp.index(k))
 
 
+@st.composite
+def _proc_free(draw):
+    """An ``(m, ng)`` processor free-time block; values rounded to one
+    decimal over a short range, so ties are common, and some columns
+    all-equal."""
+    m = draw(st.integers(1, 8))
+    ng = draw(st.integers(1, 12))
+    vals = draw(st.lists(st.floats(0.0, 3.0, allow_nan=False),
+                         min_size=m * ng, max_size=m * ng))
+    pf = np.round(np.asarray(vals).reshape(m, ng), 1)
+    flat = draw(st.lists(st.integers(0, ng - 1), max_size=ng))
+    pf[:, flat] = pf[0, flat]
+    return pf
+
+
+class TestFirstMin:
+    @settings(max_examples=300, deadline=None)
+    @given(_proc_free())
+    def test_equals_argmin_and_min(self, pf):
+        j, mn = _first_min(pf)
+        assert j.dtype.kind == "i"
+        assert j.tolist() == pf.argmin(axis=0).tolist()
+        assert mn.tobytes() == pf.min(axis=0).tobytes()
+        # the minimum is the chosen processor's own free time
+        assert mn.tobytes() == pf[j, np.arange(pf.shape[1])].tobytes()
+
+    def test_all_equal_columns_pick_processor_zero(self):
+        pf = np.full((6, 5), 2.5)
+        j, mn = _first_min(pf)
+        assert j.tolist() == [0] * 5
+        assert mn.tolist() == [2.5] * 5
+
+
 class TestWcetPrecheck:
     """The kernels hoist the per-entry WCET check into one per-path
     precheck; pin its error selection (first entry in path order with
@@ -90,7 +127,7 @@ class TestWcetPrecheck:
         name = st.names[int(st.comp_sel[0])]
         return plan, prog, matrix, groups, path_keys, name
 
-    def test_fixed_kernel_error_matches_legacy(self):
+    def test_fixed_kernel_names_first_violating_entry(self):
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim.compiled import run_fixed_batch
         _plan, prog, matrix, groups, path_keys, name = \
@@ -104,7 +141,7 @@ class TestWcetPrecheck:
         assert repr(name) in msg
         assert "actual time 1000000000.0 " in msg
 
-    def test_dynamic_kernel_error_matches_legacy(self):
+    def test_dynamic_kernel_names_first_violating_entry(self):
         from repro.core import get_policy
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim import supports_dynamic_batch

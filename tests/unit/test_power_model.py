@@ -74,6 +74,17 @@ class TestDiscreteModel:
         with pytest.raises(PowerModelError, match="non-decreasing"):
             DiscretePowerModel([(100, 1.2), (200, 1.0)])
 
+    def test_levels_closer_than_the_level_tolerance_rejected(self):
+        # 1000 and 1000.0000005 MHz normalize to speeds 5e-10 apart:
+        # within level_index's 1e-9, so no speed could name either level
+        with pytest.raises(PowerModelError) as ei:
+            DiscretePowerModel([(500, 1.0), (1000, 1.2),
+                                (1000.0000005, 1.2)])
+        assert "1000 and 1000.0000005 MHz" in str(ei.value)
+        # levels 1e-6 apart stay distinct and index exactly
+        model = DiscretePowerModel([(1000, 1.2), (1000.001, 1.2)])
+        assert [model.level_index(s) for s in model.levels()] == [0, 1]
+
     def test_negative_energy_inputs_rejected(self, xscale):
         with pytest.raises(PowerModelError):
             xscale.busy_energy(1.0, -1.0)

@@ -102,6 +102,69 @@ class TestSinglePointSweeps:
                                   ref.normalized[scheme]), scheme
 
 
+class TestDecodeOnce:
+    """A sweep with a point that has no dynamic plan evaluates the
+    dynamic schemes on a sub-view; its path grouping is derived from
+    the static one instead of decoding the OR choices a second time."""
+
+    LOADS = (0.5, 1.0, 0.7)  # load 1.0 leaves no room for the reserve
+
+    def _sweep(self):
+        import dataclasses
+        cfg = RunConfig(schemes=("NPM", "SPM", "GSS"), n_runs=40, seed=5)
+        apps = [application_with_load(atr_graph(), ld, cfg.n_processors)
+                for ld in self.LOADS]
+        cfgs = [dataclasses.replace(cfg, seed=cfg.seed + i)
+                for i in range(len(apps))]
+        return apps, cfgs
+
+    def test_derived_grouping_equals_a_fresh_decode(self):
+        from repro.experiments.fused import _build_fused, _sub_grouping
+        from repro.sim import sample_realization_batch
+        apps, cfgs = self._sweep()
+        build = _build_fused(apps, cfgs)
+        assert build.dyn_points == [0, 2]
+        batches = [sample_realization_batch(
+            ps.structure, np.random.default_rng(cfg.seed), cfg.n_runs)
+            for (_pd, ps), cfg in zip(build.plans, cfgs)]
+        offsets = np.concatenate(([0], np.cumsum([len(b)
+                                                  for b in batches])))
+        total = int(offsets[-1])
+        choices = {name: np.concatenate([b.choices[name] for b in batches])
+                   for name in batches[0].choices}
+        groups, keys = build.stacked_static.executed_paths(choices, total)
+        sel, sub_groups, sub_keys = _sub_grouping(
+            groups, keys, [(offsets[i], offsets[i + 1])
+                           for i in build.dyn_points], total)
+        assert sel.tolist() == (list(range(offsets[0], offsets[1]))
+                                + list(range(offsets[2], offsets[3])))
+        ref_groups, ref_keys = build.stacked_dyn.executed_paths(
+            {name: v[sel] for name, v in choices.items()}, sel.size)
+        assert sub_keys == ref_keys
+        assert [p for p, _ in sub_groups] == [p for p, _ in ref_groups]
+        for (_p, got), (_q, want) in zip(sub_groups, ref_groups):
+            assert got.tolist() == want.tolist()
+
+    def test_sweep_decodes_its_paths_once(self, monkeypatch):
+        calls = []
+        real = StackedProgram.executed_paths
+
+        def counting(self, choices, n):
+            calls.append(n)
+            return real(self, choices, n)
+
+        monkeypatch.setattr(StackedProgram, "executed_paths", counting)
+        apps, cfgs = self._sweep()
+        fused = evaluate_points_fused(apps, cfgs)
+        assert fused is not None
+        assert calls == [sum(c.n_runs for c in cfgs)]
+        for app, cfg, res in zip(apps, cfgs, fused):
+            ref = evaluate_application(app, cfg)
+            for scheme in cfg.schemes:
+                assert np.array_equal(res.absolute[scheme],
+                                      ref.absolute[scheme]), scheme
+
+
 class TestStackedProgramCache:
     def test_identical_point_sets_reuse_the_stacked_program(self):
         clear_stacked_cache()
