@@ -4,13 +4,12 @@ Usage::
 
     python -m repro tables
     python -m repro fig4 [--runs 1000] [--jobs 4 | --n-jobs 4] [--csv out.csv]
-    python -m repro fig5 --backend dispatch --executors 8
+    python -m repro fig5 --jobs 2 --shards 2
     python -m repro fig6 ...
     python -m repro fig_online --runs 500 --arrival bursty
     python -m repro run --app atr --load 0.5 --model xscale --procs 2
     python -m repro online --arrival poisson --rate 0.8 --horizon 50
     python -m repro gantt --app fig3 --scheme GSS --load 0.5
-    python -m repro worker --connect host:7070   # join a remote fleet
 
 Figures print the same series the paper plots (normalized energy per
 scheme) as aligned tables plus the mean speed-change counts.
@@ -84,21 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--no-fused", action="store_true", dest="no_fused",
                         help="disable the fused sweep compiler and "
                              "evaluate each point separately")
-        fp.add_argument("--backend", choices=("local", "dispatch"),
-                        default=None,
-                        help="sweep-point execution backend: 'local' "
-                             "(fused/pooled, the default) or 'dispatch' "
-                             "(work-stealing executor fleet; results "
-                             "are bit-identical)")
-        fp.add_argument("--executors", type=int, default=None,
-                        help="executor processes for --backend dispatch "
-                             "(0 = all cores; clamped to the number of "
-                             "sweep points; default: --jobs)")
-        fp.add_argument("--connect", type=str, default=None,
-                        help="dispatch rendezvous endpoint host:port "
-                             "the driver binds; remote 'repro worker' "
-                             "processes join the fleet there (default: "
-                             "loopback, ephemeral port)")
         fp.add_argument("--runs-per-chunk", type=int, default=0,
                         dest="runs_per_chunk",
                         help="runs per worker task for --n-jobs "
@@ -112,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--shards", type=int, default=None,
                         help="split the fused sweep's runs axis into "
                              "this many seed-aligned shards executed on "
-                             "pool workers or dispatch executors "
+                             "local pool workers "
                              "(0 = auto from cores and --shard-mem-mb; "
                              "default: unsharded; results are "
                              "bit-identical)")
@@ -320,37 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     su.add_argument("--no-degrade", action="store_true", dest="no_degrade",
                     help="error out instead of degrading to serial "
                          "execution when retries are exhausted")
-
-    wk = sub.add_parser("worker",
-                        help="join a dispatch driver's executor fleet "
-                             "(see --backend dispatch / --connect)")
-    wk.add_argument("--connect", type=str, required=True,
-                    help="the driver's rendezvous endpoint host:port")
-    wk.add_argument("--name", type=str, default=None,
-                    help="executor name reported to the driver "
-                         "(default: worker-<pid>)")
-    wk.add_argument("--cache-dir", type=str, default=None, dest="cache_dir",
-                    help="probe this evaluation-cache directory before "
-                         "computing each task and store fresh results "
-                         "back (default: .repro-cache)")
-    wk.add_argument("--no-cache", action="store_true",
-                    help="compute every task, without probing or "
-                         "filling the local evaluation cache")
     return p
 
 
-def _make_context(n_jobs: int, no_cache: bool, cache_dir: Optional[str],
-                  backend: Optional[str] = None,
-                  executors: Optional[int] = None,
-                  connect: Optional[str] = None):
+def _make_context(n_jobs: int, no_cache: bool, cache_dir: Optional[str]):
     """One ExecutionContext per CLI command: shared pool + optional cache."""
     from .experiments.engine import ExecutionContext
     cache = None
     if not no_cache:
         from .experiments.evalcache import DEFAULT_CACHE_DIR, EvaluationCache
         cache = EvaluationCache(cache_dir or DEFAULT_CACHE_DIR)
-    return ExecutionContext(n_jobs=n_jobs, cache=cache, backend=backend,
-                            executors=executors, connect=connect)
+    return ExecutionContext(n_jobs=n_jobs, cache=cache)
 
 
 def _print_cache_stats(context) -> None:
@@ -364,13 +328,6 @@ def _print_cache_stats(context) -> None:
     if any(res.values()):
         print("(resilience: "
               + ", ".join(f"{k}={v}" for k, v in res.items() if v) + ")")
-    disp = context.dispatch_stats()
-    per = disp.pop("per_executor")
-    if any(disp.values()):
-        print("(dispatch: "
-              + ", ".join(f"{k}={v}" for k, v in disp.items() if v)
-              + "; " + ", ".join(f"{n}:{c}" for n, c in sorted(per.items()))
-              + ")")
 
 
 def _print_kernel_stats(context=None) -> None:
@@ -380,8 +337,7 @@ def _print_kernel_stats(context=None) -> None:
     a live worker pool, each worker's program/tape/stacked counters are
     collected (one probe per process) and printed as an aggregated
     ``workers`` line — sharded fused sweeps compile in the workers, so
-    parent-only counters would read as all-miss.  Dispatch executors
-    are separate processes reached over sockets and are not probed.
+    parent-only counters would read as all-miss.
     """
     from .sim.kernels import kernel_meta
     meta = kernel_meta()
@@ -461,15 +417,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the pool serves whichever level is parallel (the two are
         # mutually exclusive: point-level --jobs or run-level --n-jobs)
         ctx_jobs = args.jobs if args.jobs != 1 else args.n_jobs
-        # asking for the dispatch backend without --executors means
-        # "use the fleet anyway": default the request to all cores
-        executors = args.executors
-        if args.backend == "dispatch" and executors is None \
-                and args.jobs == 1:
-            executors = 0
-        with _make_context(ctx_jobs, args.no_cache, args.cache_dir,
-                           backend=args.backend, executors=executors,
-                           connect=args.connect) as ctx:
+        with _make_context(ctx_jobs, args.no_cache, args.cache_dir) as ctx:
             fig_kwargs = dict(
                 n_runs=args.runs, schemes=schemes, n_jobs=args.jobs,
                 seed=args.seed, run_jobs=args.n_jobs,
@@ -477,8 +425,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 max_retries=args.max_retries,
                 chunk_timeout=args.chunk_timeout,
                 degrade=not args.no_degrade,
-                backend=args.backend, executors=executors,
-                connect=args.connect,
                 shards=args.shards, shard_mem_mb=args.shard_mem_mb,
                 context=ctx, fused=not args.no_fused)
             if args.command == "fig_online":
@@ -632,20 +578,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      n_jobs=args.jobs, figures=args.figures)
         print(f"report written to {args.output}")
         return 0
-
-    if args.command == "worker":
-        import os
-        from .experiments.dispatch import DispatchWorker, parse_endpoint
-        host, port = parse_endpoint(args.connect)
-        name = args.name or f"worker-{os.getpid()}"
-        cache_dir = None
-        if not args.no_cache:
-            from .experiments.evalcache import DEFAULT_CACHE_DIR
-            cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-        print(f"joining dispatch fleet at {host}:{port} as {name}"
-              + (f" (cache: {cache_dir})" if cache_dir else ""))
-        return DispatchWorker(host, port, name=name,
-                              cache_dir=cache_dir).run()
 
     if args.command == "suite":
         from .experiments.suite import SuiteConfig, render_suite, run_suite

@@ -124,20 +124,6 @@ class TransportError(ReproError):
     """
 
 
-class DispatchError(ReproError):
-    """A distributed-dispatch transport or fleet problem.
-
-    Raised driver-side for wire-protocol violations (oversized or
-    undecodable frames), lost executor connections, hung points past
-    their ``chunk_timeout``, and a fleet with no reachable executors.
-    Classified as *retryable* by the dispatcher — the point is
-    re-dispatched to another executor — with the whole-fleet case
-    degrading to the local execution path instead.  Like
-    :class:`TransportError` it describes *how* the work travelled, not
-    the work itself, so recovery never changes results.
-    """
-
-
 class FaultInjected(ReproError):
     """An error raised on purpose by the fault-injection layer.
 

@@ -12,9 +12,6 @@
   cache of evaluation points (with corrupt-entry quarantine),
 * :mod:`~repro.experiments.faults` — deterministic fault injection
   for the chaos test suite (:class:`FaultPlan`/:class:`FaultSpec`),
-* :mod:`~repro.experiments.dispatch` — the work-stealing distributed
-  sweep backend (:class:`DispatchServer`/:class:`DispatchWorker`),
-  selected per sweep via ``backend="dispatch"``,
 * :mod:`~repro.experiments.online` — the sporadic-arrival streaming
   simulator with admission control (:func:`simulate_online`,
   :func:`sweep_arrival_rate`, the ``fig_online`` figure family).
@@ -41,8 +38,7 @@ from .distribution import (
     result_distributions,
     summarize_distribution,
 )
-from .dispatch import DispatchServer, DispatchWorker, dispatch_points
-from .engine import BACKENDS, ExecutionContext, RetryPolicy, resolve_backend
+from .engine import ExecutionContext, RetryPolicy
 from .evalcache import EvaluationCache, evaluation_key
 from .faults import FaultPlan, FaultSpec
 from .exact import ExactResult, exact_evaluation, render_exact
@@ -173,11 +169,6 @@ __all__ = [
     "resolve_jobs",
     "ExecutionContext",
     "RetryPolicy",
-    "BACKENDS",
-    "resolve_backend",
-    "DispatchServer",
-    "DispatchWorker",
-    "dispatch_points",
     "FaultPlan",
     "FaultSpec",
     "EvaluationCache",

@@ -57,44 +57,6 @@ except ImportError:  # pragma: no cover - e.g. stripped-down interpreters
     _SHM_AVAILABLE = False
 
 
-#: execution backends an :class:`ExecutionContext` can route sweep
-#: points through: ``"local"`` (fused array program or the persistent
-#: pool, in-process driver) or ``"dispatch"`` (the work-stealing
-#: executor fleet in :mod:`repro.experiments.dispatch`)
-BACKENDS = ("local", "dispatch")
-
-#: session-default backend, seeded from ``REPRO_BACKEND`` (tests
-#: monkeypatch the module attribute; read it via :func:`default_backend`
-#: so patches are honored at call time)
-DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", "local")
-
-#: session-default executor-count request for the dispatch backend,
-#: seeded from ``REPRO_EXECUTORS`` (``None`` = fall back to the
-#: sweep's ``n_jobs`` request)
-DEFAULT_EXECUTORS: Optional[int] = (
-    int(os.environ["REPRO_EXECUTORS"])
-    if os.environ.get("REPRO_EXECUTORS") else None)
-
-
-def default_backend() -> str:
-    """The session-default backend (module attr, monkeypatch-friendly)."""
-    return DEFAULT_BACKEND
-
-
-def default_executors() -> Optional[int]:
-    """The session-default executor request (module attr at call time)."""
-    return DEFAULT_EXECUTORS
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalize a backend request: ``None`` → the session default."""
-    resolved = backend if backend is not None else default_backend()
-    if resolved not in BACKENDS:
-        raise ConfigError(
-            f"unknown backend {resolved!r}; one of {BACKENDS}")
-    return resolved
-
-
 def effective_cores() -> int:
     """CPU cores actually available to this process.
 
@@ -179,12 +141,6 @@ class RetryPolicy:
 #: what sweeps surface as ``series.meta["resilience"]``
 RESILIENCE_COUNTERS = ("retries", "rebuilds", "degradations", "timeouts",
                        "shm_fallbacks")
-
-#: counters the distributed dispatcher maintains per context — sweeps
-#: surface their per-sweep delta (plus per-executor point counts) as
-#: ``series.meta["dispatch"]`` when the dispatch backend did any work
-DISPATCH_COUNTERS = ("dispatched", "completed", "stolen", "duplicates",
-                     "worker_deaths", "respawns", "degraded_points")
 
 
 # ---------------------------------------------------------------------------
@@ -576,20 +532,6 @@ class ExecutionContext:
         Default :class:`RetryPolicy` for :meth:`map` calls that do not
         pass their own (``evaluate_application`` derives a per-call
         policy from its :class:`~repro.experiments.runner.RunConfig`).
-    backend:
-        Where sweep points execute: ``"local"`` (fused/pooled,
-        in-process) or ``"dispatch"`` (the executor fleet of
-        :mod:`repro.experiments.dispatch`).  ``None`` — the default —
-        resolves to the session default (:data:`DEFAULT_BACKEND`).
-        Purely an execution knob: results are bit-identical.
-    executors:
-        Executor-count request for the dispatch backend (clamped like
-        ``n_jobs`` via :func:`resolve_jobs`); ``None`` falls back to
-        this context's ``n_jobs`` request.
-    connect:
-        Rendezvous endpoint ``"host:port"`` the dispatch driver binds;
-        ``None`` binds loopback on an ephemeral port.  Remote
-        ``repro worker --connect`` processes join the fleet there.
     fault_plan:
         Optional :class:`~repro.experiments.faults.FaultPlan` for chaos
         testing: shipped to every pool worker through the pool
@@ -604,25 +546,15 @@ class ExecutionContext:
     def __init__(self, n_jobs: Optional[int] = None, cache=None,
                  shared_memory: bool = True,
                  policy: Optional[RetryPolicy] = None,
-                 backend: Optional[str] = None,
-                 executors: Optional[int] = None,
-                 connect: Optional[str] = None,
                  fault_plan=None):
         if n_jobs is not None and n_jobs < 0:
             raise ConfigError(f"n_jobs must be >= 0, got {n_jobs}")
-        if executors is not None and executors < 0:
-            raise ConfigError(f"executors must be >= 0, got {executors}")
         self._n_jobs = n_jobs
         self.cache = cache
         self.shared_memory = bool(shared_memory) and _SHM_AVAILABLE
         self.policy = policy if policy is not None else RetryPolicy()
-        self._backend = resolve_backend(backend)
-        self._executors = executors
-        self.connect = connect
         self.fault_plan = fault_plan
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._fleet = None  # lazy DispatchServer, like the pool
-        self._dispatch_failed = False
         self._closed = False
         #: pools created over the context's lifetime (normally 0 or 1;
         #: a failed sweep resets the pool and the next use re-creates
@@ -632,19 +564,11 @@ class ExecutionContext:
         #: record their per-sweep delta in ``series.meta["resilience"]``
         self.resilience: Dict[str, int] = {
             name: 0 for name in RESILIENCE_COUNTERS}
-        #: dispatch counters (see :data:`DISPATCH_COUNTERS`) and
-        #: per-executor completed-point counts, mutated in place by
-        #: :meth:`DispatchServer.map_points`
-        self.dispatch: Dict[str, int] = {
-            name: 0 for name in DISPATCH_COUNTERS}
-        self.dispatch_per_executor: Dict[str, int] = {}
         if fault_plan is not None:
             # parent-side sites only: the parent must never crash/hang
             # itself while recovering (workers get the full plan);
             # online-admit runs in the driver and is retryable there
-            faults.install(fault_plan.only(
-                "cache-read", "dispatch-send", "dispatch-recv",
-                "online-admit"))
+            faults.install(fault_plan.only("cache-read", "online-admit"))
 
     # -- lifecycle ----------------------------------------------------------
     def __enter__(self) -> "ExecutionContext":
@@ -656,58 +580,6 @@ class ExecutionContext:
     def jobs(self, n_items: Optional[int] = None) -> int:
         """The resolved worker count, optionally clamped to the work."""
         return resolve_jobs(self._n_jobs, n_items=n_items)
-
-    @property
-    def backend(self) -> str:
-        """The resolved execution backend (``"local"``/``"dispatch"``)."""
-        return self._backend
-
-    def dispatch_jobs(self, n_items: Optional[int] = None) -> int:
-        """The resolved executor count for the dispatch backend.
-
-        An explicit ``executors`` request wins; otherwise the context's
-        ``n_jobs`` request is reused, so ``ExecutionContext(n_jobs=1,
-        backend="dispatch")`` stays effectively local (a 1-executor
-        fleet is never engaged by ``map_evaluations``).
-        """
-        request = self._executors if self._executors is not None \
-            else self._n_jobs
-        return resolve_jobs(request, n_items=n_items)
-
-    def dispatch_fleet(self, n_items: Optional[int] = None):
-        """The persistent executor fleet, started on first use.
-
-        Returns ``None`` — permanently, with one warning — when no
-        executor connects within the timeout; callers then fall back to
-        the local execution path (graceful degradation).
-        """
-        from ..errors import DispatchError
-        if self._closed:
-            raise ParallelError("closed execution context",
-                                RuntimeError("context already closed"))
-        if self._dispatch_failed:
-            return None
-        want = self.dispatch_jobs(n_items=n_items)
-        from .dispatch import DispatchServer
-        if self._fleet is None:
-            # executors probe/populate the same content-addressed cache
-            # the driver uses, so rejoining fleets skip finished work
-            cache_dir = (str(self.cache.root)
-                         if self.cache is not None else None)
-            self._fleet = DispatchServer(connect=self.connect,
-                                         fault_plan=self.fault_plan,
-                                         cache_dir=cache_dir)
-        try:
-            self._fleet.start(executors=want)
-        except DispatchError as exc:
-            self._fleet.close()
-            self._fleet = None
-            self._dispatch_failed = True
-            warnings.warn(
-                f"dispatch backend unreachable ({exc}); falling back to "
-                "the local execution path", RuntimeWarning, stacklevel=2)
-            return None
-        return self._fleet
 
     def has_live_pool(self) -> bool:
         """Whether a worker pool already exists and the context is open.
@@ -741,13 +613,10 @@ class ExecutionContext:
             self._pool = None
 
     def close(self) -> None:
-        """Shut the pool and fleet down for good; further use fails."""
+        """Shut the pool down for good; further use fails."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._fleet is not None:
-            self._fleet.close()
-            self._fleet = None
         if self.fault_plan is not None:
             faults.uninstall()
         self._closed = True
@@ -911,8 +780,7 @@ class ExecutionContext:
         """Per-worker kernel-cache counters from the live pool.
 
         Best effort and read-only: returns ``[]`` when no pool is live
-        (nothing pooled ran, or the backend is dispatch — remote
-        executors are not probed), and skips workers whose probe fails.
+        (nothing pooled ran), and skips workers whose probe fails.
         ``repro ... --cache-stats`` sums these with the parent's own
         counters so pooled runs stop under-counting.
         """
@@ -944,8 +812,3 @@ class ExecutionContext:
     def resilience_stats(self) -> Dict[str, int]:
         """Recovery counters accumulated over the context's lifetime."""
         return dict(self.resilience)
-
-    def dispatch_stats(self) -> Dict[str, object]:
-        """Dispatch counters plus per-executor completed-point counts."""
-        return {**self.dispatch,
-                "per_executor": dict(self.dispatch_per_executor)}

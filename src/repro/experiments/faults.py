@@ -24,26 +24,12 @@ sites**:
     Evaluation-cache lookup in the parent.  Action: ``corrupt``
     (truncates the on-disk entry before it is read, simulating a torn
     write; the cache must quarantine and recompute).
-``dispatch-send``
-    Driver-side task-frame send in the distributed dispatcher
-    (:mod:`repro.experiments.dispatch`).  Action: ``raise`` (the
-    connection counts as lost: the executor is dropped and its
-    in-flight points re-dispatched).
-``dispatch-recv``
-    Driver-side result-frame receipt.  Action: ``raise`` (the frame is
-    treated as torn on the wire: the result is discarded and the point
-    re-dispatched, burning one retry).
-``worker-dead``
-    Start of a task inside a :class:`~repro.experiments.dispatch.
-    DispatchWorker` process.  Action: ``crash`` (``os._exit`` — the
-    driver sees EOF and must re-dispatch the worker's points).
 ``shard-exec``
     Start of one fused-sweep shard in
     :func:`~repro.experiments.fused.run_shard`, keyed by the shard
-    index — fires identically on pool workers and dispatch executors.
-    Actions: ``crash``, ``hang``, ``raise`` (the owning backend's
-    retry/steal/degrade semantics must recover the shard
-    bit-identically).
+    index, on the pool worker that runs the shard.  Actions: ``crash``,
+    ``hang``, ``raise`` (the pool's retry/degrade semantics must recover
+    the shard bit-identically).
 ``online-admit``
     The admission probe of the online sporadic-arrival simulator
     (:func:`~repro.experiments.online.simulate_online`), fired in the
@@ -77,15 +63,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
-#: the original (PR 5) fault sites — every execution backend must fire
-#: these.  :meth:`FaultPlan.random` draws from this set by default so
-#: existing chaos seeds replay byte-identical fault schedules.
+#: the original fault sites.  :meth:`FaultPlan.random` draws from this
+#: set by default so existing chaos seeds replay byte-identical fault
+#: schedules.
 CORE_SITES = ("worker-chunk", "shm-attach", "cache-read")
 
-#: the full fault-site registry, including the distributed-dispatch
-#: sites added with :mod:`repro.experiments.dispatch`
-SITES = CORE_SITES + ("dispatch-send", "dispatch-recv", "worker-dead",
-                      "shard-exec", "online-admit")
+#: the full fault-site registry
+SITES = CORE_SITES + ("shard-exec", "online-admit")
 
 #: actions a spec may request (interpreted by the firing site)
 ACTIONS = ("crash", "hang", "raise", "corrupt")
@@ -96,9 +80,6 @@ SITE_ACTIONS = {
     "worker-chunk": ("crash", "hang", "raise"),
     "shm-attach": ("raise",),
     "cache-read": ("corrupt",),
-    "dispatch-send": ("raise",),
-    "dispatch-recv": ("raise",),
-    "worker-dead": ("crash", "hang"),
     "shard-exec": ("crash", "hang", "raise"),
     "online-admit": ("raise", "hang"),
 }
@@ -170,7 +151,7 @@ class FaultPlan:
         :data:`CORE_SITES` — not the full registry — so plans built
         from historical seeds replay identically after new sites are
         registered; pass ``sites=SITES`` (or an explicit subset) to
-        draw dispatch-layer faults too.
+        draw the later sites too.
         """
         rng = random.Random(seed)
         specs = []

@@ -44,14 +44,11 @@ FIG6_LOAD = 0.9
 
 
 def _fig_config(n_runs: int, n_processors: int, power_model: str,
-                schemes: Sequence[str], seed: int,
+                schemes: Sequence[str], seed: int, *,
                 run_jobs: int = 1, runs_per_chunk: int = 0,
                 engine: str = "compiled", max_retries: int = 2,
                 chunk_timeout: float = 0.0,
                 degrade: bool = True,
-                backend: Optional[str] = None,
-                executors: Optional[int] = None,
-                connect: Optional[str] = None,
                 shards: Optional[int] = None,
                 shard_mem_mb: int = 0) -> RunConfig:
     # asking for run-level workers is the explicit opt-in to the legacy
@@ -62,7 +59,6 @@ def _fig_config(n_runs: int, n_processors: int, power_model: str,
                      engine=engine, max_retries=max_retries,
                      chunk_timeout=chunk_timeout, degrade=degrade,
                      run_level_pool=(run_jobs != 1),
-                     backend=backend, executors=executors, connect=connect,
                      shards=shards, shard_mem_mb=shard_mem_mb)
 
 
@@ -77,9 +73,6 @@ def figure4(n_runs: int = 1000,
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
             degrade: bool = True,
-            backend: Optional[str] = None,
-            executors: Optional[int] = None,
-            connect: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -98,10 +91,11 @@ def figure4(n_runs: int = 1000,
     graph = atr_graph(AtrConfig(alpha=alpha))
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect,
-                          shards, shard_mem_mb)
+                          run_jobs=run_jobs,
+                          runs_per_chunk=runs_per_chunk, engine=engine,
+                          max_retries=max_retries,
+                          chunk_timeout=chunk_timeout, degrade=degrade,
+                          shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
                                 name=f"figure4-{model}", context=context,
                                 fused=fused)
@@ -119,9 +113,6 @@ def figure5(n_runs: int = 1000,
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
             degrade: bool = True,
-            backend: Optional[str] = None,
-            executors: Optional[int] = None,
-            connect: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -138,10 +129,11 @@ def figure5(n_runs: int = 1000,
     graph = atr_graph(cfg_atr)
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 6, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect,
-                          shards, shard_mem_mb)
+                          run_jobs=run_jobs,
+                          runs_per_chunk=runs_per_chunk, engine=engine,
+                          max_retries=max_retries,
+                          chunk_timeout=chunk_timeout, degrade=degrade,
+                          shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
                                 name=f"figure5-{model}", context=context,
                                 fused=fused)
@@ -159,9 +151,6 @@ def figure6(n_runs: int = 1000,
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
             degrade: bool = True,
-            backend: Optional[str] = None,
-            executors: Optional[int] = None,
-            connect: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -173,10 +162,11 @@ def figure6(n_runs: int = 1000,
     out: Dict[str, SeriesResult] = {}
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect,
-                          shards, shard_mem_mb)
+                          run_jobs=run_jobs,
+                          runs_per_chunk=runs_per_chunk, engine=engine,
+                          max_retries=max_retries,
+                          chunk_timeout=chunk_timeout, degrade=degrade,
+                          shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_alpha(figure3_graph, cfg, load, alphas,
                                  n_jobs=n_jobs, name=f"figure6-{model}",
                                  context=context, fused=fused)
@@ -195,9 +185,6 @@ def fig_online(n_runs: int = 1000,
                max_retries: int = 2,
                chunk_timeout: float = 0.0,
                degrade: bool = True,
-               backend: Optional[str] = None,
-               executors: Optional[int] = None,
-               connect: Optional[str] = None,
                shards: Optional[int] = None,
                shard_mem_mb: int = 0,
                context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -218,10 +205,11 @@ def fig_online(n_runs: int = 1000,
                           target_arrivals=n_runs)
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect,
-                          shards, shard_mem_mb)
+                          run_jobs=run_jobs,
+                          runs_per_chunk=runs_per_chunk, engine=engine,
+                          max_retries=max_retries,
+                          chunk_timeout=chunk_timeout, degrade=degrade,
+                          shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_arrival_rate(figure3_graph(), cfg, online,
                                         rates, n_jobs=n_jobs,
                                         name=f"fig-online-{model}",

@@ -23,11 +23,9 @@ own realization row.  With ``shards=N`` (``RunConfig.shards``, CLI
 ``--shards``, or the ``REPRO_SHARDS`` session default) the run axis is
 partitioned by :func:`~repro.sim.sweepc.plan_shards` into deterministic
 ranges and each shard executes the same stacked program over its row
-slice as an independent :class:`ShardTask` — on the persistent worker
-pool (``backend="local"``) or on the dispatch executor fleet
-(``backend="dispatch"``), inheriting the full retry/steal/degrade
-semantics of :meth:`~repro.experiments.engine.ExecutionContext.map` and
-:func:`~repro.experiments.dispatch.dispatch_points`.  Seed alignment
+slice as an independent :class:`ShardTask` on the persistent local
+worker pool, inheriting the retry/degrade semantics of
+:meth:`~repro.experiments.engine.ExecutionContext.map`.  Seed alignment
 makes this exact, not approximate: a shard samples each point's *full*
 realization batch from the config seed and slices its row range, so it
 sees bit-for-bit the rows the monolithic pass would have, and the
@@ -61,7 +59,7 @@ from ..sim.realization import sample_realization_batch
 from ..sim.sweepc import (StackedProgram, _stack_values, fused_bytes_estimate,
                           plan_shards, programs_compatible, stack_programs)
 from . import faults
-from .engine import (SHARD_SHM_MIN_BYTES, ExecutionContext, default_executors,
+from .engine import (SHARD_SHM_MIN_BYTES, ExecutionContext,
                      effective_cores, publish_shard_block)
 from .runner import EvaluationResult, RunConfig, build_plans
 
@@ -482,12 +480,9 @@ class ShardTask:
     Picklable and self-contained: carries the applications and configs
     so the worker rebuilds the stacked program deterministically (the
     per-process plan/program caches make the rebuild nearly free) and
-    samples its rows seed-aligned.  Travels in place of an ``app``
-    through both execution backends —
-    :func:`~repro.experiments.parallel._evaluate_app_point` detects it
-    on pool workers and dispatch executors alike — so shards inherit
-    retry, stealing, dedup and degrade semantics without a wire-protocol
-    change.
+    samples its rows seed-aligned.  :func:`run_shard` executes it
+    through :meth:`~repro.experiments.engine.ExecutionContext.map`, so
+    shards inherit the pool's retry and degrade semantics.
     """
 
     __slots__ = ("index", "n_shards", "lo", "hi", "apps", "configs",
@@ -525,8 +520,7 @@ class ShardResult:
     path keys ride as an ordinary pickled list (shared key strings
     memoize well).  ``block`` is an
     :class:`~repro.experiments.engine.ShardBlock` descriptor when the
-    worker published the matrix through shared memory (local pool only;
-    dispatch executors may live on other hosts).
+    worker published the matrix through shared memory.
     """
 
     __slots__ = ("matrix", "block", "path_keys", "schemes", "n_points")
@@ -557,8 +551,8 @@ def run_shard(task: ShardTask) -> ShardResult:
     """Execute one shard (worker side): rebuild, sample, run, pack.
 
     Fires the ``shard-exec`` fault site first, so the chaos tier can
-    crash/hang/fail a shard mid-sweep on either backend and prove the
-    retry/steal/degrade recovery bit-identical.
+    crash/hang/fail a shard mid-sweep and prove the pool's
+    retry/degrade recovery bit-identical.
     """
     if faults.fire("shard-exec", key=task.index) == "raise":
         raise FaultInjected(f"injected shard-exec fault on {task.name}")
@@ -665,53 +659,28 @@ def _resolve_shard_count(build: _FusedBuild, configs: Sequence[RunConfig],
 def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
                  configs: Sequence[RunConfig], ranges,
                  context: Optional[ExecutionContext]):
-    """Fan shards out over a backend; ``(shard results, transport)``.
+    """Fan shards out over a local pool; the shard results, in order.
 
-    Routes through the provided context when it can host the fan-out
-    (a dispatch fleet, or a local pool of two or more workers);
-    otherwise spins up an ephemeral pool sized to the shards and the
-    schedulable cores.  Returns ``None`` when no backend is usable
-    (e.g. an unreachable dispatch fleet on a one-job context) — the
-    caller then runs the monolithic pass, which is always correct.
+    Routes through the provided context when it has two or more
+    workers; otherwise spins up an ephemeral pool sized to the shards
+    and the schedulable cores.  Returns ``None`` when fewer than two
+    workers resolve — the caller then runs the monolithic pass, which
+    is always correct.
     """
-    base = build.base
-    policy = base.retry_policy()
-    n_points = len(apps)
-    owned = False
-    ctx = context
-    if ctx is None or (ctx.backend != "dispatch" and ctx.jobs() < 2):
-        # honor the configs' execution knobs and the session defaults,
-        # exactly like an owned context in map_evaluations
-        ctx = ExecutionContext(
-            n_jobs=min(len(ranges), effective_cores()),
-            backend=base.backend,
-            executors=(base.executors if base.executors is not None
-                       else default_executors()),
-            connect=base.connect)
-        owned = True
+    owned = context is None or context.jobs() < 2
+    ctx = ExecutionContext(n_jobs=min(len(ranges), effective_cores())) \
+        if owned else context
     try:
-        allow_shm = (ctx.backend != "dispatch"
-                     and getattr(ctx, "shared_memory", True))
-        tasks = [ShardTask(s, len(ranges), lo, hi, tuple(apps),
-                           tuple(configs), allow_shm)
-                 for s, (lo, hi) in enumerate(ranges)]
-        labels = [f"{t.name} x {n_points} point(s)" for t in tasks]
-        if ctx.backend == "dispatch" \
-                and ctx.dispatch_jobs(n_items=len(tasks)) >= 2:
-            from .dispatch import dispatch_points
-            results = dispatch_points(
-                ctx, tasks, [base.with_(n_jobs=1)] * len(tasks),
-                labels=labels, policy=policy)
-            if results is not None:
-                return results, "dispatch"
-            return None  # fleet unreachable: monolithic fallback
-        if ctx.backend == "dispatch":
-            return None  # a one-executor fleet is never engaged
-        if ctx.jobs(n_items=len(tasks)) < 2:
+        if ctx.jobs(n_items=len(ranges)) < 2:
             return None
-        results = ctx.map(run_shard, [(t,) for t in tasks],
-                          labels=labels, policy=policy)
-        return results, "pool"
+        n_points = len(apps)
+        tasks = [ShardTask(s, len(ranges), lo, hi, tuple(apps),
+                           tuple(configs), ctx.shared_memory)
+                 for s, (lo, hi) in enumerate(ranges)]
+        return ctx.map(run_shard, [(t,) for t in tasks],
+                       labels=[f"{t.name} x {n_points} point(s)"
+                               for t in tasks],
+                       policy=build.base.retry_policy())
     finally:
         if owned:
             ctx.close()
@@ -796,9 +765,9 @@ def evaluate_points_fused(apps: Sequence[Application],
     ``shards`` overrides the sharding request (``None`` defers to the
     base config and the ``REPRO_SHARDS`` session default; ``0`` selects
     automatically from cores and the memory budget; ``N >= 2`` fans the
-    run axis out over ``context``'s backend).  ``context`` supplies the
-    pool or fleet for sharded execution; without one, an ephemeral pool
-    honoring the config's backend knobs is used and closed again.
+    run axis out over ``context``'s pool).  ``context`` supplies the
+    pool for sharded execution; without one, an ephemeral pool is used
+    and closed again.
     """
     n_points = len(apps)
     if n_points == 0:
@@ -829,9 +798,10 @@ def evaluate_points_fused(apps: Sequence[Application],
     if n_shards > 1:
         ranges = plan_shards(configs[0].n_runs, n_shards)
         if len(ranges) > 1:
-            fanned = _run_sharded(build, apps, configs, ranges, context)
-            if fanned is not None:
-                shard_results, transport = fanned
+            shard_results = _run_sharded(build, apps, configs, ranges,
+                                         context)
+            if shard_results is not None:
+                transport = "pool"
                 out = _reduce_shards(build, configs, ranges,
                                      shard_results, context)
                 shard_runs = [hi - lo for lo, hi in ranges]

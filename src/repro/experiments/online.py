@@ -475,7 +475,7 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     fixes the arrival instants (via the derived arrival stream) and
     the realizations (via ``default_rng(seed)``, the offline
     evaluator's stream) — repeated calls are bit-identical on every
-    backend.
+    execution path.
     """
     m = config.n_processors
     t_worst = worst_case_length(graph, m)

@@ -76,13 +76,6 @@ def _evaluate_app_point(index: int, app: Application,
                         config: RunConfig) -> EvaluationResult:
     from ..errors import FaultInjected
     from . import faults
-    from .fused import ShardTask, run_shard
-    if isinstance(app, ShardTask):
-        # a fused-sweep shard traveling through the point protocol
-        # (both backends route their tasks here, so shards inherit
-        # retry/steal/degrade without a wire-protocol change); its own
-        # shard-exec fault site fires inside run_shard
-        return run_shard(app)
     if faults.fire("worker-chunk", key=index) == "raise":
         raise FaultInjected(f"injected worker fault at point {index}")
     return evaluate_application(app, config)
@@ -99,14 +92,10 @@ def map_evaluations(apps: Sequence[Application],
     evaluation cache point by point (only misses are computed), then
     evaluates the misses by the cheapest applicable strategy —
 
-    0. **dispatch**: when the context's backend is ``"dispatch"`` (and
-       at least two executors resolve), misses ship to the
-       work-stealing executor fleet
-       (:func:`~repro.experiments.dispatch.dispatch_points`); an
-       unreachable fleet falls through to the local strategies below;
     1. **fused** (the default): structurally homogeneous points are
        stacked into one array program and executed in a single batch-
-       kernel pass in the parent, no pool at all
+       kernel pass in the parent, or sharded over the local pool when
+       a shard request is set
        (:func:`~repro.experiments.fused.evaluate_points_fused`);
     2. **point-level pool**: heterogeneous points (or ``fused=False``)
        fan out one point per worker over the persistent pool, with
@@ -120,6 +109,7 @@ def map_evaluations(apps: Sequence[Application],
     ``config`` is one :class:`RunConfig` shared by every point, or a
     sequence of per-point configs (same length as ``apps``) for sweeps
     whose x-axis is a config field (processor count, overhead, …).
+    An empty ``apps`` returns ``[]``.
     """
     if isinstance(config, RunConfig):
         configs: List[RunConfig] = [config] * len(apps)
@@ -129,23 +119,13 @@ def map_evaluations(apps: Sequence[Application],
             raise ParallelError(
                 f"{len(configs)} configs for {len(apps)} applications",
                 ValueError("apps/configs length mismatch"))
+    if not apps:
+        return []
     if labels is None:
         labels = [f"app={app.name!r}" for app in apps]
     owned = context is None
-    if context is not None:
-        ctx = context
-    else:
-        # an owned context honors the configs' execution knobs (the CLI
-        # ships backend/executors/connect through the RunConfig) and the
-        # session defaults (REPRO_BACKEND / REPRO_EXECUTORS)
-        from .engine import default_executors
-        cfg0 = configs[0]
-        ctx = ExecutionContext(
-            n_jobs=resolve_jobs(n_jobs, n_items=len(apps)),
-            backend=cfg0.backend,
-            executors=(cfg0.executors if cfg0.executors is not None
-                       else default_executors()),
-            connect=cfg0.connect)
+    ctx = context if context is not None else ExecutionContext(
+        n_jobs=resolve_jobs(n_jobs, n_items=len(apps)))
     try:
         results: List[Optional[EvaluationResult]] = [None] * len(apps)
         pending = list(range(len(apps)))
@@ -166,7 +146,7 @@ def map_evaluations(apps: Sequence[Application],
         if not pending:
             return results
 
-        def _fused_attempt():
+        if fused and len(pending) > 1:
             from .fused import evaluate_points_fused
             try:
                 computed = evaluate_points_fused(
@@ -182,42 +162,6 @@ def map_evaluations(apps: Sequence[Application],
                     results[i] = res
                     if ctx.cache is not None:
                         ctx.cache.put(keys[i], res)
-            return computed
-
-        shard_requested = False
-        if fused and len(pending) > 1:
-            from .fused import default_shards
-            shard_requested = (configs[0].shards is not None
-                               or default_shards() is not None)
-
-        if shard_requested:
-            # a sharded fused sweep fans out over this context's own
-            # backend (pool workers or the dispatch fleet), so it
-            # outranks per-point dispatch of the demoted path
-            if _fused_attempt() is not None:
-                return results
-            # not fusable: the per-point strategies below still apply
-
-        if ctx.backend == "dispatch" and ctx.dispatch_jobs() >= 2:
-            # distributed fan-out: pending points go to the executor
-            # fleet; cache misses only, exactly like the local paths
-            from .dispatch import dispatch_points
-            computed = dispatch_points(
-                ctx, [apps[i] for i in pending],
-                [configs[i] for i in pending],
-                labels=[labels[i] for i in pending],
-                policy=configs[0].retry_policy(),
-                keys=[keys[i] for i in pending] if keys else None)
-            if computed is not None:
-                for i, res in zip(pending, computed):
-                    results[i] = res
-                    if ctx.cache is not None:
-                        ctx.cache.put(keys[i], res)
-                return results
-            # no executors reachable: degrade to the local paths below
-
-        if fused and len(pending) > 1 and not shard_requested:
-            if _fused_attempt() is not None:
                 return results
             # not fusable: fall through to per-point evaluation
 

@@ -120,27 +120,12 @@ class RunConfig:
     #: the legacy chunked path (results are bit-identical either way).
     #: Execution knob — never part of the evaluation cache key.
     run_level_pool: bool = False
-    #: execution backend for the *sweep-point* fan-out: ``"local"``
-    #: (fused/pooled, the default) or ``"dispatch"`` (the work-stealing
-    #: executor fleet of :mod:`repro.experiments.dispatch`).  ``None``
-    #: resolves to the session default (``REPRO_BACKEND``).  Execution
-    #: knob — never part of the evaluation cache key.
-    backend: Optional[str] = None
-    #: executor-count request for the dispatch backend (clamped to the
-    #: number of sweep points like ``n_jobs``); ``None`` falls back to
-    #: the sweep's job request.  Execution knob — never cached on.
-    executors: Optional[int] = None
-    #: dispatch rendezvous endpoint ``"host:port"`` the driver binds
-    #: (``None`` = loopback, ephemeral port).  Execution knob — never
-    #: part of the evaluation cache key.
-    connect: Optional[str] = None
     #: shard request for the fused sweep path: ``None`` (resolve the
     #: ``REPRO_SHARDS`` session default; unset everywhere = monolithic),
     #: ``0`` (auto: effective cores, raised to fit ``shard_mem_mb``) or
     #: ``N >= 1`` explicit shards of the fused run axis, executed on the
-    #: sweep's backend (pool workers or dispatch executors).  Sharded
-    #: output is bit-identical to unsharded — execution knob, never part
-    #: of the evaluation cache key.
+    #: local worker pool.  Sharded output is bit-identical to unsharded
+    #: — execution knob, never part of the evaluation cache key.
     shards: Optional[int] = None
     #: peak-memory budget in MiB for one fused shard (0 = unbudgeted);
     #: only consulted by automatic shard selection (``shards=0``), which
@@ -180,20 +165,6 @@ class RunConfig:
             raise ConfigError(
                 f"chunk_timeout must be >= 0 (0 = no timeout), "
                 f"got {self.chunk_timeout}")
-        # hardcoded (not engine.BACKENDS) to keep runner import-light;
-        # the registry test pins the two in sync
-        if self.backend is not None and self.backend not in ("local",
-                                                             "dispatch"):
-            raise ConfigError(
-                f"backend must be 'local' or 'dispatch', "
-                f"got {self.backend!r}")
-        if self.executors is not None and self.executors < 0:
-            raise ConfigError(
-                f"executors must be >= 0 (0 = all cores), "
-                f"got {self.executors}")
-        if self.connect is not None:
-            from .dispatch import parse_endpoint
-            parse_endpoint(self.connect)  # raises ConfigError when bad
         if self.shards is not None and self.shards < 0:
             raise ConfigError(
                 f"shards must be >= 0 (0 = auto), got {self.shards}")

@@ -51,11 +51,10 @@ def _series_from(name: str, x_label: str, xs: Sequence[float],
 
 
 def _cache_before(context: Optional[ExecutionContext]):
-    """Snapshot of the context's cache/resilience/dispatch counters."""
+    """Snapshot of the context's cache/resilience counters."""
     if context is None:
         return None
-    return (context.cache_stats(), context.resilience_stats(),
-            context.dispatch_stats())
+    return context.cache_stats(), context.resilience_stats()
 
 
 def _cache_meta(context: Optional[ExecutionContext], before,
@@ -65,30 +64,17 @@ def _cache_meta(context: Optional[ExecutionContext], before,
     ``meta["cache"]`` carries the hit/miss/error/quarantine delta of
     the attached evaluation cache; ``meta["resilience"]`` the
     retry/rebuild/degradation/timeout/fallback delta of the execution
-    context; ``meta["dispatch"]`` — present only when the dispatch
-    backend did any work during this sweep — its
-    dispatched/completed/stolen/… delta plus per-executor completed
-    point counts.  A regenerated figure thus records every recovery
-    that happened while computing it.
+    context.  A regenerated figure thus records every recovery that
+    happened while computing it.
     """
     if context is None or before is None:
         return meta
-    cache_b, res_b, disp_b = before
+    cache_b, res_b = before
     cache_a = context.cache_stats()
     if cache_b is not None and cache_a is not None:
         meta["cache"] = {k: cache_a[k] - cache_b[k] for k in cache_a}
     res_a = context.resilience_stats()
     meta["resilience"] = {k: res_a[k] - res_b[k] for k in res_a}
-    disp_a = context.dispatch_stats()
-    disp_delta = {k: disp_a[k] - disp_b[k] for k in disp_a
-                  if k != "per_executor"}
-    if any(disp_delta.values()):
-        per_b = disp_b.get("per_executor", {})
-        per_delta = {name: count - per_b.get(name, 0)
-                     for name, count in disp_a["per_executor"].items()
-                     if count != per_b.get(name, 0)}
-        disp_delta["per_executor"] = per_delta
-        meta["dispatch"] = disp_delta
     return meta
 
 
@@ -96,7 +82,7 @@ def _fused_meta(meta: Dict[str, object]) -> Dict[str, object]:
     """Record how the sweep's fused pass executed, if one ran.
 
     ``meta["fused"]`` carries the shard count, per-shard run counts and
-    the transport (``inline``/``pool``/``dispatch``) of the most recent
+    the transport (``inline``/``pool``) of the most recent
     fused pass — popped, so one pass is never attributed to two sweeps.
     """
     from .fused import take_fused_meta

@@ -9,9 +9,9 @@ ledger *and* every scheme's realized metrics — is bit-identical to the
 fault-free run.  Only an exhausted retry budget with ``degrade=False``
 may surface the fault.
 
-Runs under both backends via the chaos conftest's autouse matrix; the
-plans install parent-side through ``ExecutionContext(fault_plan=...)``,
-which must keep ``online-admit`` in its parent-side site filter.
+The plans install parent-side through
+``ExecutionContext(fault_plan=...)``, which must keep ``online-admit``
+in its parent-side site filter.
 """
 
 import time

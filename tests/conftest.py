@@ -35,39 +35,6 @@ from repro.power import (
 )
 
 
-def _backend_params():
-    """The execution backends the chaos/equivalence tiers run against.
-
-    ``REPRO_TEST_BACKENDS`` (comma-separated) restricts the matrix —
-    CI pins one job to ``local`` and one to ``dispatch`` so a dispatch
-    hang cannot mask a local regression (and vice versa).  The default
-    runs both, which is the acceptance bar: every parametrized test
-    must pass bit-identically under each backend.
-    """
-    names = os.environ.get("REPRO_TEST_BACKENDS", "local,dispatch")
-    return [n.strip() for n in names.split(",") if n.strip()]
-
-
-@pytest.fixture(params=_backend_params())
-def backend(request, monkeypatch):
-    """Route owned execution contexts through one backend per param.
-
-    Patches the session defaults (``engine.DEFAULT_BACKEND`` /
-    ``engine.DEFAULT_EXECUTORS``) rather than each call site, so tests
-    that build sweeps through any API — contextless ``sweep_load``,
-    explicit contexts with ``n_jobs>1``, figure functions — pick the
-    backend up with no per-test edits.  Contexts constructed with an
-    explicit ``n_jobs=1`` keep resolving to one executor and therefore
-    stay on the local path by design (the dispatcher only engages at
-    two or more executors).
-    """
-    from repro.experiments import engine
-    monkeypatch.setattr(engine, "DEFAULT_BACKEND", request.param)
-    if request.param == "dispatch":
-        monkeypatch.setattr(engine, "DEFAULT_EXECUTORS", 2)
-    return request.param
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

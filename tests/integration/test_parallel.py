@@ -10,7 +10,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import RunConfig, resolve_jobs
-from repro.experiments.parallel import map_applications, map_custom, map_load_points
+from repro.experiments.parallel import (map_applications, map_custom,
+                                       map_evaluations, map_load_points)
+from repro.experiments.sweeps import sweep_load
 from repro.workloads import application_with_load, figure3_graph
 
 
@@ -77,6 +79,18 @@ class TestSerialParallelEquivalence:
         # higher load -> bigger deadline pressure -> SPM saves less
         assert results[0].mean_normalized()["SPM"] != \
             results[1].mean_normalized()["SPM"]
+
+
+class TestEmptySweeps:
+    """An empty sweep returns no results, like ``map_custom`` does."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_map_evaluations_of_nothing_is_empty(self, cfg, n_jobs):
+        assert map_evaluations([], cfg, n_jobs=n_jobs) == []
+
+    def test_sweep_load_over_no_loads_has_no_points(self, cfg):
+        series = sweep_load(figure3_graph(), cfg, loads=[])
+        assert series.points == []
 
 
 class TestMapCustom:

@@ -8,7 +8,7 @@ Four layers of the same contract:
   per-run-fallback ones (PS on continuous floors, ORACLE), on multi-OR
   and AND-only graphs;
 * sharded exact equality — the same sweep split across seed-aligned
-  run-range shards on pool workers and dispatch executors must reduce
+  run-range shards on pool workers must reduce
   to the very same floats, shard-count edges included, while stateful
   scalar policies refuse to shard with a warning;
 * the ``stateless`` declaration — a stateful policy that mutates run
@@ -30,11 +30,6 @@ from repro.experiments import ExecutionContext, RunConfig, \
 from repro.experiments.fused import evaluate_points_fused, take_fused_meta
 from repro.workloads import application_with_load, atr_graph, figure3_graph
 from tests.conftest import build_fork_graph, build_nested_or_graph
-
-# the whole golden-equivalence suite runs once per execution backend
-# (local + dispatch): a sweep routed through the executor fleet must be
-# byte-for-byte the sweep the fused/compiled/dict references produce
-pytestmark = pytest.mark.usefixtures("backend")
 
 LOADS = (0.2, 0.4, 0.5, 0.7, 0.9)
 
@@ -58,8 +53,7 @@ def _assert_identical(a, b):
 
 
 class TestGoldenEquality:
-    """Fused == per-point compiled == dict engine, bit for bit, on
-    every backend."""
+    """Fused == per-point compiled == dict engine, bit for bit."""
 
     @pytest.mark.parametrize("graph_fn,label", [
         (atr_graph, "atr"),                    # multi-OR, the paper's app
@@ -99,9 +93,8 @@ class TestShardedEquality:
     The container's schedulable-core count can be 1, under which an
     *owned* ephemeral context correctly degrades to the monolithic
     pass; every test therefore passes an explicit context —
-    ``n_jobs=3`` resolves verbatim, and under the dispatch backend
-    param the same constructor resolves to a two-executor fleet — so
-    the fan-out genuinely crosses process boundaries on both backends.
+    ``n_jobs=3`` resolves verbatim — so the fan-out genuinely crosses
+    process boundaries.
     """
 
     def _ctx(self):
@@ -113,7 +106,7 @@ class TestShardedEquality:
     ])
     @pytest.mark.parametrize("model", ["transmeta", "xscale"])
     def test_all_schemes_sharded_vs_references(self, graph_fn, label,
-                                               model, backend):
+                                               model):
         cfg = RunConfig(schemes=ALL_SCHEMES, power_model=model,
                         n_runs=40, seed=13)
         apps = _apps(graph_fn(), cfg)
@@ -126,14 +119,13 @@ class TestShardedEquality:
         meta = take_fused_meta()
         assert meta["shards"] == 3
         assert meta["shard_runs"] == [14, 13, 13]  # 40 % 3 spread
-        assert meta["transport"] == \
-            ("dispatch" if backend == "dispatch" else "pool")
+        assert meta["transport"] == "pool"
         for app, res, ref in zip(apps, sharded, reference):
             _assert_identical(res, ref)
             dict_ref = evaluate_application(app, cfg.with_(engine="dict"))
             _assert_identical(res, dict_ref)
 
-    def test_more_shards_than_runs_clamps_and_matches(self, backend):
+    def test_more_shards_than_runs_clamps_and_matches(self):
         cfg = RunConfig(schemes=("GSS", "SPM", "AS"), n_runs=10, seed=5)
         apps = _apps(figure3_graph(), cfg, loads=(0.3, 0.6))
         reference = evaluate_points_fused(apps, [cfg] * len(apps))
@@ -147,7 +139,7 @@ class TestShardedEquality:
         for res, ref in zip(sharded, reference):
             _assert_identical(res, ref)
 
-    def test_single_shard_stays_monolithic(self, backend):
+    def test_single_shard_stays_monolithic(self):
         cfg = RunConfig(schemes=("GSS", "SS2"), n_runs=20, seed=9)
         apps = _apps(atr_graph(), cfg, loads=(0.4, 0.8))
         reference = evaluate_points_fused(apps, [cfg] * len(apps))
@@ -161,8 +153,7 @@ class TestShardedEquality:
         for res, ref in zip(sharded, reference):
             _assert_identical(res, ref)
 
-    def test_stateful_scalar_policy_refuses_to_shard(self, backend,
-                                                     monkeypatch):
+    def test_stateful_scalar_policy_refuses_to_shard(self, monkeypatch):
         monkeypatch.setitem(registry._REGISTRY, "decay", _DecayPolicy)
         cfg = RunConfig(schemes=("GSS", "DECAY"), n_runs=15, seed=3)
         apps = _apps(figure3_graph(), cfg, loads=(0.4, 0.7))
@@ -177,7 +168,7 @@ class TestShardedEquality:
         for res, ref in zip(sharded, reference):
             _assert_identical(res, ref)
 
-    def test_config_shards_route_through_the_sweep_api(self, backend):
+    def test_config_shards_route_through_the_sweep_api(self):
         from repro.experiments.sweeps import sweep_load
         cfg = RunConfig(schemes=("SPM", "GSS", "AS"), n_runs=30, seed=7)
         graph = atr_graph()
@@ -190,8 +181,7 @@ class TestShardedEquality:
             reference.meta["speed_changes"]
         fused_meta = sharded.meta["fused"]
         assert fused_meta["shards"] == 3
-        assert fused_meta["transport"] == \
-            ("dispatch" if backend == "dispatch" else "pool")
+        assert fused_meta["transport"] == "pool"
         # without a config request the reference follows the session
         # default (REPRO_SHARDS), which is "monolithic" when unset
         from repro.experiments.fused import default_shards

@@ -12,7 +12,7 @@ Four families, per the issue's property sweep:
   horizon (same seed) only appends work, never rewrites the prefix.
 * **Determinism** — one seed fixes the whole stream: repeated
   simulations are bit-identical (arrivals, ledger, energies, finish
-  instants), on every backend of the session matrix.
+  instants).
 * **Degenerate equality** — a single arrival at t=0 *is* the offline
   evaluator: every scheme's energies match
   ``evaluate_application(app, config.with_(n_runs=1))`` exactly, for
@@ -35,14 +35,8 @@ from repro.experiments import (
 from repro.offline.plan import build_plan
 from repro.workloads import application_with_load, figure3_graph
 
-pytestmark = pytest.mark.usefixtures("backend")
-
-# the backend fixture (function-scoped, applied file-wide) is stable
-# across a test's generated examples, so suppressing the fixture check
-# is sound here
 _SETTINGS = dict(max_examples=15, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow,
-                                        HealthCheck.function_scoped_fixture])
+                 suppress_health_check=[HealthCheck.too_slow])
 
 #: a fast cross-section: the baseline, the static optimum, one DVS
 _SCHEMES = ("NPM", "SPM", "GSS")

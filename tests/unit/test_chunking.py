@@ -156,17 +156,3 @@ class TestKeyInsulation:
         assert evaluation_key(app, cfg) == \
             evaluation_key(app, cfg.with_(**change))
 
-    @pytest.mark.parametrize("change", [
-        {"backend": "dispatch"},
-        {"executors": 4},
-        {"connect": "127.0.0.1:9999"},
-        {"backend": "dispatch", "executors": 0,
-         "connect": "0.0.0.0:7070"},
-    ])
-    def test_dispatch_knobs_do_not_change_evaluation_key(self, app,
-                                                         change):
-        """Where a sweep executes must never decide whether it hits the
-        cache — a dispatched sweep and a local one share entries."""
-        cfg = RunConfig(schemes=("GSS",), n_runs=20, seed=3)
-        assert evaluation_key(app, cfg) == \
-            evaluation_key(app, cfg.with_(**change))
