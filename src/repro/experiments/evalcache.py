@@ -262,9 +262,14 @@ def _payload_to_result(data: Dict[str, np.ndarray], app_name: str, config):
         raise ValueError(
             f"cache entry holds {npm.shape} runs, config asks "
             f"{config.n_runs}")
+    keys = data["path_keys"]
+    if keys.shape != npm.shape:
+        raise ValueError(
+            f"cache entry holds {keys.shape} path keys for "
+            f"{config.n_runs} runs")
     result = EvaluationResult(
         app_name=app_name, config=config, npm_energy=npm,
-        path_keys=[str(k) for k in data["path_keys"]])
+        path_keys=[str(k) for k in keys])
     for name in schemes:
         absolute = data[f"abs::{name}"]
         changes = data[f"chg::{name}"]

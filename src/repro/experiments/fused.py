@@ -119,17 +119,18 @@ class _FusedRunSpec:
 
 
 class _View:
-    """One stacked program plus the per-point data aligned to its rows.
+    """One (possibly stacked) program plus the per-point data aligned to
+    its rows.
 
-    The static view covers every run of the sweep; the dynamic view may
-    cover a subset (points whose dynamic plan exists), with ``rows``
-    mapping its run axis back into the full sweep's.
+    The static view covers every run; the dynamic view may cover a
+    subset (points whose dynamic plan exists), with ``rows`` mapping
+    its run axis back into the full one (``None``: every run).
     """
 
     __slots__ = ("prog", "plans", "progs", "batches", "matrix", "groups",
-                 "keys", "point_of", "offsets", "rows")
+                 "point_of", "offsets", "rows")
 
-    def __init__(self, prog, plans, progs, batches, matrix, groups, keys,
+    def __init__(self, prog, plans, progs, batches, matrix, groups,
                  point_of, offsets, rows):
         self.prog = prog
         self.plans = plans
@@ -137,7 +138,6 @@ class _View:
         self.batches = batches
         self.matrix = matrix
         self.groups = groups
-        self.keys = keys
         self.point_of = point_of
         self.offsets = offsets
         self.rows = rows
@@ -150,6 +150,8 @@ class _FusedBuild:
     shard worker, where the per-process plan/program/stacked caches make
     it nearly free); holds everything that does not depend on sampled
     runs, so the sampling/execution half can be invoked per run-range.
+    A one-point build (:func:`evaluate_batch`) holds the plain compiled
+    programs in place of the stacks.
     """
 
     __slots__ = ("base", "power", "overhead", "scheme_names", "plans", "static_plans", "static_progs", "stacked_static",
@@ -256,30 +258,56 @@ def _stack_probes(name: str, probes) -> Optional[_FusedRunSpec]:
     return None
 
 
-def _scalar_fallback(policy, view: _View, power, overhead):
-    """Per-point scalar-kernel loop for schemes the batch kernels skip.
+def _plan_scheme(policy, name: str, plans, power, overhead):
+    """How one scheme evaluates over a view's plans.
 
-    Mirrors the tail of ``_simulate_runs_compiled`` point by point (the
-    oracle's per-realization probing, or a custom scheme outside the
-    declared protocol), so fused sweeps never change *which* code
-    computes a scheme — only how the batchable ones are batched.
+    ``("fixed", speed)`` for a batch-constant fixed speed (stacked to a
+    per-point vector), ``("dynamic", spec)`` for a protocol-declared
+    dynamic scheme (its per-point probes stacked into one run spec), or
+    ``("scalar", probes)`` for the per-run scalar kernel (``probes`` is
+    ``None`` for a ``needs_realization`` scheme).  ``None`` when the
+    points mix fixed and dynamic shapes: no single kernel shape covers
+    the view, so the sweep punts to per-point evaluation.
+    """
+    speeds = [policy.batch_fixed_speed(p, power, overhead) for p in plans]
+    if all(s is not None for s in speeds):
+        return "fixed", _stack_values(speeds)
+    if any(s is not None for s in speeds):
+        return None
+    if policy.needs_realization:
+        return "scalar", None
+    probes = [policy.start_run(plan, power, overhead) for plan in plans]
+    if all(supports_dynamic_batch(pr, power) for pr in probes):
+        spec = _stack_probes(name, probes)
+        if spec is not None:
+            return "dynamic", spec
+    return "scalar", probes
+
+
+def _scalar_fallback(policy, probes, view: _View, power, overhead):
+    """Per-point scalar-kernel loop for schemes the batch kernels skip
+    (the oracle's per-realization probing, or a custom scheme outside
+    the declared protocol): ``(absolute, finish, changes)`` over the
+    view's run axis.
+
+    A point's probe serves all of its runs when it *declares* that it
+    mutates nothing during a simulation (``stateless``); any other run
+    object is started afresh per run.
     """
     needs_rl = policy.needs_realization
     total = view.matrix.shape[0]
     abs_arr = np.empty(total)
-    chg_arr = np.empty(total, dtype=float)
-    for p in range(len(view.plans)):
+    fin_arr = np.empty(total)
+    chg_arr = np.empty(total)
+    for p, plan in enumerate(view.plans):
         lo, hi = int(view.offsets[p]), int(view.offsets[p + 1])
-        plan = view.plans[p]
         batch = view.batches[p]
         kernel = CompiledKernel(view.progs[p], power, overhead)
         rows = view.matrix[lo:hi].tolist()
         choice_rows = batch.choice_rows()
         shared_run = None
-        if not needs_rl:
-            probe = policy.start_run(plan, power, overhead)
-            if probe.stateless:
-                shared_run = probe
+        if probes is not None and probes[p].stateless:
+            shared_run = probes[p]
         for i in range(hi - lo):
             if shared_run is not None:
                 run = shared_run
@@ -289,54 +317,15 @@ def _scalar_fallback(policy, view: _View, power, overhead):
                                        realization=rl)
             res = kernel.run(run, rows[i], choice_rows[i])
             abs_arr[lo + i] = res.total_energy
+            fin_arr[lo + i] = res.finish_time
             chg_arr[lo + i] = res.n_speed_changes
-    return abs_arr, chg_arr
+    return abs_arr, fin_arr, chg_arr
 
 
-def _eval_scheme(policy, name: str, view: _View, power, overhead):
-    """One scheme's (absolute, changes) over a view's whole run axis.
-
-    The fused mirror of the per-scheme dispatch in
-    ``_simulate_runs_compiled``: batch-constant fixed speeds (stacked to
-    a per-point vector), then the protocol-declared dynamic schemes,
-    then the scalar per-run fallback.
-    """
-    speeds = [policy.batch_fixed_speed(p, power, overhead)
-              for p in view.plans]
-    if all(s is not None for s in speeds):
-        speed = _stack_values(speeds)
-        res = run_fixed_batch(view.prog, power, overhead, view.matrix,
-                              view.groups, view.keys, speed, name,
-                              point_of=view.point_of)
-        per_point = np.asarray(res.n_speed_changes, dtype=float)
-        if per_point.ndim == 0:  # every point stacked to one scalar speed
-            changes = np.full(view.matrix.shape[0], float(per_point))
-        else:
-            changes = per_point[view.point_of]
-        return res.total_energy, changes
-    if any(s is not None for s in speeds):
-        # mixed fixed/dynamic across points: no single kernel shape
-        # covers the view — punt the whole sweep to per-point evaluation
-        return None
-    if not policy.needs_realization:
-        probes = [policy.start_run(plan, power, overhead)
-                  for plan in view.plans]
-        if all(supports_dynamic_batch(pr, power) for pr in probes):
-            spec = _stack_probes(name, probes)
-            if spec is not None:
-                res = run_dynamic_batch(view.prog, power, overhead,
-                                        view.matrix, view.groups,
-                                        view.keys, spec, name,
-                                        point_of=view.point_of)
-                return res.total_energy, res.n_speed_changes.astype(float)
-    return _scalar_fallback(policy, view, power, overhead)
-
-
-def _sub_grouping(groups, path_keys: List[str],
-                  spans: Sequence[Tuple[int, int]], total: int):
-    """``(sel, groups, keys)`` for the rows in ``spans`` (ascending,
-    disjoint ``[lo, hi)`` ranges) of a ``total``-run batch: the selected
-    row indices and their ``executed_paths`` grouping, derived from the
+def _sub_grouping(groups, spans: Sequence[Tuple[int, int]], total: int):
+    """``(sel, groups)`` for the rows in ``spans`` (ascending, disjoint
+    ``[lo, hi)`` ranges) of a ``total``-run batch: the selected row
+    indices and their ``executed_paths`` grouping, derived from the
     batch's own grouping instead of re-decoding the OR choices.
 
     Each group's run indices are remapped to positions within ``sel``
@@ -355,10 +344,148 @@ def _sub_grouping(groups, path_keys: List[str],
         if sub.size:
             sub_groups.append((path, sub))
     sub_groups.sort(key=lambda g: int(g[1][0]))
-    sub_keys: List[str] = []
-    for lo, hi in spans:
-        sub_keys.extend(path_keys[lo:hi])
-    return sel, sub_groups, sub_keys
+    return sel, sub_groups
+
+
+def _dyn_view(build: _FusedBuild, batches, matrix, groups, point_of,
+              offsets) -> _View:
+    """The dynamic programs' view of a sampled batch."""
+    if len(build.dyn_points) == len(build.plans):
+        # the common case: every point has a dynamic plan, and the
+        # dynamic program's section topology equals the static one's
+        # (same structure object), so the grouping carries over
+        return _View(build.stacked_dyn, build.dyn_plans, build.dyn_progs,
+                     batches, matrix, groups, point_of, offsets, None)
+    dyn_points = build.dyn_points
+    sel, sub_groups = _sub_grouping(
+        groups, [(offsets[i], offsets[i + 1]) for i in dyn_points],
+        matrix.shape[0])
+    sub_counts = [len(batches[i]) for i in dyn_points]
+    return _View(build.stacked_dyn, build.dyn_plans, build.dyn_progs,
+                 [batches[i] for i in dyn_points], matrix.take(sel, axis=0),
+                 sub_groups, np.repeat(np.arange(len(dyn_points)), sub_counts),
+                 np.concatenate(([0], np.cumsum(sub_counts))), sel)
+
+
+def _place(view: _View, npm_energy, npm_finish, absolute, finish, changes):
+    """A scheme's outputs over a view, spread over every run: runs
+    outside the view (points without a dynamic plan) ran like NPM, with
+    zero switches."""
+    if view.rows is None:
+        return absolute, finish, changes
+    a = npm_energy.copy()
+    f = npm_finish.copy()
+    c = np.zeros(npm_energy.size)
+    a[view.rows] = absolute
+    f[view.rows] = finish
+    c[view.rows] = changes
+    return a, f, c
+
+
+def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
+              offsets):
+    """Every scheme of a sampled batch — the one evaluator behind fused
+    sweeps, :func:`evaluate_batch` and through it
+    ``evaluate_application`` and the online stream.
+
+    NPM runs first (the fixed kernel without overhead): it is every
+    normalized energy's denominator, and what a scheme degrades to at a
+    point without a dynamic plan.  Every other scheme runs as
+    :func:`_plan_scheme` decides — one fixed-kernel call per fixed
+    speed, the scalar kernel per run — except the batchable dynamic
+    schemes, which are gathered per view into one stacked
+    :func:`~repro.sim.compiled.run_dynamic_batch` call.  Returns
+    ``(npm_energy, npm_finish, absolute, finish, changes)``, the last
+    three keyed by scheme in ``build.scheme_names`` order, or ``None``
+    when a scheme's shape punts the sweep to per-point evaluation.
+    """
+    power, overhead = build.power, build.overhead
+    total = matrix.shape[0]
+    base = run_fixed_batch(build.stacked_static, power, NO_OVERHEAD, matrix,
+                           groups, power.s_max, "NPM", point_of=point_of)
+    npm_energy, npm_finish = base.total_energy, base.finish_time
+    static_view = _View(build.stacked_static, build.static_plans,
+                        build.static_progs, batches, matrix, groups,
+                        point_of, offsets, None)
+    dyn_view: Optional[_View] = None
+    stacked: Dict[int, tuple] = {}  # id(view) -> (view, names, specs)
+    out: Dict[str, tuple] = {}
+    for name in build.scheme_names:
+        policy = get_policy(name)
+        if name == "NPM":
+            out[name] = (npm_energy.copy(), npm_finish.copy(),
+                         np.full(total, float(base.n_speed_changes)))
+            continue
+        if policy.requires_reserve and not build.dyn_points:
+            # DVS disabled at every point: the scheme runs like NPM
+            out[name] = (npm_energy.copy(), npm_finish.copy(),
+                         np.zeros(total))
+            continue
+        if policy.requires_reserve:
+            if dyn_view is None:
+                dyn_view = _dyn_view(build, batches, matrix, groups,
+                                     point_of, offsets)
+            view = dyn_view
+        else:
+            view = static_view
+        how = _plan_scheme(policy, name, view.plans, power, overhead)
+        if how is None:
+            return None
+        kind, arg = how
+        if kind == "dynamic":
+            entry = stacked.setdefault(id(view), (view, [], []))
+            entry[1].append(name)
+            entry[2].append(arg)
+            continue
+        if kind == "fixed":
+            res = run_fixed_batch(view.prog, power, overhead, view.matrix,
+                                  view.groups, arg, name,
+                                  point_of=view.point_of)
+            per_point = np.asarray(res.n_speed_changes, dtype=float)
+            if per_point.ndim == 0:  # every point shares one speed
+                chg = np.full(view.matrix.shape[0], float(per_point))
+            else:
+                chg = per_point[view.point_of]
+            got = (res.total_energy, res.finish_time, chg)
+        else:
+            got = _scalar_fallback(policy, arg, view, power, overhead)
+        out[name] = _place(view, npm_energy, npm_finish, *got)
+    for view, names, specs in stacked.values():
+        for res in run_dynamic_batch(view.prog, power, overhead,
+                                     view.matrix, view.groups, specs, names,
+                                     point_of=view.point_of):
+            out[res.scheme] = _place(view, npm_energy, npm_finish,
+                                     res.total_energy, res.finish_time,
+                                     res.n_speed_changes.astype(float))
+    names = build.scheme_names
+    return (npm_energy, npm_finish, {n: out[n][0] for n in names},
+            {n: out[n][1] for n in names}, {n: out[n][2] for n in names})
+
+
+def evaluate_batch(plan_dyn, plan_static, scheme_names: Sequence[str],
+                   power, overhead, batch):
+    """Every scheme on one point's sampled realization batch.
+
+    The compiled path of ``runner.evaluate_application`` (via
+    ``runner._simulate_runs_compiled``) and of the online stream: a
+    one-point :func:`_evaluate` on the plain compiled programs, no
+    point axis.  Returns ``(npm_energy, npm_finish, absolute, finish,
+    changes, path_keys)``, keyed by canonical scheme name.
+    """
+    names = tuple(dict.fromkeys(get_policy(n).name for n in scheme_names))
+    n = len(batch)
+    prog_static = compile_plan(plan_static)
+    dyn_plans = [] if plan_dyn is None else [plan_dyn]
+    dyn_progs = [compile_plan(p) for p in dyn_plans]
+    build = _FusedBuild(None, power, overhead, names,
+                        [(plan_dyn, plan_static)], [plan_static],
+                        [prog_static], prog_static,
+                        [0] if dyn_plans else [], dyn_plans, dyn_progs,
+                        dyn_progs[0] if dyn_progs else None)
+    matrix = prog_static.realization_matrix(batch)
+    groups, path_keys = prog_static.executed_paths(batch.choices, n)
+    return _evaluate(build, [batch], matrix, groups, None,
+                     np.array([0, n])) + (path_keys,)
 
 
 def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
@@ -373,15 +500,6 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
     over the covered rows, or ``None`` when a scheme's shape punts the
     sweep to per-point evaluation.
     """
-    n_points = len(configs)
-    power, overhead = build.power, build.overhead
-    scheme_names = build.scheme_names
-    static_plans = build.static_plans
-    static_progs = build.static_progs
-    stacked_static = build.stacked_static
-    dyn_points, dyn_plans = build.dyn_points, build.dyn_plans
-    dyn_progs, stacked_dyn = build.dyn_progs, build.stacked_dyn
-
     # per-point sampling from each config's own generator: the exact
     # stream evaluate_application draws, so fused results (and the cache
     # entries they fill) are interchangeable with per-point ones
@@ -397,76 +515,16 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
     counts = [len(b) for b in batches]
     offsets = np.concatenate(([0], np.cumsum(counts)))
     total = int(offsets[-1])
-    point_of = np.repeat(np.arange(n_points), counts)
+    point_of = np.repeat(np.arange(len(configs)), counts)
     matrix = np.vstack([prog.realization_matrix(b)
-                        for prog, b in zip(static_progs, batches)])
+                        for prog, b in zip(build.static_progs, batches)])
     choices = {name: np.concatenate([b.choices[name] for b in batches])
                for name in batches[0].choices}
-    groups, path_keys = stacked_static.executed_paths(choices, total)
-
-    static_view = _View(stacked_static, static_plans, static_progs,
-                        batches, matrix, groups, path_keys, point_of,
-                        offsets, np.arange(total))
-    dyn_view: Optional[_View] = None
-
-    def _build_dyn_view() -> _View:
-        if len(dyn_points) == n_points:
-            # the common case: every point has a dynamic plan, and the
-            # dynamic program's section topology equals the static one's
-            # (same structure object), so the grouping carries over
-            return _View(stacked_dyn, dyn_plans, dyn_progs, batches,
-                         matrix, groups, path_keys, point_of, offsets,
-                         np.arange(total))
-        sel, sub_groups, sub_keys = _sub_grouping(
-            groups, path_keys, [(offsets[i], offsets[i + 1])
-                                for i in dyn_points], total)
-        sub_counts = [counts[i] for i in dyn_points]
-        sub_offsets = np.concatenate(([0], np.cumsum(sub_counts)))
-        sub_matrix = matrix.take(sel, axis=0)
-        sub_point_of = np.repeat(np.arange(len(dyn_points)), sub_counts)
-        sub_batches = [batches[i] for i in dyn_points]
-        return _View(stacked_dyn, dyn_plans, dyn_progs, sub_batches,
-                     sub_matrix, sub_groups, sub_keys, sub_point_of,
-                     sub_offsets, sel)
-
-    base_res = run_fixed_batch(stacked_static, power, NO_OVERHEAD, matrix,
-                               groups, path_keys, power.s_max, "NPM",
-                               point_of=point_of)
-    npm_energy = base_res.total_energy
-    absolute = {}
-    changes = {}
-    for name in scheme_names:
-        policy = get_policy(name)
-        if name == "NPM":
-            absolute[name] = npm_energy.copy()
-            changes[name] = np.full(total, float(base_res.n_speed_changes))
-            continue
-        if policy.requires_reserve and not dyn_points:
-            # DVS disabled at every point: the scheme runs like NPM
-            absolute[name] = npm_energy.copy()
-            changes[name] = np.zeros(total)
-            continue
-        if policy.requires_reserve:
-            if dyn_view is None:
-                dyn_view = _build_dyn_view()
-            view = dyn_view
-        else:
-            view = static_view
-        out = _eval_scheme(policy, name, view, power, overhead)
-        if out is None:
-            return None
-        abs_v, chg_v = out
-        if view.rows.size == total:
-            absolute[name] = abs_v
-            changes[name] = chg_v
-        else:
-            # points without a dynamic plan run like NPM, zero switches
-            a = npm_energy.copy()
-            c = np.zeros(total)
-            a[view.rows] = abs_v
-            c[view.rows] = chg_v
-            absolute[name] = a
-            changes[name] = c
+    groups, path_keys = build.stacked_static.executed_paths(choices, total)
+    out = _evaluate(build, batches, matrix, groups, point_of, offsets)
+    if out is None:
+        return None
+    npm_energy, _npm_finish, absolute, _finish, changes = out
     return offsets, npm_energy, absolute, changes, path_keys
 
 
@@ -592,29 +650,20 @@ def _stateful_scalar_schemes(build: _FusedBuild) -> Optional[List[str]]:
     one scheme — the monolithic pass would punt those to per-point
     evaluation anyway.
     """
-    power, overhead = build.power, build.overhead
     stateful: List[str] = []
     for name in build.scheme_names:
         policy = get_policy(name)
-        if name == "NPM":
-            continue
-        if policy.requires_reserve and not build.dyn_points:
+        if name == "NPM" or (policy.requires_reserve
+                             and not build.dyn_points):
             continue
         plans = (build.dyn_plans if policy.requires_reserve
                  else build.static_plans)
-        speeds = [policy.batch_fixed_speed(p, power, overhead)
-                  for p in plans]
-        if all(s is not None for s in speeds):
-            continue
-        if any(s is not None for s in speeds):
+        how = _plan_scheme(policy, name, plans, build.power, build.overhead)
+        if how is None:
             return None
-        if policy.needs_realization:
-            continue
-        probes = [policy.start_run(p, power, overhead) for p in plans]
-        if all(supports_dynamic_batch(pr, power) for pr in probes) \
-                and _stack_probes(name, probes) is not None:
-            continue
-        if not all(pr.stateless for pr in probes):
+        kind, probes = how
+        if kind == "scalar" and probes is not None \
+                and not all(pr.stateless for pr in probes):
             stateful.append(name)
     return stateful
 

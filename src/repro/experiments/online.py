@@ -40,13 +40,11 @@ All admitted jobs share one graph and one relative deadline, so the
 stream compiles like a single evaluation point: one realization batch
 of ``n_admitted`` runs drawn from ``default_rng(seed)`` — *exactly*
 the batch :func:`~repro.experiments.runner.evaluate_application` draws
-for ``n_runs = n_admitted`` — executed per scheme through the batch
-kernels (:func:`~repro.sim.compiled.run_fixed_batch` /
-:func:`~repro.sim.compiled.run_dynamic_batch`, which also expose
-per-run finish times), with the scalar compiled kernel and the dict
-engine as fallbacks, mirroring the offline evaluator's dispatch
-exactly.  Each scheme then replays the FIFO ledger with its own
-realized durations: ``start_j = max(a_j, finish_{j-1})``.
+for ``n_runs = n_admitted`` — evaluated by the same one-point call
+(:func:`~repro.experiments.fused.evaluate_batch`, which also returns
+per-run finish times), or by the dict engine for ``engine="dict"``.
+Each scheme then replays the FIFO ledger with its own realized
+durations: ``start_j = max(a_j, finish_{j-1})``.
 
 The degenerate single-arrival stream (one job at t=0) is therefore
 bit-identical to ``evaluate_application(app, config.with_(n_runs=1))``
@@ -79,12 +77,12 @@ from ..sim.arrivals import (
     load_arrival_trace,
     make_arrival_process,
 )
-from ..sim.compiled import (
-    CompiledKernel,
+# evaluation goes through fused.evaluate_batch; perfbench/tracer.py
+# still wraps these names in every evaluation module
+from ..sim.compiled import (  # noqa: F401
     compile_plan,
     run_dynamic_batch,
     run_fixed_batch,
-    supports_dynamic_batch,
 )
 from ..sim.engine import simulate
 from ..sim.kernels import kernel_meta
@@ -97,6 +95,7 @@ from ..workloads.scaling import (
 )
 from . import faults
 from .engine import ExecutionContext
+from .fused import evaluate_batch
 from .parallel import map_custom
 from .runner import RunConfig, build_plans
 from .stats import summarize
@@ -313,94 +312,19 @@ def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
                          List[str]]:
     """Per-job energies, durations and switch counts for every scheme.
 
-    The finish-aware mirror of the offline evaluator's kernels: the
-    same dispatch order and the same kernel calls as
-    ``runner._simulate_runs_compiled`` / ``runner._simulate_runs`` (so
-    energies and switch counts are bit-identical to
-    :func:`~repro.experiments.runner.evaluate_application` on the same
-    batch), additionally returning each run's realized makespan — the
+    The offline evaluator itself: the compiled engine runs
+    :func:`~repro.experiments.fused.evaluate_batch`, the evaluation
+    ``runner._simulate_runs_compiled`` makes, and the dict engine its
+    reference mirror — so energies and switch counts are bit-identical
+    to :func:`~repro.experiments.runner.evaluate_application` on the
+    same batch — and also returns each run's realized makespan, the
     service time the FIFO ledger advances by.
     """
     if engine == "dict":
         return _run_jobs_dict(plan_dyn, plan_static, scheme_names, power,
                               overhead, batch)
-    policies: Dict[str, SpeedPolicy] = {}
-    for name in scheme_names:
-        policy = get_policy(name)
-        policies[policy.name] = policy
-
-    n = len(batch)
-    prog_static = compile_plan(plan_static)
-    prog_dyn = compile_plan(plan_dyn) if plan_dyn is not None else None
-    matrix = prog_static.realization_matrix(batch)
-    groups, path_keys = prog_static.executed_paths(batch.choices, n)
-
-    base = run_fixed_batch(prog_static, power, NO_OVERHEAD, matrix,
-                           groups, path_keys, power.s_max, "NPM")
-    npm_energy = base.total_energy
-    npm_finish = base.finish_time
-    absolute: Dict[str, np.ndarray] = {}
-    finish: Dict[str, np.ndarray] = {}
-    changes: Dict[str, np.ndarray] = {}
-    rows = None
-    choice_rows = None
-    for name, policy in policies.items():
-        if name == "NPM":
-            absolute[name] = npm_energy.copy()
-            finish[name] = npm_finish.copy()
-            changes[name] = np.full(n, float(base.n_speed_changes))
-            continue
-        if policy.requires_reserve and plan_dyn is None:
-            # DVS disabled at this load: the scheme runs like NPM
-            absolute[name] = npm_energy.copy()
-            finish[name] = npm_finish.copy()
-            changes[name] = np.zeros(n)
-            continue
-        plan = plan_dyn if policy.requires_reserve else plan_static
-        prog = prog_dyn if policy.requires_reserve else prog_static
-        speed = policy.batch_fixed_speed(plan, power, overhead)
-        if speed is not None:
-            res = run_fixed_batch(prog, power, overhead, matrix, groups,
-                                  path_keys, speed, name)
-            absolute[name] = res.total_energy
-            finish[name] = res.finish_time
-            changes[name] = np.full(n, float(res.n_speed_changes))
-            continue
-        needs_rl = policy.needs_realization
-        probe = None
-        if not needs_rl:
-            probe = policy.start_run(plan, power, overhead)
-            if supports_dynamic_batch(probe, power):
-                res = run_dynamic_batch(prog, power, overhead, matrix,
-                                        groups, path_keys, probe, name)
-                absolute[name] = res.total_energy
-                finish[name] = res.finish_time
-                changes[name] = res.n_speed_changes.astype(float)
-                continue
-        if rows is None:  # lazily, only if a per-run scheme is present
-            rows = matrix.tolist()
-            choice_rows = batch.choice_rows()
-        kernel = CompiledKernel(prog, power, overhead)
-        abs_arr = np.empty(n)
-        fin_arr = np.empty(n)
-        chg_arr = np.empty(n, dtype=float)
-        shared_run = probe if (probe is not None and probe.stateless) \
-            else None
-        for i in range(n):
-            if shared_run is not None:
-                run = shared_run
-            else:
-                rl = batch.realization(i) if needs_rl else None
-                run = policy.start_run(plan, power, overhead,
-                                       realization=rl)
-            res = kernel.run(run, rows[i], choice_rows[i])
-            abs_arr[i] = res.total_energy
-            fin_arr[i] = res.finish_time
-            chg_arr[i] = res.n_speed_changes
-        absolute[name] = abs_arr
-        finish[name] = fin_arr
-        changes[name] = chg_arr
-    return npm_energy, npm_finish, absolute, finish, changes, path_keys
+    return evaluate_batch(plan_dyn, plan_static, scheme_names, power,
+                          overhead, batch)
 
 
 def _run_jobs_dict(plan_dyn: Optional[OfflinePlan],

@@ -42,12 +42,12 @@ from ..graph.andor import Application
 from ..offline.plan import OfflinePlan, build_plan
 from ..power.model import PowerModel, make_power_model
 from ..power.overhead import NO_OVERHEAD, PAPER_OVERHEAD, OverheadModel
-from ..sim.compiled import (
-    CompiledKernel,
+# evaluation goes through fused.evaluate_batch; perfbench/tracer.py
+# still wraps these names in every evaluation module
+from ..sim.compiled import (  # noqa: F401
     compile_plan,
     run_dynamic_batch,
     run_fixed_batch,
-    supports_dynamic_batch,
 )
 from ..sim.engine import simulate
 from ..sim.realization import (
@@ -354,88 +354,19 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
                                        Dict[str, np.ndarray], List[str]]:
     """The compiled-engine counterpart of :func:`_simulate_runs`.
 
-    Bit-identical outputs, different execution strategy: the realization
-    batch stays in the matrix form it was sampled as, NPM/SPM (and any
-    other batch-constant fixed speed) go through the vectorized
-    fixed-speed path, the protocol-declared dynamic schemes (GSS, SS1,
-    SS2, AS, PS on a discrete power model) go through the vectorized
-    dynamic path, and anything else runs the scalar compiled kernel per
-    run — no per-run dict materialization anywhere except for schemes
-    that declare ``needs_realization`` (the oracle).
+    Bit-identical outputs, different execution strategy: the batch
+    stays in the matrix form it was sampled as and goes through the
+    one evaluator of :mod:`repro.experiments.fused` as a one-point call
+    (:func:`~repro.experiments.fused.evaluate_batch`) — NPM/SPM through
+    the fixed-speed batch kernel, the protocol-declared dynamic schemes
+    (GSS, SS1, SS2, AS, PS on a discrete power model) through one
+    stacked dynamic batch call, and anything else through the scalar
+    compiled kernel per run.
     """
-
-    policies: Dict[str, SpeedPolicy] = {}
-    for name in scheme_names:
-        policy = get_policy(name)
-        policies[policy.name] = policy
-
-    n = len(batch)
-    prog_static = compile_plan(plan_static)
-    prog_dyn = compile_plan(plan_dyn) if plan_dyn is not None else None
-    matrix = prog_static.realization_matrix(batch)
-    groups, path_keys = prog_static.executed_paths(batch.choices, n)
-
-    base = run_fixed_batch(prog_static, power, NO_OVERHEAD, matrix,
-                           groups, path_keys, power.s_max, "NPM")
-    npm_energy = base.total_energy
-    absolute: Dict[str, np.ndarray] = {}
-    changes: Dict[str, np.ndarray] = {}
-    rows = None
-    choice_rows = None
-    for name, policy in policies.items():
-        if name == "NPM":
-            absolute[name] = npm_energy.copy()
-            changes[name] = np.full(n, float(base.n_speed_changes))
-            continue
-        if policy.requires_reserve and plan_dyn is None:
-            # DVS disabled at this load: the scheme runs like NPM
-            absolute[name] = npm_energy.copy()
-            changes[name] = np.zeros(n)
-            continue
-        plan = plan_dyn if policy.requires_reserve else plan_static
-        prog = prog_dyn if policy.requires_reserve else prog_static
-        speed = policy.batch_fixed_speed(plan, power, overhead)
-        if speed is not None:
-            res = run_fixed_batch(prog, power, overhead, matrix, groups,
-                                  path_keys, speed, name)
-            absolute[name] = res.total_energy
-            changes[name] = np.full(n, float(res.n_speed_changes))
-            continue
-        needs_rl = policy.needs_realization
-        probe = None
-        if not needs_rl:
-            probe = policy.start_run(plan, power, overhead)
-            if supports_dynamic_batch(probe, power):
-                res = run_dynamic_batch(prog, power, overhead, matrix,
-                                        groups, path_keys, probe, name)
-                absolute[name] = res.total_energy
-                changes[name] = res.n_speed_changes.astype(float)
-                continue
-        if rows is None:  # lazily, only if a per-run scheme is present
-            rows = matrix.tolist()
-            choice_rows = batch.choice_rows()
-        kernel = CompiledKernel(prog, power, overhead)
-        abs_arr = np.empty(n)
-        chg_arr = np.empty(n, dtype=float)
-        shared_run = None
-        if probe is not None and probe.stateless:
-            # the run *declares* it mutates nothing during a simulation,
-            # so one object serves every run.  (This used to be inferred
-            # from "does not override on_or_fired", which silently
-            # shared runs whose state is touched by any other hook.)
-            shared_run = probe
-        for i in range(n):
-            if shared_run is not None:
-                run = shared_run
-            else:
-                rl = batch.realization(i) if needs_rl else None
-                run = policy.start_run(plan, power, overhead,
-                                       realization=rl)
-            res = kernel.run(run, rows[i], choice_rows[i])
-            abs_arr[i] = res.total_energy
-            chg_arr[i] = res.n_speed_changes
-        absolute[name] = abs_arr
-        changes[name] = chg_arr
+    from .fused import evaluate_batch  # fused imports this module
+    npm_energy, _npm_finish, absolute, _finish, changes, path_keys = \
+        evaluate_batch(plan_dyn, plan_static, scheme_names, power,
+                       overhead, batch)
     return npm_energy, absolute, changes, path_keys
 
 

@@ -20,16 +20,18 @@ interchangeable kernels:
   over the program's lowered tape and re-exported here.  They evaluate
   NPM/SPM and GSS/SS1/SS2/AS/PS for an entire ``(n_runs, n_tasks)``
   realization matrix: runs are grouped by executed path and every
-  dispatch step is one NumPy operation across the whole group, so the
-  per-run Python loop disappears.  NPM is the denominator of every
-  normalized energy, so the fixed kernel touches every run.
+  dispatch step is one NumPy operation across a block of the group, so
+  the per-run Python loop disappears.  The dynamic kernel takes every
+  batchable scheme at once, stacked on the row axis.  NPM is the
+  denominator of every normalized energy, so the fixed kernel touches
+  every run.
 
 Both batch kernels also accept a :class:`~repro.sim.sweepc.
 StackedProgram` plus a ``point_of`` run→point index, executing a whole
 *sweep* of structurally identical points as one fused
 ``(points × runs)`` batch (see :mod:`repro.sim.sweepc` and
 :mod:`repro.experiments.fused`); per-point constants are gathered per
-path group, so fused outputs stay bit-identical to per-point runs.
+block, so fused outputs stay bit-identical to per-point runs.
 
 **Bit-identity contract.**  Both kernels perform float operations in
 exactly the order of :func:`repro.sim.engine.simulate` — the same

@@ -8,21 +8,43 @@ across the group.  Both iterate the program's
 :class:`~repro.sim.kernels.tape.SectionTape` rather than per-entry
 Python tuples.
 
-**Entries-major layout.**  Every per-group buffer keeps the group's
-runs on its *last* axis, so each per-entry read or write is a
+**Kernel rows and the scheme axis.**  A fixed-kernel row is one run.
+:func:`run_dynamic_batch` takes several dynamic schemes at once and
+stacks them on the row axis, *scheme-major*: within a block of ``nb``
+runs, scheme ``s`` of run ``r`` is row ``s * nb + r``.  Each row carries
+its scheme's floor as a step triple ``(lo, hi, θ)`` — the floor is
+``lo`` before ``θ`` and ``hi`` from then on.  SS2 keeps its declared
+step; a constant floor ``fc`` is ``(fc, fc, +inf)``, which selects
+``fc`` at every finite time.  At each OR firing the rows of a scheme
+that re-speculates (``or_respec`` "average" or "worst") get ``lo = hi
+=`` the re-speculated level.  The path block, the WCET check and the
+per-point constant gathers run once per block for every scheme, and
+each scheme's outputs come back as its own
+:class:`DynamicBatchResult`, in request order.
+
+**Row blocks.**  Both kernels split every path group into consecutive
+blocks of at most :data:`BLOCK_ROWS` kernel rows — runs for the fixed
+kernel, schemes × runs for the dynamic one — so the per-block buffers
+stay cache-sized however large the batch or the scheme list is.  Every
+row's computation depends on its own row only, so blocking changes no
+float.
+
+**Entries-major layout.**  Every per-block buffer keeps the block's
+rows on its *last* axis, so each per-entry read or write is a
 contiguous row:
 
-* the realization columns of a path group are read with one flat
-  gather, ``matrix.ravel().take(cols[:, None] + idx * n_cols)``, which
-  yields the ``(n_cols, ng)`` block of exactly the path's
-  computation-entry columns (never the full ``matrix[idx]`` row copy);
-* the finishes buffer ``fin`` is ``(n_slots, ng)``: predecessor
+* the realization columns of a block are read with one flat gather,
+  ``matrix.ravel().take(cols[:, None] + idx * n_cols)``, which yields
+  the ``(n_cols, nb)`` block of exactly the path's computation-entry
+  columns (never the full ``matrix[idx]`` row copy), tiled across the
+  schemes by the dynamic kernel;
+* the finishes buffer ``fin`` is ``(n_slots, rows)``: predecessor
   readiness is a row read (one ``np.maximum`` against the single
   predecessor) or a row gather + ``max(axis=0)`` for joins;
 * the processor state ``proc_free`` (and the dynamic kernel's level
-  index ``proc_idx``) is one flat ``(m * ng,)`` array, processor ``j``
-  of run ``r`` at ``j * ng + r``, viewed as ``(m, ng)`` for the
-  minimum; get and set are a ``take`` and an index store on that
+  index ``proc_idx``) is one flat ``(m * rows,)`` array, processor
+  ``j`` of row ``r`` at ``j * rows + r``, viewed as ``(m, rows)`` for
+  the minimum; get and set are a ``take`` and an index store on that
   flat index;
 * a stacked section's per-point constants are gathered for *all*
   entries at once (``c_pt.take(pt, axis=1)``).
@@ -36,7 +58,7 @@ a scalar dict-engine run; the golden suites
 
 * the predecessor reduction ``max(a, max(b, c))`` is exact and
   associative on floats, so it matches the engine's running ``max``;
-* :func:`_first_min` takes the column minimum of ``(m, ng)`` and
+* :func:`_first_min` takes the column minimum of ``(m, rows)`` and
   counts the leading processors strictly above it: the first minimal
   processor, i.e. the engine's first-idle, lowest-id
   ``min(range(m), key=...)`` tie-break, and its free time (the
@@ -61,31 +83,34 @@ a scalar dict-engine run; the golden suites
 **Fused sweeps.**  ``prog`` may be a
 :class:`~repro.sim.sweepc.StackedProgram` covering several sweep
 points at once; ``point_of`` is then the ``(n_runs,)`` point index of
-every row of ``matrix``, and ``speed`` (fixed kernel) or the run's
+every row of ``matrix``, and ``speed`` (fixed kernel) or the runs'
 protocol attributes ``floor_const``/``floor_step`` (dynamic kernel)
 may hold ``(n_points,)`` vectors.  Per-point constants are gathered
-into each path group, so every run computes with exactly its own
-point's floats — fused outputs are bit-identical to evaluating the
-points one program at a time.
+into each block, so every run computes with exactly its own point's
+floats — fused outputs are bit-identical to evaluating the points one
+program at a time.
 
 **Errors.**  Invalid batches raise the engine's error classes and
-messages, in *path-group* order rather than run order.  The WCET guard
-runs once per path group over every computation entry on the path:
-an actual time is valid in ``[0, c * (1 + 1e-9)]`` (the guard products
-precomputed on the tape), so a NaN, a negative or an over-WCET actual
-trips it.  On violation the sections are re-scanned in path order, over
-``matrix[idx]`` (built only then), so the error names the first entry in
-path order with any violating run, and the first violating run within
-the group.  Because that check precedes the group's dispatch loop, a
-group holding both a WCET violation and a guarantee violation reports
-the WCET error.  Realization sampling clips actuals into ``(0, WCET]``,
-so this defensive path never fires on sampler-produced batches.
+messages, in *block* order (path groups in order, each group's blocks
+in run order) rather than run order; within a block, an error names
+the first violating row in scheme-major order, and a dynamic-kernel
+error names that row's scheme.  The WCET guard runs once per block
+over every computation entry on the path: an actual time is valid in
+``[0, c * (1 + 1e-9)]`` (the guard products precomputed on the tape),
+so a NaN, a negative or an over-WCET actual trips it.  On violation
+the sections are re-scanned in path order, over ``matrix[idx]`` (built
+only then), so the error names the first entry in path order with any
+violating run, and the first violating run within the block.  Because
+that check precedes the block's dispatch loop, a block holding both a
+WCET violation and a guarantee violation reports the WCET error.
+Realization sampling clips actuals into ``(0, WCET]``, so this
+defensive path never fires on sampler-produced batches.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,16 +121,18 @@ from .tape import build_tape
 
 _EPS = 1e-9
 
+#: most kernel rows one block of a path group holds (runs for the fixed
+#: kernel, schemes × runs for the dynamic one)
+BLOCK_ROWS = 16384
+
 
 class FixedBatchResult:
     """Per-run outputs of one vectorized fixed-speed batch simulation."""
 
-    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes",
-                 "path_keys")
+    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes")
 
     def __init__(self, scheme: str, total_energy: np.ndarray,
-                 finish_time: np.ndarray, n_speed_changes,
-                 path_keys: List[str]):
+                 finish_time: np.ndarray, n_speed_changes):
         self.scheme = scheme
         self.total_energy = total_energy
         self.finish_time = finish_time
@@ -113,33 +140,29 @@ class FixedBatchResult:
         #: an int, or an ``(n_points,)`` int array when the batch was a
         #: fused sweep with one fixed speed per point
         self.n_speed_changes = n_speed_changes
-        self.path_keys = path_keys
 
 
 class DynamicBatchResult:
-    """Per-run outputs of one vectorized dynamic-scheme batch simulation."""
+    """Per-run outputs of one scheme of a dynamic batch simulation."""
 
-    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes",
-                 "path_keys")
+    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes")
 
     def __init__(self, scheme: str, total_energy: np.ndarray,
-                 finish_time: np.ndarray, n_speed_changes: np.ndarray,
-                 path_keys: List[str]):
+                 finish_time: np.ndarray, n_speed_changes: np.ndarray):
         self.scheme = scheme
         self.total_energy = total_energy
         self.finish_time = finish_time
         #: switches per run, as an int array (runs differ)
         self.n_speed_changes = n_speed_changes
-        self.path_keys = path_keys
 
 
 def _gather(value, pt):
-    """One group's values of a possibly per-point constant.
+    """One block's values of a possibly per-point constant.
 
     Scalars pass through unchanged (the non-fused path, and stacked
     constants that every point agrees on — broadcasting then performs
     the exact scalar operation); a stacked ``(n_points,)`` vector is
-    gathered by the group's per-run point indices ``pt``.
+    gathered by the block's per-run point indices ``pt``.
     """
     if isinstance(value, np.ndarray):
         return value.take(pt)
@@ -151,6 +174,25 @@ def _at(value, k):
     if isinstance(value, np.ndarray):
         return value[k]
     return value
+
+
+def _scheme_rows(values, nb: int) -> np.ndarray:
+    """One value per scheme (a scalar or an ``(nb,)`` per-run vector),
+    laid out on the scheme-major row axis."""
+    if not any(isinstance(v, np.ndarray) for v in values):
+        return np.repeat(np.asarray(values, dtype=float), nb)
+    return np.concatenate([np.broadcast_to(np.asarray(v, dtype=float),
+                                           (nb,)) for v in values])
+
+
+def _blocks(tape, groups, size: int):
+    """Every path group in consecutive blocks of at most ``size`` runs:
+    ``(path, idx, wcet)`` per block, ``wcet`` being the path's cached
+    :meth:`~repro.sim.kernels.tape.ProgramTape.path_wcet` arrays."""
+    for path, idx in groups:
+        wcet = tape.path_wcet(path)
+        for lo in range(0, idx.size, size):
+            yield path, idx[lo:lo + size], wcet
 
 
 def _first_min(pf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,14 +216,14 @@ def _first_min(pf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _check_wcet(st, block: np.ndarray,
                 c_all: Optional[np.ndarray]) -> None:
-    """One whole-section WCET check over a group's ``(ng, n_tasks)``
+    """One whole-section WCET check over a block's ``(nb, n_tasks)``
     realization rows ``block``.
 
     An actual time is valid in ``[0, c * (1 + 1e-9)]``; the guard
     products are precomputed on the tape for the scalar case, so the
     comparisons are float-for-float the dict engine's.  On violation
     the raised error names the first entry in entry order with any
-    invalid run and the first invalid run within the group, with the
+    invalid run and the first invalid run within the block, with the
     engine's message.
     """
     act = block[:, st.comp_cols]
@@ -200,7 +242,7 @@ def _check_wcet(st, block: np.ndarray,
 
 def _path_block(flat: np.ndarray, n_cols: int, cols: np.ndarray,
                 idx: np.ndarray) -> np.ndarray:
-    """The ``(len(cols), ng)`` entries-major block of a path group's
+    """The ``(len(cols), nb)`` entries-major block of a block's
     realization columns, in one flat gather."""
     return flat.take(cols[:, None] + idx * n_cols)
 
@@ -208,7 +250,7 @@ def _path_block(flat: np.ndarray, n_cols: int, cols: np.ndarray,
 def _precheck(tape, path, guard, g_pt, act_path: np.ndarray,
               matrix: np.ndarray, idx: np.ndarray,
               pt: Optional[np.ndarray]) -> None:
-    """One WCET check for a whole path group; on violation re-scan the
+    """One WCET check for a whole block; on violation re-scan the
     sections in path order so the error names the first invalid entry
     (see the module docstring)."""
     if g_pt is not None and pt is not None:
@@ -230,15 +272,14 @@ def _precheck(tape, path, guard, g_pt, act_path: np.ndarray,
 
 def run_fixed_batch(prog, power: PowerModel,
                     overhead: OverheadModel, matrix: np.ndarray,
-                    groups, path_keys: List[str], speed,
-                    scheme: str,
+                    groups, speed, scheme: str,
                     check_deadline: bool = True,
                     point_of: Optional[np.ndarray] = None
                     ) -> FixedBatchResult:
     """Vectorized fixed-speed simulation of a whole realization batch.
 
     ``matrix`` is the ``(n_runs, n_tasks)`` actual-time matrix in
-    program column order and ``groups``/``path_keys`` the output of
+    program column order and ``groups`` the run grouping of
     :meth:`~repro.sim.compiled.CompiledPlan.executed_paths`.  Every
     per-run output is bit-identical to a scalar dict-engine simulation
     at ``speed``; for a fused sweep (``prog`` a stacked program,
@@ -246,7 +287,7 @@ def run_fixed_batch(prog, power: PowerModel,
     ``(n_points,)`` vector of per-point fixed speeds, and every derived
     preamble constant is computed with the same scalar formulas,
     selected per point.  See the module docstring for the layout,
-    bit-identity, fused-sweep and error-selection contract.
+    blocking, bit-identity, fused-sweep and error-selection contract.
     """
     tape = build_tape(prog)
     n, n_cols = matrix.shape
@@ -275,7 +316,8 @@ def run_fixed_batch(prog, power: PowerModel,
     total_energy = np.empty(n)
     finish_time = np.empty(n)
 
-    for path, idx in groups:
+    for path, idx, (cols, offs, guard, g_pt) in _blocks(tape, groups,
+                                                        BLOCK_ROWS):
         ng = idx.size
         rows = np.arange(ng)
         pt = point_of.take(idx) if point_of is not None else None
@@ -300,7 +342,6 @@ def run_fixed_batch(prog, power: PowerModel,
         busy_time = np.zeros(ng)
         e_busy = np.zeros(ng)
 
-        cols, offs, guard, g_pt = tape.path_wcet(path)
         if cols.size:
             act_path = _path_block(flat, n_cols, cols, idx)
             _precheck(tape, path, guard, g_pt, act_path, matrix, idx, pt)
@@ -376,8 +417,7 @@ def run_fixed_batch(prog, power: PowerModel,
         total_energy[idx] = e_busy + e_idle + eo_g
         finish_time[idx] = t_end
 
-    return FixedBatchResult(scheme, total_energy, finish_time, n_changes,
-                            list(path_keys))
+    return FixedBatchResult(scheme, total_energy, finish_time, n_changes)
 
 
 # one errstate for the whole kernel instead of one context per entry
@@ -386,29 +426,35 @@ def run_fixed_batch(prog, power: PowerModel,
 @np.errstate(divide="ignore", invalid="ignore")
 def run_dynamic_batch(prog, power: PowerModel,
                       overhead: OverheadModel, matrix: np.ndarray,
-                      groups, path_keys: List[str], policy_run,
-                      scheme: str,
+                      groups, runs: Sequence, schemes: Sequence[str],
                       check_deadline: bool = True,
                       point_of: Optional[np.ndarray] = None
-                      ) -> DynamicBatchResult:
-    """Vectorized dynamic-scheme simulation of a whole realization batch.
+                      ) -> List[DynamicBatchResult]:
+    """Vectorized simulation of several dynamic schemes over one batch.
 
     The dynamic counterpart of :func:`run_fixed_batch` for the schemes
-    that :func:`~repro.sim.compiled.supports_dynamic_batch` accepts.
-    Each processor's current speed is tracked as an *index* into the
-    discrete level table, so the per-level speed-computation time and
-    power draw become single gathers; the greedy required speed, the
-    floor, the snap-up (``searchsorted`` with the same ``1e-12``
-    epsilon as ``DiscretePowerModel.snap_up``) and the switch
-    bookkeeping are one NumPy operation each across a path group.
+    that :func:`~repro.sim.compiled.supports_dynamic_batch` accepts:
+    ``runs[i]`` is scheme ``schemes[i]``'s protocol run, and the result
+    is one :class:`DynamicBatchResult` per scheme, in request order.
+    Every scheme sees the same realization rows, stacked on the row axis
+    (see the module docstring).  Each processor's current speed is
+    tracked as an *index* into the discrete level table, so the
+    per-level speed-computation time and power draw become single
+    gathers; the greedy required speed, the floor, the snap-up
+    (``searchsorted`` with the same ``1e-12`` epsilon as
+    ``DiscretePowerModel.snap_up``) and the switch bookkeeping are one
+    NumPy operation each across a block.
 
-    ``policy_run`` is consulted only for its protocol attributes
+    Each run is consulted only for its protocol attributes
     (``floor_const``/``floor_step``/``or_respec``) and is not mutated;
     for a fused sweep those attributes may hold ``(n_points,)``
-    vectors, gathered per group like the program's per-entry constants
+    vectors, gathered per block like the program's per-entry constants
     and branch statistics.  See the module docstring for the layout,
-    bit-identity, fused-sweep and error-selection contract.
+    blocking, bit-identity, fused-sweep and error-selection contract.
     """
+    n_s = len(runs)
+    if not n_s:
+        return []
     tape = build_tape(prog)
     n, n_cols = matrix.shape
     flat = np.ascontiguousarray(matrix).reshape(-1)
@@ -421,28 +467,40 @@ def run_dynamic_batch(prog, power: PowerModel,
     n_lv = speeds_arr.size
     pow_arr = power.level_power_table()
     tc_arr = overhead.computation_time_table(power)
+    # the speed-computation energy per level: the product the engine
+    # forms, taken once per level instead of once per entry
+    e_tc_arr = pow_arr * tc_arr
     adjust_time = overhead.adjust_time
     adj_energy = overhead.adjustment_energy(power)
     idle_power = power.idle_power
 
-    fc = policy_run.floor_const
-    step = policy_run.floor_step
-    respec = policy_run.or_respec
+    # every scheme's floor as a (lo, hi, theta) step; a declared step
+    # holds for the whole run, so only a constant floor re-speculates
+    floors = [run.floor_step if run.floor_step is not None
+              else (run.floor_const, run.floor_const, math.inf)
+              for run in runs]
+    has_step = any(run.floor_step is not None for run in runs)
+    respec = [(s, run.or_respec) for s, run in enumerate(runs)
+              if run.floor_step is None and run.or_respec is not None]
 
-    total_energy = np.empty(n)
-    finish_time = np.empty(n)
-    n_changes = np.empty(n, dtype=np.int64)
+    total_energy = np.empty((n_s, n))
+    finish_time = np.empty((n_s, n))
+    n_changes = np.empty((n_s, n), dtype=np.int64)
 
-    for path, idx in groups:
-        ng = idx.size
+    for path, idx, (cols, offs, guard, g_pt) in _blocks(
+            tape, groups, max(1, BLOCK_ROWS // n_s)):
+        nb = idx.size
+        ng = n_s * nb
         rows = np.arange(ng)
         pt = point_of.take(idx) if point_of is not None else None
-        fc_g = _gather(fc, pt)
-        if step is not None:
-            f_lo_g = _gather(step[0], pt)
-            f_hi_g = _gather(step[1], pt)
-            theta_g = _gather(step[2], pt)
-        dl_g = _gather(deadline, pt)
+        pt_rows = np.tile(pt, n_s) if pt is not None else None
+        f_lo = _scheme_rows([_gather(f[0], pt) for f in floors], nb)
+        if has_step:
+            f_hi = _scheme_rows([_gather(f[1], pt) for f in floors], nb)
+            theta = _scheme_rows([_gather(f[2], pt) for f in floors], nb)
+        dl_b = _gather(deadline, pt)
+        dl_g = (np.tile(dl_b, n_s) if isinstance(dl_b, np.ndarray)
+                else dl_b)
         fin = np.empty((prog.n_slots, ng))
         proc_free = np.zeros(m * ng)
         pf = proc_free.reshape(m, ng)
@@ -454,19 +512,19 @@ def run_dynamic_batch(prog, power: PowerModel,
         e_busy = np.zeros(ng)
         e_over = np.zeros(ng)
         changes = np.zeros(ng, dtype=np.int64)
-        fl_vec = None
         t_end = np.zeros(ng)
 
-        cols, offs, guard, g_pt = tape.path_wcet(path)
         if cols.size:
             act_path = _path_block(flat, n_cols, cols, idx)
             _precheck(tape, path, guard, g_pt, act_path, matrix, idx, pt)
+            if n_s > 1:
+                act_path = np.tile(act_path, n_s)
 
         for pos, sid in enumerate(path):
             st = tape.sections[sid]
             stacked = st.c_pt is not None and pt is not None
-            c_all = st.c_pt.take(pt, axis=1) if stacked else None
-            fb_all = st.fb_pt.take(pt, axis=1) if stacked else None
+            c_all = st.c_pt.take(pt_rows, axis=1) if stacked else None
+            fb_all = st.fb_pt.take(pt_rows, axis=1) if stacked else None
             off = offs[pos]
             sec_max = None
             for e, (is_and, gid, col, pred, crel) in enumerate(st.steps):
@@ -505,19 +563,15 @@ def run_dynamic_batch(prog, power: PowerModel,
                 avail = fb_g - t - t_comp
                 denom = avail - adjust_time
                 s_req = np.where(denom > 0, c_g / denom, math.inf)
-                if step is not None:
-                    fl = np.where(t < theta_g, f_lo_g, f_hi_g)
-                elif fl_vec is not None:
-                    fl = fl_vec
-                else:
-                    fl = fc_g
+                fl = np.where(t < theta, f_lo, f_hi) if has_step else f_lo
                 target = np.maximum(s_req, fl)
                 if target.max() > s_max_guard:
                     k = int(np.argmax(target > s_max_guard))
                     raise SimulationError(
                         f"guarantee violated for {st.names[e]!r}: required "
                         f"speed {target[k]:.6g} exceeds maximum "
-                        f"(t={t[k]:.6g}, bound={_at(fb_g, k):.6g})")
+                        f"(t={t[k]:.6g}, bound={_at(fb_g, k):.6g}) "
+                        f"under scheme {schemes[k // nb]!r}")
                 # the engine snaps min(target, s_max); a target in
                 # (s_max, s_max_guard] already lands past the top level,
                 # and the upper clamp maps it there.  searchsorted never
@@ -534,7 +588,7 @@ def run_dynamic_batch(prog, power: PowerModel,
                 t_adj = changed * adjust_time
                 start_exec = t + t_comp + t_adj
                 overhead_time += t_comp
-                e_over += pow_arr.take(si) * t_comp
+                e_over += e_tc_arr.take(si)
                 overhead_time += t_adj
                 e_over += changed * adj_energy
                 changes += changed
@@ -557,20 +611,25 @@ def run_dynamic_batch(prog, power: PowerModel,
             t_section = t_end
             last_dispatch = t_end
             pf[:] = t_end
-            if respec is not None and pos + 1 < len(path):
+            if respec and pos + 1 < len(path):
                 # branch stats stay on the program (not the tape): the
                 # respec floor is per OR firing, outside the entry loop
-                sec = prog.sections[sid]
-                worst, average = sec.branch_stats[path[pos + 1]]
-                work = _gather(average if respec == "average" else worst,
-                               pt)
-                horizon = dl_g - t_end
-                raw = work / horizon
-                want = np.minimum(raw, s_max)
-                snap_idx = speeds_arr.searchsorted(want - 1e-12,
-                                                   side="left")
-                np.minimum(snap_idx, n_lv - 1, out=snap_idx)
-                fl_vec = np.where(horizon > 0, speeds_arr[snap_idx], s_max)
+                worst, average = prog.sections[sid].branch_stats[
+                    path[pos + 1]]
+                for s, mode in respec:
+                    sl = slice(s * nb, (s + 1) * nb)
+                    work = _gather(average if mode == "average" else worst,
+                                   pt)
+                    horizon = dl_b - t_end[sl]
+                    raw = work / horizon
+                    want = np.minimum(raw, s_max)
+                    snap_idx = speeds_arr.searchsorted(want - 1e-12,
+                                                       side="left")
+                    np.minimum(snap_idx, n_lv - 1, out=snap_idx)
+                    f_lo[sl] = np.where(horizon > 0, speeds_arr[snap_idx],
+                                        s_max)
+                    if has_step:
+                        f_hi[sl] = f_lo[sl]
 
         if check_deadline:
             late = t_end > dl_g * (1 + 1e-9) + _EPS
@@ -578,7 +637,7 @@ def run_dynamic_batch(prog, power: PowerModel,
                 k = int(np.argmax(late))
                 raise DeadlineMissError(float(t_end[k]),
                                         float(_at(dl_g, k)),
-                                        scheme=scheme)
+                                        scheme=schemes[k // nb])
         window = m * np.maximum(dl_g, t_end)
         idle_time = window - busy_time - overhead_time
         if isinstance(dl_g, np.ndarray):
@@ -590,11 +649,13 @@ def run_dynamic_batch(prog, power: PowerModel,
             k = int(np.argmax(bad))
             raise SimulationError(
                 f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
-                f"overhead={overhead_time[k]}, window={window[k]}")
+                f"overhead={overhead_time[k]}, window={window[k]} "
+                f"under scheme {schemes[k // nb]!r}")
         e_idle = idle_power * np.maximum(idle_time, 0.0)
-        total_energy[idx] = e_busy + e_idle + e_over
-        finish_time[idx] = t_end
-        n_changes[idx] = changes
+        total_energy[:, idx] = (e_busy + e_idle + e_over).reshape(n_s, nb)
+        finish_time[:, idx] = t_end.reshape(n_s, nb)
+        n_changes[:, idx] = changes.reshape(n_s, nb)
 
-    return DynamicBatchResult(scheme, total_energy, finish_time, n_changes,
-                              list(path_keys))
+    return [DynamicBatchResult(name, total_energy[s], finish_time[s],
+                               n_changes[s])
+            for s, name in enumerate(schemes)]

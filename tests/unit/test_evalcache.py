@@ -191,6 +191,20 @@ class TestQuarantine:
         np.savez(path.open("wb"), format=np.asarray(99))
         self._assert_quarantined(cache, key, app, cfg, result)
 
+    @pytest.mark.parametrize("keep", [10, 0])
+    def test_wrong_path_key_count_entry(self, app, cfg, stored, keep):
+        # a well-formed entry whose path keys do not cover every run:
+        # served, it would report path frequencies over the wrong run
+        # count, so it must be quarantined and recomputed instead
+        cache, key, result = stored
+        path = cache.path_for(key)
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["path_keys"] = payload["path_keys"][:keep]
+        with path.open("wb") as fh:
+            np.savez(fh, **payload)
+        self._assert_quarantined(cache, key, app, cfg, result)
+
     def test_unwritable_quarantine_falls_back_to_unlink(self, app, cfg,
                                                         stored,
                                                         monkeypatch):

@@ -67,15 +67,15 @@ def test_batch_kernels_reject(bad, scheme):
                                      np.random.default_rng(1), 6)
     matrix = prog.realization_matrix(batch).copy()
     matrix[3, prog.comp_names.index("T1")] = bad
-    groups, keys = prog.executed_paths(batch.choices, len(batch))
+    groups, _keys = prog.executed_paths(batch.choices, len(batch))
     with pytest.raises(SimulationError, match=_message(bad)):
         if scheme == "NPM":
             run_fixed_batch(prog, power, PAPER_OVERHEAD, matrix, groups,
-                            keys, power.s_max, scheme)
+                            power.s_max, scheme)
         else:
             run = policy.start_run(plan, power, PAPER_OVERHEAD)
             run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix, groups,
-                              keys, run, scheme)
+                              [run], [scheme])
 
 
 def test_over_wcet_keeps_its_message():

@@ -109,7 +109,7 @@ class TestWcetPrecheck:
         rng = np.random.default_rng(3)
         batch = sample_realization_batch(plan.structure, rng, 64)
         matrix = prog.realization_matrix(batch)
-        groups, path_keys = prog.executed_paths(batch.choices, len(batch))
+        groups, _keys = prog.executed_paths(batch.choices, len(batch))
         tape = kernels.build_tape(prog)
         # doctor two computation entries of one executed section past
         # their WCET — later entry on every run, earlier entry on every
@@ -125,17 +125,16 @@ class TestWcetPrecheck:
         # section in path order; its first computation entry must be
         # the one the error names
         name = st.names[int(st.comp_sel[0])]
-        return plan, prog, matrix, groups, path_keys, name
+        return plan, prog, matrix, groups, name
 
     def test_fixed_kernel_names_first_violating_entry(self):
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim.compiled import run_fixed_batch
-        _plan, prog, matrix, groups, path_keys, name = \
-            self._doctored_batch()
+        _plan, prog, matrix, groups, name = self._doctored_batch()
         power = transmeta_model()
         with pytest.raises(SimulationError) as ei:
             run_fixed_batch(prog, power, PAPER_OVERHEAD, matrix,
-                            groups, path_keys, power.s_max, "NPM")
+                            groups, power.s_max, "NPM")
         msg = str(ei.value)
         assert "exceeds WCET" in msg
         assert repr(name) in msg
@@ -146,14 +145,13 @@ class TestWcetPrecheck:
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim import supports_dynamic_batch
         from repro.sim.compiled import run_dynamic_batch
-        plan, prog, matrix, groups, path_keys, name = \
-            self._doctored_batch()
+        plan, prog, matrix, groups, name = self._doctored_batch()
         power = transmeta_model()
         run = get_policy("GSS").start_run(plan, power, PAPER_OVERHEAD)
         assert supports_dynamic_batch(run, power)
         with pytest.raises(SimulationError) as ei:
             run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix,
-                              groups, path_keys, run, "GSS")
+                              groups, [run], ["GSS"])
         msg = str(ei.value)
         assert "exceeds WCET" in msg
         assert repr(name) in msg

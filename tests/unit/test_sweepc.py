@@ -133,9 +133,10 @@ class TestDecodeOnce:
         choices = {name: np.concatenate([b.choices[name] for b in batches])
                    for name in batches[0].choices}
         groups, keys = build.stacked_static.executed_paths(choices, total)
-        sel, sub_groups, sub_keys = _sub_grouping(
-            groups, keys, [(offsets[i], offsets[i + 1])
-                           for i in build.dyn_points], total)
+        sel, sub_groups = _sub_grouping(
+            groups, [(offsets[i], offsets[i + 1])
+                     for i in build.dyn_points], total)
+        sub_keys = [keys[i] for i in sel]
         assert sel.tolist() == (list(range(offsets[0], offsets[1]))
                                 + list(range(offsets[2], offsets[3])))
         ref_groups, ref_keys = build.stacked_dyn.executed_paths(
