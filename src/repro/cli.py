@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro tables
-    python -m repro fig4 [--runs 1000] [--jobs 4 | --n-jobs 4] [--csv out.csv]
+    python -m repro fig4 [--runs 1000] [--jobs 4] [--csv out.csv]
     python -m repro fig5 --jobs 2 --shards 2
     python -m repro fig6 ...
     python -m repro fig_online --runs 500 --arrival bursty
@@ -75,18 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--jobs", type=int, default=1,
                         help="worker processes across sweep points "
                              "(0 = all cores)")
-        fp.add_argument("--n-jobs", type=int, default=1, dest="n_jobs",
-                        help="worker processes for the Monte-Carlo runs "
-                             "inside each point (0 = all cores); opts "
-                             "into the legacy run-level pool and is "
-                             "mutually exclusive with --jobs > 1")
         fp.add_argument("--no-fused", action="store_true", dest="no_fused",
                         help="disable the fused sweep compiler and "
                              "evaluate each point separately")
-        fp.add_argument("--runs-per-chunk", type=int, default=0,
-                        dest="runs_per_chunk",
-                        help="runs per worker task for --n-jobs "
-                             "(0 = auto)")
         fp.add_argument("--seed", type=int, default=2002)
         fp.add_argument("--engine", choices=("compiled", "dict"),
                         default="compiled",
@@ -117,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "functions by cumulative time")
         fp.add_argument("--max-retries", type=int, default=2,
                         dest="max_retries",
-                        help="re-dispatches per chunk/point after a "
+                        help="re-dispatches per point/shard after a "
                              "worker crash, hang or transport failure "
                              "before degrading to serial execution")
         fp.add_argument("--chunk-timeout", type=float, default=0.0,
                         dest="chunk_timeout",
-                        help="seconds per dispatched chunk/point before "
+                        help="seconds per dispatched point/shard before "
                              "it is considered hung and re-dispatched "
                              "(0 = no timeout)")
         fp.add_argument("--no-degrade", action="store_true",
@@ -154,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--procs", type=int, default=2)
     rp.add_argument("--runs", type=int, default=1000)
     rp.add_argument("--seed", type=int, default=2002)
-    rp.add_argument("--n-jobs", type=int, default=1, dest="n_jobs",
-                    help="worker processes for the Monte-Carlo runs "
-                         "(0 = all cores); opts into the legacy "
-                         "run-level pool")
-    rp.add_argument("--runs-per-chunk", type=int, default=0,
-                    dest="runs_per_chunk",
-                    help="runs per worker task (0 = auto)")
     rp.add_argument("--engine", choices=("compiled", "dict"),
                     default="compiled",
                     help="simulation kernel (results are bit-identical; "
@@ -173,17 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--profile", action="store_true",
                     help="run under cProfile and print the top 25 "
                          "functions by cumulative time")
-    rp.add_argument("--max-retries", type=int, default=2,
-                    dest="max_retries",
-                    help="re-dispatches per chunk after a worker crash, "
-                         "hang or transport failure")
-    rp.add_argument("--chunk-timeout", type=float, default=0.0,
-                    dest="chunk_timeout",
-                    help="seconds per dispatched chunk before it is "
-                         "considered hung (0 = no timeout)")
-    rp.add_argument("--no-degrade", action="store_true", dest="no_degrade",
-                    help="error out instead of degrading to serial "
-                         "execution when retries are exhausted")
     rp.add_argument("--schemes", nargs="*", default=list(PAPER_SCHEMES),
                     help=f"subset of {list(ALL_SCHEMES)}")
 
@@ -414,14 +387,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.oracle:
             schemes.append("ORACLE")
         fig_fn = ALL_FIGURES[args.command]
-        # the pool serves whichever level is parallel (the two are
-        # mutually exclusive: point-level --jobs or run-level --n-jobs)
-        ctx_jobs = args.jobs if args.jobs != 1 else args.n_jobs
-        with _make_context(ctx_jobs, args.no_cache, args.cache_dir) as ctx:
+        with _make_context(args.jobs, args.no_cache, args.cache_dir) as ctx:
             fig_kwargs = dict(
                 n_runs=args.runs, schemes=schemes, n_jobs=args.jobs,
-                seed=args.seed, run_jobs=args.n_jobs,
-                runs_per_chunk=args.runs_per_chunk, engine=args.engine,
+                seed=args.seed, engine=args.engine,
                 max_retries=args.max_retries,
                 chunk_timeout=args.chunk_timeout,
                 degrade=not args.no_degrade,
@@ -453,13 +422,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = RunConfig(schemes=tuple(args.schemes),
                         power_model=args.model,
                         n_processors=args.procs, n_runs=args.runs,
-                        seed=args.seed, n_jobs=args.n_jobs,
-                        runs_per_chunk=args.runs_per_chunk,
-                        engine=args.engine,
-                        max_retries=args.max_retries,
-                        chunk_timeout=args.chunk_timeout,
-                        degrade=not args.no_degrade,
-                        run_level_pool=(args.n_jobs != 1))
+                        seed=args.seed, engine=args.engine)
         if args.profile:
             result = _run_profiled(evaluate_application, app, cfg)
         else:

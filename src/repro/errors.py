@@ -98,7 +98,7 @@ class ParallelError(ReproError):
     """A worker process failed during a parallel fan-out.
 
     Wraps the original exception together with the failing work item's
-    context (the sweep point or run-chunk arguments), so a crash inside
+    context (the sweep point or shard arguments), so a crash inside
     a process pool is attributable without digging through subprocess
     tracebacks.  The original exception is chained as ``__cause__``.
     """
@@ -112,15 +112,16 @@ class ParallelError(ReproError):
 
 
 class TransportError(ReproError):
-    """A worker could not receive its chunk over the fast transport.
+    """A shard result could not be read over the shared-memory transport.
 
-    Raised worker-side when attaching the shared-memory realization
-    segment fails (segment gone, ``/dev/shm`` trouble, or an injected
+    Raised in the parent when attaching a shard's result segment fails
+    (segment gone, ``/dev/shm`` trouble, or an injected ``shm-attach``
     fault).  The parent treats it as a *transport* problem, not a data
-    problem: the affected chunk is re-dispatched over the pickling
-    fallback transport while the rest of the sweep stays on shared
-    memory.  Deliberately a plain single-message exception so it
-    pickles cleanly across the process boundary.
+    problem: that one shard is recomputed inline while the rest of the
+    sweep keeps its workers' results.  Raised inside a pool task, it is
+    retried like an injected fault.  Deliberately a plain
+    single-message exception so it pickles cleanly across the process
+    boundary.
     """
 
 
@@ -130,6 +131,6 @@ class FaultInjected(ReproError):
     Only ever raised when a :class:`repro.experiments.faults.FaultPlan`
     is installed (chaos tests); production code never constructs it.
     Classified as *retryable* by the resilient executor, which is
-    exactly what makes it useful: it exercises the per-chunk retry path
+    exactly what makes it useful: it exercises the per-item retry path
     without killing a worker process.
     """

@@ -1,35 +1,30 @@
 """Sweep-scale execution engine: one pool per sweep, not per point.
 
-PR 2/3 made a *single* evaluation point fast; the figure/suite layer
-still paid full setup cost at every one of its dozens of points — a
-fresh ``ProcessPoolExecutor`` (fork + import + initializer pickling)
-per point for run-level parallelism, re-pickled realization chunks, and
-full recomputation on every regeneration.  This module amortizes all
-three, one level up the stack:
+A figure or suite evaluates dozens of points.  This module keeps their
+shared costs to once per sweep:
 
 * :class:`ExecutionContext` — a **persistent, reusable process pool**
   created lazily once per sweep/figure/suite and shared by the
   point-level fan-out (:mod:`repro.experiments.parallel`) and the
-  run-level chunking inside :func:`~repro.experiments.runner.
-  evaluate_application`.  Workers are long-lived, so their per-process
-  caches (the offline round-1 plan cache, the compiled section-program
-  cache keyed by plan fingerprint) persist across sweep points: each
-  program ships/compiles once per worker, not once per point.
-* **Zero-copy realization transport** — the parent samples the
-  ``(runs × tasks)`` realization matrix once and publishes it in a
-  :mod:`multiprocessing.shared_memory` segment; workers receive
-  ``(name, shape, dtype, row range)`` descriptors and map the matrix
-  as a NumPy view instead of unpickling per-chunk array copies.  When
-  shared memory is unavailable (or the matrix is empty) the transport
-  degrades to plain pickled chunks — values are identical either way.
+  sharded fused path (:mod:`repro.experiments.fused`).  Workers are
+  long-lived, so their per-process caches (the offline round-1 plan
+  cache, the compiled section-program cache keyed by plan
+  fingerprint) persist across sweep points: each program compiles
+  once per worker, not once per point.  :meth:`ExecutionContext.map`
+  retries, re-dispatches and degrades under partial failure
+  (:class:`RetryPolicy`).
+* **Shard result transport** — a pool worker publishes a large shard
+  result matrix in a :mod:`multiprocessing.shared_memory` segment and
+  ships only a small descriptor (:class:`ShardBlock`); small
+  matrices, or hosts without shared memory, fall back to the result
+  pickle — values are identical either way.
 * An optional **content-addressed evaluation cache**
   (:mod:`repro.experiments.evalcache`) attached to the context, so
   ``repro fig`` / ``repro suite`` regeneration is incremental.
 
 Everything here preserves the engine's core contract: results are
-**bit-identical** to sequential execution for every pool size, chunk
-size and transport (the realization batch is sampled once in the
-parent; workers only partition prebuilt work).
+**bit-identical** to sequential execution for every pool size and
+transport (workers only execute prebuilt, seed-aligned work).
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
@@ -76,13 +70,14 @@ def effective_cores() -> int:
 def resolve_jobs(n_jobs: Optional[int], n_items: Optional[int] = None) -> int:
     """Normalize an ``n_jobs`` request.
 
-    ``None``/``0`` → all cores; negative → :class:`ConfigError`.  When
+    ``None``/``0`` → all schedulable cores (:func:`effective_cores`);
+    negative → :class:`ConfigError`.  When
     ``n_items`` is given, the answer is additionally clamped to the
     amount of available work (never below 1), so a 32-core request for
     a 3-point sweep starts 3 workers, not 32 mostly-idle ones.
     """
     if n_jobs is None or n_jobs == 0:
-        jobs = os.cpu_count() or 1
+        jobs = effective_cores()
     elif n_jobs < 0:
         raise ConfigError(f"n_jobs must be positive, got {n_jobs}")
     else:
@@ -96,8 +91,8 @@ def resolve_jobs(n_jobs: Optional[int], n_items: Optional[int] = None) -> int:
 class RetryPolicy:
     """How the resilient executor answers partial failure.
 
-    Retryable failures — a worker crash (``BrokenProcessPool``), a
-    chunk that exceeds ``chunk_timeout``, a shared-memory attach
+    Retryable failures — a worker crash (``BrokenProcessPool``), an
+    item that exceeds ``chunk_timeout``, a worker-side transport
     failure, an injected fault — are re-dispatched up to
     ``max_retries`` times per work item with bounded exponential
     backoff (``backoff_base * 2**attempt``, capped at ``backoff_max``).
@@ -144,67 +139,8 @@ RESILIENCE_COUNTERS = ("retries", "rebuilds", "degradations", "timeouts",
 
 
 # ---------------------------------------------------------------------------
-# shared-memory realization transport
+# shard result transport (worker-published segments)
 # ---------------------------------------------------------------------------
-
-class ShmChunk:
-    """Picklable descriptor of one run-range of a shared realization matrix.
-
-    The parent ships ``(segment name, full matrix shape, dtype, row
-    range)`` plus the small per-OR choice slices; the worker attaches
-    the segment once (cached across chunks and evaluations) and builds
-    a :class:`~repro.sim.realization.RealizationBatch` over a zero-copy
-    NumPy view of the rows.
-    """
-
-    __slots__ = ("shm_name", "shape", "dtype", "start", "stop", "names",
-                 "choices")
-
-    def __init__(self, shm_name: str, shape: Tuple[int, int], dtype: str,
-                 start: int, stop: int, names: List[str],
-                 choices: Dict[str, np.ndarray]):
-        self.shm_name = shm_name
-        self.shape = shape
-        self.dtype = dtype
-        self.start = start
-        self.stop = stop
-        self.names = names
-        self.choices = choices
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def resolve(self):
-        """Materialize the chunk as a batch over the shared matrix view.
-
-        Attach problems (segment gone, ``/dev/shm`` trouble, injected
-        fault) surface as :class:`~repro.errors.TransportError`; the
-        parent answers by re-dispatching *this chunk* over the pickling
-        fallback transport instead of abandoning the sweep.
-        """
-        from ..sim.realization import RealizationBatch
-        if faults.fire("shm-attach", key=self.start) == "raise":
-            raise TransportError(
-                f"injected shm attach failure for "
-                f"runs[{self.start}:{self.stop}]")
-        try:
-            seg = _attach_segment(self.shm_name)
-        except (OSError, ValueError) as exc:
-            raise TransportError(
-                f"could not attach shared segment {self.shm_name!r} for "
-                f"runs[{self.start}:{self.stop}]: {exc!r}") from exc
-        matrix = np.ndarray(self.shape, dtype=np.dtype(self.dtype),
-                            buffer=seg.buf)
-        return RealizationBatch(self.names, matrix[self.start:self.stop],
-                                self.choices)
-
-
-#: worker-side attached segments, keyed by name.  Bounded: a worker
-#: only ever needs the segment of the evaluation it is running plus at
-#: most one predecessor that is still being torn down.
-_ATTACHED: "OrderedDict[str, object]" = OrderedDict()
-_ATTACHED_MAX = 2
-
 
 @contextmanager
 def _untracked():
@@ -240,83 +176,12 @@ def _open_segment(name: str):
     try:  # Python >= 3.13: opt out of resource tracking directly
         return _shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
-        # forked workers may share the parent's tracker: an attach-side
-        # registration (and a later unregister) would fight the parent's
-        # own create/unlink bookkeeping of the same segment.  The parent
-        # owns the segment's lifetime.
+        # the attaching parent takes over a segment its worker created
+        # untracked: an attach-side registration here would leave the
+        # tracker reporting a segment that take() already unlinked
         with _untracked():
             return _shared_memory.SharedMemory(name=name)
 
-
-def _attach_segment(name: str):
-    seg = _ATTACHED.get(name)
-    if seg is not None:
-        _ATTACHED.move_to_end(name)
-        return seg
-    seg = _open_segment(name)
-    _ATTACHED[name] = seg
-    while len(_ATTACHED) > _ATTACHED_MAX:
-        _, old = _ATTACHED.popitem(last=False)
-        try:
-            old.close()
-        except OSError:  # pragma: no cover - best-effort teardown
-            pass
-    return seg
-
-
-class SharedBatch:
-    """Parent-side owner of one realization matrix in shared memory.
-
-    Copies the batch's actual-time matrix into a fresh segment once;
-    :meth:`chunk` hands out :class:`ShmChunk` descriptors for row
-    ranges.  :meth:`close` releases and unlinks the segment (POSIX
-    semantics: workers still holding a mapping keep reading safely
-    until they drop it).
-    """
-
-    def __init__(self, batch):
-        actuals = np.ascontiguousarray(batch.actuals)
-        self._shm = _shared_memory.SharedMemory(create=True,
-                                                size=actuals.nbytes)
-        self.shape = actuals.shape
-        self.dtype = actuals.dtype.str
-        view = np.ndarray(self.shape, dtype=actuals.dtype,
-                          buffer=self._shm.buf)
-        view[:] = actuals
-        self.names = list(batch.names)
-        self.choices = batch.choices
-
-    def chunk(self, start: int, stop: int) -> ShmChunk:
-        return ShmChunk(self._shm.name, self.shape, self.dtype, start, stop,
-                        self.names,
-                        {k: v[start:stop] for k, v in self.choices.items()})
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
-
-
-def share_batch(batch) -> Optional[SharedBatch]:
-    """Publish a realization batch in shared memory, or ``None``.
-
-    Returns ``None`` — meaning "fall back to pickled chunks" — when the
-    platform has no shared memory, the matrix is empty, or segment
-    creation fails at runtime (e.g. ``/dev/shm`` exhausted).
-    """
-    if not _SHM_AVAILABLE or batch.actuals.nbytes == 0:
-        return None
-    try:
-        return SharedBatch(batch)
-    except OSError:  # pragma: no cover - depends on host state
-        return None
-
-
-# ---------------------------------------------------------------------------
-# shard result transport (worker-published segments)
-# ---------------------------------------------------------------------------
 
 #: shard result matrices at least this large travel back from local
 #: pool workers through a shared-memory segment instead of the result
@@ -328,28 +193,31 @@ SHARD_SHM_MIN_BYTES = 1 << 20
 class ShardBlock:
     """Picklable descriptor of one shard's packed result matrix.
 
-    The inverse direction of :class:`ShmChunk`: the *worker* creates
-    the segment and ships ``(name, shape, dtype)``; the parent attaches
-    exactly once, copies the matrix out, and closes **and unlinks** the
-    segment (:meth:`take`).  A block whose result the resilient
-    executor discards (a straggler beaten by its own re-dispatch)
-    leaks its segment, since no resource tracker owns it — acceptable
-    because blocks only exist above :data:`SHARD_SHM_MIN_BYTES` and
-    stragglers are rare; the pickled fallback has no such window.
+    The *worker* creates the segment and ships ``(name, shape, dtype,
+    key)`` — ``key`` is the shard's first run, the identity of the
+    ``shm-attach`` fault site; the parent attaches exactly once, copies
+    the matrix out, and closes **and unlinks** the segment
+    (:meth:`take`).  A block whose result the resilient executor
+    discards (a straggler beaten by its own re-dispatch) leaks its
+    segment, since no resource tracker owns it — acceptable because
+    blocks only exist above :data:`SHARD_SHM_MIN_BYTES` and stragglers
+    are rare; the pickled fallback has no such window.
     """
 
-    __slots__ = ("name", "shape", "dtype")
+    __slots__ = ("name", "shape", "dtype", "key")
 
-    def __init__(self, name: str, shape: Tuple[int, int], dtype: str):
+    def __init__(self, name: str, shape: Tuple[int, int], dtype: str,
+                 key: object = None):
         self.name = name
         self.shape = shape
         self.dtype = dtype
+        self.key = key
 
     def __getstate__(self):
-        return (self.name, self.shape, self.dtype)
+        return (self.name, self.shape, self.dtype, self.key)
 
     def __setstate__(self, state):
-        self.name, self.shape, self.dtype = state
+        self.name, self.shape, self.dtype, self.key = state
 
     def take(self) -> np.ndarray:
         """Copy the matrix out and release the segment (parent, once).
@@ -357,9 +225,11 @@ class ShardBlock:
         The segment is unlinked without touching the resource tracker:
         the publishing worker never left a registration behind, so an
         unregister here would only make this process's tracker raise
-        ``KeyError`` on a name it never held.  Attach problems surface
-        as :class:`~repro.errors.TransportError` — the caller recomputes
-        that shard inline rather than failing the sweep.
+        ``KeyError`` on a name it never held.  Attach problems — and
+        the ``shm-attach`` fault site — surface as
+        :class:`~repro.errors.TransportError` after the segment is
+        released; the caller recomputes that shard inline rather than
+        failing the sweep.
         """
         if not _SHM_AVAILABLE:  # pragma: no cover - publisher had shm
             raise TransportError(
@@ -371,6 +241,10 @@ class ShardBlock:
                 f"could not attach shard result block {self.name!r}: "
                 f"{exc!r}") from exc
         try:
+            if faults.fire("shm-attach", key=self.key) == "raise":
+                raise TransportError(
+                    f"injected shm attach failure for shard result "
+                    f"block {self.name!r}")
             view = np.ndarray(self.shape, dtype=np.dtype(self.dtype),
                               buffer=seg.buf)
             return np.array(view, copy=True)
@@ -398,8 +272,11 @@ def _create_segment(size: int):
             return _shared_memory.SharedMemory(create=True, size=size)
 
 
-def publish_shard_block(matrix: np.ndarray) -> Optional[ShardBlock]:
+def publish_shard_block(matrix: np.ndarray,
+                        key: object = None) -> Optional[ShardBlock]:
     """Publish a packed shard result in shared memory, or ``None``.
+
+    ``key`` rides along as the block's :attr:`ShardBlock.key`.
 
     ``None`` means "ship the matrix pickled instead": the platform has
     no shared memory, the matrix is empty, or segment creation failed
@@ -414,71 +291,14 @@ def publish_shard_block(matrix: np.ndarray) -> Optional[ShardBlock]:
         return None
     view = np.ndarray(m.shape, dtype=m.dtype, buffer=seg.buf)
     view[:] = m
-    block = ShardBlock(seg.name, m.shape, m.dtype.str)
+    block = ShardBlock(seg.name, m.shape, m.dtype.str, key)
     seg.close()  # drop this mapping; the segment lives until take()
     return block
 
 
 # ---------------------------------------------------------------------------
-# worker-side evaluation setup cache (run-level chunk tasks)
+# worker-side kernel-cache probe
 # ---------------------------------------------------------------------------
-
-#: per-worker prepared evaluation contexts, keyed by setup fingerprint:
-#: ``(plan_dyn, plan_static, scheme_names, power, overhead, engine)``.
-#: Long-lived workers keep the plans and their compiled section
-#: programs across every chunk — and, thanks to the fingerprint key,
-#: across repeated evaluations of the same point.
-_SETUP_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
-_SETUP_CACHE_MAX = 8
-
-
-def _prepared_setup(setup_key: str, app, config):
-    setup = _SETUP_CACHE.get(setup_key)
-    if setup is not None:
-        _SETUP_CACHE.move_to_end(setup_key)
-        return setup
-    from ..core.registry import get_policy
-    from ..sim.compiled import compile_plan
-    from .runner import build_plans
-    power = config.make_power()
-    plan_dyn, plan_static = build_plans(app, config, power)
-    scheme_names = tuple(get_policy(name).name for name in config.schemes)
-    if config.engine == "compiled":
-        compile_plan(plan_static)
-        if plan_dyn is not None:
-            compile_plan(plan_dyn)
-    setup = (plan_dyn, plan_static, scheme_names, power, config.overhead,
-             config.engine)
-    _SETUP_CACHE[setup_key] = setup
-    while len(_SETUP_CACHE) > _SETUP_CACHE_MAX:
-        _SETUP_CACHE.popitem(last=False)
-    return setup
-
-
-def _eval_chunk_task(setup_key: str, app, config, start: int, chunk):
-    """Worker task: simulate one run-range, tagged with its offset.
-
-    ``chunk`` is either a :class:`ShmChunk` descriptor (zero-copy
-    transport) or a pickled realization-batch slice (fallback); the
-    plans are rebuilt deterministically from ``(app, config)`` on the
-    first chunk of an evaluation and served from the worker's setup
-    cache afterwards.
-    """
-    from .runner import _simulate_runs, _simulate_runs_compiled
-    if faults.fire("worker-chunk", key=start) == "raise":
-        raise FaultInjected(f"injected worker fault at runs[{start}:...]")
-    plan_dyn, plan_static, scheme_names, power, overhead, engine = \
-        _prepared_setup(setup_key, app, config)
-    if isinstance(chunk, ShmChunk):
-        chunk = chunk.resolve()
-    if engine == "compiled":
-        npm, absolute, changes, keys = _simulate_runs_compiled(
-            plan_dyn, plan_static, scheme_names, power, overhead, chunk)
-    else:
-        npm, absolute, changes, keys = _simulate_runs(
-            plan_dyn, plan_static, scheme_names, power, overhead, chunk)
-    return start, npm, absolute, changes, keys
-
 
 def _kernel_probe_task(scratch: str, want: int, deadline_s: float):
     """Worker task: report this process's kernel-cache counters.
@@ -524,14 +344,10 @@ class ExecutionContext:
         Optional :class:`~repro.experiments.evalcache.EvaluationCache`;
         evaluation points are looked up before computing and stored
         after.
-    shared_memory:
-        Whether run-level chunk tasks ship realization rows through
-        shared memory (default) or pickled slices.  Purely transport —
-        results are bit-identical.
     policy:
         Default :class:`RetryPolicy` for :meth:`map` calls that do not
-        pass their own (``evaluate_application`` derives a per-call
-        policy from its :class:`~repro.experiments.runner.RunConfig`).
+        pass their own (pooled sweeps and shards pass the policy of
+        their :class:`~repro.experiments.runner.RunConfig`).
     fault_plan:
         Optional :class:`~repro.experiments.faults.FaultPlan` for chaos
         testing: shipped to every pool worker through the pool
@@ -544,14 +360,12 @@ class ExecutionContext:
     """
 
     def __init__(self, n_jobs: Optional[int] = None, cache=None,
-                 shared_memory: bool = True,
                  policy: Optional[RetryPolicy] = None,
                  fault_plan=None):
         if n_jobs is not None and n_jobs < 0:
             raise ConfigError(f"n_jobs must be >= 0, got {n_jobs}")
         self._n_jobs = n_jobs
         self.cache = cache
-        self.shared_memory = bool(shared_memory) and _SHM_AVAILABLE
         self.policy = policy if policy is not None else RetryPolicy()
         self.fault_plan = fault_plan
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -567,8 +381,10 @@ class ExecutionContext:
         if fault_plan is not None:
             # parent-side sites only: the parent must never crash/hang
             # itself while recovering (workers get the full plan);
-            # online-admit runs in the driver and is retryable there
-            faults.install(fault_plan.only("cache-read", "online-admit"))
+            # online-admit runs in the driver and is retryable there,
+            # shm-attach where the parent takes shard result blocks
+            faults.install(fault_plan.only("cache-read", "online-admit",
+                                           "shm-attach"))
 
     # -- lifecycle ----------------------------------------------------------
     def __enter__(self) -> "ExecutionContext":
@@ -580,16 +396,6 @@ class ExecutionContext:
     def jobs(self, n_items: Optional[int] = None) -> int:
         """The resolved worker count, optionally clamped to the work."""
         return resolve_jobs(self._n_jobs, n_items=n_items)
-
-    def has_live_pool(self) -> bool:
-        """Whether a worker pool already exists and the context is open.
-
-        ``evaluate_application`` consults this to decide whether the
-        ``parallel_min_runs`` cold-start threshold applies: a live pool
-        has already paid its startup cost, so even a small opted-in
-        batch may as well use it.
-        """
-        return self._pool is not None and not self._closed
 
     def pool(self) -> ProcessPoolExecutor:
         """The persistent worker pool, created on first use."""
@@ -624,8 +430,7 @@ class ExecutionContext:
     # -- execution ----------------------------------------------------------
     def map(self, fn: Callable, args_list: Sequence[Tuple],
             labels: Optional[Sequence[str]] = None,
-            policy: Optional[RetryPolicy] = None,
-            fallback_args: Optional[Sequence[Tuple]] = None) -> List:
+            policy: Optional[RetryPolicy] = None) -> List:
         """Run ``fn(*args)`` for every args tuple on the pool, in order.
 
         Resilient under partial failure (see :class:`RetryPolicy`, or
@@ -638,9 +443,8 @@ class ExecutionContext:
         * a **hung item** — one exceeding ``policy.chunk_timeout``
           seconds per attempt — is re-dispatched to another worker
           (the straggler's eventual result is discarded);
-        * a worker-side :class:`~repro.errors.TransportError` switches
-          *that item* to its entry in ``fallback_args`` (the pickled
-          chunk) without burning a retry;
+        * an injected fault or a worker-side
+          :class:`~repro.errors.TransportError` is retried like a hang;
         * retry budgets exhausted → the item (or, after the rebuild
           budget, the whole remainder) is computed serially in the
           parent with a warning, or raises :class:`ParallelError` when
@@ -655,12 +459,10 @@ class ExecutionContext:
             labels = [f"args={args!r}" for args in args_list]
         policy = policy if policy is not None else self.policy
         n = len(args_list)
-        current: List[Tuple] = list(args_list)
         futures: List = [None] * n
         results: List = [None] * n
         done = [False] * n
         attempts = [0] * n
-        on_fallback = [False] * n
         timeout = policy.chunk_timeout if policy.chunk_timeout > 0 else None
         rebuilds_left = policy.max_pool_rebuilds
         serial = False
@@ -677,7 +479,7 @@ class ExecutionContext:
                 f"({type(cause).__name__}: {cause}); computing it "
                 f"serially in the parent", RuntimeWarning, stacklevel=3)
             try:
-                return fn(*current[j])
+                return fn(*args_list[j])
             except Exception as exc:
                 raise ParallelError(labels[j], exc) from exc
 
@@ -698,7 +500,7 @@ class ExecutionContext:
             pool = self.pool()
             for j in range(n):
                 if not done[j] and futures[j] is None:
-                    futures[j] = pool.submit(fn, *current[j])
+                    futures[j] = pool.submit(fn, *args_list[j])
 
         i = 0
         while i < n:
@@ -707,7 +509,7 @@ class ExecutionContext:
                 continue
             if serial:
                 try:
-                    results[i] = fn(*current[i])
+                    results[i] = fn(*args_list[i])
                 except Exception as exc:
                     raise ParallelError(labels[i], exc) from exc
                 done[i] = True
@@ -718,20 +520,10 @@ class ExecutionContext:
                 results[i] = futures[i].result(timeout=timeout)
                 done[i] = True
                 i += 1
-            except TransportError as exc:
-                if fallback_args is not None and not on_fallback[i]:
-                    # shared memory failed this worker: pickle this one
-                    # chunk; the rest of the sweep stays zero-copy
-                    self.resilience["shm_fallbacks"] += 1
-                    on_fallback[i] = True
-                    current[i] = fallback_args[i]
-                    futures[i] = None
-                else:
-                    _retry(i, exc)
             except FuturesTimeoutError as exc:
                 self.resilience["timeouts"] += 1
                 _retry(i, exc)
-            except FaultInjected as exc:
+            except (FaultInjected, TransportError) as exc:
                 _retry(i, exc)
             except BrokenExecutor as exc:
                 # the whole pool died: keep what finished, drop the rest
@@ -784,7 +576,7 @@ class ExecutionContext:
         ``repro ... --cache-stats`` sums these with the parent's own
         counters so pooled runs stop under-counting.
         """
-        if not self.has_live_pool():
+        if self._pool is None or self._closed:
             return []
         import shutil
         import tempfile

@@ -3,7 +3,7 @@
 A sweep point is fully determined by *what* is evaluated — the
 application (graph + deadline) and the result-relevant
 :class:`~repro.experiments.runner.RunConfig` fields — never by *how*
-(worker counts, chunk sizes, transports are all bit-identical by
+(worker counts, shard counts, transports are all bit-identical by
 contract).  That makes evaluation results safely content-addressable:
 
 ``key = sha256(graph fingerprint, deadline, app name,
@@ -56,8 +56,9 @@ CACHE_FORMAT = 1
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: RunConfig fields that determine evaluation *results*.  Execution
-#: knobs (n_jobs, runs_per_chunk, parallel_min_runs) are excluded by
-#: design: they are bit-identical by contract and must share entries.
+#: knobs (max_retries, chunk_timeout, degrade, shards, shard_mem_mb)
+#: are excluded by design: they are bit-identical by contract and must
+#: share entries.
 #: ``engine`` is included although engines are bit-identical too —
 #: being conservative there keeps the cache trustworthy while engines
 #: evolve.
@@ -81,40 +82,16 @@ def config_payload(config) -> Dict[str, object]:
     return payload
 
 
-def _digest(payload: Dict[str, object]) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def evaluation_key(app: Application, config) -> str:
     """The content address of one ``evaluate_application(app, config)``."""
-    return _digest({
+    blob = json.dumps({
         "salt": CACHE_SALT,
         "graph": graph_fingerprint(app.graph),
         "deadline": repr(float(app.deadline)),
         "app": app.name,
         "config": config_payload(config),
-    })
-
-
-def plan_setup_key(app: Application, config) -> str:
-    """Fingerprint of the prepared per-evaluation worker state.
-
-    Everything a worker builds once per evaluation — plans, compiled
-    programs, policies, power/overhead models — depends on the graph,
-    the deadline and the config *except* the Monte-Carlo draw
-    (``n_runs``/``seed``/``sigma_fraction``), so repeated evaluations
-    of one point reuse the worker's prepared setup across calls.
-    """
-    payload = config_payload(config)
-    for draw_field in ("n_runs", "seed", "sigma_fraction"):
-        payload.pop(draw_field, None)
-    return _digest({
-        "salt": CACHE_SALT,
-        "graph": graph_fingerprint(app.graph),
-        "deadline": repr(float(app.deadline)),
-        "config": payload,
-    })
+    }, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class EvaluationCache:

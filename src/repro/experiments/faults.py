@@ -1,25 +1,27 @@
 """Deterministic fault injection for the execution engine.
 
-The resilience layer (per-chunk retry, pool rebuild, transport
-fallback, cache quarantine) is only trustworthy if every recovery path
-can be *driven* on demand and proven bit-identical to the fault-free
-run.  This module provides that driver: a :class:`FaultPlan` of
-:class:`FaultSpec` entries, installed into pool workers through the
-pool initializer (and, filtered, into the parent for parent-side
-sites), that crashes, hangs, raises or corrupts at named **fault
-sites**:
+The resilience layer (per-item retry, pool rebuild, shard recompute
+after a transport failure, cache quarantine) is only trustworthy if
+every recovery path can be *driven* on demand and proven bit-identical
+to the fault-free run.  This module provides that driver: a
+:class:`FaultPlan` of :class:`FaultSpec` entries, installed into pool
+workers through the pool initializer (and, filtered, into the parent
+for parent-side sites), that crashes, hangs, raises or corrupts at
+named **fault sites**:
 
 ``worker-chunk``
-    Start of every worker task (a run-chunk simulation or a whole
-    sweep-point evaluation).  Actions: ``crash`` (``os._exit`` — the
-    pool breaks with :class:`~concurrent.futures.process.
-    BrokenProcessPool`), ``hang`` (sleep ``hang_seconds``, then
-    continue), ``raise`` (:class:`~repro.errors.FaultInjected`).
+    Start of every point-level pool task (a whole sweep-point
+    evaluation), keyed by the point index.  Actions: ``crash``
+    (``os._exit`` — the pool breaks with
+    :class:`~concurrent.futures.process.BrokenProcessPool`), ``hang``
+    (sleep ``hang_seconds``, then continue), ``raise``
+    (:class:`~repro.errors.FaultInjected`).
 ``shm-attach``
-    Shared-memory segment attach inside
-    :meth:`~repro.experiments.engine.ShmChunk.resolve`.  Action:
-    ``raise`` (surfaces as :class:`~repro.errors.TransportError`, which
-    the parent answers with a per-chunk pickling fallback).
+    Shared-memory attach of a shard result block in the parent
+    (:meth:`~repro.experiments.engine.ShardBlock.take`), keyed by the
+    shard's first run.  Action: ``raise`` (surfaces as
+    :class:`~repro.errors.TransportError`; the parent recomputes that
+    shard inline and counts an ``shm_fallbacks``).
 ``cache-read``
     Evaluation-cache lookup in the parent.  Action: ``corrupt``
     (truncates the on-disk entry before it is read, simulating a torn
@@ -42,14 +44,14 @@ Determinism and replay: a spec fires on the Nth occurrence of its site
 in a process (``occurrence``), or whenever the call site's ``key``
 matches (``key``), and at most ``times`` times *globally* — global
 one-shot bookkeeping uses ``O_CREAT | O_EXCL`` marker files in the
-plan's ``scratch`` directory, so a chunk whose worker crashed is not
+plan's ``scratch`` directory, so an item whose worker crashed is not
 crashed again on re-dispatch.  :meth:`FaultPlan.random` derives a whole
 plan from one integer seed; a chaos test that fails prints that seed,
 and rebuilding the plan from it replays the exact fault schedule.
 
 The hot path stays free: with no plan installed, :func:`fire` is a
 module-global ``None`` check and an immediate return — no allocation,
-no locking — so production sweeps pay one predicate per chunk.
+no locking — so production sweeps pay one predicate per task.
 """
 
 from __future__ import annotations
@@ -94,9 +96,10 @@ class FaultSpec:
 
     ``occurrence`` counts calls at ``site`` within one process (1-based)
     and is ignored when ``key`` is given; ``key`` matches the identity
-    the call site passes to :func:`fire` (a chunk's run offset, a sweep
-    point's index, a cache key prefix).  ``times`` caps total firings
-    across every process sharing the plan's scratch directory.
+    the call site passes to :func:`fire` (a sweep point's index, a
+    shard's index or first run, a cache key prefix).  ``times`` caps
+    total firings across every process sharing the plan's scratch
+    directory.
     """
 
     site: str
@@ -249,7 +252,7 @@ def install(plan: Optional[FaultPlan]) -> None:
     """Activate ``plan`` in this process (pool-initializer compatible).
 
     Resets the per-process occurrence counters, so a fresh worker
-    starts counting from its own first chunk.
+    starts counting from its own first task.
     """
     global _PLAN
     _PLAN = plan

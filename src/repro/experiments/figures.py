@@ -45,20 +45,15 @@ FIG6_LOAD = 0.9
 
 def _fig_config(n_runs: int, n_processors: int, power_model: str,
                 schemes: Sequence[str], seed: int, *,
-                run_jobs: int = 1, runs_per_chunk: int = 0,
                 engine: str = "compiled", max_retries: int = 2,
                 chunk_timeout: float = 0.0,
                 degrade: bool = True,
                 shards: Optional[int] = None,
                 shard_mem_mb: int = 0) -> RunConfig:
-    # asking for run-level workers is the explicit opt-in to the legacy
-    # chunked pool — the default path fuses the sweep with no pool
     return RunConfig(schemes=tuple(schemes), power_model=power_model,
                      n_processors=n_processors, n_runs=n_runs, seed=seed,
-                     n_jobs=run_jobs, runs_per_chunk=runs_per_chunk,
                      engine=engine, max_retries=max_retries,
                      chunk_timeout=chunk_timeout, degrade=degrade,
-                     run_level_pool=(run_jobs != 1),
                      shards=shards, shard_mem_mb=shard_mem_mb)
 
 
@@ -67,8 +62,6 @@ def figure4(n_runs: int = 1000,
             schemes: Sequence[str] = PAPER_SCHEMES,
             n_jobs: int = 1, seed: int = 2002,
             alpha: float = ATR_ALPHA,
-            run_jobs: int = 1,
-            runs_per_chunk: int = 0,
             engine: str = "compiled",
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
@@ -80,9 +73,7 @@ def figure4(n_runs: int = 1000,
 
     The default execution fuses each sub-figure's whole load sweep into
     one array program (``fused=True``).  ``n_jobs`` parallelizes across
-    sweep points when fusion is off; ``run_jobs`` (and
-    ``runs_per_chunk``) opt into the legacy run-level pool inside each
-    point instead.  ``context`` (an
+    sweep points when fusion is off.  ``context`` (an
     :class:`~repro.experiments.engine.ExecutionContext`) shares one
     worker pool and evaluation cache across both sub-figures — and
     across figures, if the caller passes the same context to each.
@@ -91,9 +82,7 @@ def figure4(n_runs: int = 1000,
     graph = atr_graph(AtrConfig(alpha=alpha))
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs=run_jobs,
-                          runs_per_chunk=runs_per_chunk, engine=engine,
-                          max_retries=max_retries,
+                          engine=engine, max_retries=max_retries,
                           chunk_timeout=chunk_timeout, degrade=degrade,
                           shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
@@ -107,8 +96,6 @@ def figure5(n_runs: int = 1000,
             schemes: Sequence[str] = PAPER_SCHEMES,
             n_jobs: int = 1, seed: int = 2002,
             alpha: float = ATR_ALPHA,
-            run_jobs: int = 1,
-            runs_per_chunk: int = 0,
             engine: str = "compiled",
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
@@ -129,9 +116,7 @@ def figure5(n_runs: int = 1000,
     graph = atr_graph(cfg_atr)
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 6, model, schemes, seed,
-                          run_jobs=run_jobs,
-                          runs_per_chunk=runs_per_chunk, engine=engine,
-                          max_retries=max_retries,
+                          engine=engine, max_retries=max_retries,
                           chunk_timeout=chunk_timeout, degrade=degrade,
                           shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
@@ -145,8 +130,6 @@ def figure6(n_runs: int = 1000,
             schemes: Sequence[str] = PAPER_SCHEMES,
             n_jobs: int = 1, seed: int = 2002,
             load: float = FIG6_LOAD,
-            run_jobs: int = 1,
-            runs_per_chunk: int = 0,
             engine: str = "compiled",
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
@@ -162,9 +145,7 @@ def figure6(n_runs: int = 1000,
     out: Dict[str, SeriesResult] = {}
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs=run_jobs,
-                          runs_per_chunk=runs_per_chunk, engine=engine,
-                          max_retries=max_retries,
+                          engine=engine, max_retries=max_retries,
                           chunk_timeout=chunk_timeout, degrade=degrade,
                           shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_alpha(figure3_graph, cfg, load, alphas,
@@ -179,8 +160,6 @@ def fig_online(n_runs: int = 1000,
                n_jobs: int = 1, seed: int = 2002,
                load: float = ONLINE_LOAD,
                arrival: str = "poisson",
-               run_jobs: int = 1,
-               runs_per_chunk: int = 0,
                engine: str = "compiled",
                max_retries: int = 2,
                chunk_timeout: float = 0.0,
@@ -205,9 +184,7 @@ def fig_online(n_runs: int = 1000,
                           target_arrivals=n_runs)
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs=run_jobs,
-                          runs_per_chunk=runs_per_chunk, engine=engine,
-                          max_retries=max_retries,
+                          engine=engine, max_retries=max_retries,
                           chunk_timeout=chunk_timeout, degrade=degrade,
                           shards=shards, shard_mem_mb=shard_mem_mb)
         out[model] = sweep_arrival_rate(figure3_graph(), cfg, online,

@@ -1,10 +1,10 @@
 """Fused sweep evaluation: one array program over ``points × runs``.
 
-``BENCH_engine.json`` recorded the motivating regression: with the
-compiled kernels a Monte-Carlo run costs tens of microseconds, so
-process-pool chunking of runs *within* one point is ~9× slower than
-serial — the pool's transport and scheduling dominate.  The profitable
-axis is the opposite one: amortize the *per-point* kernel invocations.
+With the compiled kernels a Monte-Carlo run costs tens of
+microseconds, so splitting the runs of one point over a process pool
+loses to serial execution (measured ~7× slower) — the pool's transport
+and scheduling dominate.  The profitable axis is the opposite one:
+amortize the *per-point* kernel invocations.
 
 :func:`evaluate_points_fused` takes a whole sweep (several applications,
 one config each), stacks their compiled section programs into one
@@ -543,19 +543,17 @@ class ShardTask:
     shards inherit the pool's retry and degrade semantics.
     """
 
-    __slots__ = ("index", "n_shards", "lo", "hi", "apps", "configs",
-                 "allow_shm")
+    __slots__ = ("index", "n_shards", "lo", "hi", "apps", "configs")
 
     def __init__(self, index: int, n_shards: int, lo: int, hi: int,
                  apps: Tuple[Application, ...],
-                 configs: Tuple[RunConfig, ...], allow_shm: bool):
+                 configs: Tuple[RunConfig, ...]):
         self.index = index
         self.n_shards = n_shards
         self.lo = lo
         self.hi = hi
         self.apps = apps
         self.configs = configs
-        self.allow_shm = allow_shm
 
     @property
     def name(self) -> str:
@@ -625,8 +623,8 @@ def run_shard(task: ShardTask) -> ShardResult:
             RuntimeError("shard punted to per-point evaluation"))
     _offsets, npm, absolute, changes, path_keys = out
     matrix = _pack_shard(build.scheme_names, npm, absolute, changes)
-    if task.allow_shm and matrix.nbytes >= SHARD_SHM_MIN_BYTES:
-        block = publish_shard_block(matrix)
+    if matrix.nbytes >= SHARD_SHM_MIN_BYTES:
+        block = publish_shard_block(matrix, key=task.lo)
         if block is not None:
             return ShardResult(None, block, list(path_keys),
                                build.scheme_names, len(task.apps))
@@ -724,7 +722,7 @@ def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
             return None
         n_points = len(apps)
         tasks = [ShardTask(s, len(ranges), lo, hi, tuple(apps),
-                           tuple(configs), ctx.shared_memory)
+                           tuple(configs))
                  for s, (lo, hi) in enumerate(ranges)]
         return ctx.map(run_shard, [(t,) for t in tasks],
                        labels=[f"{t.name} x {n_points} point(s)"

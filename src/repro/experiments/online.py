@@ -303,13 +303,14 @@ def _admit_stream(times: np.ndarray, t_worst: float, t_avg: float,
     return admitted, windows, retries
 
 
-def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
-              scheme_names: Sequence[str], power: PowerModel,
-              overhead: OverheadModel, batch: RealizationBatch,
-              engine: str
-              ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray],
-                         Dict[str, np.ndarray], Dict[str, np.ndarray],
-                         List[str]]:
+def _simulate_jobs(plan_dyn: Optional[OfflinePlan],
+                   plan_static: OfflinePlan,
+                   scheme_names: Sequence[str], power: PowerModel,
+                   overhead: OverheadModel, batch: RealizationBatch,
+                   engine: str
+                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray],
+                              Dict[str, np.ndarray], Dict[str, np.ndarray],
+                              List[str]]:
     """Per-job energies, durations and switch counts for every scheme.
 
     The offline evaluator itself: the compiled engine runs
@@ -321,20 +322,21 @@ def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
     service time the FIFO ledger advances by.
     """
     if engine == "dict":
-        return _run_jobs_dict(plan_dyn, plan_static, scheme_names, power,
-                              overhead, batch)
+        return _simulate_jobs_dict(plan_dyn, plan_static, scheme_names,
+                                   power, overhead, batch)
     return evaluate_batch(plan_dyn, plan_static, scheme_names, power,
                           overhead, batch)
 
 
-def _run_jobs_dict(plan_dyn: Optional[OfflinePlan],
-                   plan_static: OfflinePlan,
-                   scheme_names: Sequence[str], power: PowerModel,
-                   overhead: OverheadModel, batch: RealizationBatch
-                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray],
-                              Dict[str, np.ndarray], Dict[str, np.ndarray],
-                              List[str]]:
-    """The reference dict-engine counterpart of :func:`_run_jobs`."""
+def _simulate_jobs_dict(plan_dyn: Optional[OfflinePlan],
+                        plan_static: OfflinePlan,
+                        scheme_names: Sequence[str], power: PowerModel,
+                        overhead: OverheadModel, batch: RealizationBatch
+                        ) -> Tuple[np.ndarray, np.ndarray,
+                                   Dict[str, np.ndarray],
+                                   Dict[str, np.ndarray],
+                                   Dict[str, np.ndarray], List[str]]:
+    """The reference dict-engine counterpart of :func:`_simulate_jobs`."""
     from .runner import _path_key
     structure = plan_static.structure
     policies: Dict[str, SpeedPolicy] = {}
@@ -437,8 +439,8 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     batch = sample_realization_batch(plan_static.structure, rng, n_adm,
                                      sigma_fraction=config.sigma_fraction)
     npm_energy, _npm_finish, absolute, finish, changes, path_keys = \
-        _run_jobs(plan_dyn, plan_static, scheme_names, power,
-                  config.overhead, batch, config.engine)
+        _simulate_jobs(plan_dyn, plan_static, scheme_names, power,
+                       config.overhead, batch, config.engine)
 
     result.npm_energy = npm_energy
     result.path_keys = path_keys

@@ -22,19 +22,13 @@ Failure semantics: deterministic worker exceptions fail fast — the
 outstanding futures are cancelled and the error is re-raised as
 :class:`~repro.errors.ParallelError` carrying the failing point's
 arguments, with the original exception chained as ``__cause__``.
-*Partial* failures (a crashed worker, a hung point, a transport
-problem) are instead retried/re-dispatched by the execution context
+*Partial* failures (a crashed worker, a hung point, an injected
+fault) are instead retried/re-dispatched by the execution context
 according to the configs'
 :class:`~repro.experiments.engine.RetryPolicy` knobs
 (``max_retries``/``chunk_timeout``/``degrade``), degrading to serial
 execution in the parent as the last resort — results are bit-identical
 under every recovery path.
-
-There are two layers of parallelism: this module fans out across sweep
-*points*, while :func:`~repro.experiments.runner.evaluate_application`
-can additionally fan out the Monte-Carlo *runs* inside one point
-(``RunConfig.n_jobs``).  When the point-level pool is active, the
-per-point config is forced to ``n_jobs=1`` so workers never nest pools.
 """
 
 from __future__ import annotations
@@ -98,8 +92,7 @@ def map_evaluations(apps: Sequence[Application],
        a shard request is set
        (:func:`~repro.experiments.fused.evaluate_points_fused`);
     2. **point-level pool**: heterogeneous points (or ``fused=False``)
-       fan out one point per worker over the persistent pool, with
-       per-point configs forced to ``n_jobs=1`` (pools never nest);
+       fan out one point per worker over the persistent pool;
     3. **serial loop**: when the resolved worker count is 1.
 
     Fresh results are stored back into the cache per point regardless
@@ -166,20 +159,15 @@ def map_evaluations(apps: Sequence[Application],
             # not fusable: fall through to per-point evaluation
 
         if ctx.jobs(n_items=len(pending)) == 1:
-            # serial point loop; a caller-supplied context provides the
-            # cache (each point stores itself) and the opt-in run-level
-            # pool — an owned one carries neither, so points keep
-            # managing their own pools as before
-            point_ctx = None if owned else ctx
+            # serial point loop; each point stores itself in the
+            # context's cache, if it has one
             for i in pending:
                 results[i] = evaluate_application(apps[i], configs[i],
-                                                  context=point_ctx)
+                                                  context=ctx)
             return results
-        # workers must not nest pools: point configs go out serial
         computed = ctx.map(
             _evaluate_app_point,
-            [(i, apps[i], configs[i].with_(n_jobs=1))
-             for i in pending],
+            [(i, apps[i], configs[i]) for i in pending],
             [labels[i] for i in pending],
             policy=configs[0].retry_policy())
         for i, res in zip(pending, computed):

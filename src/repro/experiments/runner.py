@@ -4,28 +4,17 @@ The unit of work is :func:`evaluate_application`: build the offline
 plans once, then simulate ``n_runs`` paired realizations under every
 requested scheme, returning per-run *normalized* (to NPM on the same
 realization) energies plus bookkeeping counters.  Sweeps
-(:mod:`repro.experiments.sweeps`) call it per x-value, optionally
-fanning points out over a process pool (:mod:`repro.experiments.parallel`).
+(:mod:`repro.experiments.sweeps`) call it per x-value, or fuse their
+points into one array program (:mod:`repro.experiments.fused`), and
+may fan points out over a process pool
+(:mod:`repro.experiments.parallel`).
 
 Determinism: one ``seed`` fixes the whole evaluation — realizations are
 drawn from ``numpy.random.default_rng(seed)`` in run order, and the
-schemes see identical realizations.
-
-Run-level parallelism (``n_jobs``) is **opt-in** since the sweep
-compiler (:mod:`repro.experiments.fused`) landed: compiled runs cost
-tens of microseconds, so pool-chunking the runs inside one point is a
-measured net loss, and an ``n_jobs > 1`` request is demoted to
-sequential execution unless ``RunConfig.run_level_pool`` is set.  When
-opted in, the full realization batch is sampled once in the parent
-process (so the fixed-seed random streams are untouched), split into
-contiguous chunks, and farmed to the worker pool of an
-:class:`~repro.experiments.engine.ExecutionContext` — a caller-supplied
-persistent one (shared across a whole sweep), or an ephemeral
-per-evaluation context when none is given.  Chunks travel as zero-copy
-shared-memory row ranges where available (pickled slices otherwise),
-and per-chunk arrays are merged back at their run offsets, so
-``n_jobs=1`` and ``n_jobs=N`` produce bit-identical
-:class:`EvaluationResult`\\ s for every transport.
+schemes see identical realizations.  One evaluation always runs in the
+calling process: the compiled engine takes tens of microseconds per
+run, so splitting the runs of one point over worker processes costs
+more than it buys.
 """
 
 from __future__ import annotations
@@ -53,20 +42,12 @@ from ..sim.engine import simulate
 from ..sim.realization import (
     Realization,
     RealizationBatch,
-    batch_in_chunks,
     sample_realization_batch,
 )
 
 
 #: engines selectable via :attr:`RunConfig.engine`
 ENGINES = ("compiled", "dict")
-
-#: default :attr:`RunConfig.parallel_min_runs`: with the compiled kernel
-#: a run costs tens of microseconds while spawning a worker pool costs
-#: tens of milliseconds per process, so batches below roughly this size
-#: finish faster sequentially (measured on the BENCH_engine.json
-#: operating point; see benchmarks/engine_speedup.py)
-DEFAULT_PARALLEL_MIN_RUNS = 2000
 
 
 @dataclass(frozen=True)
@@ -82,44 +63,20 @@ class RunConfig:
     sigma_fraction: float = 1.0 / 3.0
     idle_fraction: float = 0.05
     heuristic: str = "ltf"  # list-scheduling priority (paper: LTF)
-    #: worker processes for the runs *inside* one evaluation
-    #: (1 = sequential, 0 = all cores; clamped to the number of chunks).
-    #: Ignored unless ``run_level_pool`` is set — run-level chunking is
-    #: a demoted, opt-in path since the sweep compiler landed
-    n_jobs: int = 1
-    #: Monte-Carlo runs per worker task (0 = auto: ~4 chunks per worker)
-    runs_per_chunk: int = 0
     #: simulation kernel: "compiled" (integer-indexed section program,
     #: the default) or "dict" (the reference string-keyed engine);
     #: results are bit-identical either way
     engine: str = "compiled"
-    #: below this many runs a multi-worker request falls back to
-    #: sequential execution — pool *startup* would cost more than it
-    #: buys (0 disables the fallback; see docs/usage.md for the
-    #: calibration).  A persistent context whose pool is already live
-    #: skips this threshold: startup is paid, so small batches use it
-    parallel_min_runs: int = DEFAULT_PARALLEL_MIN_RUNS
-    #: re-dispatches per chunk/point after a retryable failure (worker
-    #: crash, hung chunk, transport failure) before degrading that item
-    #: to serial execution in the parent
+    #: re-dispatches per pooled point/shard after a retryable failure
+    #: (worker crash, hung item, injected fault) before degrading that
+    #: item to serial execution in the parent
     max_retries: int = 2
-    #: seconds one dispatched chunk/point may run per attempt before it
+    #: seconds one dispatched point/shard may run per attempt before it
     #: is considered hung and re-dispatched (0 = no timeout)
     chunk_timeout: float = 0.0
     #: whether exhausted retry budgets degrade to serial execution in
     #: the parent (with a warning) instead of raising ParallelError
     degrade: bool = True
-    #: opt-in for run-level pool chunking.  With the compiled kernels a
-    #: run costs tens of microseconds, so chunking runs over a process
-    #: pool is a net *loss* (the BENCH_engine.json ``speedup_large``
-    #: regression measured it ~9× slower); since the sweep compiler
-    #: landed, whole sweeps fuse into one array program instead and the
-    #: pool is reserved for the point level.  When ``False`` (the
-    #: default) an ``n_jobs > 1`` request for the runs inside one point
-    #: is demoted to sequential execution; set ``True`` to re-enable
-    #: the legacy chunked path (results are bit-identical either way).
-    #: Execution knob — never part of the evaluation cache key.
-    run_level_pool: bool = False
     #: shard request for the fused sweep path: ``None`` (resolve the
     #: ``REPRO_SHARDS`` session default; unset everywhere = monolithic),
     #: ``0`` (auto: effective cores, raised to fit ``shard_mem_mb``) or
@@ -140,24 +97,9 @@ class RunConfig:
             raise ConfigError("n_processors must be >= 1")
         if not self.schemes:
             raise ConfigError("need at least one scheme")
-        if self.n_jobs < 0:
-            raise ConfigError(
-                f"n_jobs must be >= 0 (0 = all cores), got {self.n_jobs}")
-        if self.runs_per_chunk < 0:
-            raise ConfigError(
-                f"runs_per_chunk must be >= 0 (0 = auto), "
-                f"got {self.runs_per_chunk}")
-        if self.runs_per_chunk > self.n_runs:
-            raise ConfigError(
-                f"runs_per_chunk ({self.runs_per_chunk}) exceeds n_runs "
-                f"({self.n_runs}); use 0 to size chunks automatically")
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.parallel_min_runs < 0:
-            raise ConfigError(
-                f"parallel_min_runs must be >= 0 (0 = never fall back), "
-                f"got {self.parallel_min_runs}")
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}")
@@ -300,11 +242,8 @@ def _simulate_runs(plan_dyn: Optional[OfflinePlan],
                               Dict[str, np.ndarray], List[str]]:
     """Simulate a block of prebuilt realizations under every scheme.
 
-    The shared core of the sequential path and the per-chunk worker
-    task: runs are simulated strictly in the order of ``realizations``
-    and each run's computation is independent of the block's
-    boundaries, which is what makes chunked execution bit-identical to
-    sequential execution.
+    The reference dict-engine path: runs are simulated one at a time,
+    strictly in the order of ``realizations``.
     """
     structure = plan_static.structure
     policies: Dict[str, SpeedPolicy] = {}
@@ -370,42 +309,21 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
     return npm_energy, absolute, changes, path_keys
 
 
-def _auto_chunk_size(n_runs: int, jobs: int) -> int:
-    """Default chunk size: ~4 chunks per worker for load balancing.
-
-    Small enough that a straggler chunk costs ~1/(4·jobs) of the work,
-    large enough that per-task pickling of realizations stays noise.
-    Any chunk size yields identical results; this only shapes timing.
-    """
-    return max(1, -(-n_runs // (4 * jobs)))
-
-
 def evaluate_application(app: Application,
                          config: RunConfig,
-                         n_jobs: Optional[int] = None,
-                         runs_per_chunk: Optional[int] = None,
                          context=None) -> EvaluationResult:
     """Simulate ``config.n_runs`` paired runs of every scheme on ``app``.
 
-    ``n_jobs``/``runs_per_chunk`` override the corresponding
-    :class:`RunConfig` fields when given (``None`` defers to the
-    config); multi-worker requests take effect only when
-    ``config.run_level_pool`` opts into the (demoted) run-level chunked
-    path.  Results are bit-identical for every worker count: the
-    realization batch is sampled once here, in the parent, from the
-    config's seed, and chunk boundaries only partition prebuilt work.
+    The realization batch is sampled once from the config's seed and
+    handed whole to the compiled evaluator (or, with
+    ``engine="dict"``, to the reference engine run by run).
 
     ``context`` is an optional
-    :class:`~repro.experiments.engine.ExecutionContext`.  When given,
-    run-level chunks execute on its persistent worker pool (instead of
-    an ephemeral per-evaluation pool), its ``shared_memory`` flag picks
-    the chunk transport, and its attached evaluation cache is consulted
-    before computing and filled after.  None of this changes results —
-    only where and how fast they are computed.
+    :class:`~repro.experiments.engine.ExecutionContext`; its attached
+    evaluation cache, if any, is consulted before computing and filled
+    after.  The cache never changes results, only whether they are
+    recomputed.
     """
-    from .engine import (ExecutionContext, _eval_chunk_task, resolve_jobs,
-                         share_batch)
-
     cache = context.cache if context is not None else None
     if cache is not None:
         from .evalcache import evaluation_key
@@ -416,90 +334,20 @@ def evaluate_application(app: Application,
 
     power = config.make_power()
     plan_dyn, plan_static = build_plans(app, config, power)
-    structure = plan_static.structure
 
     # canonical scheme labels, preserving request order (aliases resolved)
     scheme_names = tuple(get_policy(name).name for name in config.schemes)
 
-    n = config.n_runs
     rng = np.random.default_rng(config.seed)
     realizations = sample_realization_batch(
-        structure, rng, n, sigma_fraction=config.sigma_fraction)
+        plan_static.structure, rng, config.n_runs,
+        sigma_fraction=config.sigma_fraction)
 
-    eff_jobs = config.n_jobs if n_jobs is None else n_jobs
-    eff_chunk = (config.runs_per_chunk if runs_per_chunk is None
-                 else runs_per_chunk)
-    if eff_chunk < 0:
-        raise ConfigError(
-            f"runs_per_chunk must be >= 0 (0 = auto), got {eff_chunk}")
-    jobs = resolve_jobs(eff_jobs, n_items=n)
-    if jobs > 1 and not config.run_level_pool:
-        # run-level chunking is opt-in since the sweep compiler landed:
-        # at ~tens of µs per compiled run the chunk round-trip costs
-        # more than it buys, so an un-opted n_jobs request runs
-        # sequentially (results are bit-identical either way)
-        jobs = 1
-    if jobs > 1 and 0 < n < config.parallel_min_runs:
-        # too little work to amortize pool *startup* — unless a warm
-        # pool is already attached, in which case startup is paid and
-        # the threshold would just idle it (results identical either way)
-        if context is None or not context.has_live_pool():
-            jobs = 1
-    chunk_size = min(eff_chunk, n) if eff_chunk else _auto_chunk_size(n, jobs)
-    chunks = list(batch_in_chunks(realizations, chunk_size))
-    jobs = min(jobs, len(chunks))
-
-    if jobs == 1:
-        if config.engine == "compiled":
-            npm_energy, absolute, changes, path_keys = \
-                _simulate_runs_compiled(
-                    plan_dyn, plan_static, scheme_names, power,
-                    config.overhead, realizations)
-        else:
-            npm_energy, absolute, changes, path_keys = _simulate_runs(
-                plan_dyn, plan_static, scheme_names, power,
-                config.overhead, realizations)
-    else:
-        from .evalcache import plan_setup_key
-        setup_key = plan_setup_key(app, config)
-        owned = context is None
-        ctx = ExecutionContext(n_jobs=jobs) if owned else context
-        shared = share_batch(realizations) if ctx.shared_memory else None
-        try:
-            # the pickled chunks double as the per-chunk fallback when a
-            # worker cannot attach the shared segment (TransportError)
-            pickled = [(setup_key, app, config, start, block)
-                       for start, block in chunks]
-            if shared is not None:
-                args = [(setup_key, app, config, start,
-                         shared.chunk(start, start + len(block)))
-                        for start, block in chunks]
-                fallback = pickled
-            else:
-                args = pickled
-                fallback = None
-            labels = [f"runs[{start}:{start + len(block)}]"
-                      for start, block in chunks]
-            npm_energy = np.empty(n)
-            absolute = {name: np.empty(n) for name in scheme_names}
-            changes = {name: np.empty(n, dtype=float)
-                       for name in scheme_names}
-            path_keys = [""] * n
-            for start, npm, c_abs, c_chg, keys in \
-                    ctx.map(_eval_chunk_task, args, labels,
-                            policy=config.retry_policy(),
-                            fallback_args=fallback):
-                stop = start + len(keys)
-                npm_energy[start:stop] = npm
-                path_keys[start:stop] = keys
-                for name in scheme_names:
-                    absolute[name][start:stop] = c_abs[name]
-                    changes[name][start:stop] = c_chg[name]
-        finally:
-            if shared is not None:
-                shared.close()
-            if owned:
-                ctx.close()
+    simulate_runs = (_simulate_runs_compiled if config.engine == "compiled"
+                     else _simulate_runs)
+    npm_energy, absolute, changes, path_keys = simulate_runs(
+        plan_dyn, plan_static, scheme_names, power, config.overhead,
+        realizations)
 
     result = EvaluationResult(app_name=app.name, config=config,
                               npm_energy=npm_energy,

@@ -105,10 +105,7 @@ def sweep_load(graph: AndOrGraph, config: RunConfig,
     no pool at all (``fused=True``; see
     :mod:`repro.experiments.fused`).  ``n_jobs`` fans the sweep
     *points* out over processes when fusion does not apply (or is
-    turned off); ``config.n_jobs`` parallelizes the Monte-Carlo *runs*
-    inside each point only when ``config.run_level_pool`` opts into the
-    legacy chunked path.  The point-level pool forces run-level
-    ``n_jobs=1`` in its workers, so the two levels never nest.
+    turned off); each point's runs are evaluated in one process.
     """
     before = _cache_before(context)
     results = map_load_points(graph, list(loads), config, n_jobs=n_jobs,

@@ -26,7 +26,6 @@ from .power_trace import (
 from .realization import (
     Realization,
     RealizationBatch,
-    batch_in_chunks,
     sample_realization,
     sample_realization_batch,
     sample_realizations,
@@ -51,7 +50,6 @@ __all__ = [
     "compare_profiles",
     "Realization",
     "RealizationBatch",
-    "batch_in_chunks",
     "sample_realization",
     "sample_realization_batch",
     "sample_realizations",

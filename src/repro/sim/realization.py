@@ -258,20 +258,3 @@ def sample_realization_batch(structure: SectionStructure,
         choice_matrix[node.name] = targets[idx]
 
     return RealizationBatch(names, actual, choice_matrix)
-
-
-def batch_in_chunks(realizations, chunk_size: int):
-    """Yield ``(start, block)`` slices of a prebuilt realization batch.
-
-    The run-level parallel evaluator samples the whole batch once in the
-    parent process (so fixed-seed random streams stay bit-identical to
-    the sequential path) and farms these contiguous blocks to workers;
-    ``start`` is the block's offset in run order, which the parent uses
-    to merge per-chunk results back into position.  Works on plain lists
-    and on :class:`RealizationBatch` (slicing keeps the matrix layout).
-    """
-    if chunk_size < 1:
-        raise SimulationError(
-            f"chunk size must be >= 1, got {chunk_size}")
-    for start in range(0, len(realizations), chunk_size):
-        yield start, realizations[start:start + chunk_size]

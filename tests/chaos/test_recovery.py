@@ -4,16 +4,15 @@ Two layers:
 
 * ``TestResilientMap`` drives :meth:`ExecutionContext.map` directly
   with tiny tasks — injected raises, worker crashes (``os._exit`` in a
-  pool worker), hangs vs ``chunk_timeout``, transport fallback, and
-  both degradation modes (serial in the parent vs ``ParallelError``).
-* ``TestChaosAcceptance`` is the headline contract from the issue: a
-  10-point load sweep that survives a worker crash at chunk 3, a hung
-  chunk, a shared-memory attach failure and a corrupt cache entry —
-  and still equals the fault-free serial reference *exactly*, with
-  every recovery recorded in ``series.meta``.
+  pool worker), hangs vs ``chunk_timeout``, transport errors, and both
+  degradation modes (serial in the parent vs ``ParallelError``).
+* ``TestChaosAcceptance`` is the headline contract: a 10-point load
+  sweep on the point-level pool that survives a worker crash, a hung
+  point and a corrupt cache entry — and still equals the fault-free
+  serial reference *exactly*, with every recovery recorded in
+  ``series.meta``.  The shared-memory attach failure of a shard result
+  block is driven in ``tests/chaos/test_shards.py``.
 """
-
-import warnings
 
 import pytest
 
@@ -42,7 +41,7 @@ def _square(x):
 
 
 def _flaky_transport(x, fail):
-    """Worker task standing in for a chunk whose shm attach fails."""
+    """Worker task standing in for an item whose transport fails."""
     if fail:
         raise TransportError(f"no segment for item {x}")
     return x + 100
@@ -85,23 +84,14 @@ class TestResilientMap:
         assert stats["timeouts"] >= 1
         assert stats["degradations"] == 0
 
-    def test_transport_error_switches_to_fallback_args(self):
-        with ExecutionContext(n_jobs=2) as ctx:
-            results = ctx.map(
-                _flaky_transport, [(i, True) for i in range(3)],
-                fallback_args=[(i, False) for i in range(3)])
-            assert results == [100, 101, 102]
-            stats = ctx.resilience_stats()
-        # the fallback does not burn a retry — it is a transport switch
-        assert stats["shm_fallbacks"] == 3
-        assert stats["retries"] == 0
-
-    def test_persistent_transport_error_without_fallback_fails(self):
+    def test_persistent_transport_error_is_retried_then_fails(self):
         policy = RetryPolicy(max_retries=1)
         with ExecutionContext(n_jobs=2) as ctx:
             with pytest.raises(ParallelError), \
                     pytest.warns(RuntimeWarning, match="serially"):
                 ctx.map(_flaky_transport, [(0, True)], policy=policy)
+            assert ctx.resilience["retries"] == 2
+            assert ctx.resilience["shm_fallbacks"] == 0
 
     def test_no_degrade_raises_parallel_error(self, tmp_path):
         plan = FaultPlan(specs=(
@@ -143,39 +133,35 @@ class TestResilientMap:
 
 class TestChaosAcceptance:
     def test_sweep_survives_all_fault_classes_bit_identically(self, tmp_path):
-        """The issue's headline scenario, end to end.
+        """The headline scenario, end to end.
 
-        Point-level execution is serial (context ``n_jobs=1``) so each
-        point fans its run-chunks out on the context pool: 50 runs in
-        chunks of 10 give chunks at offsets 0/10/20/30/40.  The plan
-        injects a shared-memory attach failure at chunk 1, a hang at
-        chunk 2, a worker crash at chunk 3, and corrupts the one cache
-        entry that exists (pre-populated for the first point).  The
-        sweep must equal the fault-free serial reference exactly and
-        record every recovery in ``series.meta``.
+        ``fused=False`` on a two-worker context sends the ten points
+        out one per pool task, keyed by point index.  The plan crashes
+        the worker running point 1, hangs point 8 past the timeout and
+        corrupts the one cache entry that exists (pre-populated for
+        point 0).  The hang may claim two firings: if it first lands in
+        the pool generation the crash tears down, it still hangs once
+        in the rebuilt pool.  The sweep must equal the fault-free serial
+        reference exactly and record every recovery in ``series.meta``.
         """
         graph = figure3_graph()
         cfg = RunConfig(schemes=("GSS", "SPM"), n_runs=50, seed=5,
-                        n_jobs=2, runs_per_chunk=10, parallel_min_runs=0,
-                        max_retries=6, chunk_timeout=1.0,
-                        run_level_pool=True)
-        reference = sweep_load(graph, cfg.with_(n_jobs=1), LOADS)
+                        max_retries=6, chunk_timeout=1.0)
+        reference = sweep_load(graph, cfg, LOADS)
 
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         cache = EvaluationCache(tmp_path / "cache")
         app0 = application_with_load(graph, LOADS[0], cfg.n_processors)
-        cache.put(evaluation_key(app0, cfg),
-                  evaluate_application(app0, cfg.with_(n_jobs=1)))
+        cache.put(evaluation_key(app0, cfg), evaluate_application(app0, cfg))
 
         plan = FaultPlan(specs=(
-            FaultSpec(site="shm-attach", action="raise", key=10),
-            FaultSpec(site="worker-chunk", action="hang", key=20),
-            FaultSpec(site="worker-chunk", action="crash", key=30),
+            FaultSpec(site="worker-chunk", action="crash", key=1),
+            FaultSpec(site="worker-chunk", action="hang", key=8, times=2),
             FaultSpec(site="cache-read", action="corrupt", occurrence=1),
         ), scratch=str(scratch), hang_seconds=2.2)
 
-        with ExecutionContext(n_jobs=1, cache=cache, fault_plan=plan) as ctx:
+        with ExecutionContext(n_jobs=2, cache=cache, fault_plan=plan) as ctx:
             with pytest.warns(RuntimeWarning) as caught:
                 series = sweep_load(graph, cfg, LOADS, context=ctx,
                                     fused=False)
@@ -187,9 +173,8 @@ class TestChaosAcceptance:
 
         # --- every recovery recorded ------------------------------------
         res = series.meta["resilience"]
-        assert res["shm_fallbacks"] == 1   # chunk 1 re-sent pickled
-        assert res["timeouts"] >= 1        # chunk 2 hung past the timeout
-        assert res["rebuilds"] == 1        # chunk 3 crashed the pool
+        assert res["timeouts"] >= 1        # point 8 hung past the timeout
+        assert res["rebuilds"] == 1        # point 1 crashed the pool
         assert res["retries"] >= 2
         assert res["degradations"] == 0    # recovery never went serial
         cache_meta = series.meta["cache"]
@@ -236,18 +221,17 @@ class TestChaosAcceptance:
     def test_rerun_after_chaos_hits_clean_cache(self, tmp_path):
         """Entries written during a chaotic sweep are trustworthy."""
         graph = figure3_graph()
-        cfg = RunConfig(schemes=("GSS",), n_runs=40, seed=9, n_jobs=2,
-                        runs_per_chunk=10, parallel_min_runs=0,
-                        max_retries=6, run_level_pool=True)
+        cfg = RunConfig(schemes=("GSS",), n_runs=40, seed=9,
+                        max_retries=6)
         loads = LOADS[:4]
-        reference = sweep_load(graph, cfg.with_(n_jobs=1), loads)
+        reference = sweep_load(graph, cfg, loads)
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="crash", key=20),),
+            FaultSpec(site="worker-chunk", action="crash", key=2),),
             scratch=str(scratch))
         cache = EvaluationCache(tmp_path / "cache")
-        with ExecutionContext(n_jobs=1, cache=cache, fault_plan=plan) as ctx:
+        with ExecutionContext(n_jobs=2, cache=cache, fault_plan=plan) as ctx:
             with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
                 chaotic = sweep_load(graph, cfg, loads, context=ctx,
                                      fused=False)

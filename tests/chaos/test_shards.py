@@ -8,16 +8,19 @@ asserts the recovered sweep equals the monolithic fused reference bit
 for bit, with the fan-out still crossing process boundaries (the
 recovery must not silently degrade the whole sweep to the inline
 pass): a crashed pool worker's shard is re-dispatched after a pool
-rebuild.
+rebuild.  The ``shm-attach`` site fires in the parent as it takes a
+shard's result block out of shared memory; that shard is recomputed
+inline.
 """
 
 import warnings
 
 import pytest
 
-from repro.experiments import ExecutionContext, RunConfig
+from repro.experiments import ExecutionContext, RunConfig, fused
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.fused import evaluate_points_fused, take_fused_meta
+from repro.experiments.sweeps import sweep_load
 from repro.workloads import application_with_load, figure3_graph
 
 LOADS = (0.3, 0.5, 0.8)
@@ -101,3 +104,28 @@ class TestShardExecFaults:
         assert recovered >= 1  # the crash really happened and was handled
         for res, ref in zip(sharded, reference):
             _assert_identical(res, ref)
+
+
+class TestShmAttachFaults:
+    def test_failed_block_attach_recomputes_the_shard_inline(
+            self, tmp_path, monkeypatch, graph, cfg):
+        # every shard result travels through a shared-memory block; the
+        # parent fails to attach shard 1's (runs [10, 20)) and must
+        # recompute exactly that shard in-process
+        monkeypatch.setattr(fused, "SHARD_SHM_MIN_BYTES", 0)
+        reference = sweep_load(graph, cfg, LOADS)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        plan = FaultPlan(specs=(
+            FaultSpec(site="shm-attach", action="raise", key=10),),
+            scratch=str(scratch))
+        with ExecutionContext(n_jobs=3, fault_plan=plan) as ctx:
+            with pytest.warns(RuntimeWarning, match="recomputing the shard"):
+                series = sweep_load(graph, cfg.with_(shards=3), LOADS,
+                                    context=ctx)
+        assert series.meta["fused"]["shards"] == 3
+        assert series.meta["fused"]["transport"] == "pool"
+        assert series.meta["resilience"]["shm_fallbacks"] == 1
+        assert series.points == reference.points
+        assert series.meta["speed_changes"] == \
+            reference.meta["speed_changes"]

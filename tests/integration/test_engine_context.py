@@ -1,10 +1,9 @@
-"""Persistent execution context: pool reuse, shm transport, cached sweeps.
+"""Persistent execution context: pool reuse and cached sweeps.
 
-The PR-4 contract: a sweep handed an :class:`ExecutionContext` must
-create exactly **one** worker pool no matter how many points it fans
-out, and every transport/caching variant — per-point pools, persistent
-pool, shared-memory realization views, pickled chunks, cache hits from
-disk — must be bit-identical to the serial reference.
+The contract: a sweep handed an :class:`ExecutionContext` must create
+exactly **one** worker pool no matter how many points it fans out, and
+every execution variant — persistent pool, cache hits from disk — must
+be bit-identical to the serial reference.
 """
 
 import numpy as np
@@ -34,7 +33,7 @@ def serial_series(graph, cfg):
 
 
 def _spy_pool(monkeypatch):
-    # every pool — point-level or run-level — is created here
+    # every pool — point-level or shard-level — is created here
     import repro.experiments.engine as engine_mod
     calls = []
     orig = engine_mod.ProcessPoolExecutor
@@ -92,17 +91,6 @@ class TestPoolReuse:
         assert calls == [4]
         _assert_series_equal(serial_series, series)
 
-    def test_per_point_pools_match_shared_pool(self, graph, cfg,
-                                               serial_series, monkeypatch):
-        # the pre-PR-4 shape: run-level pooling without a context spins
-        # one pool per sweep point — same bits, just slower
-        calls = _spy_pool(monkeypatch)
-        cfg_pool = cfg.with_(n_jobs=2, parallel_min_runs=0,
-                             run_level_pool=True)
-        series = sweep_load(graph, cfg_pool, LOADS, fused=False)
-        assert len(calls) == len(LOADS)
-        _assert_series_equal(serial_series, series)
-
     def test_pool_survives_repeated_sweeps(self, graph, cfg,
                                            serial_series):
         with ExecutionContext(n_jobs=4) as ctx:
@@ -121,31 +109,10 @@ class TestPoolReuse:
         with pytest.raises(ParallelError):
             ctx.pool()
 
-
-class TestSharedMemoryTransport:
-    @pytest.fixture(scope="class")
-    def app(self):
-        return application_with_load(figure3_graph(), 0.5, 2)
-
-    @pytest.fixture(scope="class")
-    def run_cfg(self):
-        return RunConfig(n_runs=30, seed=11, parallel_min_runs=0,
-                         run_level_pool=True)
-
-    @pytest.fixture(scope="class")
-    def serial_result(self, app, run_cfg):
-        return evaluate_application(app, run_cfg, n_jobs=1)
-
-    def test_shm_views_match_serial(self, app, run_cfg, serial_result):
-        with ExecutionContext(n_jobs=2, shared_memory=True) as ctx:
-            res = evaluate_application(app, run_cfg, n_jobs=2, context=ctx)
-        _assert_identical(serial_result, res)
-
-    def test_pickled_chunks_match_serial(self, app, run_cfg,
-                                         serial_result):
-        with ExecutionContext(n_jobs=2, shared_memory=False) as ctx:
-            res = evaluate_application(app, run_cfg, n_jobs=2, context=ctx)
-        _assert_identical(serial_result, res)
+    def test_empty_map_returns_empty(self):
+        with ExecutionContext(n_jobs=2) as ctx:
+            assert ctx.map(sorted, []) == []
+            assert ctx.pools_created == 0  # no work, no pool
 
 
 class TestCachedSweep:

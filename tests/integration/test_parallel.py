@@ -8,7 +8,7 @@ be reproducible.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ParallelError
 from repro.experiments import RunConfig, resolve_jobs
 from repro.experiments.parallel import (map_applications, map_custom,
                                        map_evaluations, map_load_points)
@@ -42,6 +42,15 @@ class TestResolveJobs:
         assert resolve_jobs(4, n_items=0) == 1
         assert resolve_jobs(None, n_items=0) == 1
 
+    def test_all_cores_means_the_schedulable_ones(self, monkeypatch):
+        # pinned to one core of an eight-core machine (taskset, cgroup
+        # CI runners): "all cores" must start one worker, not eight
+        import os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(0) == resolve_jobs(None) == 1
+
 
 class TestSerialParallelEquivalence:
     def test_load_points_identical(self, cfg):
@@ -60,18 +69,6 @@ class TestSerialParallelEquivalence:
         pooled = map_applications(apps, cfg, n_jobs=2)
         for a, b in zip(serial, pooled):
             assert a.mean_normalized() == b.mean_normalized()
-
-    def test_pool_disables_nested_run_parallelism(self, cfg):
-        # a config asking for run-level workers must not nest pools
-        # inside point-level workers — and must still match serial
-        g = figure3_graph()
-        serial = map_load_points(g, [0.4, 0.7], cfg, n_jobs=1)
-        pooled = map_load_points(g, [0.4, 0.7], cfg.with_(n_jobs=2),
-                                 n_jobs=2)
-        for a, b in zip(serial, pooled):
-            for scheme in a.normalized:
-                assert np.array_equal(a.normalized[scheme],
-                                      b.normalized[scheme])
 
     def test_results_in_submission_order(self, cfg):
         g = figure3_graph()
@@ -101,3 +98,31 @@ class TestMapCustom:
     def test_custom_parallel(self):
         out = map_custom(divmod, [(7, 3), (9, 4)], n_jobs=2)
         assert out == [(2, 1), (2, 1)]
+
+
+def _fail_on(x):
+    if x == "bad":
+        raise RuntimeError("worker exploded")
+    return x
+
+
+class TestWorkerFailures:
+    def test_custom_pool_failure_has_context(self):
+        with pytest.raises(ParallelError, match="args=\\('bad',\\)") as ei:
+            map_custom(_fail_on, [("ok",), ("bad",), ("ok",)], n_jobs=2)
+        assert isinstance(ei.value.__cause__, RuntimeError)
+        assert "worker exploded" in str(ei.value)
+
+    def test_load_point_failure_names_the_point(self):
+        cfg = RunConfig(schemes=("GSS",), n_runs=5, seed=1)
+        # load > 1 is rejected inside the worker process
+        with pytest.raises(ParallelError, match="load=1.5"):
+            map_load_points(figure3_graph(), [0.5, 1.5], cfg, n_jobs=2)
+
+    def test_failure_surfaces_promptly(self):
+        import time
+        start = time.monotonic()
+        with pytest.raises(ParallelError):
+            map_custom(_fail_on, [("bad",)] + [("ok",)] * 3, n_jobs=2)
+        # fail-fast: nowhere near the time 4 sequential retries would take
+        assert time.monotonic() - start < 30.0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import (
+    EvaluationResult,
     RunConfig,
     build_plans,
     evaluate_application,
@@ -172,3 +173,27 @@ class TestPathConditional:
         from repro.errors import ConfigError
         with pytest.raises(ConfigError, match="not in result"):
             result.conditional_normalized("NOPE")
+
+
+class TestPathFrequencies:
+    def test_exact_fractions(self):
+        res = EvaluationResult(app_name="x", config=RunConfig(n_runs=7),
+                               path_keys=["a", "b", "a", "c", "a", "b",
+                                          "a"])
+        freq = res.path_frequencies()
+        assert freq == {"a": 4 / 7, "b": 2 / 7, "c": 1 / 7}
+
+    def test_sum_is_exact_for_large_n(self):
+        # the old 1/n accumulation drifted; counting must not
+        keys = (["p"] * 333) + (["q"] * 334) + (["r"] * 333)
+        res = EvaluationResult(app_name="x", config=RunConfig(n_runs=1000),
+                               path_keys=keys)
+        freq = res.path_frequencies()
+        assert freq["p"] == 333 / 1000
+        assert freq["q"] == 334 / 1000
+        assert sum(freq.values()) == pytest.approx(1.0, abs=1e-15)
+
+    def test_empty_rejected(self):
+        res = EvaluationResult(app_name="x", config=RunConfig(n_runs=1))
+        with pytest.raises(ConfigError):
+            res.path_frequencies()

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ALL_SCHEMES, get_policy
-from repro.experiments import RunConfig, evaluate_application
+from repro.experiments import RunConfig, evaluate_application, map_evaluations
 from repro.graph import GraphGenConfig, random_graph
 from repro.power import NO_OVERHEAD, PAPER_OVERHEAD, transmeta_model, xscale_model
 from repro.sim import (
@@ -220,15 +220,16 @@ def test_fuzzed_evaluation_equivalence(seed, or_depth, load):
 
 
 def test_pooled_compiled_equals_serial_dict():
-    """The pool path with the compiled engine equals serial dict runs."""
-    app = application_with_load(build_nested_or_graph(), 0.8, 2)
+    """The point-level pool with the compiled engine equals serial dict."""
+    graph = build_nested_or_graph()
+    apps = [application_with_load(graph, load, 2) for load in (0.6, 0.8)]
     base = RunConfig(schemes=ALL_SCHEMES, n_runs=30, n_processors=2,
                      seed=13)
-    r_dict = evaluate_application(app, base.with_(engine="dict"), n_jobs=1)
-    r_comp = evaluate_application(
-        app, base.with_(engine="compiled", parallel_min_runs=0,
-                        runs_per_chunk=7), n_jobs=2)
-    assert r_dict.path_keys == r_comp.path_keys
-    for scheme in ALL_SCHEMES:
-        assert np.array_equal(r_dict.normalized[scheme],
-                              r_comp.normalized[scheme]), scheme
+    pooled = map_evaluations(apps, base.with_(engine="compiled"),
+                             n_jobs=2, fused=False)
+    for app, r_comp in zip(apps, pooled):
+        r_dict = evaluate_application(app, base.with_(engine="dict"))
+        assert r_dict.path_keys == r_comp.path_keys
+        for scheme in ALL_SCHEMES:
+            assert np.array_equal(r_dict.normalized[scheme],
+                                  r_comp.normalized[scheme]), scheme

@@ -1,8 +1,8 @@
 """Unit tests for the content-addressed evaluation cache.
 
 The contract: ``evaluation_key`` must change when — and only when — a
-field that can change the *result* changes.  Execution knobs (worker
-count, chunking, fallback threshold) shape wall-clock, never bits, so
+field that can change the *result* changes.  Execution knobs (retry
+budget, hang timeout, degrade mode) shape wall-clock, never bits, so
 they must hash identically; a cached entry loaded back must be
 bit-identical to the result that was stored; a corrupted, truncated
 or wrong-schema entry must degrade to a miss with a single warning —
@@ -15,7 +15,6 @@ import pytest
 
 from repro.experiments import (EvaluationCache, RunConfig,
                                evaluate_application, evaluation_key)
-from repro.experiments.evalcache import plan_setup_key
 from repro.power import PAPER_OVERHEAD
 from repro.workloads import application_with_load, figure3_graph
 
@@ -55,13 +54,13 @@ class TestEvaluationKey:
             evaluation_key(app, cfg.with_(**change))
 
     @pytest.mark.parametrize("change", [
-        {"n_jobs": 4},
-        {"runs_per_chunk": 3},
-        {"parallel_min_runs": 0},
+        {"max_retries": 9},
+        {"chunk_timeout": 2.5},
+        {"degrade": False},
     ])
     def test_execution_knobs_do_not_change_key(self, app, cfg, change):
-        # these shape wall-clock only; results are bit-identical, so a
-        # cache entry computed serially must serve a pooled request
+        # these shape recovery only; results are bit-identical, so a
+        # cache entry computed without them must serve a request with
         assert evaluation_key(app, cfg) == \
             evaluation_key(app, cfg.with_(**change))
 
@@ -78,15 +77,6 @@ class TestEvaluationKey:
         lower = cfg.with_(schemes=("gss", "ss1"))
         canon = cfg.with_(schemes=("GSS", "SS1"))
         assert evaluation_key(app, lower) == evaluation_key(app, canon)
-
-    def test_setup_key_ignores_draw_fields(self, app, cfg):
-        # the plan/compile setup shipped to workers only depends on the
-        # schedule, not on how many realizations are drawn from it
-        assert plan_setup_key(app, cfg) == \
-            plan_setup_key(app, cfg.with_(n_runs=99, seed=1,
-                                          sigma_fraction=0.2))
-        assert plan_setup_key(app, cfg) != \
-            plan_setup_key(app, cfg.with_(heuristic="stf"))
 
 
 class TestCacheRoundTrip:
