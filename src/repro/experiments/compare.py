@@ -6,7 +6,8 @@ statistics, which are far more sensitive than comparing the two means.
 This module provides:
 
 * :func:`paired_comparison` — per-run differences, their CI, and a
-  paired t-test p-value (scipy);
+  paired t-test p-value (:func:`t_two_sided_p`, numpy and ``math``
+  only);
 * :func:`compare_all` — the full scheme×scheme matrix for one
   evaluation;
 * :func:`render_comparison` — a readable win/loss matrix.
@@ -17,17 +18,94 @@ with actual significance rather than eyeballed curve gaps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _stats
 
 from ..errors import ConfigError
 from .runner import EvaluationResult
 
 #: two-sided significance threshold used by the renderers
 ALPHA = 0.05
+
+
+#: Stirling-series coefficients of ``ln Γ(z) − [(z − ½) ln z − z +
+#: ½ ln 2π]`` in powers ``z**-1, z**-3, ...``
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360)
+
+
+def _stirling_tail(z: float) -> float:
+    zi = 1.0 / z
+    zi2 = zi * zi
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * zi2 + c
+    return acc * zi
+
+
+def _log_gamma_ratio_half(a: float) -> float:
+    """``ln Γ(a + ½) − ln Γ(a)``, without the cancellation of two large
+    ``lgamma`` values: for large ``a`` the Stirling series of both
+    terms is subtracted analytically, leaving ``a·log1p(1/2a) − ½``."""
+    if a < 10.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    return (a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a)
+            + _stirling_tail(a + 0.5) - _stirling_tail(a))
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction of the regularized incomplete beta
+    function, evaluated by the modified Lentz method."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100000):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            delta = c * d
+            h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(  # pragma: no cover - converges in O(√a) steps
+        f"incomplete beta continued fraction did not converge "
+        f"(a={a}, b={b}, x={x})")
+
+
+def t_two_sided_p(t: float, df: float) -> float:
+    """Two-sided p-value of Student's t statistic ``t`` with ``df``
+    degrees of freedom: ``P(|T| ≥ |t|) = I_x(df/2, 1/2)`` at
+    ``x = df / (df + t²)``, the regularized incomplete beta function.
+
+    ``ln(x^a (1−x)^b / B(a, b))`` is formed from ``log1p`` and
+    :func:`_log_gamma_ratio_half`, so it keeps full precision at large
+    ``df``; the continued fraction runs on whichever of ``I_x(a, b)``
+    and ``1 − I_{1−x}(b, a)`` converges fast.
+    """
+    if t == 0.0:
+        return 1.0
+    t2 = t * t
+    a, b = 0.5 * df, 0.5
+    x = df / (df + t2)
+    y = t2 / (df + t2)  # 1 - x, without the cancellation
+    log_front = (-a * math.log1p(t2 / df) + b * math.log(y)
+                 + _log_gamma_ratio_half(a) - 0.5 * math.log(math.pi))
+    front = math.exp(log_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        p = front * _beta_cf(a, b, x) / a
+    else:
+        p = 1.0 - front * _beta_cf(b, a, y) / b
+    return min(max(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,11 +151,11 @@ def paired_comparison(name_a: str, sample_a: np.ndarray,
     mean = float(diff.mean())
     sem = float(diff.std(ddof=1) / np.sqrt(diff.size))
     if sem <= 1e-12 * max(abs(mean), 1.0):
-        # (near-)constant difference: the t-test degenerates (scipy
-        # warns about catastrophic cancellation); decide directly
+        # (near-)constant difference: the t-test degenerates
+        # (catastrophic cancellation in the variance); decide directly
         p = 1.0 if mean == 0.0 else 0.0
     else:
-        p = float(_stats.ttest_rel(a, b).pvalue)
+        p = t_two_sided_p(mean / sem, diff.size - 1)
     ci95 = 1.959963984540054 * sem
     return PairedComparison(a=name_a, b=name_b, mean_diff=mean,
                             ci95=ci95, p_value=p, n=int(a.size))

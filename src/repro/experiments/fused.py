@@ -9,13 +9,27 @@ amortize the *per-point* kernel invocations.
 :func:`evaluate_points_fused` takes a whole sweep (several applications,
 one config each), stacks their compiled section programs into one
 :class:`~repro.sim.sweepc.StackedProgram` (when the points are
-structurally homogeneous — load and α sweeps are), samples every
-point's realization batch from its own seed exactly as
-:func:`~repro.experiments.runner.evaluate_application` would, and runs
-the batch kernels once over the fused run axis with a ``point_of``
-gather index.  The result list is sliced back per point, so callers —
-and the per-point evaluation cache — see ordinary
+structurally homogeneous — load and α sweeps are), gives every point
+the realization batch
+:func:`~repro.experiments.runner.evaluate_application` would draw from
+its seed, and runs the batch kernels once over the fused run axis with
+a ``point_of`` gather index.  The result list is sliced back per point,
+so callers — and the per-point evaluation cache — see ordinary
 :class:`~repro.experiments.runner.EvaluationResult`\\ s.
+
+**Sample once, decode once.**  The evaluation is paired, and a load
+sweep changes only the deadline, so its points draw identical batches.
+A fused pass samples each distinct draw once (points are grouped by
+what the draw depends on — seed, run count, sigma fraction, task
+times and OR branches — never by object identity), keeps one
+realization matrix that the kernels read through a ``row_of``
+run→row map instead of a stacked copy per point, and decodes each
+distinct set of OR choices into path groups once, tiling the groups
+by point offset.  A ``figure5`` power model samples and decodes once;
+a ``figure6`` one samples per α (the ACETs differ) and decodes once
+(the choices coincide).  ``series.meta["fused"]`` records the pass's
+``draws`` and ``decodes``.  Every kernel row depends on its own
+realization row only, so the sharing changes no float.
 
 **Sharded execution.**  The fused pass itself is embarrassingly
 parallel along the run axis: every run's outputs are elementwise in its
@@ -26,9 +40,9 @@ ranges and each shard executes the same stacked program over its row
 slice as an independent :class:`ShardTask` on the persistent local
 worker pool, inheriting the retry/degrade semantics of
 :meth:`~repro.experiments.engine.ExecutionContext.map`.  Seed alignment
-makes this exact, not approximate: a shard samples each point's *full*
-realization batch from the config seed and slices its row range, so it
-sees bit-for-bit the rows the monolithic pass would have, and the
+makes this exact, not approximate: a shard samples each distinct
+*full* realization batch from its seed once and slices its row range,
+so it sees bit-for-bit the rows the monolithic pass would have, and the
 parent reduces shard blocks back by concatenation in shard-index order
 (fixed accumulation order).  Sharded output is therefore byte-identical
 to the unsharded fused reference — pinned by the golden suites.
@@ -87,7 +101,8 @@ def default_shards() -> Optional[int]:
 
 
 #: observability snapshot of the most recent fused pass in this process
-#: (shard count, run ranges, transport); popped by the sweep layer into
+#: (shard count, run ranges, transport, distinct draws and decodes);
+#: popped by the sweep layer into
 #: ``series.meta["fused"]`` via :func:`take_fused_meta`
 _LAST_FUSED: Optional[Dict[str, object]] = None
 
@@ -120,23 +135,27 @@ class _FusedRunSpec:
 
 class _View:
     """One (possibly stacked) program plus the per-point data aligned to
-    its rows.
+    its runs.
 
     The static view covers every run; the dynamic view may cover a
     subset (points whose dynamic plan exists), with ``rows`` mapping
-    its run axis back into the full one (``None``: every run).
+    its run axis back into the full one (``None``: every run).  Run
+    ``i`` of the view reads ``matrix[row_of[i]]`` (``row_of=None``: row
+    ``i``), so views share one realization matrix instead of copying
+    its rows.
     """
 
-    __slots__ = ("prog", "plans", "progs", "batches", "matrix", "groups",
-                 "point_of", "offsets", "rows")
+    __slots__ = ("prog", "plans", "progs", "batches", "matrix", "row_of",
+                 "groups", "point_of", "offsets", "rows")
 
-    def __init__(self, prog, plans, progs, batches, matrix, groups,
+    def __init__(self, prog, plans, progs, batches, matrix, row_of, groups,
                  point_of, offsets, rows):
         self.prog = prog
         self.plans = plans
         self.progs = progs
         self.batches = batches
         self.matrix = matrix
+        self.row_of = row_of
         self.groups = groups
         self.point_of = point_of
         self.offsets = offsets
@@ -295,7 +314,7 @@ def _scalar_fallback(policy, probes, view: _View, power, overhead):
     object is started afresh per run.
     """
     needs_rl = policy.needs_realization
-    total = view.matrix.shape[0]
+    total = int(view.offsets[-1])
     abs_arr = np.empty(total)
     fin_arr = np.empty(total)
     chg_arr = np.empty(total)
@@ -303,7 +322,10 @@ def _scalar_fallback(policy, probes, view: _View, power, overhead):
         lo, hi = int(view.offsets[p]), int(view.offsets[p + 1])
         batch = view.batches[p]
         kernel = CompiledKernel(view.progs[p], power, overhead)
-        rows = view.matrix[lo:hi].tolist()
+        if view.row_of is None:
+            rows = view.matrix[lo:hi].tolist()
+        else:
+            rows = view.matrix.take(view.row_of[lo:hi], axis=0).tolist()
         choice_rows = batch.choice_rows()
         shared_run = None
         if probes is not None and probes[p].stateless:
@@ -347,23 +369,26 @@ def _sub_grouping(groups, spans: Sequence[Tuple[int, int]], total: int):
     return sel, sub_groups
 
 
-def _dyn_view(build: _FusedBuild, batches, matrix, groups, point_of,
-              offsets) -> _View:
+def _dyn_view(build: _FusedBuild, static: _View) -> _View:
     """The dynamic programs' view of a sampled batch."""
     if len(build.dyn_points) == len(build.plans):
         # the common case: every point has a dynamic plan, and the
         # dynamic program's section topology equals the static one's
         # (same structure object), so the grouping carries over
         return _View(build.stacked_dyn, build.dyn_plans, build.dyn_progs,
-                     batches, matrix, groups, point_of, offsets, None)
+                     static.batches, static.matrix, static.row_of,
+                     static.groups, static.point_of, static.offsets, None)
     dyn_points = build.dyn_points
+    offsets = static.offsets
     sel, sub_groups = _sub_grouping(
-        groups, [(offsets[i], offsets[i + 1]) for i in dyn_points],
-        matrix.shape[0])
-    sub_counts = [len(batches[i]) for i in dyn_points]
+        static.groups, [(offsets[i], offsets[i + 1]) for i in dyn_points],
+        int(offsets[-1]))
+    row_of = static.row_of.take(sel) if static.row_of is not None else sel
+    sub_counts = [len(static.batches[i]) for i in dyn_points]
     return _View(build.stacked_dyn, build.dyn_plans, build.dyn_progs,
-                 [batches[i] for i in dyn_points], matrix.take(sel, axis=0),
-                 sub_groups, np.repeat(np.arange(len(dyn_points)), sub_counts),
+                 [static.batches[i] for i in dyn_points], static.matrix,
+                 row_of, sub_groups,
+                 np.repeat(np.arange(len(dyn_points)), sub_counts),
                  np.concatenate(([0], np.cumsum(sub_counts))), sel)
 
 
@@ -383,10 +408,13 @@ def _place(view: _View, npm_energy, npm_finish, absolute, finish, changes):
 
 
 def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
-              offsets):
+              offsets, row_of=None):
     """Every scheme of a sampled batch — the one evaluator behind fused
     sweeps, :func:`evaluate_batch` and through it
     ``evaluate_application`` and the online stream.
+
+    Run ``i`` reads its actual times from ``matrix[row_of[i]]``
+    (``row_of=None``: row ``i``); ``offsets`` delimits each point's runs.
 
     NPM runs first (the fixed kernel without overhead): it is every
     normalized energy's denominator, and what a scheme degrades to at a
@@ -400,12 +428,13 @@ def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
     when a scheme's shape punts the sweep to per-point evaluation.
     """
     power, overhead = build.power, build.overhead
-    total = matrix.shape[0]
+    total = int(offsets[-1])
     base = run_fixed_batch(build.stacked_static, power, NO_OVERHEAD, matrix,
-                           groups, power.s_max, "NPM", point_of=point_of)
+                           groups, power.s_max, "NPM", point_of=point_of,
+                           row_of=row_of)
     npm_energy, npm_finish = base.total_energy, base.finish_time
     static_view = _View(build.stacked_static, build.static_plans,
-                        build.static_progs, batches, matrix, groups,
+                        build.static_progs, batches, matrix, row_of, groups,
                         point_of, offsets, None)
     dyn_view: Optional[_View] = None
     stacked: Dict[int, tuple] = {}  # id(view) -> (view, names, specs)
@@ -423,8 +452,7 @@ def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
             continue
         if policy.requires_reserve:
             if dyn_view is None:
-                dyn_view = _dyn_view(build, batches, matrix, groups,
-                                     point_of, offsets)
+                dyn_view = _dyn_view(build, static_view)
             view = dyn_view
         else:
             view = static_view
@@ -440,10 +468,11 @@ def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
         if kind == "fixed":
             res = run_fixed_batch(view.prog, power, overhead, view.matrix,
                                   view.groups, arg, name,
-                                  point_of=view.point_of)
+                                  point_of=view.point_of,
+                                  row_of=view.row_of)
             per_point = np.asarray(res.n_speed_changes, dtype=float)
             if per_point.ndim == 0:  # every point shares one speed
-                chg = np.full(view.matrix.shape[0], float(per_point))
+                chg = np.full(res.total_energy.size, float(per_point))
             else:
                 chg = per_point[view.point_of]
             got = (res.total_energy, res.finish_time, chg)
@@ -453,7 +482,8 @@ def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
     for view, names, specs in stacked.values():
         for res in run_dynamic_batch(view.prog, power, overhead,
                                      view.matrix, view.groups, specs, names,
-                                     point_of=view.point_of):
+                                     point_of=view.point_of,
+                                     row_of=view.row_of):
             out[res.scheme] = _place(view, npm_energy, npm_finish,
                                      res.total_energy, res.finish_time,
                                      res.n_speed_changes.astype(float))
@@ -488,44 +518,116 @@ def evaluate_batch(plan_dyn, plan_static, scheme_names: Sequence[str],
                      np.array([0, n])) + (path_keys,)
 
 
+def _draw_key(structure, cfg: RunConfig) -> tuple:
+    """Everything a point's realization batch depends on.
+
+    :func:`~repro.sim.realization.sample_realization_batch` reads the
+    seed, the run count, the sigma fraction, each computation task's
+    ``(name, wcet, acet)`` in column order and each OR node's
+    ``(target, probability)`` branches; two points with equal keys draw
+    equal batches.  A load sweep's points differ only in the deadline,
+    so they share one key; an α sweep's ACETs differ per point.
+    """
+    graph = structure.graph
+    tasks = tuple((n.name, n.wcet, n.acet)
+                  for n in graph.computation_nodes())
+    ors = tuple((n.name, tuple(structure.branches(n.name)))
+                for n in graph.or_nodes())
+    return (cfg.seed, cfg.n_runs, cfg.sigma_fraction, tasks, ors)
+
+
+def _same_choices(a, b) -> bool:
+    """Whether two batches' OR choices are equal, array by array."""
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k])
+                                        for k in a)
+
+
 def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
                    run_range: Optional[Tuple[int, int]] = None):
     """Sample and execute a fused sweep over one run-range.
 
+    Each point's batch is the one ``evaluate_application`` draws from
+    ``default_rng(cfg.seed)``, but points with equal :func:`_draw_key`\\ s
+    share a single draw, the fused run axis reads one realization
+    matrix through a ``row_of`` map instead of a stacked copy per
+    point, and each distinct set of OR choices is decoded once, its
+    path groups tiled by point offset.  Every kernel row depends on its
+    own realization row only, so sharing changes no float.
+
     ``run_range=None`` covers every run (the monolithic pass); a
-    ``(lo, hi)`` range samples each point's *full* batch from its seed
-    and slices rows ``[lo, hi)`` — seed alignment — so a shard computes
-    bit-for-bit the rows the monolithic pass holds at those positions.
-    Returns ``(offsets, npm_energy, absolute, changes, path_keys)``
-    over the covered rows, or ``None`` when a scheme's shape punts the
-    sweep to per-point evaluation.
+    ``(lo, hi)`` range samples each distinct *full* batch and slices
+    rows ``[lo, hi)`` — seed alignment — so a shard computes bit-for-bit
+    the rows the monolithic pass holds at those positions.  Returns
+    ``(offsets, npm_energy, absolute, changes, path_keys, counts)``
+    over the covered rows, ``counts`` being the pass's distinct
+    ``{"draws", "decodes"}``, or ``None`` when a scheme's shape punts
+    the sweep to per-point evaluation.
     """
-    # per-point sampling from each config's own generator: the exact
-    # stream evaluate_application draws, so fused results (and the cache
-    # entries they fill) are interchangeable with per-point ones
-    batches = []
-    for (pd, ps), cfg in zip(build.plans, configs):
-        rng = np.random.default_rng(cfg.seed)
-        batch = sample_realization_batch(
-            ps.structure, rng, cfg.n_runs,
-            sigma_fraction=cfg.sigma_fraction)
-        if run_range is not None:
-            batch = batch[run_range[0]:run_range[1]]
-        batches.append(batch)
+    draw_index: Dict[tuple, int] = {}
+    drawn = []    # the distinct batches, in first-use order
+    draw_of = []  # point -> index into drawn
+    for (_pd, ps), cfg in zip(build.plans, configs):
+        key = _draw_key(ps.structure, cfg)
+        d = draw_index.get(key)
+        if d is None:
+            batch = sample_realization_batch(
+                ps.structure, np.random.default_rng(cfg.seed), cfg.n_runs,
+                sigma_fraction=cfg.sigma_fraction)
+            if run_range is not None:
+                batch = batch[run_range[0]:run_range[1]]
+            d = draw_index[key] = len(drawn)
+            drawn.append(batch)
+        draw_of.append(d)
+    batches = [drawn[d] for d in draw_of]
     counts = [len(b) for b in batches]
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    total = int(offsets[-1])
     point_of = np.repeat(np.arange(len(configs)), counts)
-    matrix = np.vstack([prog.realization_matrix(b)
-                        for prog, b in zip(build.static_progs, batches)])
-    choices = {name: np.concatenate([b.choices[name] for b in batches])
-               for name in batches[0].choices}
-    groups, path_keys = build.stacked_static.executed_paths(choices, total)
-    out = _evaluate(build, batches, matrix, groups, point_of, offsets)
+
+    # one matrix block per distinct draw: stacked programs share their
+    # column order (programs_compatible), so a block serves every point
+    # that drew it
+    prog = build.stacked_static
+    blocks = [prog.realization_matrix(b) for b in drawn]
+    matrix = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    row_of = None  # every point drawing its own batch: the identity
+    if len(drawn) < len(configs):
+        starts = np.cumsum([0] + [len(b) for b in drawn])
+        row_of = np.concatenate([np.arange(starts[d], starts[d] + n)
+                                 for d, n in zip(draw_of, counts)])
+
+    # one decode per distinct choice set
+    decoded = []    # (choices, (groups, keys)) per distinct choice set
+    decode_of = []  # draw -> index into decoded
+    for batch in drawn:
+        for c, (choices, _paths) in enumerate(decoded):
+            if _same_choices(batch.choices, choices):
+                break
+        else:
+            c = len(decoded)
+            decoded.append((batch.choices, prog.executed_paths(
+                batch.choices, len(batch))))
+        decode_of.append(c)
+    # each point's groups shifted to its offset: points run in order and
+    # each point's groups come in first-occurrence order with ascending
+    # indices, so the merged groups are a fresh decode's of the fused axis
+    by_path: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+    path_keys: List[str] = []
+    for p, d in enumerate(draw_of):
+        groups_p, keys_p = decoded[decode_of[d]][1]
+        off = int(offsets[p])
+        for path, idx in groups_p:
+            by_path.setdefault(path, []).append(idx + off)
+        path_keys.extend(keys_p)
+    groups = [(path, np.concatenate(parts))
+              for path, parts in by_path.items()]
+
+    out = _evaluate(build, batches, matrix, groups, point_of, offsets,
+                    row_of)
     if out is None:
         return None
     npm_energy, _npm_finish, absolute, _finish, changes = out
-    return offsets, npm_energy, absolute, changes, path_keys
+    return (offsets, npm_energy, absolute, changes, path_keys,
+            {"draws": len(drawn), "decodes": len(decoded)})
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +678,21 @@ class ShardResult:
     path keys ride as an ordinary pickled list (shared key strings
     memoize well).  ``block`` is an
     :class:`~repro.experiments.engine.ShardBlock` descriptor when the
-    worker published the matrix through shared memory.
+    worker published the matrix through shared memory; ``counts`` are
+    the shard's distinct draws and decodes.
     """
 
-    __slots__ = ("matrix", "block", "path_keys", "schemes", "n_points")
+    __slots__ = ("matrix", "block", "path_keys", "schemes", "n_points",
+                 "counts")
 
-    def __init__(self, matrix, block, path_keys, schemes, n_points):
+    def __init__(self, matrix, block, path_keys, schemes, n_points,
+                 counts):
         self.matrix = matrix
         self.block = block
         self.path_keys = path_keys
         self.schemes = schemes
         self.n_points = n_points
+        self.counts = counts
 
     def __getstate__(self):
         return {s: getattr(self, s) for s in self.__slots__}
@@ -621,15 +727,15 @@ def run_shard(task: ShardTask) -> ShardResult:
         raise ParallelError(
             task.name,
             RuntimeError("shard punted to per-point evaluation"))
-    _offsets, npm, absolute, changes, path_keys = out
+    _offsets, npm, absolute, changes, path_keys, counts = out
     matrix = _pack_shard(build.scheme_names, npm, absolute, changes)
     if matrix.nbytes >= SHARD_SHM_MIN_BYTES:
         block = publish_shard_block(matrix, key=task.lo)
         if block is not None:
             return ShardResult(None, block, list(path_keys),
-                               build.scheme_names, len(task.apps))
+                               build.scheme_names, len(task.apps), counts)
     return ShardResult(matrix, None, list(path_keys),
-                       build.scheme_names, len(task.apps))
+                       build.scheme_names, len(task.apps), counts)
 
 
 def _stateful_scalar_schemes(build: _FusedBuild) -> Optional[List[str]]:
@@ -741,7 +847,8 @@ def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
     their monolithic positions (concat, never summation), so float
     accumulation order is fixed by construction.  A shard whose shm
     block cannot be attached is recomputed inline in the parent (warned
-    and counted as an shm fallback): slower, still bit-identical.
+    and counted as an shm fallback): slower, still bit-identical.  The
+    pass's draw and decode counts are the largest any shard made.
     """
     scheme_names = build.scheme_names
     n_points = len(configs)
@@ -752,12 +859,15 @@ def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
     absolute = {n: np.empty(total) for n in scheme_names}
     changes = {n: np.empty(total) for n in scheme_names}
     path_keys: List = [None] * total
+    pass_counts = {"draws": 0, "decodes": 0}
     for (lo, hi), res in zip(ranges, shard_results):
         span = hi - lo
         matrix = None
         keys = None
+        counts = None
         if res is not None:
             keys = res.path_keys
+            counts = res.counts
             if res.matrix is not None:
                 matrix = res.matrix
             else:
@@ -776,7 +886,7 @@ def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
                 raise ParallelError(
                     f"shard runs[{lo}:{hi})",
                     RuntimeError("shard recompute punted"))
-            _off, s_npm, s_abs, s_chg, keys = out
+            _off, s_npm, s_abs, s_chg, keys, counts = out
             matrix = _pack_shard(scheme_names, s_npm, s_abs, s_chg)
         expected = (1 + 2 * n_schemes, n_points * span)
         if matrix.shape != expected:
@@ -784,6 +894,8 @@ def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
                 f"shard runs[{lo}:{hi})",
                 RuntimeError(f"shard block shape {matrix.shape} != "
                              f"expected {expected}"))
+        for k in pass_counts:
+            pass_counts[k] = max(pass_counts[k], counts[k])
         for p in range(n_points):
             src = slice(p * span, (p + 1) * span)
             dst = slice(p * n_runs + lo, p * n_runs + hi)
@@ -794,7 +906,7 @@ def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
             path_keys[p * n_runs + lo:p * n_runs + hi] = \
                 keys[p * span:(p + 1) * span]
     offsets = np.arange(n_points + 1) * n_runs
-    return offsets, npm, absolute, changes, path_keys
+    return offsets, npm, absolute, changes, path_keys, pass_counts
 
 
 def evaluate_points_fused(apps: Sequence[Application],
@@ -858,7 +970,7 @@ def evaluate_points_fused(apps: Sequence[Application],
         out = _compute_fused(build, configs)
         if out is None:
             return None
-    offsets, npm_energy, absolute, changes, path_keys = out
+    offsets, npm_energy, absolute, changes, path_keys, counts = out
 
     scheme_names = build.scheme_names
     results = []
@@ -878,6 +990,8 @@ def evaluate_points_fused(apps: Sequence[Application],
         "points": n_points,
         "shards": len(shard_runs) if shard_runs else 1,
         "transport": transport,
+        "draws": counts["draws"],
+        "decodes": counts["decodes"],
     }
     if shard_runs:
         meta["shard_runs"] = shard_runs

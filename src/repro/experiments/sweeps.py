@@ -81,9 +81,10 @@ def _cache_meta(context: Optional[ExecutionContext], before,
 def _fused_meta(meta: Dict[str, object]) -> Dict[str, object]:
     """Record how the sweep's fused pass executed, if one ran.
 
-    ``meta["fused"]`` carries the shard count, per-shard run counts and
-    the transport (``inline``/``pool``) of the most recent
-    fused pass — popped, so one pass is never attributed to two sweeps.
+    ``meta["fused"]`` carries the shard count, per-shard run counts,
+    the transport (``inline``/``pool``) and the distinct ``draws`` and
+    ``decodes`` of the most recent fused pass — popped, so one pass is
+    never attributed to two sweeps.
     """
     from .fused import take_fused_meta
     fused = take_fused_meta()

@@ -83,12 +83,22 @@ a scalar dict-engine run; the golden suites
 **Fused sweeps.**  ``prog`` may be a
 :class:`~repro.sim.sweepc.StackedProgram` covering several sweep
 points at once; ``point_of`` is then the ``(n_runs,)`` point index of
-every row of ``matrix``, and ``speed`` (fixed kernel) or the runs'
-protocol attributes ``floor_const``/``floor_step`` (dynamic kernel)
-may hold ``(n_points,)`` vectors.  Per-point constants are gathered
-into each block, so every run computes with exactly its own point's
-floats — fused outputs are bit-identical to evaluating the points one
-program at a time.
+every run, and ``speed`` (fixed kernel) or the runs' protocol
+attributes ``floor_const``/``floor_step`` (dynamic kernel) may hold
+``(n_points,)`` vectors.  Per-point constants are gathered into each
+block, so every run computes with exactly its own point's floats —
+fused outputs are bit-identical to evaluating the points one program
+at a time.
+
+Points of one sweep often share their realizations (a load sweep
+changes only the deadline), so a fused run axis need not own a matrix
+row per run: with ``row_of``, run ``i`` reads its actual times from
+``matrix[row_of[i]]``, the outputs cover the ``row_of.size`` runs, and
+``groups`` and ``point_of`` index runs, not matrix rows.  Only the
+path gather and the WCET precheck read the matrix, both through
+``row_of.take(idx)``; since a run's outputs depend on its own row
+only, the outputs equal those on ``matrix[row_of]`` bit for bit,
+errors included.  ``row_of=None`` means run ``i`` is row ``i``.
 
 **Errors.**  Invalid batches raise the engine's error classes and
 messages, in *block* order (path groups in order, each group's blocks
@@ -98,11 +108,12 @@ error names that row's scheme.  The WCET guard runs once per block
 over every computation entry on the path: an actual time is valid in
 ``[0, c * (1 + 1e-9)]`` (the guard products precomputed on the tape),
 so a NaN, a negative or an over-WCET actual trips it.  On violation
-the sections are re-scanned in path order, over ``matrix[idx]`` (built
-only then), so the error names the first entry in path order with any
-violating run, and the first violating run within the block.  Because
-that check precedes the block's dispatch loop, a block holding both a
-WCET violation and a guarantee violation reports the WCET error.
+the sections are re-scanned in path order, over the block's matrix
+rows (gathered only then), so the error names the first entry in path
+order with any violating run, and the first violating run within the
+block.  Because that check precedes the block's dispatch loop, a block
+holding both a WCET violation and a guarantee violation reports the
+WCET error.
 Realization sampling clips actuals into ``(0, WCET]``, so this
 defensive path never fires on sampler-produced batches.
 """
@@ -248,18 +259,18 @@ def _path_block(flat: np.ndarray, n_cols: int, cols: np.ndarray,
 
 
 def _precheck(tape, path, guard, g_pt, act_path: np.ndarray,
-              matrix: np.ndarray, idx: np.ndarray,
+              matrix: np.ndarray, src: np.ndarray,
               pt: Optional[np.ndarray]) -> None:
-    """One WCET check for a whole block; on violation re-scan the
-    sections in path order so the error names the first invalid entry
-    (see the module docstring)."""
+    """One WCET check for a whole block, whose runs read matrix rows
+    ``src``; on violation re-scan the sections in path order so the
+    error names the first invalid entry (see the module docstring)."""
     if g_pt is not None and pt is not None:
         lim = g_pt.take(pt, axis=1) * (1 + 1e-9)
     else:
         lim = guard[:, None]
     if (act_path <= lim).all() and act_path.min() >= 0.0:
         return
-    block = matrix[idx]
+    block = matrix[src]
     for sid in path:
         st = tape.sections[sid]
         if st.comp_sel.size:
@@ -274,7 +285,8 @@ def run_fixed_batch(prog, power: PowerModel,
                     overhead: OverheadModel, matrix: np.ndarray,
                     groups, speed, scheme: str,
                     check_deadline: bool = True,
-                    point_of: Optional[np.ndarray] = None
+                    point_of: Optional[np.ndarray] = None,
+                    row_of: Optional[np.ndarray] = None
                     ) -> FixedBatchResult:
     """Vectorized fixed-speed simulation of a whole realization batch.
 
@@ -286,11 +298,14 @@ def run_fixed_batch(prog, power: PowerModel,
     ``point_of`` its run→point index) ``speed`` may be an
     ``(n_points,)`` vector of per-point fixed speeds, and every derived
     preamble constant is computed with the same scalar formulas,
-    selected per point.  See the module docstring for the layout,
+    selected per point; ``row_of`` maps each run to its ``matrix`` row
+    when runs share rows.  See the module docstring for the layout,
     blocking, bit-identity, fused-sweep and error-selection contract.
     """
     tape = build_tape(prog)
     n, n_cols = matrix.shape
+    if row_of is not None:
+        n = row_of.size
     flat = np.ascontiguousarray(matrix).reshape(-1)
     m = prog.m
     deadline = prog.deadline
@@ -343,8 +358,9 @@ def run_fixed_batch(prog, power: PowerModel,
         e_busy = np.zeros(ng)
 
         if cols.size:
-            act_path = _path_block(flat, n_cols, cols, idx)
-            _precheck(tape, path, guard, g_pt, act_path, matrix, idx, pt)
+            src = row_of.take(idx) if row_of is not None else idx
+            act_path = _path_block(flat, n_cols, cols, src)
+            _precheck(tape, path, guard, g_pt, act_path, matrix, src, pt)
 
         for sec_i, sid in enumerate(path):
             st = tape.sections[sid]
@@ -428,7 +444,8 @@ def run_dynamic_batch(prog, power: PowerModel,
                       overhead: OverheadModel, matrix: np.ndarray,
                       groups, runs: Sequence, schemes: Sequence[str],
                       check_deadline: bool = True,
-                      point_of: Optional[np.ndarray] = None
+                      point_of: Optional[np.ndarray] = None,
+                      row_of: Optional[np.ndarray] = None
                       ) -> List[DynamicBatchResult]:
     """Vectorized simulation of several dynamic schemes over one batch.
 
@@ -449,7 +466,9 @@ def run_dynamic_batch(prog, power: PowerModel,
     (``floor_const``/``floor_step``/``or_respec``) and is not mutated;
     for a fused sweep those attributes may hold ``(n_points,)``
     vectors, gathered per block like the program's per-entry constants
-    and branch statistics.  See the module docstring for the layout,
+    and branch statistics, and ``row_of`` maps each run to its
+    ``matrix`` row as in :func:`run_fixed_batch`.  See the module
+    docstring for the layout,
     blocking, bit-identity, fused-sweep and error-selection contract.
     """
     n_s = len(runs)
@@ -457,6 +476,8 @@ def run_dynamic_batch(prog, power: PowerModel,
         return []
     tape = build_tape(prog)
     n, n_cols = matrix.shape
+    if row_of is not None:
+        n = row_of.size
     flat = np.ascontiguousarray(matrix).reshape(-1)
     m = prog.m
     deadline = prog.deadline
@@ -515,8 +536,9 @@ def run_dynamic_batch(prog, power: PowerModel,
         t_end = np.zeros(ng)
 
         if cols.size:
-            act_path = _path_block(flat, n_cols, cols, idx)
-            _precheck(tape, path, guard, g_pt, act_path, matrix, idx, pt)
+            src = row_of.take(idx) if row_of is not None else idx
+            act_path = _path_block(flat, n_cols, cols, src)
+            _precheck(tape, path, guard, g_pt, act_path, matrix, src, pt)
             if n_s > 1:
                 act_path = np.tile(act_path, n_s)
 

@@ -69,6 +69,9 @@ class TestGoldenEquality:
         fused = evaluate_points_fused(apps, [cfg] * len(apps))
         assert fused is not None, f"{label} sweep should fuse"
         assert len(fused) == len(apps)
+        # a load sweep's points share one draw and one decode
+        meta = take_fused_meta()
+        assert (meta["draws"], meta["decodes"]) == (1, 1)
         for app, res in zip(apps, fused):
             compiled = evaluate_application(app, cfg)
             _assert_identical(res, compiled)
@@ -85,6 +88,24 @@ class TestGoldenEquality:
         assert fused.points == per_point.points
         assert fused.meta["speed_changes"] == \
             per_point.meta["speed_changes"]
+        assert fused.meta["fused"]["draws"] == 1
+        assert fused.meta["fused"]["decodes"] == 1
+
+    def test_alpha_sweep_shares_its_decode(self):
+        # alpha rescales the ACETs, so every point draws its own actual
+        # times; the OR choices follow the normals in the stream, so the
+        # points still share one decode
+        from repro.experiments.sweeps import sweep_alpha
+        cfg = RunConfig(schemes=("SPM", "GSS", "AS"), n_runs=30, seed=7)
+        alphas = (0.2, 0.5, 0.8, 1.0)
+        fused = sweep_alpha(figure3_graph, cfg, 0.6, alphas)
+        per_point = sweep_alpha(figure3_graph, cfg, 0.6, alphas,
+                                fused=False)
+        assert fused.points == per_point.points
+        assert fused.meta["speed_changes"] == \
+            per_point.meta["speed_changes"]
+        assert fused.meta["fused"]["draws"] == len(alphas)
+        assert fused.meta["fused"]["decodes"] == 1
 
 
 class TestShardedEquality:
@@ -120,6 +141,8 @@ class TestShardedEquality:
         assert meta["shards"] == 3
         assert meta["shard_runs"] == [14, 13, 13]  # 40 % 3 spread
         assert meta["transport"] == "pool"
+        # every shard samples the shared batch once and decodes once
+        assert (meta["draws"], meta["decodes"]) == (1, 1)
         for app, res, ref in zip(apps, sharded, reference):
             _assert_identical(res, ref)
             dict_ref = evaluate_application(app, cfg.with_(engine="dict"))

@@ -1,5 +1,10 @@
 """Unit tests for paired statistical comparison."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,12 @@ from repro.experiments import (
     render_comparison,
     win_matrix,
 )
+from repro.experiments.compare import t_two_sided_p
 from repro.workloads import application_with_load, figure3_graph
+
+#: degrees of freedom and t statistics the p-value is pinned over
+DFS = (1, 2, 3, 5, 10, 30, 100, 1000, 10 ** 4, 10 ** 5)
+TS = (0.01, 0.5, 1.0, 1.7, 2.0, 3.0, 6.0, 12.0, 25.0, 40.0)
 
 
 class TestPairedComparison:
@@ -83,3 +93,59 @@ class TestCompareAll:
         """The headline, now with a p-value."""
         comps = compare_all(result, schemes=["GSS", "SS1"])
         assert comps[0].winner == "GSS"
+
+
+class TestPValue:
+    """The paired t-test p-value needs numpy and ``math`` only."""
+
+    def test_experiments_import_without_scipy(self):
+        # a None entry in sys.modules makes any ``import scipy`` fail
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            import repro.experiments
+            from repro.experiments import figure5
+            out = figure5(n_runs=10)
+            print("points:", sum(len(s.points) for s in out.values()))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "points: " in proc.stdout, proc.stdout
+
+    def test_zero_t_is_certain(self):
+        assert t_two_sided_p(0.0, 7) == 1.0
+
+    def test_symmetric_in_t(self):
+        for df in DFS:
+            for t in TS:
+                assert t_two_sided_p(-t, df) == t_two_sided_p(t, df)
+
+    def test_cauchy_closed_form(self):
+        # df = 1 is the Cauchy distribution: p = 1 - (2/pi) atan|t|
+        for t in TS:
+            want = 1.0 - 2.0 / np.pi * np.arctan(t)
+            assert t_two_sided_p(t, 1) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_matches_scipy_ttest_rel(self, df):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(df)
+        n = df + 1
+        z = rng.normal(size=n)
+        z -= z.mean()
+        z /= z.std(ddof=1)
+        base = rng.normal(0.5, 0.1, n)
+        for t in TS:
+            for sign in (1.0, -1.0):
+                # differences with unit sample std and mean t/sqrt(n):
+                # the paired statistic is t
+                a = base + z + sign * t / np.sqrt(n)
+                want = float(stats.ttest_rel(a, base).pvalue)
+                got = paired_comparison("A", a, "B", base).p_value
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-300), \
+                    (df, sign * t)

@@ -1,6 +1,6 @@
 """Batch-kernel mechanics: tape lowering, the first-idle processor
-choice, the WCET precheck's error selection, and the kernel
-observability snapshot.
+choice, the WCET precheck's error selection, the run-to-row map, and
+the kernel observability snapshot.
 
 The golden suites pin the kernels bit-identical to the dict engine
 through the public evaluation APIs; these tests pin what those suites
@@ -156,6 +156,73 @@ class TestWcetPrecheck:
         assert "exceeds WCET" in msg
         assert repr(name) in msg
         assert "actual time 1000000000.0 " in msg
+
+
+class TestRowMap:
+    """With ``row_of``, runs read shared realization rows; both kernels
+    must give exactly what they give on the materialized
+    ``matrix[row_of]``, errors included."""
+
+    def _setup(self):
+        from repro.power import PAPER_OVERHEAD, transmeta_model
+        from repro.sim import sample_realization_batch
+        app = application_with_load(atr_graph(), 0.6, 2)
+        plan = build_plan(app, 2)
+        prog = compile_plan(plan)
+        batch = sample_realization_batch(plan.structure,
+                                         np.random.default_rng(7), 24)
+        matrix = prog.realization_matrix(batch).copy()
+        # 60 runs over 24 rows: every row is read by several runs
+        row_of = np.random.default_rng(8).integers(0, 24, size=60)
+        choices = {k: v[row_of] for k, v in batch.choices.items()}
+        groups, _keys = prog.executed_paths(choices, row_of.size)
+        return (plan, prog, transmeta_model(), PAPER_OVERHEAD, matrix,
+                row_of, groups)
+
+    def _call(self, kernel, plan, prog, power, overhead, matrix, groups,
+              row_of):
+        from repro.core import get_policy
+        from repro.sim.compiled import run_dynamic_batch, run_fixed_batch
+        if kernel == "fixed":
+            res = run_fixed_batch(prog, power, overhead, matrix, groups,
+                                  power.s_max, "NPM", row_of=row_of)
+            return [(res.total_energy, res.finish_time)]
+        names = ("GSS", "SS1")
+        runs = [get_policy(n).start_run(plan, power, overhead)
+                for n in names]
+        return [(r.total_energy, r.finish_time, r.n_speed_changes)
+                for r in run_dynamic_batch(prog, power, overhead, matrix,
+                                           groups, runs, names,
+                                           row_of=row_of)]
+
+    @pytest.mark.parametrize("kernel", ["fixed", "dynamic"])
+    def test_mapped_rows_equal_materialized_rows(self, kernel):
+        plan, prog, power, overhead, matrix, row_of, groups = self._setup()
+        got = self._call(kernel, plan, prog, power, overhead, matrix,
+                         groups, row_of)
+        want = self._call(kernel, plan, prog, power, overhead,
+                          matrix[row_of], groups, None)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.shape == (row_of.size,)
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kernel", ["fixed", "dynamic"])
+    def test_mapped_over_wcet_row_raises_the_same_error(self, kernel):
+        plan, prog, power, overhead, matrix, row_of, groups = self._setup()
+        st = kernels.build_tape(prog).sections[prog.root_sid]
+        assert st.comp_cols.size  # the root section always executes
+        matrix[row_of[5], st.comp_cols[0]] = 1e9
+        with pytest.raises(SimulationError) as got:
+            self._call(kernel, plan, prog, power, overhead, matrix,
+                       groups, row_of)
+        with pytest.raises(SimulationError) as want:
+            self._call(kernel, plan, prog, power, overhead,
+                       matrix[row_of], groups, None)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert "exceeds WCET" in str(got.value)
 
 
 class TestKernelMeta:

@@ -1,5 +1,6 @@
 """Sweep-compiler internals: constant stacking, compatibility gates,
-single-point sweeps and the stacked-program cache.
+single-point sweeps, shared draws and decodes, and the stacked-program
+cache.
 
 The golden suite (``tests/property/test_fused_equivalence``) pins the
 *results* of fused sweeps; these tests pin the mechanisms — when a
@@ -8,10 +9,15 @@ refuse to stack, and when a re-swept point set reuses the cached
 stacked program instead of re-stacking.
 """
 
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+import repro.experiments.fused as fused_mod
+from repro.core import ALL_SCHEMES
 from repro.experiments import RunConfig, evaluate_application
-from repro.experiments.fused import evaluate_points_fused
+from repro.experiments.fused import evaluate_points_fused, take_fused_meta
 from repro.offline import build_plan
 from repro.sim.compiled import CompiledPlan, compile_plan
 from repro.sim.sweepc import (
@@ -102,26 +108,63 @@ class TestSinglePointSweeps:
                                   ref.normalized[scheme]), scheme
 
 
+def _assert_matches_per_point(apps, cfgs, fused):
+    assert fused is not None
+    for app, cfg, res in zip(apps, cfgs, fused):
+        ref = evaluate_application(app, cfg)
+        assert np.array_equal(res.npm_energy, ref.npm_energy)
+        assert res.path_keys == ref.path_keys
+        for scheme in cfg.schemes:
+            assert np.array_equal(res.absolute[scheme],
+                                  ref.absolute[scheme]), scheme
+            assert np.array_equal(res.speed_changes[scheme],
+                                  ref.speed_changes[scheme]), scheme
+
+
+class _CountingSampler:
+    """Counts the fused module's realization draws (batch sizes)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = fused_mod.sample_realization_batch
+
+        def counting(structure, rng, n, sigma_fraction=1.0 / 3.0):
+            self.calls.append(n)
+            return real(structure, rng, n, sigma_fraction=sigma_fraction)
+
+        monkeypatch.setattr(fused_mod, "sample_realization_batch", counting)
+
+
 class TestDecodeOnce:
-    """A sweep with a point that has no dynamic plan evaluates the
-    dynamic schemes on a sub-view; its path grouping is derived from
-    the static one instead of decoding the OR choices a second time."""
+    """A fused pass samples each distinct draw once and decodes each
+    distinct choice set once.  A sweep with a point that has no dynamic
+    plan evaluates the dynamic schemes on a sub-view; its path grouping
+    is derived from the static one instead of decoding the OR choices a
+    second time, and its runs read the shared matrix through a
+    composed row map."""
 
     LOADS = (0.5, 1.0, 0.7)  # load 1.0 leaves no room for the reserve
 
-    def _sweep(self):
-        import dataclasses
-        cfg = RunConfig(schemes=("NPM", "SPM", "GSS"), n_runs=40, seed=5)
+    @pytest.fixture(autouse=True)
+    def _in_process(self, monkeypatch):
+        # a session shard request (REPRO_SHARDS) would move the
+        # sampling and decoding counted here into pool workers
+        monkeypatch.setattr(fused_mod, "DEFAULT_SHARDS", None)
+
+    def _sweep(self, seed_step=0, schemes=("NPM", "SPM", "GSS")):
+        """A three-point load sweep; like a real sweep its points share
+        the config seed, unless ``seed_step`` gives each its own."""
+        cfg = RunConfig(schemes=schemes, n_runs=40, seed=5)
         apps = [application_with_load(atr_graph(), ld, cfg.n_processors)
                 for ld in self.LOADS]
-        cfgs = [dataclasses.replace(cfg, seed=cfg.seed + i)
+        cfgs = [dataclasses.replace(cfg, seed=cfg.seed + i * seed_step)
                 for i in range(len(apps))]
         return apps, cfgs
 
     def test_derived_grouping_equals_a_fresh_decode(self):
         from repro.experiments.fused import _build_fused, _sub_grouping
         from repro.sim import sample_realization_batch
-        apps, cfgs = self._sweep()
+        apps, cfgs = self._sweep(seed_step=1)
         build = _build_fused(apps, cfgs)
         assert build.dyn_points == [0, 2]
         batches = [sample_realization_batch(
@@ -157,13 +200,77 @@ class TestDecodeOnce:
         monkeypatch.setattr(StackedProgram, "executed_paths", counting)
         apps, cfgs = self._sweep()
         fused = evaluate_points_fused(apps, cfgs)
-        assert fused is not None
-        assert calls == [sum(c.n_runs for c in cfgs)]
-        for app, cfg, res in zip(apps, cfgs, fused):
-            ref = evaluate_application(app, cfg)
-            for scheme in cfg.schemes:
-                assert np.array_equal(res.absolute[scheme],
-                                      ref.absolute[scheme]), scheme
+        assert calls == [cfgs[0].n_runs]
+        _assert_matches_per_point(apps, cfgs, fused)
+        # a seed per point: one decode per distinct choice set
+        calls.clear()
+        apps, cfgs = self._sweep(seed_step=1)
+        fused = evaluate_points_fused(apps, cfgs)
+        assert calls == [c.n_runs for c in cfgs]
+        _assert_matches_per_point(apps, cfgs, fused)
+
+    def test_sweep_samples_once(self, monkeypatch):
+        sampler = _CountingSampler(monkeypatch)
+        apps, cfgs = self._sweep()
+        _assert_matches_per_point(apps, cfgs,
+                                  evaluate_points_fused(apps, cfgs))
+        assert sampler.calls == [cfgs[0].n_runs]
+        meta = take_fused_meta()
+        assert (meta["draws"], meta["decodes"]) == (1, 1)
+        # an alpha sweep changes the ACETs, hence the draw, per point;
+        # the OR choices come after the normals in the stream, so they
+        # stay shared
+        sampler.calls.clear()
+        cfg = RunConfig(schemes=("SPM", "GSS"), n_runs=25, seed=5)
+        alphas = (0.3, 0.6, 0.9)
+        apps = [application_with_load(figure3_graph(a), 0.5,
+                                      cfg.n_processors) for a in alphas]
+        cfgs = [cfg] * len(apps)
+        _assert_matches_per_point(apps, cfgs,
+                                  evaluate_points_fused(apps, cfgs))
+        assert sampler.calls == [cfg.n_runs] * len(alphas)
+        meta = take_fused_meta()
+        assert (meta["draws"], meta["decodes"]) == (len(alphas), 1)
+
+    def test_shards_sample_once_per_shard(self, monkeypatch):
+        # run the shards in this process so the sampler count sees them;
+        # each samples the full shared batch once and slices its range
+        def inline_shards(build, apps, configs, ranges, context):
+            return [fused_mod.run_shard(fused_mod.ShardTask(
+                s, len(ranges), lo, hi, tuple(apps), tuple(configs)))
+                for s, (lo, hi) in enumerate(ranges)]
+
+        monkeypatch.setattr(fused_mod, "_run_sharded", inline_shards)
+        sampler = _CountingSampler(monkeypatch)
+        apps, cfgs = self._sweep(schemes=ALL_SCHEMES)
+        fused = evaluate_points_fused(apps, cfgs, shards=2)
+        meta = take_fused_meta()
+        assert meta["shards"] == 2 and meta["transport"] == "pool"
+        assert (meta["draws"], meta["decodes"]) == (1, 1)
+        assert sampler.calls == [cfgs[0].n_runs] * 2
+        _assert_matches_per_point(apps, cfgs, fused)
+
+    def test_partial_dynamic_sweep_matches_per_point(self):
+        # only points 0 and 2 have a dynamic plan: the dynamic schemes
+        # run on a sub-view whose row map picks their runs out of the
+        # one shared matrix, and ORACLE reads it on the scalar fallback
+        apps, cfgs = self._sweep(schemes=ALL_SCHEMES)
+        build = fused_mod._build_fused(apps, cfgs)
+        assert build.dyn_points == [0, 2]
+        _assert_matches_per_point(apps, cfgs,
+                                  evaluate_points_fused(apps, cfgs))
+
+    def test_scalar_fallback_reads_through_the_row_map(self):
+        # every point dynamic and one shared draw: every scheme, the
+        # per-realization ORACLE included, reads repeated matrix rows
+        cfg = RunConfig(schemes=("NPM", "GSS", "ORACLE"), n_runs=30,
+                        seed=11)
+        apps = [application_with_load(atr_graph(), ld, cfg.n_processors)
+                for ld in (0.4, 0.6, 0.8)]
+        cfgs = [cfg] * len(apps)
+        _assert_matches_per_point(apps, cfgs,
+                                  evaluate_points_fused(apps, cfgs))
+        assert take_fused_meta()["draws"] == 1
 
 
 class TestStackedProgramCache:
