@@ -1,22 +1,25 @@
-"""Sweep-scale execution-engine benchmark: fused vs point pool vs cache.
+"""Sweep-scale execution-engine benchmark: fused, cache, pool, shards.
 
 Times the same Figure-5-shaped load sweep (widened ATR graph, six
-processors) three ways and emits ``BENCH_sweep.json``:
+processors) and emits ``BENCH_sweep.json``:
 
-1. **fused** — the default engine: the whole sweep is stacked into one
-   array program (:mod:`repro.sim.sweepc`) and executed in the parent
-   without a single worker pool;
-2. **warm** — the point-level pool (``fused=False``): one point per
-   task on one persistent
-   :class:`~repro.experiments.ExecutionContext` shared across all
-   points, so pool spin-up is paid once for the whole sweep.  An
+1. **fused** — the sweep's one execution route: the whole sweep is
+   stacked into one array program (:mod:`repro.sim.sweepc`) and
+   executed in the parent without a single worker pool.  An
    :class:`~repro.experiments.EvaluationCache` in a scratch directory
    is attached, so this pass also populates the on-disk cache (the
-   ``put`` cost is charged to the warm timing, as in real use);
-3. **cache** — the identical sweep re-run against the now-populated
+   ``put`` cost is charged to the fused timing, as in real use);
+2. **cache** — the identical sweep re-run against the now-populated
    cache: every point is served from disk without touching a pool.
 
-A fourth **fused_shard** section times the sharded fused path at a
+A **point_pool** section times the route of sweeps that cannot fuse:
+``sweep_overhead`` over ``--pool-points`` adjust times at
+``--pool-runs`` runs per point, serially on a one-worker context and
+fanned out one point per worker on a warmed ``ExecutionContext(n_jobs=2)``.
+``pool_speedup`` is serial/pooled; the two passes are asserted
+bit-identical and the pooled one to create exactly one pool.
+
+A third **fused_shard** section times the sharded fused path at a
 larger run count (``--shard-runs``): the same sweep executed
 monolithically in one process versus split into ``--shards``
 seed-aligned run-range shards (0 = auto: one per schedulable core,
@@ -27,18 +30,15 @@ transport and the high-water RSS of the parent and its pool workers.
 On a single-core host auto-sharding correctly resolves to one shard
 (the monolithic pass), so the ratio sits at ~1.0 by construction.
 
-All passes are asserted bit-identical to the fused pass point by point
-before any timing is reported — a speedup that changes results is a
-bug, not a feature — and the fused pass is asserted to create **zero**
-pools.
+The cache pass is asserted bit-identical to the fused pass point by
+point before any timing is reported — a speedup that changes results
+is a bug, not a feature — and the fused pass is asserted to create
+**zero** pools.
 
-``--budget-seconds`` (> 0) fails the invocation if the *warm* sweep
-exceeds the budget.  ``--min-cache-speedup`` (> 0) gates
-``cache_speedup`` (warm over cache).  ``--min-fused-speedup`` (> 0)
-gates ``fused_vs_warm_speedup`` — the headline number: the fused array
-program must beat the point-level pool on a persistent context.
-``--min-shard-speedup`` (> 0) gates ``shard_speedup`` with the usual
-5% timing-noise tolerance.  CI smoke runs both at 1.0.
+``--budget-seconds`` (> 0) fails the invocation if the *fused* or the
+*pooled* sweep exceeds the budget.  ``--min-cache-speedup`` (> 0) gates
+``cache_speedup`` (fused over cache).  ``--min-shard-speedup`` (> 0)
+gates ``shard_speedup`` with the usual 5% timing-noise tolerance.
 
 Run from the repo root::
 
@@ -60,7 +60,7 @@ from _common import (
     write_record,
 )
 from repro.experiments import (EvaluationCache, ExecutionContext, RunConfig,
-                               sweep_load)
+                               sweep_load, sweep_overhead)
 from repro.workloads import AtrConfig, atr_graph
 
 
@@ -75,8 +75,6 @@ def main(argv=None) -> int:
                     help="number of load-sweep points (grid 0.1..1.0)")
     ap.add_argument("--runs", type=int, default=120,
                     help="Monte-Carlo runs per point")
-    ap.add_argument("--jobs", type=int, default=4,
-                    help="worker count of the point-level pool")
     ap.add_argument("--procs", type=int, default=6)
     ap.add_argument("--seed", type=int, default=2002)
     ap.add_argument("--alpha", type=float, default=0.9)
@@ -85,9 +83,13 @@ def main(argv=None) -> int:
                     dest="budget_seconds")
     ap.add_argument("--min-cache-speedup", type=float, default=0.0,
                     dest="min_cache_speedup")
-    ap.add_argument("--min-fused-speedup", type=float, default=0.0,
-                    dest="min_fused_speedup",
-                    help="required fused-vs-warm speedup (0 = no gate)")
+    ap.add_argument("--pool-points", type=int, default=4,
+                    dest="pool_points",
+                    help="adjust-time points of the point_pool section")
+    ap.add_argument("--pool-runs", type=int, default=2000,
+                    dest="pool_runs",
+                    help="Monte-Carlo runs per point for the "
+                         "point_pool section")
     ap.add_argument("--shards", type=int, default=0,
                     help="shard count for the fused_shard section "
                          "(0 = auto: one per schedulable core)")
@@ -105,8 +107,8 @@ def main(argv=None) -> int:
                     help="required monolithic-vs-sharded speedup "
                          "(0 = no gate; 5%% timing-noise tolerance)")
     args = ap.parse_args(argv)
-    if args.points < 1:
-        ap.error("--points must be >= 1")
+    if args.points < 1 or args.pool_points < 1:
+        ap.error("--points and --pool-points must be >= 1")
 
     graph = atr_graph(AtrConfig(alpha=args.alpha, **FIG5_ATR))
     loads = [round(0.1 + 0.9 * i / max(args.points - 1, 1), 4)
@@ -115,39 +117,52 @@ def main(argv=None) -> int:
                     n_processors=args.procs, engine="compiled")
 
     print(f"sweep_speedup: {args.points} points x {args.runs} runs, "
-          f"m={args.procs}, jobs={args.jobs}, cores={effective_cores()}")
-
-    with ExecutionContext(n_jobs=1) as ctx:
-        t0 = time.perf_counter()
-        series_fused = sweep_load(graph, cfg, loads, context=ctx)
-        t_fused = time.perf_counter() - t0
-        fused_pools = ctx.pools_created
-    assert fused_pools == 0, \
-        f"fused sweep engaged {fused_pools} pool(s); it must use none"
-    print(f"  fused (one array program){t_fused:8.3f} s  (pools: 0)")
+          f"m={args.procs}, cores={effective_cores()}")
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cache = EvaluationCache(tmp)
-        with ExecutionContext(n_jobs=args.jobs, cache=cache) as ctx:
+        with ExecutionContext(n_jobs=1, cache=cache) as ctx:
             t0 = time.perf_counter()
-            series_warm = sweep_load(graph, cfg, loads, context=ctx,
-                                     fused=False)
-            t_warm = time.perf_counter() - t0
-            pools_created = ctx.pools_created
-        print(f"  warm  (point-level pool) {t_warm:8.3f} s  "
-              f"(pools created: {pools_created})")
+            series_fused = sweep_load(graph, cfg, loads, context=ctx)
+            t_fused = time.perf_counter() - t0
+            fused_pools = ctx.pools_created
+        assert fused_pools == 0, \
+            f"fused sweep engaged {fused_pools} pool(s); it must use none"
+        print(f"  fused (one array program){t_fused:8.3f} s  (pools: 0)")
 
         before = cache.stats()
-        with ExecutionContext(n_jobs=args.jobs, cache=cache) as ctx:
+        with ExecutionContext(n_jobs=1, cache=cache) as ctx:
             t0 = time.perf_counter()
-            series_hit = sweep_load(graph, cfg, loads, context=ctx,
-                                    fused=False)
+            series_hit = sweep_load(graph, cfg, loads, context=ctx)
             t_hit = time.perf_counter() - t0
             stats = {k: ctx.cache_stats()[k] - before[k] for k in before}
         print(f"  cache (hits from disk)   {t_hit:8.3f} s  "
               f"({stats['hits']} hits / {stats['misses']} misses)")
         assert stats["hits"] >= args.points, \
             "cache pass did not hit on every sweep point"
+
+    # -- point_pool: a non-fusable sweep, serial vs one point per worker ----
+    cfg_pool = cfg.with_(n_runs=args.pool_runs)
+    adjust_times = [0.005 * (i + 1) for i in range(args.pool_points)]
+    with ExecutionContext(n_jobs=1) as ctx:
+        t0 = time.perf_counter()
+        series_serial = sweep_overhead(graph, cfg_pool, 0.6, adjust_times,
+                                       context=ctx)
+        t_serial = time.perf_counter() - t0
+    with ExecutionContext(n_jobs=2) as ctx:
+        ctx.map(_warm_task, [(i,) for i in range(2)])
+        t0 = time.perf_counter()
+        series_pool = sweep_overhead(graph, cfg_pool, 0.6, adjust_times,
+                                     context=ctx)
+        t_pool = time.perf_counter() - t0
+        pool_pools = ctx.pools_created
+    assert pool_pools == 1, \
+        f"pooled sweep created {pool_pools} pools; it must reuse one"
+    assert_series_equal(series_serial, series_pool, "pooled vs serial")
+    pool_speedup = t_serial / t_pool if t_pool > 0 else float("inf")
+    print(f"  serial ({args.pool_points} adjust times, {args.pool_runs} "
+          f"runs) {t_serial:8.3f} s")
+    print(f"  pool   (2 workers, one point each){t_pool:9.3f} s")
 
     # -- fused_shard: the sharded fused path at a larger run count ----------
     cfg_shard_scale = cfg.with_(n_runs=args.shard_runs)
@@ -180,28 +195,27 @@ def main(argv=None) -> int:
     assert_series_equal(series_mono, series_shard, "sharded vs mono")
     shard_speedup = t_mono / t_shard if t_shard > 0 else float("inf")
 
-    assert_series_equal(series_fused, series_warm, "warm vs fused")
     assert_series_equal(series_fused, series_hit, "cache vs fused")
 
-    cache_speedup = t_warm / t_hit if t_hit > 0 else float("inf")
-    fused_vs_warm = t_warm / t_fused if t_fused > 0 else float("inf")
+    cache_speedup = t_fused / t_hit if t_hit > 0 else float("inf")
     record = {
         "benchmark": "sweep_speedup",
         "bit_identical": True,
         "points": args.points,
         "n_runs": args.runs,
         "n_processors": args.procs,
-        "jobs": args.jobs,
         "cores": effective_cores(),
         "fused_seconds": round(t_fused, 4),
-        "warm_seconds": round(t_warm, 4),
         "cache_seconds": round(t_hit, 4),
-        "fused_vs_warm_speedup": round(fused_vs_warm, 3),
         "cache_speedup": round(cache_speedup, 3),
         "fused_pools_created": fused_pools,
-        "warm_pools_created": pools_created,
         "cache_hits": stats["hits"],
         "cache_misses": stats["misses"],
+        "pool_points": args.pool_points,
+        "pool_runs": args.pool_runs,
+        "serial_seconds": round(t_serial, 4),
+        "pool_seconds": round(t_pool, 4),
+        "pool_speedup": round(pool_speedup, 3),
         "shard_runs": args.shard_runs,
         "shards_requested": args.shards,
         "shards_ran": shards_ran,
@@ -214,23 +228,24 @@ def main(argv=None) -> int:
                         "sharded": rss_shard},
     }
     write_record(record, args.out)
-    print(f"  fused vs warm {fused_vs_warm:8.2f} x")
+    print(f"  pool speedup  {pool_speedup:8.2f} x  (vs serial, "
+          f"non-fusable sweep)")
     print(f"  shard speedup {shard_speedup:8.2f} x  "
           f"({shards_ran} shards vs mono at {args.shard_runs} runs)")
-    print(f"  cache speedup {cache_speedup:8.2f} x  (vs warm)  "
+    print(f"  cache speedup {cache_speedup:8.2f} x  (vs fused)  "
           f"-> {args.out}")
 
-    if args.budget_seconds > 0 and t_warm > args.budget_seconds:
-        print(f"FAIL: warm sweep took {t_warm:.2f} s, budget "
+    if args.budget_seconds > 0 and t_fused > args.budget_seconds:
+        print(f"FAIL: fused sweep took {t_fused:.2f} s, budget "
+              f"{args.budget_seconds:.2f} s", file=sys.stderr)
+        return 1
+    if args.budget_seconds > 0 and t_pool > args.budget_seconds:
+        print(f"FAIL: pooled sweep took {t_pool:.2f} s, budget "
               f"{args.budget_seconds:.2f} s", file=sys.stderr)
         return 1
     if args.min_cache_speedup > 0 and cache_speedup < args.min_cache_speedup:
         print(f"FAIL: cache speedup {cache_speedup:.2f}x below required "
               f"{args.min_cache_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if args.min_fused_speedup > 0 and fused_vs_warm < args.min_fused_speedup:
-        print(f"FAIL: fused-vs-warm speedup {fused_vs_warm:.2f}x below "
-              f"required {args.min_fused_speedup:.2f}x", file=sys.stderr)
         return 1
     # 5% tolerance: on a single-core host auto-sharding resolves to one
     # shard and the honest ratio is two timings of identical work

@@ -10,9 +10,15 @@ Usage::
     python -m repro run --app atr --load 0.5 --model xscale --procs 2
     python -m repro online --arrival poisson --rate 0.8 --horizon 50
     python -m repro gantt --app fig3 --scheme GSS --load 0.5
+    python -m repro report --runs 1000 -o results.md
 
 Figures print the same series the paper plots (normalized energy per
-scheme) as aligned tables plus the mean speed-change counts.
+scheme) as aligned tables plus the mean speed-change counts.  Each
+figure and ``suite`` command opens one worker pool of ``--jobs``
+processes and shares it across all its sweeps.  Load and α sweeps
+(fig4/5/6) always fuse into one array program and use the pool only
+for ``--shards``; sweeps that cannot fuse fan their points out over
+it.  ``report`` takes no ``--jobs``: its figures all fuse.
 """
 
 from __future__ import annotations
@@ -73,30 +79,29 @@ def build_parser() -> argparse.ArgumentParser:
                             help="per-job relative-deadline load "
                                  "D = T_worst/load (default: 0.7)")
         fp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes across sweep points "
+                        help="worker processes for shards and for "
+                             "sweep points that cannot fuse "
                              "(0 = all cores)")
-        fp.add_argument("--no-fused", action="store_true", dest="no_fused",
-                        help="disable the fused sweep compiler and "
-                             "evaluate each point separately")
         fp.add_argument("--seed", type=int, default=2002)
         fp.add_argument("--engine", choices=("compiled", "dict"),
                         default="compiled",
                         help="simulation kernel (results are "
                              "bit-identical; 'dict' is the reference "
                              "engine, ~4x slower)")
-        fp.add_argument("--shards", type=int, default=None,
-                        help="split the fused sweep's runs axis into "
-                             "this many seed-aligned shards executed on "
-                             "local pool workers "
-                             "(0 = auto from cores and --shard-mem-mb; "
-                             "default: unsharded; results are "
-                             "bit-identical)")
-        fp.add_argument("--shard-mem-mb", type=int, default=0,
-                        dest="shard_mem_mb",
-                        help="peak-memory budget per shard in MiB for "
-                             "--shards 0: the auto shard count is "
-                             "raised until the estimated fused "
-                             "footprint fits (0 = unbudgeted)")
+        if fig != "fig_online":  # streams never fuse, so never shard
+            fp.add_argument("--shards", type=int, default=None,
+                            help="split the fused sweep's runs axis into "
+                                 "this many seed-aligned shards executed "
+                                 "on local pool workers "
+                                 "(0 = auto from cores and --shard-mem-mb; "
+                                 "default: unsharded; results are "
+                                 "bit-identical)")
+            fp.add_argument("--shard-mem-mb", type=int, default=0,
+                            dest="shard_mem_mb",
+                            help="peak-memory budget per shard in MiB for "
+                                 "--shards 0: the auto shard count is "
+                                 "raised until the estimated fused "
+                                 "footprint fits (0 = unbudgeted)")
         fp.add_argument("--cache-stats", action="store_true",
                         dest="cache_stats",
                         help="print the kernel-side cache counters "
@@ -245,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("-o", "--output", type=str, default="results.md")
     rep.add_argument("--runs", type=int, default=1000)
     rep.add_argument("--seed", type=int, default=2002)
-    rep.add_argument("--jobs", type=int, default=1)
     rep.add_argument("--figures", nargs="*", default=None,
                      choices=["fig4", "fig5", "fig6"])
 
@@ -389,19 +393,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         fig_fn = ALL_FIGURES[args.command]
         with _make_context(args.jobs, args.no_cache, args.cache_dir) as ctx:
             fig_kwargs = dict(
-                n_runs=args.runs, schemes=schemes, n_jobs=args.jobs,
-                seed=args.seed, engine=args.engine,
+                n_runs=args.runs, seed=args.seed, context=ctx,
+                schemes=tuple(schemes), engine=args.engine,
                 max_retries=args.max_retries,
                 chunk_timeout=args.chunk_timeout,
-                degrade=not args.no_degrade,
-                shards=args.shards, shard_mem_mb=args.shard_mem_mb,
-                context=ctx, fused=not args.no_fused)
+                degrade=not args.no_degrade)
             if args.command == "fig_online":
                 fig_kwargs["arrival"] = args.arrival
                 if args.rates:
                     fig_kwargs["rates"] = tuple(args.rates)
                 if args.load is not None:
                     fig_kwargs["load"] = args.load
+            else:
+                fig_kwargs.update(shards=args.shards,
+                                  shard_mem_mb=args.shard_mem_mb)
             if args.profile:
                 series = _run_profiled(fig_fn, **fig_kwargs)
             else:
@@ -538,7 +543,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         from .experiments.report_md import write_report
         write_report(args.output, n_runs=args.runs, seed=args.seed,
-                     n_jobs=args.jobs, figures=args.figures)
+                     figures=args.figures)
         print(f"report written to {args.output}")
         return 0
 
@@ -552,8 +557,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           chunk_timeout=args.chunk_timeout,
                           degrade=not args.no_degrade)
         with _make_context(args.jobs, args.no_cache, args.cache_dir) as ctx:
-            print(render_suite(run_suite(cfg, n_jobs=args.jobs,
-                                         context=ctx)))
+            print(render_suite(run_suite(cfg, context=ctx)))
             _print_cache_stats(ctx)
         return 0
 

@@ -76,10 +76,8 @@ from .misprofile import (
 )
 from .parallel import (
     collect_in_order,
-    map_applications,
     map_custom,
     map_evaluations,
-    map_load_points,
     resolve_jobs,
 )
 from .report import (
@@ -161,8 +159,6 @@ __all__ = [
     "MisprofileResult",
     "misprofile_evaluation",
     "render_misprofile",
-    "map_load_points",
-    "map_applications",
     "map_custom",
     "map_evaluations",
     "collect_in_order",

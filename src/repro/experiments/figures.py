@@ -21,16 +21,16 @@ clairvoyant oracle can be appended for the extension benches.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
-from ..core.registry import PAPER_SCHEMES
+from ..errors import ConfigError
 from ..types import SeriesResult
 from ..workloads.atr import AtrConfig, atr_graph
 from ..workloads.synthetic import figure3_graph
 from .online import DEFAULT_RATES, ONLINE_LOAD, OnlineConfig, \
     sweep_arrival_rate
 from .runner import RunConfig
-from .sweeps import DEFAULT_ALPHAS, DEFAULT_LOADS, sweep_alpha, sweep_load
+from .sweeps import sweep_alpha, sweep_load
 
 #: the two power configurations of Section 2.3
 PAPER_POWER_MODELS = ("transmeta", "xscale")
@@ -43,155 +43,103 @@ ATR_ALPHA = 0.9
 FIG6_LOAD = 0.9
 
 
-def _fig_config(n_runs: int, n_processors: int, power_model: str,
-                schemes: Sequence[str], seed: int, *,
-                engine: str = "compiled", max_retries: int = 2,
-                chunk_timeout: float = 0.0,
-                degrade: bool = True,
-                shards: Optional[int] = None,
-                shard_mem_mb: int = 0) -> RunConfig:
-    return RunConfig(schemes=tuple(schemes), power_model=power_model,
-                     n_processors=n_processors, n_runs=n_runs, seed=seed,
-                     engine=engine, max_retries=max_retries,
-                     chunk_timeout=chunk_timeout, degrade=degrade,
-                     shards=shards, shard_mem_mb=shard_mem_mb)
+#: RunConfig fields that define every figure and cannot be overridden
+_FIXED = frozenset({"power_model", "n_processors"})
 
 
-def figure4(n_runs: int = 1000,
-            loads: Sequence[float] = DEFAULT_LOADS,
-            schemes: Sequence[str] = PAPER_SCHEMES,
-            n_jobs: int = 1, seed: int = 2002,
-            alpha: float = ATR_ALPHA,
-            engine: str = "compiled",
-            max_retries: int = 2,
-            chunk_timeout: float = 0.0,
-            degrade: bool = True,
-            shards: Optional[int] = None,
-            shard_mem_mb: int = 0,
-            context=None, fused: bool = True) -> Dict[str, SeriesResult]:
+def _model_configs(n_processors: int, n_runs: int, seed: int,
+                   overrides: Mapping[str, object],
+                   fixed_fields: frozenset = _FIXED) -> Dict[str, RunConfig]:
+    """One config per sub-figure: the figure's base plus ``overrides``.
+
+    Overriding one of ``fixed_fields`` (by default the power model and
+    processor count, which define the figure) raises
+    :class:`~repro.errors.ConfigError`, as does a name that is not a
+    :class:`RunConfig` field.
+    """
+    fixed = sorted(fixed_fields & set(overrides))
+    if fixed:
+        raise ConfigError(
+            f"the figure fixes {', '.join(fixed)}; it cannot be overridden")
+    return {model: RunConfig(power_model=model, n_processors=n_processors,
+                             n_runs=n_runs, seed=seed).with_(**overrides)
+            for model in PAPER_POWER_MODELS}
+
+
+def figure4(n_runs: int = 1000, seed: int = 2002, context=None,
+            **overrides) -> Dict[str, SeriesResult]:
     """Energy vs load, ATR, dual-processor (Figure 4a/4b).
 
-    The default execution fuses each sub-figure's whole load sweep into
-    one array program (``fused=True``).  ``n_jobs`` parallelizes across
-    sweep points when fusion is off.  ``context`` (an
-    :class:`~repro.experiments.engine.ExecutionContext`) shares one
-    worker pool and evaluation cache across both sub-figures — and
-    across figures, if the caller passes the same context to each.
+    ``overrides`` are :class:`RunConfig` fields (``schemes``,
+    ``engine``, ``shards``, ...) applied to both sub-figures' configs.
+    ``context`` (an :class:`~repro.experiments.engine.ExecutionContext`)
+    says where the sweeps run: it shares one worker pool and evaluation
+    cache across both sub-figures, and across figures if the caller
+    passes the same context to each.  Each sub-figure's load sweep
+    fuses into one array program.
     """
-    out: Dict[str, SeriesResult] = {}
-    graph = atr_graph(AtrConfig(alpha=alpha))
-    for model in PAPER_POWER_MODELS:
-        cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          engine=engine, max_retries=max_retries,
-                          chunk_timeout=chunk_timeout, degrade=degrade,
-                          shards=shards, shard_mem_mb=shard_mem_mb)
-        out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
-                                name=f"figure4-{model}", context=context,
-                                fused=fused)
-    return out
+    graph = atr_graph(AtrConfig(alpha=ATR_ALPHA))
+    return {model: sweep_load(graph, cfg, name=f"figure4-{model}",
+                              context=context)
+            for model, cfg in _model_configs(2, n_runs, seed,
+                                             overrides).items()}
 
 
-def figure5(n_runs: int = 1000,
-            loads: Sequence[float] = DEFAULT_LOADS,
-            schemes: Sequence[str] = PAPER_SCHEMES,
-            n_jobs: int = 1, seed: int = 2002,
-            alpha: float = ATR_ALPHA,
-            engine: str = "compiled",
-            max_retries: int = 2,
-            chunk_timeout: float = 0.0,
-            degrade: bool = True,
-            shards: Optional[int] = None,
-            shard_mem_mb: int = 0,
-            context=None, fused: bool = True) -> Dict[str, SeriesResult]:
+def figure5(n_runs: int = 1000, seed: int = 2002, context=None,
+            **overrides) -> Dict[str, SeriesResult]:
     """Energy vs load, ATR, 6 processors, overhead 5 µs (Figure 5a/5b).
 
     The ATR graph is widened (more simultaneous ROIs) so that six
     processors have parallelism to exploit; the paper notes that with
     more processors the scheduler forces idle time between tasks "for
     the sake of synchronization", which this configuration exhibits.
+    Parameters as for :func:`figure4`.
     """
-    out: Dict[str, SeriesResult] = {}
-    cfg_atr = AtrConfig(alpha=alpha, max_rois=6,
-                        roi_probs=(0.05, 0.15, 0.20, 0.20, 0.15, 0.15, 0.10))
-    graph = atr_graph(cfg_atr)
-    for model in PAPER_POWER_MODELS:
-        cfg = _fig_config(n_runs, 6, model, schemes, seed,
-                          engine=engine, max_retries=max_retries,
-                          chunk_timeout=chunk_timeout, degrade=degrade,
-                          shards=shards, shard_mem_mb=shard_mem_mb)
-        out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
-                                name=f"figure5-{model}", context=context,
-                                fused=fused)
-    return out
+    graph = atr_graph(AtrConfig(
+        alpha=ATR_ALPHA, max_rois=6,
+        roi_probs=(0.05, 0.15, 0.20, 0.20, 0.15, 0.15, 0.10)))
+    return {model: sweep_load(graph, cfg, name=f"figure5-{model}",
+                              context=context)
+            for model, cfg in _model_configs(6, n_runs, seed,
+                                             overrides).items()}
 
 
-def figure6(n_runs: int = 1000,
-            alphas: Sequence[float] = DEFAULT_ALPHAS,
-            schemes: Sequence[str] = PAPER_SCHEMES,
-            n_jobs: int = 1, seed: int = 2002,
-            load: float = FIG6_LOAD,
-            engine: str = "compiled",
-            max_retries: int = 2,
-            chunk_timeout: float = 0.0,
-            degrade: bool = True,
-            shards: Optional[int] = None,
-            shard_mem_mb: int = 0,
-            context=None, fused: bool = True) -> Dict[str, SeriesResult]:
+def figure6(n_runs: int = 1000, seed: int = 2002, context=None,
+            **overrides) -> Dict[str, SeriesResult]:
     """Energy vs α, synthetic application, dual-processor (Figure 6a/6b).
 
-    ``context`` (an :class:`~repro.experiments.engine.ExecutionContext`)
-    shares one worker pool and evaluation cache across both sub-figures.
+    Swept at load :data:`FIG6_LOAD`; parameters as for :func:`figure4`.
     """
-    out: Dict[str, SeriesResult] = {}
-    for model in PAPER_POWER_MODELS:
-        cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          engine=engine, max_retries=max_retries,
-                          chunk_timeout=chunk_timeout, degrade=degrade,
-                          shards=shards, shard_mem_mb=shard_mem_mb)
-        out[model] = sweep_alpha(figure3_graph, cfg, load, alphas,
-                                 n_jobs=n_jobs, name=f"figure6-{model}",
-                                 context=context, fused=fused)
-    return out
+    return {model: sweep_alpha(figure3_graph, cfg, FIG6_LOAD,
+                               name=f"figure6-{model}", context=context)
+            for model, cfg in _model_configs(2, n_runs, seed,
+                                             overrides).items()}
 
 
-def fig_online(n_runs: int = 1000,
+def fig_online(n_runs: int = 1000, seed: int = 2002,
                rates: Sequence[float] = DEFAULT_RATES,
-               schemes: Sequence[str] = PAPER_SCHEMES,
-               n_jobs: int = 1, seed: int = 2002,
-               load: float = ONLINE_LOAD,
-               arrival: str = "poisson",
-               engine: str = "compiled",
-               max_retries: int = 2,
-               chunk_timeout: float = 0.0,
-               degrade: bool = True,
-               shards: Optional[int] = None,
-               shard_mem_mb: int = 0,
-               context=None, fused: bool = True) -> Dict[str, SeriesResult]:
+               arrival: str = "poisson", load: float = ONLINE_LOAD,
+               context=None, **overrides) -> Dict[str, SeriesResult]:
     """Energy and deadline-miss ratio vs sporadic arrival rate (online).
 
     One independent stream per rate point (Figure 3's synthetic
     application, 2 processors, per-job relative deadline fixed by
-    ``load``), all fanned out through ``context`` like any other sweep.
+    ``load``), fanned out through ``context`` like any other sweep.
     ``n_runs`` sets the *expected arrivals per point*
     (``OnlineConfig.target_arrivals``), so every rate sees comparable
     statistics; the miss/admit/reject ledger lands in
-    ``series.meta["online"]``.  ``fused`` is accepted for signature
-    compatibility — streams are sequential by nature and never fuse.
+    ``series.meta["online"]``.  ``overrides`` as for :func:`figure4`,
+    except ``shards``/``shard_mem_mb``: streams never fuse, so they are
+    rejected.
     """
-    del fused  # accepted for uniform figure signature, not meaningful
-    out: Dict[str, SeriesResult] = {}
     online = OnlineConfig(arrival=arrival, load=load,
                           target_arrivals=n_runs)
-    for model in PAPER_POWER_MODELS:
-        cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          engine=engine, max_retries=max_retries,
-                          chunk_timeout=chunk_timeout, degrade=degrade,
-                          shards=shards, shard_mem_mb=shard_mem_mb)
-        out[model] = sweep_arrival_rate(figure3_graph(), cfg, online,
-                                        rates, n_jobs=n_jobs,
-                                        name=f"fig-online-{model}",
-                                        context=context)
-    return out
+    return {model: sweep_arrival_rate(figure3_graph(), cfg, online, rates,
+                                      name=f"fig-online-{model}",
+                                      context=context)
+            for model, cfg in _model_configs(
+                2, n_runs, seed, overrides,
+                _FIXED | {"shards", "shard_mem_mb"}).items()}
 
 
 ALL_FIGURES = {

@@ -463,7 +463,6 @@ def _rate_point(graph: AndOrGraph, config: RunConfig,
 def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
                        online: OnlineConfig,
                        rates: Sequence[float] = DEFAULT_RATES,
-                       n_jobs: int = 1,
                        name: str = "online-sweep",
                        context: Optional[ExecutionContext] = None
                        ) -> SeriesResult:
@@ -481,8 +480,8 @@ def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
     """
     before = _cache_before(context)
     args = [(graph, config, online.with_(rate=float(r))) for r in rates]
-    results: List[OnlineResult] = map_custom(
-        _rate_point, args, n_jobs=n_jobs, context=context)
+    results: List[OnlineResult] = map_custom(_rate_point, args,
+                                             context=context)
 
     online_meta: Dict[str, object] = {
         "arrival": online.arrival,

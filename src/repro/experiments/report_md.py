@@ -46,7 +46,6 @@ def _switches_markdown(series: SeriesResult) -> str:
 
 
 def generate_report(n_runs: int = 1000, seed: int = 2002,
-                    n_jobs: int = 1,
                     figures: Optional[Sequence[str]] = None) -> str:
     """Regenerate figures/tables and return the markdown report."""
     wanted = set(figures) if figures else {"fig4", "fig5", "fig6"}
@@ -71,7 +70,7 @@ def generate_report(n_runs: int = 1000, seed: int = 2002,
             continue
         out.write(f"## {title}\n\n")
         series_by_model: Dict[str, SeriesResult] = producer(
-            n_runs=n_runs, seed=seed, n_jobs=n_jobs)
+            n_runs=n_runs, seed=seed)
         for model, series in series_by_model.items():
             out.write(f"### {model}\n\n")
             out.write("Normalized energy (to NPM, {} runs/point):\n\n"

@@ -19,7 +19,7 @@ more than it buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,6 +125,12 @@ class RunConfig:
                            degrade=self.degrade)
 
     def with_(self, **kwargs) -> "RunConfig":
+        """A copy with ``kwargs`` replacing fields; unknown names raise
+        :class:`~repro.errors.ConfigError`."""
+        unknown = sorted(set(kwargs) - {f.name for f in fields(self)})
+        if unknown:
+            raise ConfigError(
+                f"RunConfig has no field(s) {', '.join(unknown)}")
         return replace(self, **kwargs)
 
     def make_power(self) -> PowerModel:

@@ -77,14 +77,13 @@ class SuiteResult:
 
 def run_suite(config: Optional[SuiteConfig] = None,
               workloads: Optional[Dict[str, Callable[[], AndOrGraph]]]
-              = None, n_jobs: int = 1, context=None) -> SuiteResult:
+              = None, context=None) -> SuiteResult:
     """Evaluate every (workload, model, load) cell.
 
-    ``n_jobs`` fans the cells out over worker processes; ``context``
-    (an :class:`~repro.experiments.engine.ExecutionContext`) shares one
-    persistent pool — and, when one is attached, the on-disk evaluation
-    cache — across all cells.  Cell values are bit-identical for every
-    worker count and cache state.
+    ``context`` (an :class:`~repro.experiments.engine.ExecutionContext`)
+    fans the cells out over its worker pool and, when one is attached,
+    shares the on-disk evaluation cache across all cells.  Cell values
+    are bit-identical for every worker count and cache state.
     """
     cfg = config or SuiteConfig()
     zoo = workloads if workloads is not None else default_workloads()
@@ -110,8 +109,7 @@ def run_suite(config: Optional[SuiteConfig] = None,
                                          degrade=cfg.degrade))
     labels = [f"workload={wl!r} model={model} load={load!r}"
               for wl, model, load in keys]
-    results = map_evaluations(apps, configs, n_jobs=n_jobs,
-                              context=context, labels=labels)
+    results = map_evaluations(apps, configs, context=context, labels=labels)
     out.cells.update(zip(keys, results))
     return out
 

@@ -4,12 +4,18 @@ Each sweep returns a :class:`~repro.types.SeriesResult` — the exact
 rows/series a paper figure plots — plus, where useful, the per-point
 speed-change counts that back the paper's *explanations*.
 
-Every sweep accepts an optional
-:class:`~repro.experiments.engine.ExecutionContext`; pass one to share
-a persistent worker pool (and optionally an on-disk evaluation cache)
-across several sweeps instead of paying pool spin-up per sweep.  When a
-cache is attached, the sweep's hit/miss counts land in
-``series.meta["cache"]``.
+Each sweep takes what to compute (a graph, a :class:`RunConfig` and
+its x-values) and where to run it: an optional
+:class:`~repro.experiments.engine.ExecutionContext`, the only source of
+parallelism.  Pass one to share a persistent worker pool (and
+optionally an on-disk evaluation cache) across several sweeps instead
+of paying pool spin-up per sweep.  When a cache is attached, the
+sweep's hit/miss counts land in ``series.meta["cache"]``.
+
+Load and α sweeps always fuse into one array program
+(:mod:`repro.experiments.fused`).  Processor-count and overhead sweeps
+cannot fuse; their points fan out over the context's pool when it has
+two or more workers, and otherwise run in a serial loop.
 
 Every sweep also records the compile-side cache counters (program /
 tape / stacked caches) in ``series.meta["kernel"]`` so a regenerated
@@ -20,12 +26,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..errors import ParallelError
 from ..graph.andor import AndOrGraph
 from ..sim.kernels import kernel_meta
 from ..types import SeriesResult
 from ..workloads.scaling import application_with_load
 from .engine import ExecutionContext
-from .parallel import map_applications, map_evaluations, map_load_points
+from .parallel import map_evaluations
 from .runner import EvaluationResult, RunConfig
 from .stats import summarize
 
@@ -95,22 +102,25 @@ def _fused_meta(meta: Dict[str, object]) -> Dict[str, object]:
 
 def sweep_load(graph: AndOrGraph, config: RunConfig,
                loads: Sequence[float] = DEFAULT_LOADS,
-               n_jobs: int = 1,
                name: str = "load-sweep",
-               context: Optional[ExecutionContext] = None,
-               fused: bool = True) -> SeriesResult:
+               context: Optional[ExecutionContext] = None) -> SeriesResult:
     """Normalized energy vs load (the Figure 4/5 x-axis).
 
-    Load points share the graph shape, so by default the whole sweep
-    compiles into one fused array program and runs in the parent with
-    no pool at all (``fused=True``; see
-    :mod:`repro.experiments.fused`).  ``n_jobs`` fans the sweep
-    *points* out over processes when fusion does not apply (or is
-    turned off); each point's runs are evaluated in one process.
+    Load points share the graph shape, so the whole sweep compiles into
+    one fused array program and runs in the parent with no pool at all,
+    or sharded over ``context``'s pool when a shard request is set.  An
+    invalid load raises :class:`~repro.errors.ParallelError` naming
+    that ``load=``.
     """
+    apps = []
+    for ld in loads:
+        try:
+            apps.append(application_with_load(graph, ld, config.n_processors))
+        except Exception as exc:
+            raise ParallelError(f"load={ld!r}", exc) from exc
     before = _cache_before(context)
-    results = map_load_points(graph, list(loads), config, n_jobs=n_jobs,
-                              context=context, fused=fused)
+    results = map_evaluations(apps, config, context=context,
+                              labels=[f"load={ld!r}" for ld in loads])
     return _series_from(name, "load", loads, results,
                         meta=_cache_meta(context, before, _fused_meta(
                                          {"app": graph.name,
@@ -123,24 +133,21 @@ def sweep_load(graph: AndOrGraph, config: RunConfig,
 def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
                 config: RunConfig, load: float,
                 alphas: Sequence[float] = DEFAULT_ALPHAS,
-                n_jobs: int = 1,
                 name: str = "alpha-sweep",
-                context: Optional[ExecutionContext] = None,
-                fused: bool = True) -> SeriesResult:
+                context: Optional[ExecutionContext] = None) -> SeriesResult:
     """Normalized energy vs α at fixed load (the Figure 6 x-axis).
 
     ``graph_factory(alpha)`` must rebuild the application with every
     task's ACET set to ``α · WCET`` (WCETs unchanged, so the deadline —
     hence the load — is identical at every α).  α only rescales ACETs,
     so the points share section-program structure and the sweep fuses
-    end-to-end by default.
+    end-to-end.
     """
     apps = [application_with_load(graph_factory(a), load,
                                   config.n_processors)
             for a in alphas]
     before = _cache_before(context)
-    results = map_applications(apps, config, n_jobs=n_jobs, context=context,
-                               fused=fused)
+    results = map_evaluations(apps, config, context=context)
     return _series_from(name, "alpha", alphas, results,
                         meta=_cache_meta(context, before, _fused_meta(
                                          {"app": apps[0].name if apps else "?",
@@ -154,16 +161,15 @@ def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
 def sweep_processors(graph_builder: Callable[[], AndOrGraph],
                      config: RunConfig, load: float,
                      processor_counts: Sequence[int] = (2, 4, 6),
-                     n_jobs: int = 1,
                      name: str = "processor-sweep",
-                     context: Optional[ExecutionContext] = None,
-                     fused: bool = True) -> SeriesResult:
+                     context: Optional[ExecutionContext] = None
+                     ) -> SeriesResult:
     """Normalized energy vs processor count at fixed load.
 
     Backs the paper's observation that "when the number of processors
     increases, the performance of the dynamic schemes decreases".
-    Points differ in ``n_processors`` so they cannot fuse; ``n_jobs``
-    fans the per-count evaluations out over processes.
+    Points differ in ``n_processors`` so they cannot fuse; they fan out
+    over ``context``'s pool when it has two or more workers.
     """
     apps = []
     configs: List[RunConfig] = []
@@ -171,10 +177,9 @@ def sweep_processors(graph_builder: Callable[[], AndOrGraph],
         apps.append(application_with_load(graph_builder(), load, m))
         configs.append(config.with_(n_processors=m))
     before = _cache_before(context)
-    results = map_evaluations(apps, configs, n_jobs=n_jobs, context=context,
+    results = map_evaluations(apps, configs, context=context,
                               labels=[f"n_processors={m}"
-                                      for m in processor_counts],
-                              fused=fused)
+                                      for m in processor_counts])
     return _series_from(name, "processors",
                         [float(m) for m in processor_counts], results,
                         meta=_cache_meta(context, before,
@@ -186,16 +191,15 @@ def sweep_processors(graph_builder: Callable[[], AndOrGraph],
 
 def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
                    adjust_times: Sequence[float],
-                   n_jobs: int = 1,
                    name: str = "overhead-sweep",
-                   context: Optional[ExecutionContext] = None,
-                   fused: bool = True) -> SeriesResult:
+                   context: Optional[ExecutionContext] = None
+                   ) -> SeriesResult:
     """Normalized energy vs voltage-switch overhead (ablation).
 
     The paper's future-work question: how sensitive are the schemes to
     the speed-adjustment cost?  Points differ in their overhead model so
-    they cannot fuse; ``n_jobs`` fans the per-overhead evaluations out
-    over processes.
+    they cannot fuse; they fan out over ``context``'s pool when it has
+    two or more workers.
     """
     apps = []
     configs = []
@@ -204,10 +208,9 @@ def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
             overhead=config.overhead.with_(adjust_time=t_adj)))
         apps.append(application_with_load(graph, load, config.n_processors))
     before = _cache_before(context)
-    results = map_evaluations(apps, configs, n_jobs=n_jobs, context=context,
+    results = map_evaluations(apps, configs, context=context,
                               labels=[f"adjust_time={t!r}"
-                                      for t in adjust_times],
-                              fused=fused)
+                                      for t in adjust_times])
     return _series_from(name, "adjust_time",
                         [float(t) for t in adjust_times], results,
                         meta=_cache_meta(context, before,

@@ -16,11 +16,15 @@ import pytest
 
 from repro.experiments import EvaluationCache, ExecutionContext, RunConfig
 from repro.experiments.faults import FaultPlan
-from repro.experiments.sweeps import sweep_load
+from repro.experiments.sweeps import sweep_load, sweep_overhead
 from tests.conftest import build_nested_or_graph
 
 SEEDS = (0, 1, 2, 3, 4, 5)
 LOADS = (0.3, 0.6, 0.9)
+#: ten switch overheads: an overhead sweep cannot fuse, so its points
+#: go out on the pool dispatch path the worker-chunk faults target
+ADJUST_TIMES = [round(0.001 * i, 3) for i in range(10)]
+OVERHEAD_LOAD = 0.6
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,11 @@ def cfg():
 @pytest.fixture(scope="module")
 def reference(graph, cfg):
     return sweep_load(graph, cfg, LOADS)
+
+
+@pytest.fixture(scope="module")
+def overhead_reference(graph, cfg):
+    return sweep_overhead(graph, cfg, OVERHEAD_LOAD, ADJUST_TIMES)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -64,7 +73,8 @@ def test_random_fault_plan_is_invisible_in_results(tmp_path, graph, cfg,
         warm.meta["resilience"]["degradations"] <= 1, detail
 
 
-def test_replayed_plan_injects_identically(tmp_path, graph, cfg, reference):
+def test_replayed_plan_injects_identically(tmp_path, graph, cfg,
+                                           overhead_reference):
     """Same seed + fresh scratch = same recovery counters, same results."""
     metas = []
     for attempt in ("first", "second"):
@@ -74,14 +84,14 @@ def test_replayed_plan_injects_identically(tmp_path, graph, cfg, reference):
         # dispatch — a fault that actually fires at point level
         plan = FaultPlan.random(1, scratch=str(scratch), n_faults=2,
                                 hang_seconds=0.3)
-        # fused=False keeps the points on the pool dispatch path the
-        # plan targets (a fused sweep never dispatches to workers)
+        # the overhead sweep keeps the points on the pool dispatch path
+        # the plan targets (a fused sweep never dispatches to workers)
         with ExecutionContext(n_jobs=2, fault_plan=plan) as ctx:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                series = sweep_load(graph, cfg, LOADS, context=ctx,
-                                    fused=False)
-        assert series.points == reference.points, plan.describe()
+                series = sweep_overhead(graph, cfg, OVERHEAD_LOAD,
+                                        ADJUST_TIMES, context=ctx)
+        assert series.points == overhead_reference.points, plan.describe()
         metas.append(series.meta["resilience"])
     assert metas[0] == metas[1]
     assert metas[0]["retries"] >= 1  # the plan really injected something

@@ -6,9 +6,9 @@ Two layers:
   with tiny tasks — injected raises, worker crashes (``os._exit`` in a
   pool worker), hangs vs ``chunk_timeout``, transport errors, and both
   degradation modes (serial in the parent vs ``ParallelError``).
-* ``TestChaosAcceptance`` is the headline contract: a 10-point load
-  sweep on the point-level pool that survives a worker crash, a hung
-  point and a corrupt cache entry — and still equals the fault-free
+* ``TestChaosAcceptance`` is the headline contract: a 10-point
+  overhead sweep on the point-level pool that survives a worker crash,
+  a hung point and a corrupt cache entry — and still equals the fault-free
   serial reference *exactly*, with every recovery recorded in
   ``series.meta``.  The shared-memory attach failure of a shard result
   block is driven in ``tests/chaos/test_shards.py``.
@@ -27,10 +27,14 @@ from repro.experiments import (
 )
 from repro.experiments import faults
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.sweeps import sweep_load
+from repro.experiments.sweeps import sweep_load, sweep_overhead
 from repro.workloads import application_with_load, figure3_graph
 
 LOADS = [round(0.1 * i, 1) for i in range(1, 11)]  # the 10-point grid
+#: ten switch overheads: an overhead sweep cannot fuse, so a two-worker
+#: context sends its points out one per pool task, keyed by index
+ADJUST_TIMES = [round(0.001 * i, 3) for i in range(10)]
+OVERHEAD_LOAD = 0.6
 
 
 def _square(x):
@@ -135,11 +139,11 @@ class TestChaosAcceptance:
     def test_sweep_survives_all_fault_classes_bit_identically(self, tmp_path):
         """The headline scenario, end to end.
 
-        ``fused=False`` on a two-worker context sends the ten points
-        out one per pool task, keyed by point index.  The plan crashes
-        the worker running point 1, hangs point 8 past the timeout and
-        corrupts the one cache entry that exists (pre-populated for
-        point 0).  The hang may claim two firings: if it first lands in
+        An overhead sweep cannot fuse, so a two-worker context sends
+        its ten points out one per pool task, keyed by point index.
+        The plan crashes the worker running point 1, hangs point 8 past
+        the timeout and corrupts the one cache entry that exists
+        (pre-populated for point 0).  The hang may claim two firings: if it first lands in
         the pool generation the crash tears down, it still hangs once
         in the rebuilt pool.  The sweep must equal the fault-free serial
         reference exactly and record every recovery in ``series.meta``.
@@ -147,13 +151,16 @@ class TestChaosAcceptance:
         graph = figure3_graph()
         cfg = RunConfig(schemes=("GSS", "SPM"), n_runs=50, seed=5,
                         max_retries=6, chunk_timeout=1.0)
-        reference = sweep_load(graph, cfg, LOADS)
+        reference = sweep_overhead(graph, cfg, OVERHEAD_LOAD, ADJUST_TIMES)
 
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         cache = EvaluationCache(tmp_path / "cache")
-        app0 = application_with_load(graph, LOADS[0], cfg.n_processors)
-        cache.put(evaluation_key(app0, cfg), evaluate_application(app0, cfg))
+        app0 = application_with_load(graph, OVERHEAD_LOAD, cfg.n_processors)
+        cfg0 = cfg.with_(overhead=cfg.overhead.with_(
+            adjust_time=ADJUST_TIMES[0]))
+        cache.put(evaluation_key(app0, cfg0),
+                  evaluate_application(app0, cfg0))
 
         plan = FaultPlan(specs=(
             FaultSpec(site="worker-chunk", action="crash", key=1),
@@ -163,8 +170,8 @@ class TestChaosAcceptance:
 
         with ExecutionContext(n_jobs=2, cache=cache, fault_plan=plan) as ctx:
             with pytest.warns(RuntimeWarning) as caught:
-                series = sweep_load(graph, cfg, LOADS, context=ctx,
-                                    fused=False)
+                series = sweep_overhead(graph, cfg, OVERHEAD_LOAD,
+                                        ADJUST_TIMES, context=ctx)
 
         # --- bit-identical to the fault-free serial reference -----------
         assert series.points == reference.points
@@ -223,8 +230,8 @@ class TestChaosAcceptance:
         graph = figure3_graph()
         cfg = RunConfig(schemes=("GSS",), n_runs=40, seed=9,
                         max_retries=6)
-        loads = LOADS[:4]
-        reference = sweep_load(graph, cfg, loads)
+        adjust_times = ADJUST_TIMES[:4]
+        reference = sweep_overhead(graph, cfg, OVERHEAD_LOAD, adjust_times)
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         plan = FaultPlan(specs=(
@@ -233,11 +240,12 @@ class TestChaosAcceptance:
         cache = EvaluationCache(tmp_path / "cache")
         with ExecutionContext(n_jobs=2, cache=cache, fault_plan=plan) as ctx:
             with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
-                chaotic = sweep_load(graph, cfg, loads, context=ctx,
-                                     fused=False)
+                chaotic = sweep_overhead(graph, cfg, OVERHEAD_LOAD,
+                                         adjust_times, context=ctx)
         with ExecutionContext(n_jobs=1, cache=cache) as ctx:
-            replay = sweep_load(graph, cfg, loads, context=ctx)
+            replay = sweep_overhead(graph, cfg, OVERHEAD_LOAD, adjust_times,
+                                    context=ctx)
         assert chaotic.points == reference.points
         assert replay.points == reference.points
-        assert replay.meta["cache"]["hits"] == len(loads)
+        assert replay.meta["cache"]["hits"] == len(adjust_times)
         assert replay.meta["resilience"]["retries"] == 0

@@ -15,6 +15,19 @@ class TestParser:
             ["fig4", "--runs", "10", "--jobs", "2", "--oracle"])
         assert args.runs == 10 and args.jobs == 2 and args.oracle
 
+    @pytest.mark.parametrize("flag", [["--shards", "3"],
+                                      ["--shard-mem-mb", "64"]])
+    def test_fig_online_rejects_shard_flags(self, flag):
+        # streams never fuse, so a shard request would be ignored
+        with pytest.raises(SystemExit):
+            main(["fig_online", "--runs", "20", "--no-cache"] + flag)
+
+    def test_report_has_no_jobs_flag(self, tmp_path):
+        # the report's figures all fuse, so a pool would sit idle
+        with pytest.raises(SystemExit):
+            main(["report", "--runs", "4", "--jobs", "2",
+                  "-o", str(tmp_path / "r.md")])
+
 
 class TestCommands:
     def test_tables(self, capsys):

@@ -11,10 +11,13 @@ import pytest
 
 from repro.experiments import (EvaluationCache, ExecutionContext, RunConfig,
                                evaluate_application, evaluation_key)
-from repro.experiments.sweeps import sweep_load
+from repro.experiments.sweeps import sweep_load, sweep_overhead
 from repro.workloads import application_with_load, figure3_graph
 
 LOADS = [round(0.1 * i, 1) for i in range(1, 11)]  # the paper's 10-point grid
+#: ten switch overheads: an overhead sweep cannot fuse, so its points
+#: reach the context's pool one per task
+ADJUST_TIMES = [round(0.001 * i, 3) for i in range(10)]
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +33,11 @@ def cfg():
 @pytest.fixture(scope="module")
 def serial_series(graph, cfg):
     return sweep_load(graph, cfg, LOADS)
+
+
+@pytest.fixture(scope="module")
+def serial_overhead(graph, cfg):
+    return sweep_overhead(graph, cfg, 0.6, ADJUST_TIMES)
 
 
 def _spy_pool(monkeypatch):
@@ -80,27 +88,27 @@ class TestPoolReuse:
         _assert_series_equal(serial_series, series)
 
     def test_shared_context_creates_exactly_one_pool(self, graph, cfg,
-                                                     serial_series,
+                                                     serial_overhead,
                                                      monkeypatch):
-        # fused=False falls back to point-level fan-out over one pool
+        # a sweep that cannot fuse fans its points out over one pool
         calls = _spy_pool(monkeypatch)
-        with ExecutionContext(n_jobs=4) as ctx:
-            series = sweep_load(graph, cfg, LOADS, context=ctx,
-                                fused=False)
+        with ExecutionContext(n_jobs=2) as ctx:
+            series = sweep_overhead(graph, cfg, 0.6, ADJUST_TIMES,
+                                    context=ctx)
             assert ctx.pools_created == 1
-        assert calls == [4]
-        _assert_series_equal(serial_series, series)
+        assert calls == [2]
+        _assert_series_equal(serial_overhead, series)
 
     def test_pool_survives_repeated_sweeps(self, graph, cfg,
-                                           serial_series):
-        with ExecutionContext(n_jobs=4) as ctx:
-            first = sweep_load(graph, cfg, LOADS, context=ctx,
-                               fused=False)
-            second = sweep_load(graph, cfg, LOADS, context=ctx,
-                                fused=False)
+                                           serial_overhead):
+        with ExecutionContext(n_jobs=2) as ctx:
+            first = sweep_overhead(graph, cfg, 0.6, ADJUST_TIMES,
+                                   context=ctx)
+            second = sweep_overhead(graph, cfg, 0.6, ADJUST_TIMES,
+                                    context=ctx)
             assert ctx.pools_created == 1
-        _assert_series_equal(serial_series, first)
-        _assert_series_equal(serial_series, second)
+        _assert_series_equal(serial_overhead, first)
+        _assert_series_equal(serial_overhead, second)
 
     def test_closed_context_rejects_work(self, graph, cfg):
         from repro.errors import ParallelError

@@ -6,7 +6,10 @@ paper reports, not absolute values (see EXPERIMENTS.md).
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments import (
+    DEFAULT_ALPHAS,
+    fig_online,
     figure4,
     figure5,
     figure6,
@@ -18,12 +21,12 @@ from repro.experiments import (
 
 @pytest.fixture(scope="module")
 def fig4():
-    return figure4(n_runs=60, loads=(0.2, 0.5, 0.8), seed=11)
+    return figure4(n_runs=60, seed=11)
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return figure6(n_runs=60, alphas=(0.2, 0.5, 0.9), seed=11)
+    return figure6(n_runs=60, seed=11)
 
 
 class TestFigure4:
@@ -54,7 +57,7 @@ class TestFigure4:
 
 class TestFigure5:
     def test_six_processors(self):
-        out = figure5(n_runs=30, loads=(0.5,), seed=3)
+        out = figure5(n_runs=30, seed=3)
         for series in out.values():
             assert series.meta["n_processors"] == 6
             for p in series.points:
@@ -65,7 +68,7 @@ class TestFigure6:
     def test_alpha_axis(self, fig6):
         for series in fig6.values():
             assert series.x_label == "alpha"
-            assert series.xs() == [0.2, 0.5, 0.9]
+            assert series.xs() == list(DEFAULT_ALPHAS)
 
     def test_spm_insensitive_to_alpha(self, fig6):
         # SPM ignores run-time behaviour: its *absolute* energy is fixed
@@ -91,6 +94,31 @@ class TestFigure6:
         for series in fig6.values():
             assert series.get(0.2, "GSS").mean < \
                 series.get(0.9, "GSS").mean
+
+
+class TestOverrides:
+    """Figures take RunConfig fields as overrides, and reject the rest."""
+
+    def test_override_reaches_every_sub_figure(self):
+        out = figure5(n_runs=10, seed=3, schemes=("GSS",))
+        for series in out.values():
+            assert series.schemes() == ["GSS"]
+
+    @pytest.mark.parametrize("figure", [figure4, figure5, figure6,
+                                        fig_online])
+    @pytest.mark.parametrize("override", [{"bogus": 1},
+                                          {"power_model": "xscale"},
+                                          {"n_processors": 4}])
+    def test_bad_override_fails_before_any_work(self, figure, override):
+        with pytest.raises(ConfigError, match=next(iter(override))):
+            figure(n_runs=10, **override)
+
+    @pytest.mark.parametrize("override", [{"shards": 3},
+                                          {"shard_mem_mb": 64}])
+    def test_online_rejects_shard_fields(self, override):
+        # streams never fuse, so a shard request would be ignored
+        with pytest.raises(ConfigError, match=next(iter(override))):
+            fig_online(n_runs=10, **override)
 
 
 class TestTables:

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ParallelError
-from repro.experiments import RunConfig, resolve_jobs
-from repro.experiments.parallel import (map_applications, map_custom,
-                                       map_evaluations, map_load_points)
+from repro.experiments import ExecutionContext, RunConfig, resolve_jobs
+from repro.experiments.parallel import map_custom, map_evaluations
 from repro.experiments.sweeps import sweep_load
 from repro.workloads import application_with_load, figure3_graph
 
@@ -52,11 +51,16 @@ class TestResolveJobs:
         assert resolve_jobs(0) == resolve_jobs(None) == 1
 
 
+def _load_apps(loads):
+    return [application_with_load(figure3_graph(), ld, 2) for ld in loads]
+
+
 class TestSerialParallelEquivalence:
     def test_load_points_identical(self, cfg):
-        g = figure3_graph()
-        serial = map_load_points(g, [0.4, 0.7], cfg, n_jobs=1)
-        pooled = map_load_points(g, [0.4, 0.7], cfg, n_jobs=2)
+        apps = _load_apps([0.4, 0.7])
+        serial = map_evaluations(apps, cfg)
+        with ExecutionContext(n_jobs=2) as ctx:
+            pooled = map_evaluations(apps, cfg, context=ctx)
         for a, b in zip(serial, pooled):
             for scheme in a.normalized:
                 assert np.array_equal(a.normalized[scheme],
@@ -65,14 +69,16 @@ class TestSerialParallelEquivalence:
     def test_applications_identical(self, cfg):
         apps = [application_with_load(figure3_graph(alpha=a), 0.6, 2)
                 for a in (0.4, 0.8)]
-        serial = map_applications(apps, cfg, n_jobs=1)
-        pooled = map_applications(apps, cfg, n_jobs=2)
+        serial = map_evaluations(apps, cfg)
+        with ExecutionContext(n_jobs=2) as ctx:
+            pooled = map_evaluations(apps, cfg, context=ctx)
         for a, b in zip(serial, pooled):
             assert a.mean_normalized() == b.mean_normalized()
 
     def test_results_in_submission_order(self, cfg):
-        g = figure3_graph()
-        results = map_load_points(g, [0.3, 0.9], cfg, n_jobs=2)
+        with ExecutionContext(n_jobs=2) as ctx:
+            results = map_evaluations(_load_apps([0.3, 0.9]), cfg,
+                                      context=ctx)
         # higher load -> bigger deadline pressure -> SPM saves less
         assert results[0].mean_normalized()["SPM"] != \
             results[1].mean_normalized()["SPM"]
@@ -83,7 +89,8 @@ class TestEmptySweeps:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_map_evaluations_of_nothing_is_empty(self, cfg, n_jobs):
-        assert map_evaluations([], cfg, n_jobs=n_jobs) == []
+        with ExecutionContext(n_jobs=n_jobs) as ctx:
+            assert map_evaluations([], cfg, context=ctx) == []
 
     def test_sweep_load_over_no_loads_has_no_points(self, cfg):
         series = sweep_load(figure3_graph(), cfg, loads=[])
@@ -92,11 +99,12 @@ class TestEmptySweeps:
 
 class TestMapCustom:
     def test_custom_function(self):
-        out = map_custom(divmod, [(7, 3), (9, 4)], n_jobs=1)
+        out = map_custom(divmod, [(7, 3), (9, 4)])
         assert out == [(2, 1), (2, 1)]
 
     def test_custom_parallel(self):
-        out = map_custom(divmod, [(7, 3), (9, 4)], n_jobs=2)
+        with ExecutionContext(n_jobs=2) as ctx:
+            out = map_custom(divmod, [(7, 3), (9, 4)], context=ctx)
         assert out == [(2, 1), (2, 1)]
 
 
@@ -109,20 +117,25 @@ def _fail_on(x):
 class TestWorkerFailures:
     def test_custom_pool_failure_has_context(self):
         with pytest.raises(ParallelError, match="args=\\('bad',\\)") as ei:
-            map_custom(_fail_on, [("ok",), ("bad",), ("ok",)], n_jobs=2)
+            with ExecutionContext(n_jobs=2) as ctx:
+                map_custom(_fail_on, [("ok",), ("bad",), ("ok",)],
+                           context=ctx)
         assert isinstance(ei.value.__cause__, RuntimeError)
         assert "worker exploded" in str(ei.value)
 
     def test_load_point_failure_names_the_point(self):
         cfg = RunConfig(schemes=("GSS",), n_runs=5, seed=1)
-        # load > 1 is rejected inside the worker process
+        # load > 1 is rejected while the sweep builds its points
         with pytest.raises(ParallelError, match="load=1.5"):
-            map_load_points(figure3_graph(), [0.5, 1.5], cfg, n_jobs=2)
+            with ExecutionContext(n_jobs=2) as ctx:
+                sweep_load(figure3_graph(), cfg, [0.5, 1.5], context=ctx)
 
     def test_failure_surfaces_promptly(self):
         import time
         start = time.monotonic()
         with pytest.raises(ParallelError):
-            map_custom(_fail_on, [("bad",)] + [("ok",)] * 3, n_jobs=2)
+            with ExecutionContext(n_jobs=2) as ctx:
+                map_custom(_fail_on, [("bad",)] + [("ok",)] * 3,
+                           context=ctx)
         # fail-fast: nowhere near the time 4 sequential retries would take
         assert time.monotonic() - start < 30.0

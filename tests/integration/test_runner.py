@@ -77,6 +77,10 @@ class TestEvaluateApplication:
         with pytest.raises(ConfigError):
             RunConfig(schemes=())
 
+    def test_unknown_field_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            RunConfig().with_(seed=3, bogus=1)
+
 
 class TestSweeps:
     def test_sweep_load_series(self, small_config):

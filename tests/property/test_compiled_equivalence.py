@@ -24,7 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ALL_SCHEMES, get_policy
-from repro.experiments import RunConfig, evaluate_application, map_evaluations
+from repro.experiments import (
+    ExecutionContext,
+    RunConfig,
+    evaluate_application,
+    map_evaluations,
+)
 from repro.graph import GraphGenConfig, random_graph
 from repro.power import NO_OVERHEAD, PAPER_OVERHEAD, transmeta_model, xscale_model
 from repro.sim import (
@@ -225,10 +230,17 @@ def test_pooled_compiled_equals_serial_dict():
     apps = [application_with_load(graph, load, 2) for load in (0.6, 0.8)]
     base = RunConfig(schemes=ALL_SCHEMES, n_runs=30, n_processors=2,
                      seed=13)
-    pooled = map_evaluations(apps, base.with_(engine="compiled"),
-                             n_jobs=2, fused=False)
-    for app, r_comp in zip(apps, pooled):
-        r_dict = evaluate_application(app, base.with_(engine="dict"))
+    # distinct overhead models keep the two points from fusing, so they
+    # fan out over the pool
+    configs = [base.with_(overhead=base.overhead.with_(adjust_time=t))
+               for t in (5e-6, 2e-5)]
+    with ExecutionContext(n_jobs=2) as ctx:
+        pooled = map_evaluations(
+            apps, [c.with_(engine="compiled") for c in configs],
+            context=ctx)
+        assert ctx.pools_created == 1
+    for app, cfg, r_comp in zip(apps, configs, pooled):
+        r_dict = evaluate_application(app, cfg.with_(engine="dict"))
         assert r_dict.path_keys == r_comp.path_keys
         for scheme in ALL_SCHEMES:
             assert np.array_equal(r_dict.normalized[scheme],

@@ -39,6 +39,13 @@ def _apps(graph, cfg, loads=LOADS):
             for ld in loads]
 
 
+def _per_point_series(x_label, xs, apps, cfg):
+    """The series a sweep would build from one evaluation per point."""
+    from repro.experiments.sweeps import _series_from
+    return _series_from("per-point", x_label, xs,
+                        [evaluate_application(app, cfg) for app in apps])
+
+
 def _assert_identical(a, b):
     assert np.array_equal(a.npm_energy, b.npm_energy)
     assert a.path_keys == b.path_keys
@@ -84,7 +91,7 @@ class TestGoldenEquality:
                         n_runs=30, seed=7)
         graph = atr_graph()
         fused = sweep_load(graph, cfg, LOADS)
-        per_point = sweep_load(graph, cfg, LOADS, fused=False)
+        per_point = _per_point_series("load", LOADS, _apps(graph, cfg), cfg)
         assert fused.points == per_point.points
         assert fused.meta["speed_changes"] == \
             per_point.meta["speed_changes"]
@@ -99,8 +106,10 @@ class TestGoldenEquality:
         cfg = RunConfig(schemes=("SPM", "GSS", "AS"), n_runs=30, seed=7)
         alphas = (0.2, 0.5, 0.8, 1.0)
         fused = sweep_alpha(figure3_graph, cfg, 0.6, alphas)
-        per_point = sweep_alpha(figure3_graph, cfg, 0.6, alphas,
-                                fused=False)
+        per_point = _per_point_series(
+            "alpha", alphas,
+            [application_with_load(figure3_graph(a), 0.6, cfg.n_processors)
+             for a in alphas], cfg)
         assert fused.points == per_point.points
         assert fused.meta["speed_changes"] == \
             per_point.meta["speed_changes"]
