@@ -6,7 +6,8 @@ Sweeps the average/worst-case execution-time ratio α and shows
 * how each scheme's normalized energy responds (dynamic schemes track
   run-time slack; SPM cannot),
 * the speed-change counts behind the overhead argument,
-* the clairvoyant oracle as the single-speed lower bound.
+* the clairvoyant oracle as a single-speed reference (not a lower
+  bound: the schemes can undercut it).
 
 Run:  python examples/alpha_study.py
 """

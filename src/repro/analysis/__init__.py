@@ -7,7 +7,8 @@
 * :func:`slack_profile` / :func:`realized_runtime_slack` — static vs
   dynamic slack decomposition;
 * :func:`continuous_uniform_bound` / :func:`static_bound` — idealized
-  energy bounds the schemes can be calibrated against.
+  uniform-speed reference energies (estimates, not lower bounds) the
+  schemes can be calibrated against.
 """
 
 from .bounds import continuous_uniform_bound, npm_energy, static_bound

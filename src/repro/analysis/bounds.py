@@ -1,14 +1,15 @@
 """Energy bounds for calibrating the schemes.
 
 The paper motivates speculation with the clairvoyant single-speed
-optimum; these helpers compute concrete bounds for a plan (and
-optionally a realization):
+optimum; these helpers compute concrete reference energies for a plan
+(and optionally a realization):
 
-* :func:`continuous_uniform_bound` — the idealized lower bound: run the
-  realized workload at one *continuous* speed that stretches its
+* :func:`continuous_uniform_bound` — a uniform-stretch estimate: run
+  the realized workload at one *continuous* speed that stretches its
   max-speed makespan exactly to the deadline, no level quantization, no
-  switches.  No on-line scheme beats this on the same realization under
-  the convex power model.
+  switches.  It is not a lower bound: a uniform stretch is not optimal
+  once processors idle off the critical path, and the schemes undercut
+  it on some realizations (ROADMAP, "Make the bounds bounds").
 * :func:`static_bound` — the best *static* (realization-independent)
   energy: the continuous uniform speed for the canonical worst case —
   what SPM would achieve with infinite levels.
@@ -44,13 +45,15 @@ def npm_energy(plan: OfflinePlan, power: PowerModel,
 
 def continuous_uniform_bound(plan: OfflinePlan, power: PowerModel,
                              realization: Realization) -> float:
-    """Clairvoyant continuous single-speed lower bound (one realization).
+    """Clairvoyant continuous uniform-stretch estimate (one realization).
 
     Runs the realized workload at maximum speed to measure its makespan
     ``F``, then evaluates the same schedule uniformly stretched to the
     deadline at speed ``F / D`` under the continuous (cubic) power
-    model.  Quantization, S_min and switch overheads can only add to
-    this, so every scheme's measured energy should sit above it.
+    model.  This is an estimate, not a lower bound: per-task speeds beat
+    a uniform stretch when processors idle off the critical path, so a
+    scheme's measured energy can fall below it (ROADMAP, "Make the
+    bounds bounds").
     """
     cont = _continuous_like(power)
     probe = simulate(plan, _FixedRun("bound-probe", 1.0), cont,

@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation-cache directory (default: "
                              ".repro-cache)")
         fp.add_argument("--oracle", action="store_true",
-                        help="include the clairvoyant lower bound")
+                        help="include the clairvoyant single-speed "
+                             "reference (not a lower bound)")
         fp.add_argument("--csv", type=str, default=None,
                         help="also write the series to this CSV file")
         fp.add_argument("--chart", action="store_true",

@@ -6,7 +6,8 @@
 * :class:`StaticSpeculationOneSpeed` / :class:`StaticSpeculationTwoSpeeds`
   (SS¹/SS²) — static speculation,
 * :class:`AdaptiveSpeculation` (AS) — re-speculation at OR nodes,
-* :class:`ClairvoyantOracle` — single-speed lower bound (extension).
+* :class:`ClairvoyantOracle` — clairvoyant single-speed reference
+  (extension; not a lower bound: schemes can undercut it).
 
 Use :func:`get_policy` to resolve by the paper's labels.
 """

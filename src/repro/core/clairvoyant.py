@@ -3,15 +3,19 @@
 The paper motivates the speculative schemes with the observation that "a
 clairvoyant algorithm can achieve minimal energy consumption … by
 running all tasks at a single speed setting if the actual running time
-of every task is known".  This policy *is* that bound, made concrete:
-it peeks at the realization, measures the makespan ``F`` of the actual
-workload at maximum speed (same dispatch protocol), and then runs the
-whole application at the one level that stretches ``F`` to the deadline:
+of every task is known".  This policy makes that single-speed schedule
+concrete: it peeks at the realization, measures the makespan ``F`` of
+the actual workload at maximum speed (same dispatch protocol), and then
+runs the whole application at the one level that stretches ``F`` to the
+deadline:
 
 .. math:: S_{oracle} = \\mathrm{snap\\_up}(F / (D - t_{adj}))
 
-It is *not realizable* (it needs future knowledge) but gives the
-ablation benches a floor to compare GSS/SS/AS against.
+It is *not realizable* (it needs future knowledge).  It is a clairvoyant
+single-speed *reference*, not a lower bound: one snapped level loses to
+a two-level mix, and a uniform stretch loses to per-task speeds once
+processors idle off the critical path, so GSS/SS/AS can and do use less
+energy on some realizations (ROADMAP, "Make the bounds bounds").
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .base import PolicyRun, SpeedPolicy, _FixedRun
 
 
 class ClairvoyantOracle(SpeedPolicy):
-    """Lower-bound single-speed schedule computed from the realization."""
+    """Single-speed schedule computed from the realization (a reference,
+    not a lower bound)."""
 
     name = "ORACLE"
     requires_reserve = False

@@ -44,8 +44,9 @@ contiguous row:
 * the processor state ``proc_free`` (and the dynamic kernel's level
   index ``proc_idx``) is one flat ``(m * rows,)`` array, processor
   ``j`` of row ``r`` at ``j * rows + r``, viewed as ``(m, rows)`` for
-  the minimum; get and set are a ``take`` and an index store on that
-  flat index;
+  the minimum; a forced dispatch to processor ``k`` (below) reads and
+  writes the contiguous slice ``k * rows:(k + 1) * rows``, any other
+  dispatch a ``take`` and an index store on the flat index;
 * a stacked section's per-point constants are gathered for *all*
   entries at once (``c_pt.take(pt, axis=1)``).
 
@@ -58,9 +59,25 @@ a scalar dict-engine run; the golden suites
 
 * the predecessor reduction ``max(a, max(b, c))`` is exact and
   associative on floats, so it matches the engine's running ``max``;
-* :func:`_first_min` takes the column minimum of ``(m, rows)`` and
-  counts the leading processors strictly above it: the first minimal
-  processor, i.e. the engine's first-idle, lowest-id
+* every section starts with all ``m`` processors free at
+  ``t_section`` (the protocol synchronizes them at each OR node), so
+  its ``k``-th computation dispatch, ``k < m``, is *forced*: while
+  every earlier finish in the section is strictly later than
+  ``t_section``, processor ``k`` is the engine's first-idle, lowest-id
+  choice and its free time is ``t_section <= ready``, so the start is
+  ``max(ready, last_dispatch)`` with no search and no float change.
+  A strictness guard, one ``(finish > t_section).all()`` after each
+  forced dispatch, switches the rest of the section to
+  :func:`_first_min` on a tie — a zero actual time with no overhead
+  finishes *at* ``t_section`` and makes its processor first-idle
+  again.  The guard matters in the dynamic kernel, where processor
+  identity carries the current level: the wrong processor would change
+  ``n_speed_changes``.  Both kernels use the same guarded rule.  It
+  takes every row dispatch of Figure 5's program (m=6), 89.4% of
+  Figure 4's, and 74% of Figure 6's and the online stream's (m=2);
+* :func:`_first_min`, the general path, takes the column minimum of
+  ``(m, rows)`` and counts the leading processors strictly above it:
+  the first minimal processor, i.e. the engine's first-idle, lowest-id
   ``min(range(m), key=...)`` tie-break, and its free time (the
   minimum itself) without a second gather;
 * when an entry has no predecessors, ``ready`` aliases ``t_section``
@@ -372,6 +389,7 @@ def run_fixed_batch(prog, power: PowerModel,
                 # entry order
                 wall_all = act_path[offs[sec_i]:offs[sec_i + 1]] / speed_g
                 e_all = wall_all * p_busy_g
+            n_forced = 0  # m once a tie turns the rule off
             for is_and, gid, col, pred, crel in st.steps:
                 if pred is None:
                     ready = t_section
@@ -387,16 +405,27 @@ def run_fixed_batch(prog, power: PowerModel,
                         np.maximum(sec_max, ready, out=sec_max)
                     continue
 
-                j, free = _first_min(pf)
-                t = np.maximum(np.maximum(ready, last_dispatch), free)
+                if n_forced < m:
+                    # forced dispatch: processor n_forced is the first
+                    # idle one, free at t_section <= ready (max drops it)
+                    t = np.maximum(ready, last_dispatch)
+                    fj = slice(n_forced * ng, (n_forced + 1) * ng)
+                else:
+                    j, free = _first_min(pf)
+                    t = np.maximum(np.maximum(ready, last_dispatch), free)
+                    fj = np.multiply(j, ng, dtype=np.intp)
+                    fj += rows
                 last_dispatch = t
                 wall = wall_all[crel]
                 finish = np.add(t, wall, out=fin[gid])
                 busy_time += wall
                 e_busy += e_all[crel]
-                fj = np.multiply(j, ng, dtype=np.intp)
-                fj += rows
                 proc_free[fj] = finish
+                if n_forced < m:
+                    # strictness guard: a finish tying t_section makes
+                    # its processor first-idle again, so fall back
+                    n_forced = (n_forced + 1 if (finish > t_section).all()
+                                else m)
                 if sec_max is None:
                     sec_max = finish.copy()
                 else:
@@ -549,6 +578,7 @@ def run_dynamic_batch(prog, power: PowerModel,
             fb_all = st.fb_pt.take(pt_rows, axis=1) if stacked else None
             off = offs[pos]
             sec_max = None
+            n_forced = 0  # m once a tie turns the rule off
             for e, (is_and, gid, col, pred, crel) in enumerate(st.steps):
                 if pred is None:
                     ready = t_section
@@ -564,8 +594,18 @@ def run_dynamic_batch(prog, power: PowerModel,
                         np.maximum(sec_max, ready, out=sec_max)
                     continue
 
-                j, free = _first_min(pf)
-                t = np.maximum(np.maximum(ready, last_dispatch), free)
+                if n_forced < m:
+                    # forced dispatch (see run_fixed_batch); si is a
+                    # view of proc_idx, read before the store below
+                    t = np.maximum(ready, last_dispatch)
+                    fj = slice(n_forced * ng, (n_forced + 1) * ng)
+                    si = proc_idx[fj]
+                else:
+                    j, free = _first_min(pf)
+                    t = np.maximum(np.maximum(ready, last_dispatch), free)
+                    fj = np.multiply(j, ng, dtype=np.intp)
+                    fj += rows
+                    si = proc_idx.take(fj)
                 last_dispatch = t
                 actual = act_path[off + crel]
                 if stacked:
@@ -578,9 +618,6 @@ def run_dynamic_batch(prog, power: PowerModel,
                     c_g = st.c_list[e]
                     fb_g = st.fb_list[e]
 
-                fj = np.multiply(j, ng, dtype=np.intp)
-                fj += rows
-                si = proc_idx.take(fj)
                 t_comp = tc_arr.take(si)
                 avail = fb_g - t - t_comp
                 denom = avail - adjust_time
@@ -621,6 +658,11 @@ def run_dynamic_batch(prog, power: PowerModel,
                 busy_time += wall
                 e_busy += pow_arr.take(new_idx) * wall
                 proc_free[fj] = finish
+                if n_forced < m:
+                    # the guard matters here: processor identity carries
+                    # its level, so a tie must go to the lowest id
+                    n_forced = (n_forced + 1 if (finish > t_section).all()
+                                else m)
                 if sec_max is None:
                     sec_max = finish.copy()
                 else:

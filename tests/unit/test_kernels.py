@@ -1,6 +1,6 @@
 """Batch-kernel mechanics: tape lowering, the first-idle processor
-choice, the WCET precheck's error selection, the run-to-row map, and
-the kernel observability snapshot.
+choice, the forced-dispatch guard, the WCET precheck's error
+selection, the run-to-row map, and the kernel observability snapshot.
 
 The golden suites pin the kernels bit-identical to the dict engine
 through the public evaluation APIs; these tests pin what those suites
@@ -19,7 +19,7 @@ from repro.offline import build_plan
 from repro.sim import kernels
 from repro.sim.compiled import compile_plan
 from repro.sim.kernels.interp import _first_min
-from repro.workloads import application_with_load, atr_graph
+from repro.workloads import application_with_load, atr_graph, figure3_graph
 from tests.conftest import build_nested_or_graph
 
 
@@ -93,6 +93,69 @@ class TestFirstMin:
         j, mn = _first_min(pf)
         assert j.tolist() == [0] * 5
         assert mn.tolist() == [2.5] * 5
+
+
+class TestForcedDispatchGuard:
+    """Both kernels send a section's first m computation tasks straight
+    to processors 0..m-1 while every finish so far in the section is
+    strictly after its start.  A zero actual time with no overhead
+    finishes *at* the section start, so its processor is the first idle
+    one again and the section must fall back to :func:`_first_min`; in
+    the dynamic kernel the wrong processor carries the wrong current
+    level and changes ``n_speed_changes``.  Pinned against the dict
+    engine with exact equality on batches whose first computation entry
+    of every section is zero on half the runs."""
+
+    FIXED = ("NPM", "SPM")
+    DYNAMIC = ("GSS", "SS1", "SS2", "AS", "PS")
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("graph_fn", [figure3_graph, atr_graph],
+                             ids=["figure3", "atr"])
+    def test_zero_actuals_match_the_engine(self, graph_fn, m):
+        from repro.core import get_policy
+        from repro.power import NO_OVERHEAD, transmeta_model
+        from repro.sim import (sample_realization_batch, simulate,
+                               supports_dynamic_batch)
+        from repro.sim.compiled import run_dynamic_batch, run_fixed_batch
+        power = transmeta_model()
+        plan = build_plan(application_with_load(graph_fn(), 0.6, m), m)
+        prog = compile_plan(plan)
+        batch = sample_realization_batch(plan.structure,
+                                         np.random.default_rng(m), 100)
+        for st in kernels.build_tape(prog).sections.values():
+            if st.comp_sel.size:
+                first = st.names[int(st.comp_sel[0])]
+                batch.actuals[::2, batch.column_of(first)] = 0.0
+        matrix = prog.realization_matrix(batch)
+        groups, _keys = prog.executed_paths(batch.choices, len(batch))
+
+        got = {}
+        for name in self.FIXED:
+            speed = get_policy(name).batch_fixed_speed(plan, power,
+                                                       NO_OVERHEAD)
+            res = run_fixed_batch(prog, power, NO_OVERHEAD, matrix, groups,
+                                  speed, name)
+            got[name] = (res.total_energy, res.finish_time,
+                         np.full(len(batch), res.n_speed_changes))
+        runs = [get_policy(n).start_run(plan, power, NO_OVERHEAD)
+                for n in self.DYNAMIC]
+        assert all(supports_dynamic_batch(r, power) for r in runs)
+        for res in run_dynamic_batch(prog, power, NO_OVERHEAD, matrix,
+                                     groups, runs, self.DYNAMIC):
+            got[res.scheme] = (res.total_energy, res.finish_time,
+                               res.n_speed_changes)
+
+        for name, (energy, finish, changes) in got.items():
+            policy = get_policy(name)
+            for i in range(len(batch)):
+                rl = batch.realization(i)
+                want = simulate(plan, policy.start_run(plan, power,
+                                                       NO_OVERHEAD, rl),
+                                power, NO_OVERHEAD, rl)
+                assert energy[i] == want.total_energy, (name, i)
+                assert finish[i] == want.finish_time, (name, i)
+                assert changes[i] == want.n_speed_changes, (name, i)
 
 
 class TestWcetPrecheck:
