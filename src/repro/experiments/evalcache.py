@@ -12,16 +12,36 @@ canonical config payload, code-version salt)``
 so ``repro fig`` / ``repro suite`` regeneration is incremental —
 unchanged points load from ``.repro-cache/``, changed points (any edit
 to the graph, seed, run count, σ, schemes, engine, power or overhead
-model) recompute.  Entries are single ``.npz`` files holding the raw
-per-run arrays (exact float64 bits; ``normalized`` is re-derived by the
+model) recompute.
+
+Each entry is one format-2 record, ``<root>/<key[:2]>/<key>.rec``:
+
+* an 8-byte magic and a little-endian ``u32`` header length;
+* a JSON header — ``format``, ``schemes``, ``n_runs``, ``paths`` (the
+  distinct executed-path keys in first-seen order) and a ``crc32`` over
+  the newline-joined path table and the body — padded with spaces so
+  the body starts 8-byte aligned;
+* the body: one little-endian float64 matrix of shape ``(1 + 2S, n)``
+  (NPM energy, each scheme's absolute energy, each scheme's switch
+  count), then ``int32[n]`` path ids indexing ``paths``.
+
+A hit reads the file once, parses one JSON header and returns row views
+of the matrix (exact float64 bits; ``normalized`` is re-derived by the
 same division the runner performs, so a cache hit is bit-identical to a
-recompute), written atomically (tmp + rename) so concurrent writers
-can share one cache directory.  A corrupted, truncated or
-wrong-schema entry is treated as a miss and **quarantined**: moved
-aside into ``<root>/quarantine/`` (for post-mortem inspection) with a
-single warning, after which the point is recomputed and re-written —
-the cache can never poison results, and the broken bytes are kept as
-evidence rather than destroyed.
+recompute).  Entries are written atomically (tmp + rename) so
+concurrent writers can share one cache directory.  A corrupted,
+truncated or wrong-schema entry — bad magic, unknown format, a body
+whose length or crc32 does not match, path ids that do not cover every
+run or fall outside the path table — is treated as a miss and
+**quarantined**: moved aside into ``<root>/quarantine/`` (for
+post-mortem inspection) with a single warning, after which the point
+is recomputed and re-written — the cache can never poison results, and
+the broken bytes are kept as evidence rather than destroyed.  Format-1
+entries were ``.npz`` files; the ``.rec`` suffix means they are never
+opened, only missed.
+
+:func:`encode_record` / :func:`decode_record` are the only codec:
+:mod:`repro.experiments.persist` saves and loads evaluations with it.
 
 ``CACHE_SALT`` is the code-version component of the key: bump it
 whenever a change alters simulation outputs, and every stale entry
@@ -33,8 +53,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import warnings
-import zipfile
+import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -49,8 +70,15 @@ from . import faults
 #: existing cache entry without touching the on-disk format)
 CACHE_SALT = "eval-v1"
 
-#: on-disk payload layout version (validated on load)
-CACHE_FORMAT = 1
+#: on-disk record layout version (validated on load)
+CACHE_FORMAT = 2
+
+#: opens every record: 8-byte magic, then the JSON header's length
+_MAGIC = b"REPROEV\n"
+_PREAMBLE = struct.Struct("<8sI")
+
+#: the first bytes of a format-1 ``.npz`` (a zip archive)
+_ZIP_MAGIC = b"PK\x03\x04"
 
 #: default cache directory, relative to the working directory
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -111,7 +139,7 @@ class EvaluationCache:
 
     def path_for(self, key: str) -> Path:
         # two-level fan-out keeps directory listings small at scale
-        return self.root / key[:2] / f"{key}.npz"
+        return self.root / key[:2] / f"{key}.rec"
 
     def quarantine_dir(self) -> Path:
         """Where corrupt entries are moved for post-mortem inspection."""
@@ -146,14 +174,8 @@ class EvaluationCache:
         if faults.fire("cache-read", key=key[:8]) == "corrupt":
             _truncate_entry(path)
         try:
-            # open the handle ourselves: np.load leaks it when the
-            # archive is truncated, and the quarantine move below wants
-            # the file closed
-            with open(path, "rb") as fh, \
-                    np.load(fh, allow_pickle=False) as data:
-                result = _payload_to_result(dict(data), app_name, config)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-                EOFError) as exc:
+            result = decode_record(read_record(path), app_name, config)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             self.errors += 1
             self.misses += 1
             qpath = self._quarantine(path)
@@ -175,8 +197,7 @@ class EvaluationCache:
             f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **_result_to_payload(result))
+            tmp.write_bytes(encode_record(result))
             os.replace(tmp, path)
         except OSError as exc:
             warnings.warn(
@@ -204,55 +225,111 @@ def _truncate_entry(path: Path) -> None:
         pass
 
 
-def _result_to_payload(result) -> Dict[str, np.ndarray]:
-    """EvaluationResult → flat array mapping for ``np.savez``.
+def _checksum(paths, body) -> int:
+    """crc32 of the newline-joined path table followed by the body."""
+    return zlib.crc32(body, zlib.crc32("\n".join(paths).encode("utf-8")))
+
+
+def encode_record(result) -> bytes:
+    """EvaluationResult → one format-2 record (see the module docstring).
 
     Only the independent arrays are stored: ``normalized`` is exactly
-    ``absolute / npm_energy`` and is re-derived on load by the same
+    ``absolute / npm_energy`` and is re-derived on decode by the same
     division, so a round-trip is bit-identical.
     """
     schemes = list(result.absolute)
-    payload: Dict[str, np.ndarray] = {
-        "format": np.asarray(CACHE_FORMAT),
-        "schemes": np.asarray(schemes),
-        "npm_energy": result.npm_energy,
-        "path_keys": np.asarray(result.path_keys),
-    }
-    for name in schemes:
-        payload[f"abs::{name}"] = result.absolute[name]
-        payload[f"chg::{name}"] = result.speed_changes[name]
-    return payload
+    table: Dict[str, int] = {}
+    ids = np.fromiter((table.setdefault(k, len(table))
+                       for k in result.path_keys),
+                      dtype="<i4", count=len(result.path_keys))
+    matrix = np.stack(
+        [result.npm_energy]
+        + [result.absolute[name] for name in schemes]
+        + [result.speed_changes[name] for name in schemes]
+    ).astype("<f8", copy=False)
+    body = matrix.tobytes() + ids.tobytes()
+    paths = list(table)
+    header = json.dumps({
+        "format": CACHE_FORMAT,
+        "schemes": schemes,
+        "n_runs": result.npm_energy.size,
+        "paths": paths,
+        "crc32": _checksum(paths, body),
+    }, separators=(",", ":")).encode("utf-8")
+    # pad with JSON whitespace so the float64 body starts 8-byte aligned
+    header += b" " * (-(_PREAMBLE.size + len(header)) % 8)
+    return _PREAMBLE.pack(_MAGIC, len(header)) + header + body
 
 
-def _payload_to_result(data: Dict[str, np.ndarray], app_name: str, config):
-    """Inverse of :func:`_result_to_payload` (validating)."""
+def read_record(path: Union[str, Path]) -> bytearray:
+    """A record file's bytes, read once into one writable buffer."""
+    with open(path, "rb", buffering=0) as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(buf)
+    del buf[got:]  # the file shrank since the stat: keep what was read
+    return buf
+
+
+def decode_record(buf: bytearray, app_name: str, config):
+    """Inverse of :func:`encode_record` (validating).
+
+    ``buf`` should be writable (see :func:`read_record`): the per-run
+    arrays are row views of one matrix over it, writable like any
+    computed result.  Every inconsistency raises ``ValueError``, or
+    ``KeyError``/``TypeError`` for a header missing a field or holding
+    one of the wrong type.
+    """
     from .runner import EvaluationResult  # runner does not import us
-    if int(data["format"]) != CACHE_FORMAT:
-        raise ValueError(f"unsupported cache entry format {data['format']}")
-    schemes = [str(s) for s in data["schemes"]]
+    if buf[:4] == _ZIP_MAGIC:
+        raise ValueError("found a format-1 .npz archive, expected a "
+                         f"format-{CACHE_FORMAT} record")
+    if len(buf) < _PREAMBLE.size:
+        raise ValueError(f"record of {len(buf)} bytes has no preamble")
+    magic, header_len = _PREAMBLE.unpack_from(buf)
+    if magic != _MAGIC:
+        raise ValueError(f"not an evaluation record (magic {magic!r})")
+    start = _PREAMBLE.size + header_len
+    header = json.loads(buf[_PREAMBLE.size:start])
+    if not isinstance(header, dict):
+        raise ValueError("record header is not a JSON object")
+    if header.get("format") != CACHE_FORMAT:
+        raise ValueError(
+            f"unsupported evaluation record format {header.get('format')!r}")
+    schemes = header["schemes"]
     expected = [get_policy(name).name for name in config.schemes]
     if schemes != expected:
         raise ValueError(
-            f"cache entry schemes {schemes} do not match config {expected}")
-    npm = data["npm_energy"]
-    if npm.shape != (config.n_runs,):
+            f"record schemes {schemes} do not match config {expected}")
+    n = header["n_runs"]
+    if n != config.n_runs:
+        raise ValueError(f"record holds {n} runs, config asks "
+                         f"{config.n_runs}")
+    rows = 1 + 2 * len(schemes)
+    floats = 8 * rows * n
+    body = memoryview(buf)[start:]
+    if len(body) != floats + 4 * n:
         raise ValueError(
-            f"cache entry holds {npm.shape} runs, config asks "
-            f"{config.n_runs}")
-    keys = data["path_keys"]
-    if keys.shape != npm.shape:
+            f"record body holds {len(body)} bytes, {n} runs of "
+            f"{len(schemes)} schemes need {floats + 4 * n} (torn write, "
+            f"or path ids that do not cover every run)")
+    paths = header["paths"]
+    if _checksum(paths, body) != header["crc32"]:
+        raise ValueError("record path table or body fails its crc32")
+    matrix = np.frombuffer(buf, dtype="<f8", count=rows * n,
+                           offset=start).reshape(rows, n)
+    ids = np.frombuffer(buf, dtype="<i4", count=n, offset=start + floats)
+    # an object table hands out the header's own str objects: the
+    # runs of one path share one key string
+    table = np.array(paths, dtype=object)
+    if n and (ids.min() < 0 or ids.max() >= table.size):
         raise ValueError(
-            f"cache entry holds {keys.shape} path keys for "
-            f"{config.n_runs} runs")
-    result = EvaluationResult(
-        app_name=app_name, config=config, npm_energy=npm,
-        path_keys=[str(k) for k in keys])
-    for name in schemes:
-        absolute = data[f"abs::{name}"]
-        changes = data[f"chg::{name}"]
-        if absolute.shape != npm.shape or changes.shape != npm.shape:
-            raise ValueError(f"cache entry arrays for {name!r} are ragged")
+            f"record path ids outside its {table.size}-entry path table")
+    npm = matrix[0]
+    result = EvaluationResult(app_name=app_name, config=config,
+                              npm_energy=npm, path_keys=table[ids].tolist())
+    for i, name in enumerate(schemes):
+        absolute = matrix[1 + i]
         result.absolute[name] = absolute
         result.normalized[name] = absolute / npm
-        result.speed_changes[name] = changes
+        result.speed_changes[name] = matrix[1 + len(schemes) + i]
     return result

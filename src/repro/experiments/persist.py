@@ -8,7 +8,7 @@ re-simulating.  The format is versioned and validated on load.
 Raw per-run arrays have their own binary persistence:
 :func:`save_evaluation` / :func:`load_evaluation` round-trip one
 :class:`~repro.experiments.runner.EvaluationResult` through the same
-validated ``.npz`` payload the evaluation cache
+validated format-2 record the evaluation cache
 (:mod:`repro.experiments.evalcache`) stores, so a saved evaluation is
 bit-identical on reload — useful for archiving the exact arrays behind
 a published figure, not just its summary statistics.
@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Dict, List, Union
-
-import numpy as np
 
 from ..errors import ConfigError
 from ..types import ExperimentPoint, SeriesResult, speed_change_items
@@ -107,16 +105,15 @@ def load_series(path: Union[str, Path]) -> Dict[str, SeriesResult]:
 
 
 def save_evaluation(result, path: Union[str, Path]) -> None:
-    """Write one evaluation's raw per-run arrays as an ``.npz`` file.
+    """Write one evaluation's raw per-run arrays as one record file.
 
-    The payload is the evaluation cache's on-disk format (schemes,
+    The record is the evaluation cache's on-disk format (schemes,
     per-run NPM energies, per-scheme absolute energies and switch
-    counts, executed-path keys); ``normalized`` is re-derived exactly
-    on load.
+    counts, executed-path ids and their path table); ``normalized`` is
+    re-derived exactly on load.
     """
-    from .evalcache import _result_to_payload
-    with open(path, "wb") as fh:
-        np.savez(fh, **_result_to_payload(result))
+    from .evalcache import encode_record
+    Path(path).write_bytes(encode_record(result))
 
 
 def load_evaluation(path: Union[str, Path], app_name: str, config):
@@ -124,15 +121,15 @@ def load_evaluation(path: Union[str, Path], app_name: str, config):
 
     ``app_name``/``config`` re-attach the context the arrays were
     computed under; the config must describe the stored arrays (same
-    schemes, same ``n_runs``) or a :class:`ConfigError` is raised.
+    schemes, same ``n_runs``) or a :class:`ConfigError` is raised, as
+    it is for a file in any other format (a format-1 ``.npz`` included).
     """
-    from .evalcache import _payload_to_result
+    from .evalcache import decode_record, read_record
     try:
-        with np.load(path, allow_pickle=False) as data:
-            return _payload_to_result(dict(data), app_name, config)
+        return decode_record(read_record(path), app_name, config)
     except FileNotFoundError:
         raise ConfigError(f"no such evaluation file: {path}") from None
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"malformed evaluation file {path}: {exc}") from exc
 

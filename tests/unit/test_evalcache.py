@@ -10,13 +10,36 @@ never a crash — and the broken bytes must be quarantined (moved into
 ``<root>/quarantine/``, not destroyed) before the point is recomputed.
 """
 
+import json
+import struct
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.core.registry import ALL_SCHEMES
 from repro.experiments import (EvaluationCache, RunConfig,
                                evaluate_application, evaluation_key)
 from repro.power import PAPER_OVERHEAD
 from repro.workloads import application_with_load, figure3_graph
+
+#: a record opens with an 8-byte magic and the u32 JSON header length
+_PREAMBLE = struct.Struct("<8sI")
+
+
+def split_record(blob):
+    """(magic, header dict, body bytes) of one format-2 record."""
+    magic, header_len = _PREAMBLE.unpack_from(blob)
+    start = _PREAMBLE.size + header_len
+    return magic, json.loads(blob[_PREAMBLE.size:start]), blob[start:]
+
+
+def join_record(magic, header, body):
+    """Re-assemble a record whose crc32 matches its path table and body."""
+    table = "\n".join(header["paths"]).encode()
+    head = json.dumps(dict(header, crc32=zlib.crc32(table + body))).encode()
+    return _PREAMBLE.pack(magic, len(head)) + head + body
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +156,54 @@ class TestCacheRoundTrip:
             assert cache.get(key, app.name, other) is None
 
 
+class TestFormat2:
+    def test_format1_entry_is_never_read(self, app, cfg, tmp_path):
+        # a format-1 .npz left at the old path just misses: no warning,
+        # nothing quarantined, and the file is left alone
+        cache = EvaluationCache(tmp_path)
+        key = evaluation_key(app, cfg)
+        old = cache.path_for(key).with_suffix(".npz")
+        old.parent.mkdir(parents=True)
+        np.savez(old, format=np.asarray(1), npm_energy=np.ones(cfg.n_runs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.get(key, app.name, cfg) is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "errors": 0,
+                                 "quarantined": 0}
+        assert old.is_file()
+        result = evaluate_application(app, cfg)
+        cache.put(key, result)
+        assert cache.path_for(key).suffix == ".rec"
+        loaded = cache.get(key, app.name, cfg)
+        assert np.array_equal(loaded.npm_energy, result.npm_energy)
+        assert loaded.path_keys == result.path_keys
+        for scheme in result.absolute:
+            assert np.array_equal(loaded.absolute[scheme],
+                                  result.absolute[scheme])
+
+    def test_round_trip_bytes_every_scheme(self, app, tmp_path):
+        config = RunConfig(n_runs=40, seed=11, schemes=ALL_SCHEMES)
+        cache = EvaluationCache(tmp_path)
+        key = evaluation_key(app, config)
+        result = evaluate_application(app, config)
+        cache.put(key, result)
+        loaded = cache.get(key, app.name, config)
+        assert list(loaded.absolute) == list(result.absolute)
+        assert loaded.npm_energy.tobytes() == result.npm_energy.tobytes()
+        # the header padding puts the float64 matrix on an 8-byte boundary
+        assert loaded.npm_energy.flags.aligned
+        assert loaded.npm_energy.flags.writeable
+        for scheme in result.absolute:
+            for field in ("absolute", "normalized", "speed_changes"):
+                got = getattr(loaded, field)[scheme]
+                want = getattr(result, field)[scheme]
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (scheme, field)
+        assert loaded.path_keys == result.path_keys
+        assert all(type(k) is str for k in loaded.path_keys)
+        assert len(set(loaded.path_keys)) > 1  # the table is exercised
+
+
 class TestQuarantine:
     """Every corruption class: one warning, one quarantined copy, a miss."""
 
@@ -177,22 +248,62 @@ class TestQuarantine:
     def test_wrong_schema_entry(self, app, cfg, stored):
         cache, key, result = stored
         path = cache.path_for(key)
-        # a well-formed archive from some other (future) layout version
-        np.savez(path.open("wb"), format=np.asarray(99))
+        # a well-formed record from some other (future) layout version
+        magic, header, body = split_record(path.read_bytes())
+        path.write_bytes(join_record(magic, dict(header, format=99), body))
         self._assert_quarantined(cache, key, app, cfg, result)
 
     @pytest.mark.parametrize("keep", [10, 0])
     def test_wrong_path_key_count_entry(self, app, cfg, stored, keep):
-        # a well-formed entry whose path keys do not cover every run:
+        # a well-formed entry whose path ids do not cover every run:
         # served, it would report path frequencies over the wrong run
         # count, so it must be quarantined and recomputed instead
         cache, key, result = stored
         path = cache.path_for(key)
-        with np.load(path) as data:
-            payload = dict(data)
-        payload["path_keys"] = payload["path_keys"][:keep]
-        with path.open("wb") as fh:
-            np.savez(fh, **payload)
+        magic, header, body = split_record(path.read_bytes())
+        floats = len(body) - 4 * cfg.n_runs  # the int32 ids close the body
+        path.write_bytes(join_record(magic, header,
+                                     body[:floats + 4 * keep]))
+        self._assert_quarantined(cache, key, app, cfg, result)
+
+    def test_wrong_run_count_entry(self, app, cfg, stored):
+        cache, key, result = stored
+        path = cache.path_for(key)
+        magic, header, body = split_record(path.read_bytes())
+        path.write_bytes(join_record(
+            magic, dict(header, n_runs=cfg.n_runs - 1), body))
+        self._assert_quarantined(cache, key, app, cfg, result)
+
+    def test_flipped_body_byte(self, app, cfg, stored):
+        # same length, valid header: only the crc32 can catch this
+        cache, key, result = stored
+        path = cache.path_for(key)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) - 4 * cfg.n_runs - 3] ^= 0x01  # inside the matrix
+        path.write_bytes(bytes(blob))
+        self._assert_quarantined(cache, key, app, cfg, result)
+
+    def test_flipped_path_table_byte(self, app, cfg, stored):
+        # the path keys live in the header, so the crc32 covers them
+        # too: a changed section id must not relabel runs silently
+        cache, key, result = stored
+        path = cache.path_for(key)
+        blob = path.read_bytes()
+        _, header, _ = split_record(blob)
+        first = json.dumps(header["paths"][0]).encode()
+        at = blob.index(first) + 1  # the first digit of the first key
+        flipped = bytes([blob[at] ^ 0x01])  # '0' <-> '1', '8' <-> '9', ...
+        path.write_bytes(blob[:at] + flipped + blob[at + 1:])
+        self._assert_quarantined(cache, key, app, cfg, result)
+
+    def test_path_id_outside_table(self, app, cfg, stored):
+        cache, key, result = stored
+        path = cache.path_for(key)
+        magic, header, body = split_record(path.read_bytes())
+        ids = np.frombuffer(body[-4 * cfg.n_runs:], dtype="<i4").copy()
+        ids[0] = len(header["paths"])
+        path.write_bytes(join_record(
+            magic, header, body[:-4 * cfg.n_runs] + ids.tobytes()))
         self._assert_quarantined(cache, key, app, cfg, result)
 
     def test_unwritable_quarantine_falls_back_to_unlink(self, app, cfg,

@@ -1,9 +1,11 @@
 """Unit tests for experiment-result persistence."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import load_series, merge_series, save_series
+from repro.experiments import (load_evaluation, load_series, merge_series,
+                               save_evaluation, save_series)
 from repro.experiments.persist import series_from_jsonable, series_to_jsonable
 from repro.types import ExperimentPoint, SeriesResult, speed_change_items
 
@@ -93,6 +95,48 @@ class TestFiles:
         p.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="not a series bundle"):
             load_series(p)
+
+
+class TestEvaluationFiles:
+    @pytest.fixture(scope="class")
+    def evaluated(self):
+        from repro.experiments import RunConfig, evaluate_application
+        from repro.workloads import application_with_load, figure3_graph
+        app = application_with_load(figure3_graph(), 0.6, 2)
+        config = RunConfig(n_runs=16, seed=5)
+        return app, config, evaluate_application(app, config)
+
+    def test_round_trip_bit_identical(self, evaluated, tmp_path):
+        app, config, result = evaluated
+        path = tmp_path / "point.rec"
+        save_evaluation(result, path)
+        loaded = load_evaluation(path, app.name, config)
+        assert loaded.npm_energy.tobytes() == result.npm_energy.tobytes()
+        assert loaded.path_keys == result.path_keys
+        assert list(loaded.absolute) == list(result.absolute)
+        for scheme in result.absolute:
+            for field in ("absolute", "normalized", "speed_changes"):
+                assert (getattr(loaded, field)[scheme].tobytes()
+                        == getattr(result, field)[scheme].tobytes())
+
+    def test_format1_npz_rejected_by_name(self, evaluated, tmp_path):
+        app, config, _ = evaluated
+        path = tmp_path / "point.npz"
+        np.savez(path, format=np.asarray(1), npm_energy=np.ones(16))
+        with pytest.raises(ConfigError, match="format-1 .npz"):
+            load_evaluation(path, app.name, config)
+
+    def test_config_mismatch_rejected(self, evaluated, tmp_path):
+        app, config, result = evaluated
+        path = tmp_path / "point.rec"
+        save_evaluation(result, path)
+        with pytest.raises(ConfigError, match="runs"):
+            load_evaluation(path, app.name, config.with_(n_runs=17))
+
+    def test_missing_file(self, evaluated, tmp_path):
+        app, config, _ = evaluated
+        with pytest.raises(ConfigError, match="no such"):
+            load_evaluation(tmp_path / "nope.rec", app.name, config)
 
 
 class TestMerge:
