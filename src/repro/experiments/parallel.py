@@ -125,6 +125,7 @@ def map_evaluations(apps: Sequence[Application], config,
     if not pending:
         return results
 
+    computed = None
     if len(pending) > 1:
         from .fused import evaluate_points_fused
         try:
@@ -134,25 +135,19 @@ def map_evaluations(apps: Sequence[Application], config,
         except Exception as exc:
             raise ParallelError(
                 f"fused sweep over {len(pending)} point(s)", exc) from exc
-        if computed is not None:
-            for i, res in zip(pending, computed):
-                results[i] = res
-                if cache is not None:
-                    cache.put(keys[i], res)
-            return results
-        # not fusable: fall through to per-point evaluation
-
-    if context is None or context.jobs(n_items=len(pending)) == 1:
-        # serial point loop; each point stores itself in the context's
-        # cache, if it has one
-        for i in pending:
-            results[i] = evaluate_application(apps[i], configs[i],
-                                              context=context)
-        return results
-    computed = context.map(_evaluate_app_point,
-                           [(i, apps[i], configs[i]) for i in pending],
-                           [labels[i] for i in pending],
-                           policy=configs[0].retry_policy())
+    if computed is None:  # one point, or not fusable: per-point evaluation
+        if context is None or context.jobs(n_items=len(pending)) == 1:
+            # serial point loop, cache-blind like the workers (the
+            # misses were probed above); lazy, so each point is stored
+            # below before the next one runs
+            computed = (evaluate_application(apps[i], configs[i])
+                        for i in pending)
+        else:
+            computed = context.map(_evaluate_app_point,
+                                   [(i, apps[i], configs[i])
+                                    for i in pending],
+                                   [labels[i] for i in pending],
+                                   policy=configs[0].retry_policy())
     for i, res in zip(pending, computed):
         results[i] = res
         if cache is not None:

@@ -4,7 +4,9 @@
 vertices with adjacency kept in insertion order (deterministic iteration
 matters: list scheduling breaks ties by queue insertion).  Branch
 probabilities are attached to the out-edges of OR nodes that have more
-than one successor.
+than one successor.  Results that depend only on the graph (its
+fingerprint, section structure, canonical worst case) are memoized on
+it until it changes (:meth:`AndOrGraph.memo`).
 
 :class:`Application` pairs a validated graph with its deadline — the unit
 the offline phase and the simulator operate on.
@@ -13,16 +15,28 @@ the offline phase and the simulator operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Tuple, TypeVar)
 
 from ..errors import GraphError
 from .nodes import Node, NodeKind, and_node, computation, or_node
 
 _PROB_TOL = 1e-6
 
+_T = TypeVar("_T")
+
 
 class AndOrGraph:
-    """A directed acyclic AND/OR task graph."""
+    """A directed acyclic AND/OR task graph.
+
+    The graph carries a memo of results computed from it alone (see
+    :meth:`memo`).  Its stamp is ``(version, name)``: ``add_node``,
+    ``add_edge`` and ``set_branch_probability`` bump the version, and a
+    rename changes the name, so either drops every memoized result.
+    Nodes are frozen and the adjacency is private, so these are the only
+    ways a graph changes.  :meth:`copy` and unpickling start with an
+    empty memo; the memo is never pickled.
+    """
 
     def __init__(self, name: str = "app"):
         self.name = name
@@ -30,6 +44,36 @@ class AndOrGraph:
         self._succs: Dict[str, List[str]] = {}
         self._preds: Dict[str, List[str]] = {}
         self._branch_probs: Dict[str, Dict[str, float]] = {}
+        self._reset_memo()
+
+    def _reset_memo(self) -> None:
+        self._version = 0
+        self._memo: Dict[Hashable, object] = {}
+        self._memo_stamp: Tuple[int, str] = (0, self.name)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        for attr in ("_version", "_memo", "_memo_stamp"):
+            del state[attr]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._reset_memo()
+
+    def memo(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, remembered under ``key`` until the graph changes.
+
+        A ``compute`` that raises stores nothing, so a failing check
+        fails again on the next call.
+        """
+        stamp = (self._version, self.name)
+        if stamp != self._memo_stamp:
+            self._memo.clear()
+            self._memo_stamp = stamp
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # construction
@@ -40,6 +84,7 @@ class AndOrGraph:
         self._nodes[node.name] = node
         self._succs[node.name] = []
         self._preds[node.name] = []
+        self._version += 1
         return node
 
     def add_computation(self, name: str, wcet: float, acet: float) -> Node:
@@ -62,6 +107,7 @@ class AndOrGraph:
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
         self._succs[src].append(dst)
         self._preds[dst].append(src)
+        self._version += 1
 
     def set_branch_probability(self, or_name: str, succ: str,
                                probability: float) -> None:
@@ -78,6 +124,7 @@ class AndOrGraph:
             raise GraphError(
                 f"branch probability must be in (0, 1], got {probability}")
         self._branch_probs.setdefault(or_name, {})[succ] = min(probability, 1.0)
+        self._version += 1
 
     # ------------------------------------------------------------------
     # accessors

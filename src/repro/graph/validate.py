@@ -27,8 +27,16 @@ def validate_graph(graph: AndOrGraph) -> SectionStructure:
     """Validate ``graph``; returns its section structure on success.
 
     Raises :class:`ValidationError` with an explanatory message on the
-    first violated rule.
+    first violated rule.  A valid graph is validated once per graph
+    state: the structure is memoized on the graph until it changes
+    (:meth:`~repro.graph.andor.AndOrGraph.memo`), and an invalid graph
+    raises on every call.  Callers share the returned structure and
+    must not modify it.
     """
+    return graph.memo("validate_graph", lambda: _validate(graph))
+
+
+def _validate(graph: AndOrGraph) -> SectionStructure:
     problems = basic_problems(graph)
     if problems:
         raise ValidationError("; ".join(problems))

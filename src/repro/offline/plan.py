@@ -154,8 +154,13 @@ def graph_fingerprint(graph: AndOrGraph) -> str:
     Two structurally identical graphs fingerprint identically regardless
     of object identity; any change to a node's timing, an edge, or a
     branch probability changes the digest.  Used as the graph component
-    of the offline-plan cache key.
+    of the offline-plan cache key.  Memoized on the graph until it
+    changes, so repeated plans and cache keys of one graph hash it once.
     """
+    return graph.memo("fingerprint", lambda: _digest(graph))
+
+
+def _digest(graph: AndOrGraph) -> str:
     from ..graph.serialize import graph_to_dict
     payload = json.dumps(graph_to_dict(graph), sort_keys=True)
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()

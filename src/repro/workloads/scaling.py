@@ -17,11 +17,17 @@ from ..offline.plan import build_plan
 
 def worst_case_length(graph: AndOrGraph, n_processors: int,
                       reserve: float = 0.0) -> float:
-    """Canonical worst-case finish time of the longest path."""
-    probe = Application(graph=graph, deadline=1.0, name=graph.name)
-    plan = build_plan(probe, n_processors, reserve=reserve,
-                      require_feasible=False)
-    return plan.t_worst
+    """Canonical worst-case finish time of the longest path.
+
+    Memoized on the graph per ``(n_processors, reserve)`` until the
+    graph changes: a load sweep plans the graph once, not per load.
+    """
+    def plan_t_worst() -> float:
+        probe = Application(graph=graph, deadline=1.0, name=graph.name)
+        return build_plan(probe, n_processors, reserve=reserve,
+                          require_feasible=False).t_worst
+    return graph.memo(("t_worst", n_processors, float(reserve)),
+                      plan_t_worst)
 
 
 def average_case_length(graph: AndOrGraph, n_processors: int) -> float:

@@ -150,3 +150,34 @@ class TestCachedSweep:
         hit = cache.get(evaluation_key(app, cfg), app.name, cfg)
         assert hit is not None
         _assert_identical(direct, hit)
+
+    def test_one_broken_entry_is_one_miss(self, graph, cfg, serial_series,
+                                          tmp_path):
+        # the lone miss is probed once: the point computed in the
+        # serial branch does not consult the cache a second time
+        cache = EvaluationCache(tmp_path)
+        with ExecutionContext(cache=cache) as ctx:
+            sweep_load(graph, cfg, LOADS, context=ctx)
+            app = application_with_load(graph, LOADS[3], cfg.n_processors)
+            cache.path_for(evaluation_key(app, cfg)).write_bytes(b"torn")
+            with pytest.warns(RuntimeWarning, match="quarantined"):
+                series = sweep_load(graph, cfg, LOADS, context=ctx)
+        _assert_series_equal(serial_series, series)
+        delta = series.meta["cache"]
+        assert (delta["hits"], delta["misses"], delta["quarantined"]) \
+            == (len(LOADS) - 1, 1, 1)
+
+    def test_serial_unfused_sweep_counts_each_miss_once(self, graph, cfg,
+                                                        serial_overhead,
+                                                        tmp_path):
+        cache = EvaluationCache(tmp_path)
+        with ExecutionContext(n_jobs=1, cache=cache) as ctx:
+            first = sweep_overhead(graph, cfg, 0.6, ADJUST_TIMES,
+                                   context=ctx)
+            second = sweep_overhead(graph, cfg, 0.6, ADJUST_TIMES,
+                                    context=ctx)
+        _assert_series_equal(serial_overhead, first)
+        _assert_series_equal(serial_overhead, second)
+        assert first.meta["cache"]["misses"] == len(ADJUST_TIMES)
+        assert second.meta["cache"]["hits"] == len(ADJUST_TIMES)
+        assert cache.stats()["misses"] == len(ADJUST_TIMES)

@@ -161,7 +161,8 @@ class TestMerge:
     def test_cli_save_round_trip(self, tmp_path, capsys):
         from repro.cli import main
         path = tmp_path / "fig6.json"
-        assert main(["fig6", "--runs", "4", "--save", str(path)]) == 0
+        assert main(["fig6", "--runs", "4", "--save", str(path),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         loaded = load_series(path)
         assert set(loaded) == {"transmeta", "xscale"}
         assert loaded["transmeta"].x_label == "alpha"
