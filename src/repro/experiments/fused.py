@@ -138,8 +138,9 @@ class _View:
     its runs.
 
     The static view covers every run; the dynamic view may cover a
-    subset (points whose dynamic plan exists), with ``rows`` mapping
-    its run axis back into the full one (``None``: every run).  Run
+    subset (points whose dynamic plan exists), with ``rows`` listing
+    the ``[lo, hi)`` spans of the full run axis its runs come from, in
+    order (``None``: every run).  Run
     ``i`` of the view reads ``matrix[row_of[i]]`` (``row_of=None``: row
     ``i``), so views share one realization matrix instead of copying
     its rows.
@@ -380,16 +381,15 @@ def _dyn_view(build: _FusedBuild, static: _View) -> _View:
                      static.groups, static.point_of, static.offsets, None)
     dyn_points = build.dyn_points
     offsets = static.offsets
-    sel, sub_groups = _sub_grouping(
-        static.groups, [(offsets[i], offsets[i + 1]) for i in dyn_points],
-        int(offsets[-1]))
+    spans = [(int(offsets[i]), int(offsets[i + 1])) for i in dyn_points]
+    sel, sub_groups = _sub_grouping(static.groups, spans, int(offsets[-1]))
     row_of = static.row_of.take(sel) if static.row_of is not None else sel
     sub_counts = [len(static.batches[i]) for i in dyn_points]
     return _View(build.stacked_dyn, build.dyn_plans, build.dyn_progs,
                  [static.batches[i] for i in dyn_points], static.matrix,
                  row_of, sub_groups,
                  np.repeat(np.arange(len(dyn_points)), sub_counts),
-                 np.concatenate(([0], np.cumsum(sub_counts))), sel)
+                 np.concatenate(([0], np.cumsum(sub_counts))), spans)
 
 
 def _place(view: _View, npm_energy, npm_finish, absolute, finish, changes):
@@ -401,9 +401,13 @@ def _place(view: _View, npm_energy, npm_finish, absolute, finish, changes):
     a = npm_energy.copy()
     f = npm_finish.copy()
     c = np.zeros(npm_energy.size)
-    a[view.rows] = absolute
-    f[view.rows] = finish
-    c[view.rows] = changes
+    at = 0
+    for lo, hi in view.rows:
+        part = slice(at, at + hi - lo)
+        a[lo:hi] = absolute[part]
+        f[lo:hi] = finish[part]
+        c[lo:hi] = changes[part]
+        at += hi - lo
     return a, f, c
 
 

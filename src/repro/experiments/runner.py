@@ -114,6 +114,15 @@ class RunConfig:
             raise ConfigError(
                 f"shard_mem_mb must be >= 0 (0 = unbudgeted), "
                 f"got {self.shard_mem_mb}")
+        if (str(self.power_model).lower() == "continuous"
+                and self.overhead.comp_cycles > 0):
+            # the continuous model's minimum speed is 0, and the offline
+            # reserve charges a speed computation at the minimum speed
+            raise ConfigError(
+                f"power_model='continuous' needs an overhead with "
+                f"comp_cycles=0 (its minimum speed is 0, where computing "
+                f"a speed never ends), got overhead with comp_cycles="
+                f"{self.overhead.comp_cycles}")
 
     def retry_policy(self):
         """The :class:`~repro.experiments.engine.RetryPolicy` this

@@ -201,46 +201,58 @@ class CompiledPlan:
         ``groups`` is a list of ``(path, run_indices)`` pairs in first-
         occurrence order and ``keys`` the per-run path key, formatted
         exactly like ``ExecutionPath.key()`` (``"0>2>5"``).
+
+        The runs are partitioned with NumPy, one path prefix at a time:
+        a prefix's run indices (ascending) split by the branch each run
+        chose at the prefix's exit OR node.  A run with no choice, or
+        with a choice off the node's branches, is an error; the error
+        raised is the one of the lowest such run, as a run-by-run walk
+        would find it first.
         """
-        picks = {name: (seq.tolist() if isinstance(seq, np.ndarray) else
-                        list(seq))
-                 for name, seq in choices.items()}
         sections = self.sections
-        root = self.root_sid
-        by_path: Dict[Tuple[int, ...], List[int]] = {}
-        key_of: Dict[Tuple[int, ...], str] = {}
-        keys: List[str] = []
-        for i in range(n):
-            sid = root
-            path = [sid]
-            while True:
-                sec = sections[sid]
-                if sec.exit_or is None or not sec.branch_ids:
-                    break
-                if sec.forced_target is not None:
-                    sid = sec.forced_target
-                else:
-                    try:
-                        sid = picks[sec.exit_or][i]
-                    except KeyError:
-                        raise SimulationError(
-                            f"realization has no branch choice for OR "
-                            f"node {sec.exit_or!r}") from None
-                    if sid not in sec.branch_set:
-                        raise SimulationError(
-                            f"realization chose section {sid} at "
-                            f"{sec.exit_or!r}, not a successor path")
-                path.append(sid)
-            tup = tuple(path)
-            runs = by_path.get(tup)
-            if runs is None:
-                by_path[tup] = runs = []
-                key_of[tup] = ">".join(str(s) for s in tup)
-            runs.append(i)
-            keys.append(key_of[tup])
-        groups = [(path, np.asarray(runs, dtype=np.intp))
-                  for path, runs in by_path.items()]
-        return groups, keys
+        picks: Dict[str, np.ndarray] = {}
+        done = []
+        error: Optional[Tuple[int, str]] = None
+        stack = [((self.root_sid,), np.arange(n, dtype=np.intp))]
+        while stack:
+            path, runs = stack.pop()
+            if not runs.size:
+                continue
+            sec = sections[path[-1]]
+            if sec.exit_or is None or not sec.branch_ids:
+                done.append((path, runs))
+                continue
+            if sec.forced_target is not None:
+                stack.append((path + (sec.forced_target,), runs))
+                continue
+            seq = picks.get(sec.exit_or)
+            if seq is None:
+                if sec.exit_or not in choices:
+                    found = (int(runs[0]),
+                             f"realization has no branch choice for OR "
+                             f"node {sec.exit_or!r}")
+                    error = found if error is None else min(error, found)
+                    continue
+                seq = picks[sec.exit_or] = np.asarray(choices[sec.exit_or])
+            got = seq[runs]
+            ok = np.zeros(runs.size, dtype=bool)
+            for target in sec.branch_ids:
+                hit = got == target
+                ok |= hit
+                stack.append((path + (target,), runs[hit]))
+            if not ok.all():
+                k = int(np.argmin(ok))
+                found = (int(runs[k]),
+                         f"realization chose section {got[k].item()} at "
+                         f"{sec.exit_or!r}, not a successor path")
+                error = found if error is None else min(error, found)
+        if error is not None:
+            raise SimulationError(error[1])
+        done.sort(key=lambda g: int(g[1][0]))
+        key_of = np.empty(n, dtype=object)
+        for path, runs in done:
+            key_of[runs] = ">".join(str(s) for s in path)
+        return done, key_of.tolist()
 
 
 #: cross-instance program cache keyed by plan *fingerprint* (graph,

@@ -11,13 +11,12 @@ Python tuples.
 **Kernel rows and the scheme axis.**  A fixed-kernel row is one run.
 :func:`run_dynamic_batch` takes several dynamic schemes at once and
 stacks them on the row axis, *scheme-major*: within a block of ``nb``
-runs, scheme ``s`` of run ``r`` is row ``s * nb + r``.  Each row carries
-its scheme's floor as a step triple ``(lo, hi, θ)`` — the floor is
-``lo`` before ``θ`` and ``hi`` from then on.  SS2 keeps its declared
-step; a constant floor ``fc`` is ``(fc, fc, +inf)``, which selects
-``fc`` at every finite time.  At each OR firing the rows of a scheme
-that re-speculates (``or_respec`` "average" or "worst") get ``lo = hi
-=`` the re-speculated level.  The path block, the WCET check and the
+runs, scheme ``s`` of run ``r`` is row ``s * nb + r``.  Each row's
+current floor sits in one ``f_lo`` lane: a constant floor as declared,
+re-speculated at each OR firing for a scheme with ``or_respec``
+("average" or "worst"); SS2's declared step ``(lo, hi, θ)`` is
+re-selected on its own rows at each dispatch (``lo`` before ``θ``,
+``hi`` from then on).  The path block, the WCET check and the
 per-point constant gathers run once per block for every scheme, and
 each scheme's outputs come back as its own
 :class:`DynamicBatchResult`, in request order.
@@ -27,7 +26,7 @@ blocks of at most :data:`BLOCK_ROWS` kernel rows — runs for the fixed
 kernel, schemes × runs for the dynamic one — so the per-block buffers
 stay cache-sized however large the batch or the scheme list is.  Every
 row's computation depends on its own row only, so blocking changes no
-float.
+float.  Blocks hold the runs of several sweep points at once.
 
 **Entries-major layout.**  Every per-block buffer keeps the block's
 rows on its *last* axis, so each per-entry read or write is a
@@ -36,8 +35,10 @@ contiguous row:
 * the realization columns of a block are read with one flat gather,
   ``matrix.ravel().take(cols[:, None] + idx * n_cols)``, which yields
   the ``(n_cols, nb)`` block of exactly the path's computation-entry
-  columns (never the full ``matrix[idx]`` row copy), tiled across the
-  schemes by the dynamic kernel;
+  columns (never the full ``matrix[idx]`` row copy).  The dynamic
+  kernel shares it between its schemes: the wall time divides a run's
+  actual time by an ``(n_s, nb)`` view of the rows' speeds, a
+  broadcast instead of a tiled copy of the block;
 * the finishes buffer ``fin`` is ``(n_slots, rows)``: predecessor
   readiness is a row read (one ``np.maximum`` against the single
   predecessor) or a row gather + ``max(axis=0)`` for joins;
@@ -48,7 +49,10 @@ contiguous row:
   writes the contiguous slice ``k * rows:(k + 1) * rows``, any other
   dispatch a ``take`` and an index store on the flat index;
 * a stacked section's per-point constants are gathered for *all*
-  entries at once (``c_pt.take(pt, axis=1)``).
+  entries at once, per run (``fb_pt.take(pt, axis=1)``), and the
+  dynamic kernel broadcasts them over the ``(n_s, nb)`` view of its
+  rows; the WCETs are gathered only when they differ between points
+  (the tape's ``c_vary``: never in a load sweep), else read as scalars.
 
 **Bit-identity with the dict engine.**  Every float operation happens
 in exactly the order of :func:`repro.sim.engine.simulate`, so each
@@ -75,6 +79,12 @@ a scalar dict-engine run; the golden suites
   ``n_speed_changes``.  Both kernels use the same guarded rule.  It
   takes every row dispatch of Figure 5's program (m=6), 89.4% of
   Figure 4's, and 74% of Figure 6's and the online stream's (m=2);
+* the processor free times are reset *lazily*: only :func:`_first_min`
+  reads them, and a section that stays forced never calls it, so no
+  section ends with an ``(m, rows)`` reset.  At the fallback, the
+  processors the section has already dispatched to hold their
+  finishes and the rest are set to ``t_section`` — exactly the free
+  times an eager reset at the section start would give them;
 * :func:`_first_min`, the general path, takes the column minimum of
   ``(m, rows)`` and counts the leading processors strictly above it:
   the first minimal processor, i.e. the engine's first-idle, lowest-id
@@ -86,6 +96,13 @@ a scalar dict-engine run; the golden suites
 * the fixed kernel batches ``actual / speed`` and the busy-energy
   product per section — identical elementwise operations, consumed
   row by row in entry order;
+* the required speed is ``c / denom``, overwritten with ``+inf`` on
+  the rows where ``denom > 0`` fails — the engine's conditional,
+  without a select over every row;
+* the snap-up searches every level but the top one, which returns
+  ``min(searchsorted(levels), n_lv - 1)`` exactly: a target past the
+  top level (up to the guarantee check's ``1e-6`` tolerance) lands on
+  it, as the engine's ``snap_up(min(target, s_max))`` does;
 * a level switch is ``new_idx != si`` on level *indices*: the speed
   table's adjacent levels differ by more than the engine's ``1e-9``
   switch tolerance (a :class:`~repro.power.DiscretePowerModel`
@@ -117,6 +134,25 @@ path gather and the WCET precheck read the matrix, both through
 only, the outputs equal those on ``matrix[row_of]`` bit for bit,
 errors included.  ``row_of=None`` means run ``i`` is row ``i``.
 
+**Shared fixed dispatch.**  The fixed kernel's dispatch reads a run's
+realization row and its point's speed, never the deadline: that enters
+only the accounting after the section loop (the deadline check, the
+idle window and the energy sum).  So :func:`run_fixed_batch` cuts each
+path group at point boundaries and dispatches each distinct segment —
+the same matrix rows in the same order, the same speed, the same
+WCETs on the path — once; a later, duplicate segment reads that
+dispatch's finish time, busy time and busy energy and runs only its own
+point's accounting.  A load sweep's NPM call then dispatches one
+point's runs instead of all of them, and its SPM call one point's runs
+per distinct speed.  The group's blocks stay those of an unshared
+call: each block dispatches its own first occurrences, in run order,
+and then accounts for all of its runs, so a duplicate's deadline miss
+is raised by the duplicate's own block, exactly where an unshared call
+raises it.  Only a group longer than one block shares: in a single
+block sharing cannot save a dispatch, only shrink one, and that was
+measured to cost more than it saves.  Without ``row_of`` no two runs
+share a row and every run is dispatched.
+
 **Errors.**  Invalid batches raise the engine's error classes and
 messages, in *block* order (path groups in order, each group's blocks
 in run order) rather than run order; within a block, an error names
@@ -130,7 +166,10 @@ rows (gathered only then), so the error names the first entry in path
 order with any violating run, and the first violating run within the
 block.  Because that check precedes the block's dispatch loop, a block
 holding both a WCET violation and a guarantee violation reports the
-WCET error.
+WCET error.  With a shared fixed dispatch the check covers the
+block's first occurrences: a duplicate's rows and WCETs are those of
+an earlier run, checked in the same block or an earlier one, so the
+raised error is still the unshared call's.
 Realization sampling clips actuals into ``(0, WCET]``, so this
 defensive path never fires on sampler-produced batches.
 """
@@ -204,13 +243,26 @@ def _at(value, k):
     return value
 
 
-def _scheme_rows(values, nb: int) -> np.ndarray:
-    """One value per scheme (a scalar or an ``(nb,)`` per-run vector),
-    laid out on the scheme-major row axis."""
-    if not any(isinstance(v, np.ndarray) for v in values):
-        return np.repeat(np.asarray(values, dtype=float), nb)
+def _scheme_table(values) -> Tuple[np.ndarray, int]:
+    """One value per scheme (a scalar or an ``(n_points,)`` per-point
+    vector) as a flat scheme-major table and its per-scheme stride: the
+    ``(n_s,)`` scalars with stride 0, or the ``(n_s * n_points,)``
+    per-point values with stride ``n_points``."""
+    sizes = [v.size for v in values if isinstance(v, np.ndarray)]
+    if not sizes:
+        return np.asarray(values, dtype=float), 0
+    n_pts = max(sizes)
     return np.concatenate([np.broadcast_to(np.asarray(v, dtype=float),
-                                           (nb,)) for v in values])
+                                           (n_pts,)) for v in values]), n_pts
+
+
+def _scheme_rows(table: np.ndarray, stride: int, pt, nb: int) -> np.ndarray:
+    """A :func:`_scheme_table` laid out on a block's scheme-major row
+    axis (``pt`` the block's per-run point indices)."""
+    if not stride:
+        return np.repeat(table, nb)
+    base = np.arange(0, table.size, stride)
+    return table.take((base[:, None] + pt).reshape(-1))
 
 
 def _blocks(tape, groups, size: int):
@@ -298,6 +350,53 @@ def _precheck(tape, path, guard, g_pt, act_path: np.ndarray,
         "path-level WCET check tripped but no section reproduced it")
 
 
+def _shared_dispatch(pt: Optional[np.ndarray], src: np.ndarray, speed,
+                     g_class: Optional[tuple]):
+    """Which segments of a path group need their own fixed-speed
+    dispatch.
+
+    The fixed kernel's dispatch reads a run's realization row and its
+    point's speed only; the deadline enters the accounting after it.  So
+    the group is cut at point boundaries (``pt`` is the group's
+    per-run point index, ``src`` its runs' matrix rows), and a segment
+    whose rows equal an earlier segment's row for row, at the same
+    speed and with the same per-point WCETs on the path (the same
+    ``g_class`` of :meth:`~repro.sim.kernels.tape.ProgramTape.path_wcet`,
+    so the WCET precheck agrees too), reuses that segment's dispatch.
+
+    Returns ``None`` when every run needs its own dispatch, else one
+    ``(lo, hi, at, own)`` per segment, in order: its runs are group
+    positions ``[lo, hi)``, and their dispatches sit at ``[at, at + hi -
+    lo)`` of a store that holds the segments with ``own`` set, one
+    after another.  A duplicate (``own`` false) points at the store
+    range of the segment it repeats.
+    """
+    if pt is None or pt.size < 2 or pt[0] == pt[-1]:
+        return None
+    bounds = [0] + (np.flatnonzero(pt[1:] != pt[:-1]) + 1).tolist() + \
+        [pt.size]
+    speeds = speed.tolist() if isinstance(speed, np.ndarray) else None
+    seen = {}  # (length, first row, speed, WCET class) -> (lo, at)
+    segments = []
+    n_store = 0
+    for lo, hi, head, p in zip(bounds[:-1], bounds[1:],
+                               src.take(bounds[:-1]).tolist(),
+                               pt.take(bounds[:-1]).tolist()):
+        key = (hi - lo, head, speed if speeds is None else speeds[p],
+               0 if g_class is None else g_class[p])
+        hit = seen.get(key)
+        if hit is not None and (src[lo:hi]
+                                == src[hit[0]:hit[0] + hi - lo]).all():
+            segments.append((lo, hi, hit[1], False))
+            continue
+        seen.setdefault(key, (lo, n_store))
+        segments.append((lo, hi, n_store, True))
+        n_store += hi - lo
+    if n_store == pt.size:
+        return None
+    return segments
+
+
 def run_fixed_batch(prog, power: PowerModel,
                     overhead: OverheadModel, matrix: np.ndarray,
                     groups, speed, scheme: str,
@@ -317,7 +416,8 @@ def run_fixed_batch(prog, power: PowerModel,
     preamble constant is computed with the same scalar formulas,
     selected per point; ``row_of`` maps each run to its ``matrix`` row
     when runs share rows.  See the module docstring for the layout,
-    blocking, bit-identity, fused-sweep and error-selection contract.
+    blocking, shared dispatch, bit-identity, fused-sweep and
+    error-selection contract.
     """
     tape = build_tape(prog)
     n, n_cols = matrix.shape
@@ -345,37 +445,30 @@ def run_fixed_batch(prog, power: PowerModel,
         p_busy = power.power(speed)
     idle_power = power.idle_power
 
-    total_energy = np.empty(n)
-    finish_time = np.empty(n)
-
-    for path, idx, (cols, offs, guard, g_pt) in _blocks(tape, groups,
-                                                        BLOCK_ROWS):
-        ng = idx.size
-        rows = np.arange(ng)
-        pt = point_of.take(idx) if point_of is not None else None
+    def dispatch(path, wcet, src, pt):
+        """``(t_end, busy_time, e_busy)`` of the runs reading matrix
+        rows ``src`` (point indices ``pt``) along ``path``."""
+        cols, offs, guard, g_pt, _g_class = wcet
+        ng = src.size
         speed_g = _gather(speed, pt)
         p_busy_g = _gather(p_busy, pt)
         t0_g = _gather(t0, pt)
-        dl_g = _gather(deadline, pt)
-        ot_g = _gather(overhead_time, pt)
-        eo_g = _gather(e_over, pt)
         fin = np.empty((prog.n_slots, ng))
+        # processor free times are written by each section's dispatches
+        # and only read by _first_min, so a processor still untouched in
+        # the current section is set to t_section at the fallback
         proc_free = np.empty(m * ng)
         pf = proc_free.reshape(m, ng)
-        pf[:] = t0_g
         if isinstance(t0_g, np.ndarray):
-            last_dispatch = t0_g.copy()
-            t_section = t0_g.copy()
-            t_end = t0_g.copy()
+            t_section = t0_g
         else:
-            last_dispatch = np.full(ng, t0_g)
             t_section = np.full(ng, t0_g)
-            t_end = np.full(ng, t0_g)
+        last_dispatch = t_end = t_section
         busy_time = np.zeros(ng)
         e_busy = np.zeros(ng)
+        rows = None
 
         if cols.size:
-            src = row_of.take(idx) if row_of is not None else idx
             act_path = _path_block(flat, n_cols, cols, src)
             _precheck(tape, path, guard, g_pt, act_path, matrix, src, pt)
 
@@ -411,6 +504,8 @@ def run_fixed_batch(prog, power: PowerModel,
                     t = np.maximum(ready, last_dispatch)
                     fj = slice(n_forced * ng, (n_forced + 1) * ng)
                 else:
+                    if rows is None:
+                        rows = np.arange(ng)
                     j, free = _first_min(pf)
                     t = np.maximum(np.maximum(ready, last_dispatch), free)
                     fj = np.multiply(j, ng, dtype=np.intp)
@@ -423,9 +518,14 @@ def run_fixed_batch(prog, power: PowerModel,
                 proc_free[fj] = finish
                 if n_forced < m:
                     # strictness guard: a finish tying t_section makes
-                    # its processor first-idle again, so fall back
-                    n_forced = (n_forced + 1 if (finish > t_section).all()
-                                else m)
+                    # its processor first-idle again, so fall back; the
+                    # processors not yet dispatched to are free at
+                    # t_section
+                    if (finish > t_section).all():
+                        n_forced += 1
+                    else:
+                        pf[n_forced + 1:] = t_section
+                        n_forced = m
                 if sec_max is None:
                     sec_max = finish.copy()
                 else:
@@ -437,30 +537,81 @@ def run_fixed_batch(prog, power: PowerModel,
                 t_end = np.maximum(sec_max, t_section)
             t_section = t_end
             last_dispatch = t_end
-            pf[:] = t_end
+        return t_end, busy_time, e_busy
 
-        if check_deadline:
-            late = t_end > dl_g * (1 + 1e-9) + _EPS
-            if late.any():
-                k = int(np.argmax(late))
-                raise DeadlineMissError(float(t_end[k]),
-                                        float(_at(dl_g, k)),
-                                        scheme=scheme)
-        window = m * np.maximum(dl_g, t_end)
-        idle_time = window - busy_time - ot_g
-        if isinstance(dl_g, np.ndarray):
-            thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
-        else:
-            thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
-        bad = idle_time < thresh
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SimulationError(
-                f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
-                f"overhead={_at(ot_g, k)}, window={window[k]}")
-        e_idle = idle_power * np.maximum(idle_time, 0.0)
-        total_energy[idx] = e_busy + e_idle + eo_g
-        finish_time[idx] = t_end
+    total_energy = np.empty(n)
+    finish_time = np.empty(n)
+
+    for path, idx in groups:
+        wcet = tape.path_wcet(path)
+        pt_all = point_of.take(idx) if point_of is not None else None
+        src_all = row_of.take(idx) if row_of is not None else idx
+        # a group within one block is dispatched whole: sharing there
+        # cannot save a block's dispatch, only shrink it, and on
+        # Figure 5's ~1.5k-run groups at 1000 runs its bookkeeping cost
+        # more than that saved
+        segments = (_shared_dispatch(pt_all, src_all, speed, wcet[4])
+                    if row_of is not None and idx.size > BLOCK_ROWS
+                    else None)
+        if segments is not None:
+            store = np.empty((3, sum(hi - lo for lo, hi, _at, own
+                                     in segments if own)))
+        for lo in range(0, idx.size, BLOCK_ROWS):
+            blk = slice(lo, lo + BLOCK_ROWS)
+            pt = pt_all[blk] if pt_all is not None else None
+            if segments is None:
+                t_end, busy_time, e_busy = dispatch(path, wcet, src_all[blk],
+                                                    pt)
+            else:
+                # the block's pieces of each segment; its own pieces are
+                # dispatched together, in run order (so the WCET check
+                # names the run an unshared block's check would), into
+                # one contiguous store range
+                hi = min(lo + BLOCK_ROWS, idx.size)
+                pieces = [(max(s_lo, lo), min(s_hi, hi), at - s_lo, is_own)
+                          for s_lo, s_hi, at, is_own in segments
+                          if s_lo < hi and s_hi > lo]
+                own = [(p0, p1, shift) for p0, p1, shift, is_own in pieces
+                       if is_own]
+                if own:
+                    sel = np.concatenate([np.arange(p0, p1)
+                                          for p0, p1, _shift in own])
+                    a = own[0][0] + own[0][2]
+                    z = a + sel.size
+                    store[0, a:z], store[1, a:z], store[2, a:z] = dispatch(
+                        path, wcet, src_all.take(sel), pt_all.take(sel))
+                out = np.empty((3, hi - lo))
+                for p0, p1, shift, _is_own in pieces:
+                    out[:, p0 - lo:p1 - lo] = store[:, p0 + shift:p1 + shift]
+                t_end, busy_time, e_busy = out
+
+            dl_g = _gather(deadline, pt)
+            ot_g = _gather(overhead_time, pt)
+            eo_g = _gather(e_over, pt)
+            if check_deadline:
+                late = t_end > dl_g * (1 + 1e-9) + _EPS
+                if late.any():
+                    k = int(np.argmax(late))
+                    raise DeadlineMissError(float(t_end[k]),
+                                            float(_at(dl_g, k)),
+                                            scheme=scheme)
+            window = m * np.maximum(dl_g, t_end)
+            idle_time = window - busy_time - ot_g
+            if isinstance(dl_g, np.ndarray):
+                thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
+            else:
+                thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
+            bad = idle_time < thresh
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise SimulationError(
+                    f"negative idle time {idle_time[k]}: "
+                    f"busy={busy_time[k]}, overhead={_at(ot_g, k)}, "
+                    f"window={window[k]}")
+            e_idle = idle_power * np.maximum(idle_time, 0.0)
+            blk_idx = idx[blk]
+            total_energy[blk_idx] = e_busy + e_idle + eo_g
+            finish_time[blk_idx] = t_end
 
     return FixedBatchResult(scheme, total_energy, finish_time, n_changes)
 
@@ -514,7 +665,11 @@ def run_dynamic_batch(prog, power: PowerModel,
     s_max_guard = s_max * (1 + 1e-6)
 
     speeds_arr = power.level_speed_table()
-    n_lv = speeds_arr.size
+    # the engine snaps min(target, s_max) up to a level: a target past
+    # the top level lands on it.  Searching every level but the top one
+    # returns exactly min(searchsorted(speeds_arr), n_lv - 1), with no
+    # clamp
+    snap_levels = speeds_arr[:-1]
     pow_arr = power.level_power_table()
     tc_arr = overhead.computation_time_table(power)
     # the speed-computation energy per level: the product the engine
@@ -524,58 +679,62 @@ def run_dynamic_batch(prog, power: PowerModel,
     adj_energy = overhead.adjustment_energy(power)
     idle_power = power.idle_power
 
-    # every scheme's floor as a (lo, hi, theta) step; a declared step
-    # holds for the whole run, so only a constant floor re-speculates
-    floors = [run.floor_step if run.floor_step is not None
-              else (run.floor_const, run.floor_const, math.inf)
-              for run in runs]
-    has_step = any(run.floor_step is not None for run in runs)
+    # every scheme's floor: f_lo holds it per row, a constant floor as
+    # is and a declared step ``(lo, hi, theta)`` re-selected at each
+    # dispatch; a step holds for the whole run, so only a constant
+    # floor re-speculates
+    floors = _scheme_table([run.floor_step[0] if run.floor_step is not None
+                            else run.floor_const for run in runs])
+    steps = [(s, run.floor_step) for s, run in enumerate(runs)
+             if run.floor_step is not None]
     respec = [(s, run.or_respec) for s, run in enumerate(runs)
               if run.floor_step is None and run.or_respec is not None]
 
-    total_energy = np.empty((n_s, n))
-    finish_time = np.empty((n_s, n))
-    n_changes = np.empty((n_s, n), dtype=np.int64)
+    total_energy = [np.empty(n) for _ in range(n_s)]
+    finish_time = [np.empty(n) for _ in range(n_s)]
+    n_changes = [np.empty(n, dtype=np.int64) for _ in range(n_s)]
 
-    for path, idx, (cols, offs, guard, g_pt) in _blocks(
+    for path, idx, (cols, offs, guard, g_pt, _g_class) in _blocks(
             tape, groups, max(1, BLOCK_ROWS // n_s)):
         nb = idx.size
         ng = n_s * nb
         rows = np.arange(ng)
         pt = point_of.take(idx) if point_of is not None else None
-        pt_rows = np.tile(pt, n_s) if pt is not None else None
-        f_lo = _scheme_rows([_gather(f[0], pt) for f in floors], nb)
-        if has_step:
-            f_hi = _scheme_rows([_gather(f[1], pt) for f in floors], nb)
-            theta = _scheme_rows([_gather(f[2], pt) for f in floors], nb)
+        f_lo = _scheme_rows(*floors, pt, nb)
+        step_rows = [(slice(s * nb, (s + 1) * nb), _gather(lo, pt),
+                      _gather(hi, pt), _gather(theta, pt))
+                     for s, (lo, hi, theta) in steps]
         dl_b = _gather(deadline, pt)
         dl_g = (np.tile(dl_b, n_s) if isinstance(dl_b, np.ndarray)
                 else dl_b)
         fin = np.empty((prog.n_slots, ng))
-        proc_free = np.zeros(m * ng)
+        # reset lazily at a section's fallback, as in run_fixed_batch
+        proc_free = np.empty(m * ng)
         pf = proc_free.reshape(m, ng)
-        proc_idx = np.full(m * ng, n_lv - 1, dtype=np.intp)
-        last_dispatch = np.zeros(ng)
-        t_section = np.zeros(ng)
+        proc_idx = np.full(m * ng, speeds_arr.size - 1, dtype=np.intp)
+        # rebound, never written in place
+        t_section = last_dispatch = t_end = np.zeros(ng)
         busy_time = np.zeros(ng)
         overhead_time = np.zeros(ng)
         e_busy = np.zeros(ng)
         e_over = np.zeros(ng)
         changes = np.zeros(ng, dtype=np.int64)
-        t_end = np.zeros(ng)
 
         if cols.size:
+            # one (n_comp, nb) block shared by every scheme: the wall
+            # time divides it by a (n_s, nb) view of the speeds
             src = row_of.take(idx) if row_of is not None else idx
             act_path = _path_block(flat, n_cols, cols, src)
             _precheck(tape, path, guard, g_pt, act_path, matrix, src, pt)
-            if n_s > 1:
-                act_path = np.tile(act_path, n_s)
 
         for pos, sid in enumerate(path):
             st = tape.sections[sid]
-            stacked = st.c_pt is not None and pt is not None
-            c_all = st.c_pt.take(pt_rows, axis=1) if stacked else None
-            fb_all = st.fb_pt.take(pt_rows, axis=1) if stacked else None
+            # per-point constants are gathered per run, not per row,
+            # and broadcast over an (n_s, nb) view of the rows
+            stacked = st.fb_pt is not None and pt is not None
+            fb_all = st.fb_pt.take(pt, axis=1) if stacked else None
+            c_vary = stacked and st.c_vary
+            c_all = st.c_pt.take(pt, axis=1) if c_vary else None
             off = offs[pos]
             sec_max = None
             n_forced = 0  # m once a tie turns the rule off
@@ -608,38 +767,34 @@ def run_dynamic_batch(prog, power: PowerModel,
                     si = proc_idx.take(fj)
                 last_dispatch = t
                 actual = act_path[off + crel]
-                if stacked:
-                    c_g = c_all[e]
-                    fb_g = fb_all[e]
-                else:
-                    # an unstacked section's constants are always
-                    # scalars (vectors force c_pt/fb_pt), so skip the
-                    # _gather call
-                    c_g = st.c_list[e]
-                    fb_g = st.fb_list[e]
+                # a constant that is the same at every point is a
+                # scalar in c_list/fb_list (vectors force c_pt/fb_pt)
+                c_g = c_all[e] if c_vary else st.c_list[e]
+                fb_g = fb_all[e] if stacked else st.fb_list[e]
 
                 t_comp = tc_arr.take(si)
-                avail = fb_g - t - t_comp
+                avail = np.subtract(fb_g, t.reshape(n_s, nb)).reshape(ng)
+                avail -= t_comp
                 denom = avail - adjust_time
-                s_req = np.where(denom > 0, c_g / denom, math.inf)
-                fl = np.where(t < theta, f_lo, f_hi) if has_step else f_lo
-                target = np.maximum(s_req, fl)
+                # c / denom where denom > 0, else +inf
+                s_req = np.divide(c_g, denom.reshape(n_s, nb)).reshape(ng)
+                ok = denom > 0
+                if not ok.all():
+                    s_req[~ok] = math.inf
+                for sl, lo, hi, theta in step_rows:
+                    f_lo[sl] = np.where(t[sl] < theta, lo, hi)
+                target = np.maximum(s_req, f_lo)
                 if target.max() > s_max_guard:
                     k = int(np.argmax(target > s_max_guard))
                     raise SimulationError(
                         f"guarantee violated for {st.names[e]!r}: required "
                         f"speed {target[k]:.6g} exceeds maximum "
-                        f"(t={t[k]:.6g}, bound={_at(fb_g, k):.6g}) "
+                        f"(t={t[k]:.6g}, bound={_at(fb_g, k % nb):.6g}) "
                         f"under scheme {schemes[k // nb]!r}")
-                # the engine snaps min(target, s_max); a target in
-                # (s_max, s_max_guard] already lands past the top level,
-                # and the upper clamp maps it there.  searchsorted never
-                # returns < 0, so clip(0, n_lv - 1) is exactly that
-                # clamp — and np.minimum is a raw ufunc where np.clip is
-                # a ~4us python wrapper
-                new_idx = speeds_arr.searchsorted(target - 1e-12,
-                                                  side="left")
-                np.minimum(new_idx, n_lv - 1, out=new_idx)
+                # a target in (s_max, s_max_guard] snaps to the top
+                # level, as the engine's min(target, s_max) does
+                new_idx = snap_levels.searchsorted(target - 1e-12,
+                                                   side="left")
                 speed = speeds_arr.take(new_idx)
                 # index inequality is the engine's 1e-9 speed test (the
                 # level table's adjacent speeds are > 1e-9 apart)
@@ -653,7 +808,7 @@ def run_dynamic_batch(prog, power: PowerModel,
                 changes += changed
                 proc_idx[fj] = new_idx
 
-                wall = actual / speed
+                wall = np.divide(actual, speed.reshape(n_s, nb)).reshape(ng)
                 finish = np.add(start_exec, wall, out=fin[gid])
                 busy_time += wall
                 e_busy += pow_arr.take(new_idx) * wall
@@ -661,8 +816,11 @@ def run_dynamic_batch(prog, power: PowerModel,
                 if n_forced < m:
                     # the guard matters here: processor identity carries
                     # its level, so a tie must go to the lowest id
-                    n_forced = (n_forced + 1 if (finish > t_section).all()
-                                else m)
+                    if (finish > t_section).all():
+                        n_forced += 1
+                    else:
+                        pf[n_forced + 1:] = t_section
+                        n_forced = m
                 if sec_max is None:
                     sec_max = finish.copy()
                 else:
@@ -674,7 +832,6 @@ def run_dynamic_batch(prog, power: PowerModel,
                 t_end = np.maximum(sec_max, t_section)
             t_section = t_end
             last_dispatch = t_end
-            pf[:] = t_end
             if respec and pos + 1 < len(path):
                 # branch stats stay on the program (not the tape): the
                 # respec floor is per OR firing, outside the entry loop
@@ -687,13 +844,10 @@ def run_dynamic_batch(prog, power: PowerModel,
                     horizon = dl_b - t_end[sl]
                     raw = work / horizon
                     want = np.minimum(raw, s_max)
-                    snap_idx = speeds_arr.searchsorted(want - 1e-12,
-                                                       side="left")
-                    np.minimum(snap_idx, n_lv - 1, out=snap_idx)
+                    snap_idx = snap_levels.searchsorted(want - 1e-12,
+                                                        side="left")
                     f_lo[sl] = np.where(horizon > 0, speeds_arr[snap_idx],
                                         s_max)
-                    if has_step:
-                        f_hi[sl] = f_lo[sl]
 
         if check_deadline:
             late = t_end > dl_g * (1 + 1e-9) + _EPS
@@ -716,9 +870,12 @@ def run_dynamic_batch(prog, power: PowerModel,
                 f"overhead={overhead_time[k]}, window={window[k]} "
                 f"under scheme {schemes[k // nb]!r}")
         e_idle = idle_power * np.maximum(idle_time, 0.0)
-        total_energy[:, idx] = (e_busy + e_idle + e_over).reshape(n_s, nb)
-        finish_time[:, idx] = t_end.reshape(n_s, nb)
-        n_changes[:, idx] = changes.reshape(n_s, nb)
+        energy = e_busy + e_idle + e_over
+        for s in range(n_s):
+            sl = slice(s * nb, (s + 1) * nb)
+            total_energy[s][idx] = energy[sl]
+            finish_time[s][idx] = t_end[sl]
+            n_changes[s][idx] = changes[sl]
 
     return [DynamicBatchResult(name, total_energy[s], finish_time[s],
                                n_changes[s])

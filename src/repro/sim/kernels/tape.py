@@ -21,8 +21,10 @@ program once into a **tape** per section —
 
 plus, for stacked programs whose constants vary per sweep point,
 ``c_pt``/``fb_pt`` matrices of shape ``(n_entries, n_points)`` with
-scalar rows broadcast — one fancy-index per section per path group then
-gathers *every* entry's per-run constants at once.  Broadcasting a
+scalar rows broadcast — one fancy-index per section per block then
+gathers *every* entry's per-run constants at once — and ``c_vary``,
+whether the WCETs are among the varying constants (only then is
+``c_pt`` gathered).  Broadcasting a
 scalar to a vector changes no float: the kernels perform the same
 elementwise operations on the same values, so tape execution stays
 bit-identical to the dict engine.
@@ -63,7 +65,7 @@ class SectionTape:
     """One section of a program, lowered to flat arrays."""
 
     __slots__ = ("n_entries", "c", "names", "steps",
-                 "c_pt", "fb_pt", "c_list", "fb_list",
+                 "c_pt", "fb_pt", "c_vary", "c_list", "fb_list",
                  "comp_sel", "comp_cols", "c_guard")
 
     def __init__(self, sec, n_points: int):
@@ -78,6 +80,7 @@ class SectionTape:
         c_cols = []
         fb_cols = []
         stacked = False
+        c_vary = False
         n_comp = 0
         for e, (is_and, g, cl, c, fb, name, preds) in enumerate(entries):
             names.append(name)
@@ -100,6 +103,7 @@ class SectionTape:
             c_cols.append(c)
             fb_cols.append(fb)
             c_vec = isinstance(c, np.ndarray)
+            c_vary = c_vary or c_vec
             stacked = stacked or c_vec or isinstance(fb, np.ndarray)
             # the scalar lane is only meaningful when c_pt is None
             c_lane[e] = np.nan if c_vec else float(c)
@@ -125,6 +129,11 @@ class SectionTape:
                 fb_pt[e, :] = fb_cols[e]
             self.c_pt = c_pt
             self.fb_pt = fb_pt
+        #: whether any entry's WCET differs between points (``c_pt``
+        #: then carries information the scalar ``c_list`` cannot); a
+        #: load sweep varies only the finish bounds, so its kernels read
+        #: the scalar WCETs and gather only ``fb_pt``
+        self.c_vary = bool(c_vary and self.c_pt is not None)
 
 
 class ProgramTape:
@@ -139,7 +148,7 @@ class ProgramTape:
 
     def path_wcet(self, path: Tuple[int, ...]) -> tuple:
         """Cached per-path WCET-check arrays ``(cols, offs, guard,
-        g_pt)``: the realization columns of every computation entry on
+        g_pt, g_class)``: the realization columns of every computation entry on
         the path (section by section, path order), per-section offsets
         into that concatenation (section ``i``'s entries sit at
         ``cols[offs[i]:offs[i+1]]``), and the guard — the precomputed
@@ -147,7 +156,10 @@ class ProgramTape:
         (``g_pt`` is then ``None``), or a per-point ``(n_comp,
         n_points)`` WCET matrix for stacked programs (``guard`` is then
         ``None``; scalar-collapsed sections are broadcast into it, the
-        same floats either way)."""
+        same floats either way).  ``g_class`` gives each point the
+        lowest point whose ``g_pt`` column has the same bytes — points
+        of one class pass or fail the WCET check on the same rows alike
+        (``None`` without ``g_pt``)."""
         hit = self._wcet_cache.get(path)
         if hit is not None:
             return hit
@@ -162,6 +174,7 @@ class ProgramTape:
         offs_arr = np.asarray(offs, dtype=np.intp)
         guard = None
         g_pt = None
+        g_class = None
         if self.n_points:
             rows = [self.sections[sid].c_pt[self.sections[sid].comp_sel]
                     if self.sections[sid].c_pt is not None
@@ -172,11 +185,14 @@ class ProgramTape:
                     for sid in path]
             g_pt = (np.concatenate(rows) if rows
                     else np.empty((0, self.n_points)))
+            first: Dict[bytes, int] = {}
+            g_class = tuple(first.setdefault(g_pt[:, p].tobytes(), p)
+                            for p in range(self.n_points))
         else:
             guard = (np.concatenate([self.sections[sid].c_guard
                                      for sid in path]) if path
                      else np.empty(0))
-        entry = (cols, offs_arr, guard, g_pt)
+        entry = (cols, offs_arr, guard, g_pt, g_class)
         self._wcet_cache[path] = entry
         return entry
 

@@ -11,6 +11,7 @@ example budget for the time-boxed coverage job.  Select with
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,34 @@ from repro.power import (
     transmeta_model,
     xscale_model,
 )
+
+
+def _cache_files(root: Path):
+    """Every file under ``root``, or ``None`` when it does not exist."""
+    if not root.exists():
+        return None
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_default_cache_writes():
+    """Fail the session if it wrote the default evaluation cache.
+
+    Figure and suite commands cache evaluations in ``.repro-cache/``
+    under the working directory unless given ``--cache-dir`` or
+    ``--no-cache``; a test that forgets both leaves the checkout dirty
+    and reads entries a previous run left behind.
+    """
+    root = Path(".repro-cache")
+    before = _cache_files(root)
+    yield
+    after = _cache_files(root)
+    if after is not None and after != before:
+        changed = sorted(str(p) for p in after ^ (before or set()))
+        pytest.fail(f"the test session wrote {root}/ in the working "
+                    f"directory ({len(changed)} file(s) added or removed, "
+                    f"e.g. {changed[:3]}); give the command a --cache-dir "
+                    f"under tmp_path or --no-cache", pytrace=False)
 
 
 @pytest.fixture

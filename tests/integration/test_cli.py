@@ -47,8 +47,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "GSS" in out and "SS1" not in out
 
-    def test_fig6_small(self, capsys):
-        assert main(["fig6", "--runs", "5"]) == 0
+    def test_fig6_small(self, tmp_path, capsys):
+        assert main(["fig6", "--runs", "5",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "figure6-transmeta" in out
         assert "figure6-xscale" in out
@@ -56,7 +57,8 @@ class TestCommands:
 
     def test_fig4_csv(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
-        assert main(["fig4", "--runs", "5", "--csv", str(csv)]) == 0
+        assert main(["fig4", "--runs", "5", "--csv", str(csv),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         text = csv.read_text()
         assert text.startswith("x,scheme,mean")
         assert "GSS" in text
@@ -88,9 +90,10 @@ class TestAnalysisCommands:
         assert "mission: 5 frames" in out
         assert "GSS" in out and "NPM" in out  # NPM always added
 
-    def test_fig_chart_flag(self, capsys):
+    def test_fig_chart_flag(self, tmp_path, capsys):
         from repro.cli import main
-        assert main(["fig6", "--runs", "4", "--chart"]) == 0
+        assert main(["fig6", "--runs", "4", "--chart",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "y: normalized energy" in out
 

@@ -77,6 +77,19 @@ class TestEvaluateApplication:
         with pytest.raises(ConfigError):
             RunConfig(schemes=())
 
+    def test_continuous_model_rejects_speed_computation_overhead(self):
+        # the continuous model's s_min is 0: the offline reserve would
+        # compute a speed at speed 0, which used to surface only later,
+        # as a PowerModelError from inside a sweep
+        with pytest.raises(ConfigError, match="power_model.*overhead"):
+            RunConfig(power_model="continuous")
+        with pytest.raises(ConfigError, match="power_model.*overhead"):
+            RunConfig(n_runs=5).with_(power_model="Continuous")
+        cfg = RunConfig(power_model="continuous", n_runs=5,
+                        overhead=OverheadModel(comp_cycles=0.0))
+        series = sweep_load(figure3_graph(), cfg, loads=(0.5,))
+        assert all(0 < p.mean <= 1 for p in series.points)
+
     def test_unknown_field_rejected_by_name(self):
         with pytest.raises(ConfigError, match="bogus"):
             RunConfig().with_(seed=3, bogus=1)

@@ -43,10 +43,11 @@ class TestSuite:
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(n_runs=5), workloads={})
 
-    def test_cli_suite(self, capsys):
+    def test_cli_suite(self, tmp_path, capsys):
         from repro.cli import main
         assert main(["suite", "--runs", "10", "--loads", "0.5",
-                     "--models", "xscale"]) == 0
+                     "--models", "xscale",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "pairwise wins" in out
         assert "atr" in out and "radar" in out

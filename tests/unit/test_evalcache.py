@@ -67,7 +67,7 @@ class TestEvaluationKey:
         {"idle_fraction": 0.10},
         {"schemes": ("GSS", "AS")},
         {"engine": "dict"},
-        {"power_model": "continuous"},
+        {"power_model": "xscale"},
         {"heuristic": "stf"},
         {"n_processors": 3},
         {"overhead": PAPER_OVERHEAD.with_(adjust_time=0.02)},

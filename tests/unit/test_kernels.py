@@ -221,6 +221,34 @@ class TestWcetPrecheck:
         assert "actual time 1000000000.0 " in msg
 
 
+class TestGuaranteeViolation:
+    """A finish bound left no time for the overhead (the plan reserved
+    none): the required speed is +inf and the dynamic kernel raises the
+    engine's guarantee error, naming the scheme."""
+
+    def test_unreserved_overhead_raises_the_engines_error(self):
+        from repro.core import get_policy
+        from repro.power import NO_OVERHEAD, OverheadModel, transmeta_model
+        from repro.sim import sample_realization_batch, simulate
+        from repro.sim.compiled import run_dynamic_batch
+        power = transmeta_model()
+        plan = build_plan(application_with_load(figure3_graph(), 0.6, 2), 2)
+        prog = compile_plan(plan)
+        overhead = OverheadModel(comp_cycles=0.0, adjust_time=1e6)
+        batch = sample_realization_batch(plan.structure,
+                                         np.random.default_rng(2), 1)
+        run = get_policy("GSS").start_run(plan, power, NO_OVERHEAD)
+        with pytest.raises(SimulationError) as want:
+            simulate(plan, run, power, overhead, batch.realization(0))
+        groups, _keys = prog.executed_paths(batch.choices, 1)
+        with pytest.raises(SimulationError) as got:
+            run_dynamic_batch(prog, power, overhead,
+                              prog.realization_matrix(batch), groups,
+                              [run], ["GSS"])
+        assert "required speed inf" in str(want.value)
+        assert str(got.value) == f"{want.value} under scheme 'GSS'"
+
+
 class TestRowMap:
     """With ``row_of``, runs read shared realization rows; both kernels
     must give exactly what they give on the materialized
@@ -286,6 +314,219 @@ class TestRowMap:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert "exceeds WCET" in str(got.value)
+
+
+def _stacked_sweep(loads, m=2, n_rows=40, seed=5):
+    """A load sweep over the ATR graph as the fused pass runs it: one
+    stacked program, one realization matrix shared by every point
+    through ``row_of``, the OR choices decoded over the fused run axis.
+    Returns ``(progs, stacked, batch, matrix, groups, point_of,
+    row_of)``."""
+    from repro.sim import sample_realization_batch
+    from repro.sim.sweepc import stack_programs
+    graph = atr_graph()
+    plans = [build_plan(application_with_load(graph, load, m), m)
+             for load in loads]
+    progs = [compile_plan(p) for p in plans]
+    stacked = stack_programs(progs)
+    batch = sample_realization_batch(plans[0].structure,
+                                     np.random.default_rng(seed), n_rows)
+    matrix = progs[0].realization_matrix(batch)
+    n_pts = len(loads)
+    row_of = np.tile(np.arange(n_rows), n_pts)
+    point_of = np.repeat(np.arange(n_pts), n_rows)
+    choices = {k: np.tile(v, n_pts) for k, v in batch.choices.items()}
+    groups, _keys = stacked.executed_paths(choices, row_of.size)
+    return progs, stacked, batch, matrix, groups, point_of, row_of
+
+
+class TestSharedFixedDispatch:
+    """A load sweep's points share their realization rows, and the fixed
+    kernel's dispatch never reads the deadline: runs of one path group
+    at different points with equal rows and speed share one dispatch,
+    and only the deadline accounting runs per point.  Pinned against
+    per-point unstacked calls, bit for bit; blocks of 7 rows straddle
+    the point boundaries."""
+
+    LOADS = (0.3, 0.5, 0.4, 0.5)
+
+    def test_segments_with_equal_rows_and_speed_share(self):
+        from repro.sim.kernels.interp import _shared_dispatch
+        pt = np.repeat(np.arange(3), 4)
+        src = np.tile(np.array([5, 1, 7, 2]), 3)
+        assert _shared_dispatch(pt, src, 1.0, None) == [
+            (0, 4, 0, True), (4, 8, 0, False), (8, 12, 0, False)]
+        # a different speed at point 1 gives it its own dispatch
+        assert _shared_dispatch(pt, src, np.array([0.5, 1.0, 0.5]),
+                                None) == [
+            (0, 4, 0, True), (4, 8, 4, True), (8, 12, 0, False)]
+        # so do different rows, and different WCETs on the path
+        assert _shared_dispatch(pt, np.arange(12), 1.0, None) is None
+        rows = src.copy()
+        rows[9] = 0  # same length and first row as point 0, one row off
+        assert _shared_dispatch(pt, rows, 1.0, None) == [
+            (0, 4, 0, True), (4, 8, 0, False), (8, 12, 4, True)]
+        assert _shared_dispatch(pt, src, 1.0, (0, 1, 2)) is None
+        assert _shared_dispatch(pt, src, 1.0, (0, 1, 0)) == [
+            (0, 4, 0, True), (4, 8, 4, True), (8, 12, 0, False)]
+
+    @pytest.mark.parametrize("block_rows", [7, 16384])
+    @pytest.mark.parametrize("kind", ["repeated", "scalar"])
+    def test_stacked_equals_per_point_calls(self, monkeypatch, block_rows,
+                                            kind):
+        from repro.power import PAPER_OVERHEAD, transmeta_model
+        from repro.sim.compiled import run_fixed_batch
+        from repro.sim.kernels import interp
+        monkeypatch.setattr(interp, "BLOCK_ROWS", block_rows)
+        power = transmeta_model()
+        progs, stacked, batch, matrix, groups, point_of, row_of = \
+            _stacked_sweep(self.LOADS)
+        if kind == "scalar":
+            speed = power.s_max
+        else:
+            # points 0, 2 and 3 share a speed, point 1 runs at s_max;
+            # every speed meets every point's deadline
+            low = power.snap_up(max(self.LOADS))
+            assert low < power.s_max
+            speed = np.array([low, power.s_max, low, low])
+        got = run_fixed_batch(stacked, power, PAPER_OVERHEAD, matrix,
+                              groups, speed, "SPM", point_of=point_of,
+                              row_of=row_of)
+        n = len(batch)
+        for p, prog in enumerate(progs):
+            sp = speed[p] if kind == "repeated" else speed
+            want = run_fixed_batch(
+                prog, power, PAPER_OVERHEAD, matrix,
+                prog.executed_paths(batch.choices, n)[0], sp, "SPM")
+            run = slice(p * n, (p + 1) * n)
+            assert got.total_energy[run].tobytes() == \
+                want.total_energy.tobytes()
+            assert got.finish_time[run].tobytes() == \
+                want.finish_time.tobytes()
+            switches = (got.n_speed_changes[p] if kind == "repeated"
+                        else got.n_speed_changes)
+            assert switches == want.n_speed_changes
+
+    @pytest.mark.parametrize("block_rows", [7, 16384])
+    def test_deadline_miss_at_a_duplicated_point(self, monkeypatch,
+                                                 block_rows):
+        from repro.errors import DeadlineMissError
+        from repro.power import PAPER_OVERHEAD, transmeta_model
+        from repro.sim.compiled import run_fixed_batch
+        from repro.sim.kernels import interp
+        monkeypatch.setattr(interp, "BLOCK_ROWS", block_rows)
+        power = transmeta_model()
+        # point 1 repeats point 0's rows and speed, so all of its runs
+        # reuse point 0's dispatch; only its deadline is too tight
+        progs, stacked, batch, matrix, groups, point_of, row_of = \
+            _stacked_sweep((0.3, 0.95))
+        speed = power.snap_up(0.35)
+        with pytest.raises(DeadlineMissError) as got:
+            run_fixed_batch(stacked, power, PAPER_OVERHEAD, matrix, groups,
+                            speed, "SPM", point_of=point_of, row_of=row_of)
+        assert got.value.scheme == "SPM"
+        assert got.value.deadline == progs[1].deadline
+        # the error a run-per-row batch raises: same run, same message
+        with pytest.raises(DeadlineMissError) as want:
+            run_fixed_batch(stacked, power, PAPER_OVERHEAD,
+                            np.ascontiguousarray(matrix[row_of]), groups,
+                            speed, "SPM", point_of=point_of)
+        assert str(got.value) == str(want.value)
+
+
+def _walk_paths(prog, choices, n):
+    """The run-by-run decode :meth:`CompiledPlan.executed_paths` must
+    reproduce: each run walks its sections from the root, and the first
+    run whose walk fails raises."""
+    picks = {name: list(seq) for name, seq in choices.items()}
+    by_path = {}
+    keys = []
+    for i in range(n):
+        sid = prog.root_sid
+        path = [sid]
+        while True:
+            sec = prog.sections[sid]
+            if sec.exit_or is None or not sec.branch_ids:
+                break
+            if sec.forced_target is not None:
+                sid = sec.forced_target
+            else:
+                if sec.exit_or not in picks:
+                    raise SimulationError(
+                        f"realization has no branch choice for OR node "
+                        f"{sec.exit_or!r}")
+                sid = int(picks[sec.exit_or][i])
+                if sid not in sec.branch_set:
+                    raise SimulationError(
+                        f"realization chose section {sid} at "
+                        f"{sec.exit_or!r}, not a successor path")
+            path.append(sid)
+        by_path.setdefault(tuple(path), []).append(i)
+        keys.append(">".join(str(s) for s in path))
+    return [(path, runs) for path, runs in by_path.items()], keys
+
+
+class TestExecutedPaths:
+    """The NumPy decode partitions runs prefix by prefix; it must give
+    the run-by-run walk's groups (first-occurrence order, ascending run
+    indices) and keys, and the error of the walk's first failing run."""
+
+    @staticmethod
+    def _branching(prog):
+        return [sec for sec in prog.sections.values()
+                if sec.exit_or is not None and len(sec.branch_ids) > 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_run_by_run_walk(self, data):
+        graph = data.draw(st.sampled_from([build_nested_or_graph,
+                                           atr_graph]))()
+        prog = compile_plan(build_plan(application_with_load(graph, 0.6, 2),
+                                       2))
+        n = data.draw(st.integers(0, 40))
+        invalid = data.draw(st.booleans())
+        choices = {}
+        for sec in self._branching(prog):
+            options = list(sec.branch_ids) + ([9999] if invalid else [])
+            choices[sec.exit_or] = np.array(
+                data.draw(st.lists(st.sampled_from(options), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+        if invalid and choices and data.draw(st.booleans()):
+            del choices[data.draw(st.sampled_from(sorted(choices)))]
+        try:
+            want = _walk_paths(prog, choices, n)
+        except SimulationError as exc:
+            with pytest.raises(SimulationError) as got:
+                prog.executed_paths(choices, n)
+            assert str(got.value) == str(exc)
+            return
+        groups, keys = prog.executed_paths(choices, n)
+        assert keys == want[1]
+        assert [path for path, _idx in groups] == \
+            [path for path, _runs in want[0]]
+        for (_path, idx), (_p, runs) in zip(groups, want[0]):
+            assert idx.dtype == np.intp
+            assert idx.tolist() == runs
+
+    def test_first_failing_run_wins(self):
+        app = application_with_load(build_nested_or_graph(), 0.6, 2)
+        prog = compile_plan(build_plan(app, 2))
+        first, second = self._branching(prog)
+        root = prog.sections[prog.root_sid]
+        assert root is first
+        n = 6
+        # run 4 picks a section off the first OR node's branches; the
+        # second OR node has no choices at all, so every other run fails
+        # there — run 0 first, and its error is the one raised
+        choices = {first.exit_or: np.full(n, first.branch_ids[0])}
+        choices[first.exit_or][4] = 9999
+        with pytest.raises(SimulationError, match="no branch choice") as got:
+            prog.executed_paths(choices, n)
+        assert repr(second.exit_or) in str(got.value)
+        # with the second node's choices present only run 4 fails
+        choices[second.exit_or] = np.full(n, second.branch_ids[0])
+        with pytest.raises(SimulationError, match="section 9999 at"):
+            prog.executed_paths(choices, n)
 
 
 class TestKernelMeta:
