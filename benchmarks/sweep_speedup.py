@@ -22,8 +22,8 @@ bit-identical and the pooled one to create exactly one pool.
 A third **fused_shard** section times the sharded fused path at a
 larger run count (``--shard-runs``): the same sweep executed
 monolithically in one process versus split into ``--shards``
-seed-aligned run-range shards (0 = auto: one per schedulable core,
-raised to fit ``--shard-mem-mb``) on a warmed worker pool.
+seed-aligned run-range shards (0 = auto: one per schedulable core)
+on a warmed worker pool.
 ``shard_speedup`` is monolithic/sharded; both passes are asserted
 bit-identical and the record carries the resolved shard count,
 transport and the high-water RSS of the parent and its pool workers.
@@ -98,10 +98,6 @@ def main(argv=None) -> int:
                     help="Monte-Carlo runs per point for the "
                          "fused_shard section (larger than --runs so "
                          "the fan-out has work to amortize against)")
-    ap.add_argument("--shard-mem-mb", type=int, default=0,
-                    dest="shard_mem_mb",
-                    help="per-shard memory budget for auto shard "
-                         "selection (0 = unbudgeted)")
     ap.add_argument("--min-shard-speedup", type=float, default=0.0,
                     dest="min_shard_speedup",
                     help="required monolithic-vs-sharded speedup "
@@ -176,8 +172,7 @@ def main(argv=None) -> int:
 
     shard_request = args.shards if args.shards > 0 else effective_cores()
     pool_jobs = max(1, min(shard_request, args.shard_runs))
-    cfg_sharded = cfg_shard_scale.with_(shards=args.shards or 0,
-                                        shard_mem_mb=args.shard_mem_mb)
+    cfg_sharded = cfg_shard_scale.with_(shards=args.shards or 0)
     with ExecutionContext(n_jobs=pool_jobs) as ctx:
         if pool_jobs > 1:  # spin the workers up outside the timing
             ctx.map(_warm_task, [(i,) for i in range(pool_jobs)])

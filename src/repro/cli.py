@@ -93,15 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="split the fused sweep's runs axis into "
                                  "this many seed-aligned shards executed "
                                  "on local pool workers "
-                                 "(0 = auto from cores and --shard-mem-mb; "
-                                 "default: unsharded; results are "
-                                 "bit-identical)")
-            fp.add_argument("--shard-mem-mb", type=int, default=0,
-                            dest="shard_mem_mb",
-                            help="peak-memory budget per shard in MiB for "
-                                 "--shards 0: the auto shard count is "
-                                 "raised until the estimated fused "
-                                 "footprint fits (0 = unbudgeted)")
+                                 "(0 = one per core; default: unsharded; "
+                                 "results are bit-identical)")
         fp.add_argument("--cache-stats", action="store_true",
                         dest="cache_stats",
                         help="print the kernel-side cache counters "
@@ -113,19 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "functions by cumulative time")
         fp.add_argument("--max-retries", type=int, default=2,
                         dest="max_retries",
-                        help="re-dispatches per point/shard after a "
-                             "worker crash, hang or transport failure "
-                             "before degrading to serial execution")
-        fp.add_argument("--chunk-timeout", type=float, default=0.0,
-                        dest="chunk_timeout",
-                        help="seconds per dispatched point/shard before "
-                             "it is considered hung and re-dispatched "
-                             "(0 = no timeout)")
+                        help="pool rebuilds after a worker dies before "
+                             "the remaining points/shards degrade to "
+                             "serial execution")
         fp.add_argument("--no-degrade", action="store_true",
                         dest="no_degrade",
-                        help="fail with an error once retry budgets are "
-                             "exhausted instead of degrading to serial "
-                             "execution in the parent")
+                        help="fail with an error once the rebuild budget "
+                             "is exhausted instead of degrading to "
+                             "serial execution in the parent")
         fp.add_argument("--no-cache", action="store_true",
                         help="recompute every point, bypassing the "
                              "on-disk evaluation cache")
@@ -273,15 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
                          ".repro-cache)")
     su.add_argument("--max-retries", type=int, default=2,
                     dest="max_retries",
-                    help="re-dispatches per suite cell after a worker "
-                         "crash, hang or transport failure")
-    su.add_argument("--chunk-timeout", type=float, default=0.0,
-                    dest="chunk_timeout",
-                    help="seconds per dispatched cell before it is "
-                         "considered hung (0 = no timeout)")
+                    help="pool rebuilds after a worker dies before the "
+                         "remaining cells degrade to serial execution")
     su.add_argument("--no-degrade", action="store_true", dest="no_degrade",
                     help="error out instead of degrading to serial "
-                         "execution when retries are exhausted")
+                         "execution when the rebuild budget is exhausted")
     return p
 
 
@@ -397,7 +381,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 n_runs=args.runs, seed=args.seed, context=ctx,
                 schemes=tuple(schemes), engine=args.engine,
                 max_retries=args.max_retries,
-                chunk_timeout=args.chunk_timeout,
                 degrade=not args.no_degrade)
             if args.command == "fig_online":
                 fig_kwargs["arrival"] = args.arrival
@@ -406,8 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if args.load is not None:
                     fig_kwargs["load"] = args.load
             else:
-                fig_kwargs.update(shards=args.shards,
-                                  shard_mem_mb=args.shard_mem_mb)
+                fig_kwargs["shards"] = args.shards
             if args.profile:
                 series = _run_profiled(fig_fn, **fig_kwargs)
             else:
@@ -555,7 +537,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           n_processors=args.procs, n_runs=args.runs,
                           seed=args.seed,
                           max_retries=args.max_retries,
-                          chunk_timeout=args.chunk_timeout,
                           degrade=not args.no_degrade)
         with _make_context(args.jobs, args.no_cache, args.cache_dir) as ctx:
             print(render_suite(run_suite(cfg, context=ctx)))

@@ -118,10 +118,7 @@ class TransportError(ReproError):
     (segment gone, ``/dev/shm`` trouble, or an injected ``shm-attach``
     fault).  The parent treats it as a *transport* problem, not a data
     problem: that one shard is recomputed inline while the rest of the
-    sweep keeps its workers' results.  Raised inside a pool task, it is
-    retried like an injected fault.  Deliberately a plain
-    single-message exception so it pickles cleanly across the process
-    boundary.
+    sweep keeps its workers' results.
     """
 
 
@@ -130,7 +127,6 @@ class FaultInjected(ReproError):
 
     Only ever raised when a :class:`repro.experiments.faults.FaultPlan`
     is installed (chaos tests); production code never constructs it.
-    Classified as *retryable* by the resilient executor, which is
-    exactly what makes it useful: it exercises the per-item retry path
-    without killing a worker process.
+    The ``online-admit`` site raises it to exercise the admission
+    probe's retry.
     """

@@ -17,10 +17,10 @@
   :func:`sweep_arrival_rate`, the ``fig_online`` figure family).
 
 Resilience: :class:`RetryPolicy` (surfaced as the ``max_retries`` /
-``chunk_timeout`` / ``degrade`` fields of :class:`RunConfig`) governs
-how the execution engine retries crashed, hung or transport-starved
-work before degrading to serial execution in the parent; every
-recovery is counted in ``series.meta["resilience"]``.
+``degrade`` fields of :class:`RunConfig`) governs how often the
+execution engine rebuilds a pool whose worker died before degrading to
+serial execution in the parent; every recovery is counted in
+``series.meta["resilience"]``.
 """
 
 from .chart import render_chart, render_charts
@@ -74,12 +74,7 @@ from .misprofile import (
     misprofile_evaluation,
     render_misprofile,
 )
-from .parallel import (
-    collect_in_order,
-    map_custom,
-    map_evaluations,
-    resolve_jobs,
-)
+from .parallel import map_custom, map_evaluations, resolve_jobs
 from .report import (
     render_online_meta,
     render_series,
@@ -161,7 +156,6 @@ __all__ = [
     "render_misprofile",
     "map_custom",
     "map_evaluations",
-    "collect_in_order",
     "resolve_jobs",
     "ExecutionContext",
     "RetryPolicy",

@@ -11,8 +11,8 @@ shared costs to once per sweep:
   cache, the compiled section-program cache keyed by plan
   fingerprint) persist across sweep points: each program compiles
   once per worker, not once per point.  :meth:`ExecutionContext.map`
-  retries, re-dispatches and degrades under partial failure
-  (:class:`RetryPolicy`).
+  rebuilds the pool after a dead worker and degrades to serial
+  execution in the parent past the :class:`RetryPolicy` budget.
 * **Shard result transport** — a pool worker publishes a large shard
   result matrix in a :mod:`multiprocessing.shared_memory` segment and
   ships only a small descriptor (:class:`ShardBlock`); small
@@ -33,14 +33,13 @@ import os
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, FaultInjected, ParallelError, TransportError
+from ..errors import ConfigError, ParallelError, TransportError
 from . import faults
 
 try:  # pragma: no cover - import succeeds on every supported platform
@@ -89,53 +88,32 @@ def resolve_jobs(n_jobs: Optional[int], n_items: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the resilient executor answers partial failure.
+    """How :meth:`ExecutionContext.map` answers a dead worker.
 
-    Retryable failures — a worker crash (``BrokenProcessPool``), an
-    item that exceeds ``chunk_timeout``, a worker-side transport
-    failure, an injected fault — are re-dispatched up to
-    ``max_retries`` times per work item with bounded exponential
-    backoff (``backoff_base * 2**attempt``, capped at ``backoff_max``).
-    A broken pool is rebuilt at most ``max_pool_rebuilds`` times per
-    map call; past that — or past ``max_retries`` for a single item —
-    execution degrades to computing the remaining work serially in the
-    parent, with a warning (``degrade=True``), or raises
-    :class:`~repro.errors.ParallelError` (``degrade=False``).
+    A worker that dies breaks the whole pool (``BrokenExecutor``): the
+    finished results are kept, the pool is rebuilt and the unfinished
+    items are re-dispatched, at most ``max_retries`` times per
+    :meth:`~ExecutionContext.map` call.  Past that the remaining items
+    run serially in the parent with one warning (``degrade=True``), or
+    :class:`~repro.errors.ParallelError` is raised (``degrade=False``).
 
-    Deterministic worker exceptions (a ``ConfigError``, a bug) are
-    never retried: they would fail identically again, so they fail
-    fast exactly as before.  None of this changes results — every
-    recovery path re-executes prebuilt work whose outputs are
-    bit-identical by the engine's core contract.
+    Any other worker exception (a ``ConfigError``, a bug) would fail
+    identically again, so it fails fast.  None of this changes results:
+    recovery re-executes prebuilt work whose outputs are bit-identical
+    by the engine's core contract.
     """
 
     max_retries: int = 2
-    chunk_timeout: float = 0.0  # seconds per attempt; 0 = no timeout
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
     degrade: bool = True
-    max_pool_rebuilds: int = 1
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.chunk_timeout < 0:
-            raise ConfigError("chunk_timeout must be >= 0 (0 = disabled)")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigError("backoff must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ConfigError("max_pool_rebuilds must be >= 0")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before re-dispatching a work item's Nth retry."""
-        return min(self.backoff_base * (2 ** max(attempt - 1, 0)),
-                   self.backoff_max)
 
 
 #: counters the resilient executor maintains per context — these are
 #: what sweeps surface as ``series.meta["resilience"]``
-RESILIENCE_COUNTERS = ("retries", "rebuilds", "degradations", "timeouts",
-                       "shm_fallbacks")
+RESILIENCE_COUNTERS = ("rebuilds", "degradations", "shm_fallbacks")
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +175,8 @@ class ShardBlock:
     key)`` — ``key`` is the shard's first run, the identity of the
     ``shm-attach`` fault site; the parent attaches exactly once, copies
     the matrix out, and closes **and unlinks** the segment
-    (:meth:`take`).  A block whose result the resilient executor
-    discards (a straggler beaten by its own re-dispatch) leaks its
-    segment, since no resource tracker owns it — acceptable because
-    blocks only exist above :data:`SHARD_SHM_MIN_BYTES` and stragglers
-    are rare; the pickled fallback has no such window.
+    (:meth:`take`).  A block whose ``map`` call fails fast is never
+    taken and leaks its segment, since no resource tracker owns it.
     """
 
     __slots__ = ("name", "shape", "dtype", "key")
@@ -322,6 +297,25 @@ def _kernel_probe_task(scratch: str, want: int, deadline_s: float):
                  "stacked_cache": stacked_cache_stats()}
 
 
+def _run_item(fn: Callable, position: int, args: Tuple):
+    """Worker side of :meth:`ExecutionContext.map`: one task.
+
+    Fires the ``worker-chunk`` fault site, keyed by the item's position
+    in the call, so the chaos tier can kill the worker mid-map.
+    """
+    faults.fire("worker-chunk", key=position)
+    return fn(*args)
+
+
+def _harvest(future, results: List, i: int) -> bool:
+    """Keep item ``i``'s result if its future finished before the break."""
+    if future is not None and future.done() and not future.cancelled() \
+            and future.exception() is None:
+        results[i] = future.result()
+        return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # the execution context
 # ---------------------------------------------------------------------------
@@ -379,10 +373,10 @@ class ExecutionContext:
         self.resilience: Dict[str, int] = {
             name: 0 for name in RESILIENCE_COUNTERS}
         if fault_plan is not None:
-            # parent-side sites only: the parent must never crash/hang
+            # parent-side sites only: the parent must never crash
             # itself while recovering (workers get the full plan);
-            # online-admit runs in the driver and is retryable there,
-            # shm-attach where the parent takes shard result blocks
+            # online-admit runs in the driver, shm-attach where the
+            # parent takes shard result blocks
             faults.install(fault_plan.only("cache-read", "online-admit",
                                            "shm-attach"))
 
@@ -433,138 +427,61 @@ class ExecutionContext:
             policy: Optional[RetryPolicy] = None) -> List:
         """Run ``fn(*args)`` for every args tuple on the pool, in order.
 
-        Resilient under partial failure (see :class:`RetryPolicy`, or
-        the context's default policy when none is passed):
-
-        * a **worker crash** breaks the pool; completed results are
-          harvested, the pool is rebuilt (at most
-          ``policy.max_pool_rebuilds`` times per call) and the lost
-          items re-dispatched;
-        * a **hung item** — one exceeding ``policy.chunk_timeout``
-          seconds per attempt — is re-dispatched to another worker
-          (the straggler's eventual result is discarded);
-        * an injected fault or a worker-side
-          :class:`~repro.errors.TransportError` is retried like a hang;
-        * retry budgets exhausted → the item (or, after the rebuild
-          budget, the whole remainder) is computed serially in the
-          parent with a warning, or raises :class:`ParallelError` when
-          ``policy.degrade`` is false.
-
-        Deterministic worker exceptions still fail fast: the pool is
-        reset and :class:`ParallelError` names the failing item.
-        Results keep submission order and are bit-identical to a serial
-        loop under every recovery path.
+        A worker that dies breaks the pool: the finished results are
+        kept, the pool is rebuilt and the unfinished items are
+        re-dispatched, at most ``policy.max_retries`` times per call
+        (``policy`` defaults to the context's).  After that the
+        remaining items run serially in the parent with one warning, or
+        :class:`ParallelError` is raised when ``policy.degrade`` is
+        false.  Any other worker exception fails fast: the pool is reset
+        and :class:`ParallelError` names the failing item.  Results keep
+        submission order and are bit-identical to a serial loop.
         """
         if labels is None:
             labels = [f"args={args!r}" for args in args_list]
         policy = policy if policy is not None else self.policy
-        n = len(args_list)
-        futures: List = [None] * n
-        results: List = [None] * n
-        done = [False] * n
-        attempts = [0] * n
-        timeout = policy.chunk_timeout if policy.chunk_timeout > 0 else None
-        rebuilds_left = policy.max_pool_rebuilds
-        serial = False
-
-        def _inline(j: int, cause: BaseException):
-            """Last resort: compute item ``j`` in the parent."""
-            if not policy.degrade:
-                self.reset()
-                raise ParallelError(labels[j], cause) from cause
-            self.resilience["degradations"] += 1
-            warnings.warn(
-                f"giving up on parallel execution of {labels[j]} after "
-                f"{attempts[j]} failed dispatch(es) "
-                f"({type(cause).__name__}: {cause}); computing it "
-                f"serially in the parent", RuntimeWarning, stacklevel=3)
-            try:
-                return fn(*args_list[j])
-            except Exception as exc:
-                raise ParallelError(labels[j], exc) from exc
-
-        def _retry(j: int, cause: BaseException) -> None:
-            """Consume one retry for item ``j`` (or degrade it)."""
-            attempts[j] += 1
-            self.resilience["retries"] += 1
-            if attempts[j] > policy.max_retries:
-                results[j] = _inline(j, cause)
-                done[j] = True
-                return
-            delay = policy.backoff(attempts[j])
-            if delay > 0:
-                time.sleep(delay)
-            futures[j] = None  # re-dispatched by _submit_pending
-
-        def _submit_pending() -> None:
+        results: List = [None] * len(args_list)
+        pending = list(range(len(args_list)))
+        breaks = 0
+        while pending:
             pool = self.pool()
-            for j in range(n):
-                if not done[j] and futures[j] is None:
-                    futures[j] = pool.submit(fn, *args_list[j])
-
-        i = 0
-        while i < n:
-            if done[i]:
-                i += 1
-                continue
-            if serial:
-                try:
-                    results[i] = fn(*args_list[i])
-                except Exception as exc:
-                    raise ParallelError(labels[i], exc) from exc
-                done[i] = True
-                i += 1
-                continue
+            futures: Dict = {}
             try:
-                _submit_pending()
-                results[i] = futures[i].result(timeout=timeout)
-                done[i] = True
-                i += 1
-            except FuturesTimeoutError as exc:
-                self.resilience["timeouts"] += 1
-                _retry(i, exc)
-            except (FaultInjected, TransportError) as exc:
-                _retry(i, exc)
+                # a pool can also break while items are being submitted
+                for j in pending:
+                    futures[j] = pool.submit(_run_item, fn, j, args_list[j])
+                for j in pending:
+                    results[j] = futures[j].result()
+                return results
             except BrokenExecutor as exc:
-                # the whole pool died: keep what finished, drop the rest
                 self.reset()
-                for j in range(n):
-                    f = futures[j]
-                    if done[j] or f is None:
-                        continue
-                    if f.done() and not f.cancelled() \
-                            and f.exception() is None:
-                        results[j] = f.result()
-                        done[j] = True
-                    else:
-                        futures[j] = None
-                attempts[i] += 1
-                self.resilience["retries"] += 1
-                if rebuilds_left <= 0 or attempts[i] > policy.max_retries:
-                    if not policy.degrade:
-                        raise ParallelError(labels[i], exc) from exc
-                    self.resilience["degradations"] += 1
+                pending = [i for i in pending
+                           if not _harvest(futures.get(i), results, i)]
+                breaks += 1
+                if breaks <= policy.max_retries:
+                    self.resilience["rebuilds"] += 1
                     warnings.warn(
-                        "worker pool broke beyond the rebuild budget; "
-                        "degrading the remaining "
-                        f"{sum(1 for d in done if not d)} item(s) to "
-                        "serial execution in the parent",
+                        f"worker pool broke while running {labels[j]}; "
+                        "rebuilding the pool and re-dispatching "
+                        f"{len(pending)} unfinished item(s)",
                         RuntimeWarning, stacklevel=2)
-                    serial = True
                     continue
-                rebuilds_left -= 1
-                self.resilience["rebuilds"] += 1
+                if not policy.degrade:
+                    raise ParallelError(labels[j], exc) from exc
+                self.resilience["degradations"] += 1
                 warnings.warn(
-                    f"worker pool broke while running {labels[i]} "
-                    f"({type(exc).__name__}); rebuilding the pool and "
-                    "re-dispatching the unfinished items",
-                    RuntimeWarning, stacklevel=2)
-                delay = policy.backoff(attempts[i])
-                if delay > 0:
-                    time.sleep(delay)
+                    f"worker pool broke {breaks} time(s); running the "
+                    f"remaining {len(pending)} item(s) serially in the "
+                    "parent", RuntimeWarning, stacklevel=2)
+                for j in pending:
+                    try:
+                        results[j] = fn(*args_list[j])
+                    except Exception as err:
+                        raise ParallelError(labels[j], err) from err
+                return results
             except Exception as exc:
                 self.reset()
-                raise ParallelError(labels[i], exc) from exc
+                raise ParallelError(labels[j], exc) from exc
         return results
 
     # -- bookkeeping --------------------------------------------------------

@@ -84,8 +84,7 @@ _ZIP_MAGIC = b"PK\x03\x04"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: RunConfig fields that determine evaluation *results*.  Execution
-#: knobs (max_retries, chunk_timeout, degrade, shards, shard_mem_mb)
-#: are excluded by design: they are bit-identical by contract and must
+#: knobs (max_retries, degrade, shards) are excluded by design: they are bit-identical by contract and must
 #: share entries.
 #: ``engine`` is included although engines are bit-identical too —
 #: being conservative there keeps the cache trustworthy while engines

@@ -1,21 +1,22 @@
 """Deterministic fault injection for the execution engine.
 
-The resilience layer (per-item retry, pool rebuild, shard recompute
-after a transport failure, cache quarantine) is only trustworthy if
-every recovery path can be *driven* on demand and proven bit-identical
-to the fault-free run.  This module provides that driver: a
-:class:`FaultPlan` of :class:`FaultSpec` entries, installed into pool
-workers through the pool initializer (and, filtered, into the parent
-for parent-side sites), that crashes, hangs, raises or corrupts at
+The resilience layer (pool rebuild after a dead worker, shard
+recompute after a failed shared-memory attach, cache quarantine) is
+only trustworthy if every recovery path can be *driven* on demand and
+proven bit-identical to the fault-free run.  This module provides that
+driver: a :class:`FaultPlan` of :class:`FaultSpec` entries, installed
+into pool workers through the pool initializer (and, filtered, into
+the parent for parent-side sites), that crashes, raises or corrupts at
 named **fault sites**:
 
 ``worker-chunk``
-    Start of every point-level pool task (a whole sweep-point
-    evaluation), keyed by the point index.  Actions: ``crash``
-    (``os._exit`` — the pool breaks with
-    :class:`~concurrent.futures.process.BrokenProcessPool`), ``hang``
-    (sleep ``hang_seconds``, then continue), ``raise``
-    (:class:`~repro.errors.FaultInjected`).
+    Start of every pool task of
+    :meth:`~repro.experiments.engine.ExecutionContext.map` (a sweep
+    point, a fused-sweep shard, an online rate point), keyed by the
+    item's position in the call.  Action: ``crash`` (``os._exit`` —
+    the pool breaks with
+    :class:`~concurrent.futures.process.BrokenProcessPool`; the pool
+    is rebuilt and the unfinished items re-dispatched).
 ``shm-attach``
     Shared-memory attach of a shard result block in the parent
     (:meth:`~repro.experiments.engine.ShardBlock.take`), keyed by the
@@ -26,19 +27,12 @@ named **fault sites**:
     Evaluation-cache lookup in the parent.  Action: ``corrupt``
     (truncates the on-disk entry before it is read, simulating a torn
     write; the cache must quarantine and recompute).
-``shard-exec``
-    Start of one fused-sweep shard in
-    :func:`~repro.experiments.fused.run_shard`, keyed by the shard
-    index, on the pool worker that runs the shard.  Actions: ``crash``,
-    ``hang``, ``raise`` (the pool's retry/degrade semantics must recover
-    the shard bit-identically).
 ``online-admit``
     The admission probe of the online sporadic-arrival simulator
     (:func:`~repro.experiments.online.simulate_online`), fired in the
     driver process for every arrival, keyed by the arrival index.
-    Actions: ``raise`` (the admission decision is retried under the
-    config's retry policy and must land bit-identically), ``hang``
-    (the decision is merely delayed).
+    Action: ``raise`` (the admission decision is retried under the
+    config's retry policy and must land bit-identically).
 
 Determinism and replay: a spec fires on the Nth occurrence of its site
 in a process (``occurrence``), or whenever the call site's ``key``
@@ -59,32 +53,25 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
 
-#: the original fault sites.  :meth:`FaultPlan.random` draws from this
-#: set by default so existing chaos seeds replay byte-identical fault
-#: schedules.
-CORE_SITES = ("worker-chunk", "shm-attach", "cache-read")
-
-#: the full fault-site registry
-SITES = CORE_SITES + ("shard-exec", "online-admit")
-
-#: actions a spec may request (interpreted by the firing site)
-ACTIONS = ("crash", "hang", "raise", "corrupt")
-
-#: which actions each site supports (used by :meth:`FaultPlan.random`
-#: and documented in docs/testing.md's site registry)
+#: which action each fault site supports (documented in
+#: docs/testing.md's site registry)
 SITE_ACTIONS = {
-    "worker-chunk": ("crash", "hang", "raise"),
+    "worker-chunk": ("crash",),
     "shm-attach": ("raise",),
     "cache-read": ("corrupt",),
-    "shard-exec": ("crash", "hang", "raise"),
-    "online-admit": ("raise", "hang"),
+    "online-admit": ("raise",),
 }
+
+#: the fault-site registry
+SITES = tuple(SITE_ACTIONS)
+
+#: actions a spec may request (interpreted by the firing site)
+ACTIONS = ("crash", "raise", "corrupt")
 
 #: exit code of an injected worker crash (recognizable in pool logs)
 CRASH_EXIT_CODE = 73
@@ -112,9 +99,10 @@ class FaultSpec:
         if self.site not in SITES:
             raise ConfigError(
                 f"unknown fault site {self.site!r}; registry: {SITES}")
-        if self.action not in ACTIONS:
+        if self.action not in SITE_ACTIONS[self.site]:
             raise ConfigError(
-                f"unknown fault action {self.action!r}; one of {ACTIONS}")
+                f"unknown fault action {self.action!r} at site "
+                f"{self.site!r}; one of {SITE_ACTIONS[self.site]}")
         if self.occurrence < 1:
             raise ConfigError("occurrence is 1-based, must be >= 1")
         if self.times < 1:
@@ -134,48 +122,36 @@ class FaultPlan:
 
     specs: Tuple[FaultSpec, ...] = ()
     scratch: Optional[str] = None
-    hang_seconds: float = 2.0
     seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.hang_seconds < 0:
-            raise ConfigError("hang_seconds must be >= 0")
 
     # -- construction -------------------------------------------------------
     @classmethod
     def random(cls, seed: int, scratch: Optional[str] = None,
-               n_faults: int = 2, hang_seconds: float = 1.5,
-               sites: Sequence[str] = CORE_SITES) -> "FaultPlan":
+               n_faults: int = 2) -> "FaultPlan":
         """A seed-derived plan: same seed + same scratch state = same faults.
 
-        Actions are drawn per site from what that site supports
-        (:data:`SITE_ACTIONS`), and occurrences from 1..4 so small
-        sweeps still reach them.  ``sites`` defaults to
-        :data:`CORE_SITES` — not the full registry — so plans built
-        from historical seeds replay identically after new sites are
-        registered; pass ``sites=SITES`` (or an explicit subset) to
-        draw the later sites too.
+        Sites are drawn from :data:`SITES`, actions per site from what
+        that site supports (:data:`SITE_ACTIONS`), and occurrences from
+        1..4 so small sweeps still reach them.
         """
         rng = random.Random(seed)
         specs = []
         for _ in range(n_faults):
-            site = rng.choice(list(sites))
+            site = rng.choice(SITES)
             specs.append(FaultSpec(site=site,
                                    action=rng.choice(SITE_ACTIONS[site]),
                                    occurrence=rng.randint(1, 4)))
-        return cls(specs=tuple(specs), scratch=scratch,
-                   hang_seconds=hang_seconds, seed=seed)
+        return cls(specs=tuple(specs), scratch=scratch, seed=seed)
 
     def only(self, *sites: str) -> "FaultPlan":
         """The plan restricted to ``sites`` (parent-side installation)."""
         return FaultPlan(specs=tuple(s for s in self.specs
                                      if s.site in sites),
-                         scratch=self.scratch,
-                         hang_seconds=self.hang_seconds, seed=self.seed)
+                         scratch=self.scratch, seed=self.seed)
 
     def describe(self) -> str:
         """One line per spec, headed by the seed — paste into a report."""
-        head = f"FaultPlan(seed={self.seed!r}, hang={self.hang_seconds}s)"
+        head = f"FaultPlan(seed={self.seed!r})"
         lines = [head] + [
             f"  [{i}] {s.site}: {s.action} "
             + (f"key={s.key!r}" if s.key is not None
@@ -274,9 +250,8 @@ def fire(site: str, key: object = None) -> Optional[str]:
     """Evaluate the installed plan at a fault site.
 
     With no plan installed this is a single ``None`` check.  ``crash``
-    and ``hang`` are performed here (they mean the same thing at every
-    site); any other matched action is returned for the call site to
-    interpret (``raise``, ``corrupt``).
+    is performed here; any other matched action is returned for the
+    call site to interpret (``raise``, ``corrupt``).
     """
     plan = _PLAN
     if plan is None:
@@ -284,7 +259,4 @@ def fire(site: str, key: object = None) -> Optional[str]:
     action = plan.check(site, key, _COUNTS, _LOCAL_FIRES)
     if action == "crash":
         os._exit(CRASH_EXIT_CODE)
-    if action == "hang":
-        time.sleep(plan.hang_seconds)
-        return None
     return action

@@ -129,8 +129,7 @@ def fig_online(n_runs: int = 1000, seed: int = 2002,
     (``OnlineConfig.target_arrivals``), so every rate sees comparable
     statistics; the miss/admit/reject ledger lands in
     ``series.meta["online"]``.  ``overrides`` as for :func:`figure4`,
-    except ``shards``/``shard_mem_mb``: streams never fuse, so they are
-    rejected.
+    except ``shards``: streams never fuse, so it is rejected.
     """
     online = OnlineConfig(arrival=arrival, load=load,
                           target_arrivals=n_runs)
@@ -139,7 +138,7 @@ def fig_online(n_runs: int = 1000, seed: int = 2002,
                                       context=context)
             for model, cfg in _model_configs(
                 2, n_runs, seed, overrides,
-                _FIXED | {"shards", "shard_mem_mb"}).items()}
+                _FIXED | {"shards"}).items()}
 
 
 ALL_FIGURES = {

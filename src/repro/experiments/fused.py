@@ -38,7 +38,7 @@ own realization row.  With ``shards=N`` (``RunConfig.shards``, CLI
 partitioned by :func:`~repro.sim.sweepc.plan_shards` into deterministic
 ranges and each shard executes the same stacked program over its row
 slice as an independent :class:`ShardTask` on the persistent local
-worker pool, inheriting the retry/degrade semantics of
+worker pool, inheriting the pool-rebuild recovery of
 :meth:`~repro.experiments.engine.ExecutionContext.map`.  Seed alignment
 makes this exact, not approximate: a shard samples each distinct
 *full* realization batch from its seed once and slices its row range,
@@ -64,15 +64,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.registry import get_policy
-from ..errors import ConfigError, FaultInjected, ParallelError, TransportError
+from ..errors import ConfigError, ParallelError, TransportError
 from ..graph.andor import Application
 from ..power.overhead import NO_OVERHEAD
 from ..sim.compiled import (CompiledKernel, compile_plan, run_dynamic_batch,
                             run_fixed_batch, supports_dynamic_batch)
 from ..sim.realization import sample_realization_batch
-from ..sim.sweepc import (StackedProgram, _stack_values, fused_bytes_estimate,
-                          plan_shards, programs_compatible, stack_programs)
-from . import faults
+from ..sim.sweepc import (StackedProgram, _stack_values, plan_shards,
+                          programs_compatible, stack_programs)
 from .engine import (SHARD_SHM_MIN_BYTES, ExecutionContext,
                      effective_cores, publish_shard_block)
 from .runner import EvaluationResult, RunConfig, build_plans
@@ -80,7 +79,7 @@ from .runner import EvaluationResult, RunConfig, build_plans
 #: session default consulted when ``RunConfig.shards`` is None, seeded
 #: from ``REPRO_SHARDS`` (module attribute so tests can monkeypatch it;
 #: read via :func:`default_shards` at call time).  ``None`` = unsharded
-#: monolithic execution, ``0`` = auto (cores + memory budget), ``N`` =
+#: monolithic execution, ``0`` = auto (effective cores), ``N`` =
 #: exactly N shards.
 DEFAULT_SHARDS = os.environ.get("REPRO_SHARDS")
 
@@ -646,7 +645,7 @@ class ShardTask:
     per-process plan/program caches make the rebuild nearly free) and
     samples its rows seed-aligned.  :func:`run_shard` executes it
     through :meth:`~repro.experiments.engine.ExecutionContext.map`, so
-    shards inherit the pool's retry and degrade semantics.
+    shards inherit the pool's rebuild and degrade semantics.
     """
 
     __slots__ = ("index", "n_shards", "lo", "hi", "apps", "configs")
@@ -714,14 +713,7 @@ def _pack_shard(scheme_names, npm, absolute, changes) -> np.ndarray:
 
 
 def run_shard(task: ShardTask) -> ShardResult:
-    """Execute one shard (worker side): rebuild, sample, run, pack.
-
-    Fires the ``shard-exec`` fault site first, so the chaos tier can
-    crash/hang/fail a shard mid-sweep and prove the pool's
-    retry/degrade recovery bit-identical.
-    """
-    if faults.fire("shard-exec", key=task.index) == "raise":
-        raise FaultInjected(f"injected shard-exec fault on {task.name}")
+    """Execute one shard (worker side): rebuild, sample, run, pack."""
     build = _build_fused(task.apps, task.configs)
     if build is None:
         raise ParallelError(
@@ -776,18 +768,16 @@ def _stateful_scalar_schemes(build: _FusedBuild) -> Optional[List[str]]:
     return stateful
 
 
-def _resolve_shard_count(build: _FusedBuild, configs: Sequence[RunConfig],
+def _resolve_shard_count(configs: Sequence[RunConfig],
                          shards: Optional[int]) -> int:
     """The effective shard count: explicit request, config, or auto.
 
     Resolution order: the ``shards`` argument, then the base config's
     ``shards`` field, then the ``REPRO_SHARDS`` session default; absent
-    everywhere means 1 (monolithic).  ``0`` selects automatically:
-    :func:`~repro.experiments.engine.effective_cores`, raised further
-    when ``shard_mem_mb`` caps the per-shard working set below the
-    sweep's estimated fused footprint.  Always clamped to the run count,
-    and to 1 when the points disagree on ``n_runs`` (run ranges must
-    mean the same rows at every point).
+    everywhere means 1 (monolithic).  ``0`` selects
+    :func:`~repro.experiments.engine.effective_cores`.  Always clamped
+    to the run count, and to 1 when the points disagree on ``n_runs``
+    (run ranges must mean the same rows at every point).
     """
     base = configs[0]
     request = shards
@@ -800,16 +790,7 @@ def _resolve_shard_count(build: _FusedBuild, configs: Sequence[RunConfig],
     n_runs = base.n_runs
     if any(cfg.n_runs != n_runs for cfg in configs):
         return 1
-    if request == 0:
-        k = effective_cores()
-        budget_mb = base.shard_mem_mb
-        if budget_mb:
-            est = fused_bytes_estimate(build.stacked_static,
-                                       len(configs) * n_runs)
-            need = -(-est // (budget_mb * 1024 * 1024))
-            k = max(k, int(need))
-    else:
-        k = request
+    k = effective_cores() if request == 0 else request
     return max(1, min(k, n_runs))
 
 
@@ -927,7 +908,7 @@ def evaluate_points_fused(apps: Sequence[Application],
 
     ``shards`` overrides the sharding request (``None`` defers to the
     base config and the ``REPRO_SHARDS`` session default; ``0`` selects
-    automatically from cores and the memory budget; ``N >= 2`` fans the
+    the effective core count; ``N >= 2`` fans the
     run axis out over ``context``'s pool).  ``context`` supplies the
     pool for sharded execution; without one, an ephemeral pool is used
     and closed again.
@@ -941,7 +922,7 @@ def evaluate_points_fused(apps: Sequence[Application],
     if build is None:
         return None
 
-    n_shards = _resolve_shard_count(build, configs, shards)
+    n_shards = _resolve_shard_count(configs, shards)
     if n_shards > 1:
         stateful = _stateful_scalar_schemes(build)
         if stateful is None:

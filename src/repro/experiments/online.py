@@ -270,8 +270,8 @@ def _admit_stream(times: np.ndarray, t_worst: float, t_avg: float,
     """The admission ledger: decisions, windows, fault-probe retries.
 
     Pure given its inputs — the ``online-admit`` fault probe can only
-    delay a decision (``hang``) or force a retried attempt (``raise``),
-    never change it, which is what the chaos tier pins.
+    force a retried attempt (``raise``), never change a decision, which
+    is what the chaos tier pins.
     """
     n = times.size
     admitted = np.zeros(n, dtype=bool)

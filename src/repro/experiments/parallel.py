@@ -10,22 +10,18 @@ source of parallelism; without one, a sweep never starts a pool unless
 its config asks for shards.  Results come back in submission order,
 keeping sweeps deterministic regardless of worker scheduling.
 
-Failure semantics: deterministic worker exceptions fail fast — the
-outstanding futures are cancelled and the error is re-raised as
+Failure semantics: a worker exception fails fast — the outstanding
+futures are cancelled and the error is re-raised as
 :class:`~repro.errors.ParallelError` carrying the failing point's
-arguments, with the original exception chained as ``__cause__``.
-*Partial* failures (a crashed worker, a hung point, an injected
-fault) are instead retried/re-dispatched by the execution context
-according to the configs'
-:class:`~repro.experiments.engine.RetryPolicy` knobs
-(``max_retries``/``chunk_timeout``/``degrade``), degrading to serial
-execution in the parent as the last resort — results are bit-identical
-under every recovery path.
+label, with the original exception chained as ``__cause__``.  A worker
+that dies instead breaks the pool, which the execution context rebuilds
+under the configs' :class:`~repro.experiments.engine.RetryPolicy`
+(``max_retries``/``degrade``), degrading to serial execution in the
+parent as the last resort — results are bit-identical either way.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ParallelError
@@ -36,35 +32,8 @@ from .engine import ExecutionContext, resolve_jobs
 from .runner import EvaluationResult, RunConfig, evaluate_application
 
 __all__ = [
-    "resolve_jobs", "collect_in_order", "map_evaluations", "map_custom",
+    "resolve_jobs", "map_evaluations", "map_custom",
 ]
-
-
-def collect_in_order(pool: ProcessPoolExecutor, futures: Sequence,
-                     labels: Sequence[str]) -> List:
-    """Gather futures in submission order, failing fast with context.
-
-    On the first worker exception the remaining futures are cancelled
-    and the pool is shut down without waiting, then the error is
-    re-raised as :class:`ParallelError` naming the failing work item.
-    """
-    results = []
-    for future, label in zip(futures, labels):
-        try:
-            results.append(future.result())
-        except Exception as exc:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise ParallelError(label, exc) from exc
-    return results
-
-
-def _evaluate_app_point(index: int, app: Application,
-                        config: RunConfig) -> EvaluationResult:
-    from ..errors import FaultInjected
-    from . import faults
-    if faults.fire("worker-chunk", key=index) == "raise":
-        raise FaultInjected(f"injected worker fault at point {index}")
-    return evaluate_application(app, config)
 
 
 def map_evaluations(apps: Sequence[Application], config,
@@ -143,9 +112,8 @@ def map_evaluations(apps: Sequence[Application], config,
             computed = (evaluate_application(apps[i], configs[i])
                         for i in pending)
         else:
-            computed = context.map(_evaluate_app_point,
-                                   [(i, apps[i], configs[i])
-                                    for i in pending],
+            computed = context.map(evaluate_application,
+                                   [(apps[i], configs[i]) for i in pending],
                                    [labels[i] for i in pending],
                                    policy=configs[0].retry_policy())
     for i, res in zip(pending, computed):

@@ -29,7 +29,7 @@ from ..core.registry import PAPER_SCHEMES, get_policy
 from ..errors import ConfigError, InfeasibleError
 from ..graph.andor import Application
 from ..offline.plan import OfflinePlan, build_plan
-from ..power.model import PowerModel, make_power_model
+from ..power.model import POWER_MODEL_NAMES, PowerModel, make_power_model
 from ..power.overhead import NO_OVERHEAD, PAPER_OVERHEAD, OverheadModel
 # evaluation goes through fused.evaluate_batch; perfbench/tracer.py
 # still wraps these names in every evaluation module
@@ -67,30 +67,30 @@ class RunConfig:
     #: the default) or "dict" (the reference string-keyed engine);
     #: results are bit-identical either way
     engine: str = "compiled"
-    #: re-dispatches per pooled point/shard after a retryable failure
-    #: (worker crash, hung item, injected fault) before degrading that
-    #: item to serial execution in the parent
+    #: pool rebuilds per pooled map call after a worker dies, before
+    #: the remaining points/shards degrade to serial execution in the
+    #: parent
     max_retries: int = 2
-    #: seconds one dispatched point/shard may run per attempt before it
-    #: is considered hung and re-dispatched (0 = no timeout)
-    chunk_timeout: float = 0.0
-    #: whether exhausted retry budgets degrade to serial execution in
-    #: the parent (with a warning) instead of raising ParallelError
+    #: whether an exhausted rebuild budget degrades to serial execution
+    #: in the parent (with a warning) instead of raising ParallelError
     degrade: bool = True
     #: shard request for the fused sweep path: ``None`` (resolve the
     #: ``REPRO_SHARDS`` session default; unset everywhere = monolithic),
-    #: ``0`` (auto: effective cores, raised to fit ``shard_mem_mb``) or
-    #: ``N >= 1`` explicit shards of the fused run axis, executed on the
-    #: local worker pool.  Sharded output is bit-identical to unsharded
-    #: — execution knob, never part of the evaluation cache key.
+    #: ``0`` (auto: the effective core count) or ``N >= 1`` explicit
+    #: shards of the fused run axis, executed on the local worker pool.
+    #: Sharded output is bit-identical to unsharded — execution knob,
+    #: never part of the evaluation cache key.
     shards: Optional[int] = None
-    #: peak-memory budget in MiB for one fused shard (0 = unbudgeted);
-    #: only consulted by automatic shard selection (``shards=0``), which
-    #: raises the shard count until the estimated per-shard footprint
-    #: fits.  Execution knob — never part of the evaluation cache key.
-    shard_mem_mb: int = 0
 
     def __post_init__(self) -> None:
+        # model names are case-insensitive; one spelling keeps one
+        # evaluation-cache key per model
+        model = str(self.power_model).lower()
+        if model not in POWER_MODEL_NAMES:
+            raise ConfigError(
+                f"power_model must be one of {POWER_MODEL_NAMES}, "
+                f"got {self.power_model!r}")
+        object.__setattr__(self, "power_model", model)
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
         if self.n_processors < 1:
@@ -103,19 +103,10 @@ class RunConfig:
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.chunk_timeout < 0:
-            raise ConfigError(
-                f"chunk_timeout must be >= 0 (0 = no timeout), "
-                f"got {self.chunk_timeout}")
         if self.shards is not None and self.shards < 0:
             raise ConfigError(
                 f"shards must be >= 0 (0 = auto), got {self.shards}")
-        if self.shard_mem_mb < 0:
-            raise ConfigError(
-                f"shard_mem_mb must be >= 0 (0 = unbudgeted), "
-                f"got {self.shard_mem_mb}")
-        if (str(self.power_model).lower() == "continuous"
-                and self.overhead.comp_cycles > 0):
+        if model == "continuous" and self.overhead.comp_cycles > 0:
             # the continuous model's minimum speed is 0, and the offline
             # reserve charges a speed computation at the minimum speed
             raise ConfigError(
@@ -130,7 +121,6 @@ class RunConfig:
         of the evaluation cache key)."""
         from .engine import RetryPolicy
         return RetryPolicy(max_retries=self.max_retries,
-                           chunk_timeout=self.chunk_timeout,
                            degrade=self.degrade)
 
     def with_(self, **kwargs) -> "RunConfig":

@@ -45,7 +45,6 @@ class SuiteConfig:
     #: resilience knobs forwarded into every cell's RunConfig (see
     #: :class:`~repro.experiments.engine.RetryPolicy`)
     max_retries: int = 2
-    chunk_timeout: float = 0.0
     degrade: bool = True
 
     def __post_init__(self) -> None:
@@ -105,7 +104,6 @@ def run_suite(config: Optional[SuiteConfig] = None,
                                          n_processors=cfg.n_processors,
                                          n_runs=cfg.n_runs, seed=cfg.seed,
                                          max_retries=cfg.max_retries,
-                                         chunk_timeout=cfg.chunk_timeout,
                                          degrade=cfg.degrade))
     labels = [f"workload={wl!r} model={model} load={load!r}"
               for wl, model, load in keys]

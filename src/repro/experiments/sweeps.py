@@ -70,8 +70,7 @@ def _cache_meta(context: Optional[ExecutionContext], before,
 
     ``meta["cache"]`` carries the hit/miss/error/quarantine delta of
     the attached evaluation cache; ``meta["resilience"]`` the
-    retry/rebuild/degradation/timeout/fallback delta of the execution
-    context.  A regenerated figure thus records every recovery that
+    rebuild/degradation/shm-fallback delta of the execution context.  A regenerated figure thus records every recovery that
     happened while computing it.
     """
     if context is None or before is None:

@@ -291,6 +291,9 @@ _NAMED = {
     "xscale": xscale_model,
 }
 
+#: every name :func:`make_power_model` accepts (case-insensitively)
+POWER_MODEL_NAMES = tuple(_NAMED) + ("continuous",)
+
 
 def make_power_model(name: str, **kwargs) -> PowerModel:
     """Build a power model by name (``transmeta``, ``xscale``, ``continuous``)."""
@@ -302,4 +305,4 @@ def make_power_model(name: str, **kwargs) -> PowerModel:
     except KeyError:
         raise PowerModelError(
             f"unknown power model {name!r}; choose from "
-            f"{sorted(_NAMED) + ['continuous']}") from None
+            f"{list(POWER_MODEL_NAMES)}") from None

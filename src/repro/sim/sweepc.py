@@ -41,13 +41,6 @@ from .compiled import CompiledPlan, _CompiledSection
 #: point agrees, else one value per point
 Stacked = Union[float, np.ndarray]
 
-#: coarse multiplier of the realization-matrix footprint covering the
-#: batch kernels' per-run scratch lanes (actual/speed/wall/energy per
-#: slot plus the path-grouped gathers); used only to pick a shard count
-#: against a memory budget, never to allocate
-FUSED_MEM_FACTOR = 6.0
-
-
 def plan_shards(n_runs: int, shards: int) -> List[tuple]:
     """Deterministic near-equal run ranges ``[(lo, hi), ...]``.
 
@@ -71,21 +64,6 @@ def plan_shards(n_runs: int, shards: int) -> List[tuple]:
         ranges.append((lo, hi))
         lo = hi
     return ranges
-
-
-def fused_bytes_estimate(prog, total_runs: int) -> int:
-    """Rough peak-memory bytes of one fused pass over ``total_runs`` rows.
-
-    The dominant allocations scale with the run axis: the float64
-    realization matrix (``total_runs × n_cols``) plus the kernels'
-    per-slot scratch, folded into :data:`FUSED_MEM_FACTOR`.  Accepts a
-    :class:`CompiledPlan` or :class:`StackedProgram` (both expose
-    ``comp_names``/``n_slots``).  Intentionally coarse — it only
-    informs automatic shard-count selection against ``--shard-mem-mb``.
-    """
-    n_cols = max(len(prog.comp_names), 1)
-    per_run = 8.0 * (n_cols + prog.n_slots) * FUSED_MEM_FACTOR
-    return int(per_run * max(total_runs, 0))
 
 
 def _stack_values(values: Sequence[float]) -> Stacked:

@@ -7,13 +7,12 @@ matching rules (per-process occurrence vs explicit key), the global
 behaviour when no plan is installed.
 """
 
-import time
-
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.faults import (
     ACTIONS,
+    SITE_ACTIONS,
     SITES,
     FaultPlan,
     FaultSpec,
@@ -41,27 +40,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown fault action"):
             FaultSpec(site="worker-chunk", action="explode")
 
+    def test_action_must_suit_the_site(self):
+        # a worker-chunk spec can only crash; anything else would be
+        # a spec that never does what it says
+        with pytest.raises(ConfigError, match="worker-chunk"):
+            FaultSpec(site="worker-chunk", action="raise")
+        for site, actions in SITE_ACTIONS.items():
+            for action in actions:
+                FaultSpec(site=site, action=action)
+
     def test_occurrence_is_one_based(self):
         with pytest.raises(ConfigError, match="1-based"):
-            FaultSpec(site="worker-chunk", action="raise", occurrence=0)
+            FaultSpec(site="online-admit", action="raise", occurrence=0)
 
     def test_times_must_be_positive(self):
         with pytest.raises(ConfigError, match="times"):
-            FaultSpec(site="worker-chunk", action="raise", times=0)
-
-    def test_negative_hang_rejected(self):
-        with pytest.raises(ConfigError, match="hang_seconds"):
-            FaultPlan(hang_seconds=-1.0)
+            FaultSpec(site="online-admit", action="raise", times=0)
 
 
 class TestMatching:
     def test_fires_on_nth_occurrence_only(self):
         install(FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", occurrence=3),)))
-        assert fire("worker-chunk") is None
-        assert fire("worker-chunk") is None
-        assert fire("worker-chunk") == "raise"
-        assert fire("worker-chunk") is None  # times=1: budget spent
+            FaultSpec(site="online-admit", action="raise", occurrence=3),)))
+        assert fire("online-admit") is None
+        assert fire("online-admit") is None
+        assert fire("online-admit") == "raise"
+        assert fire("online-admit") is None  # times=1: budget spent
 
     def test_occurrence_counts_are_per_site(self):
         install(FaultPlan(specs=(
@@ -72,25 +76,25 @@ class TestMatching:
 
     def test_key_match_overrides_occurrence(self):
         install(FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", key=30),)))
-        assert fire("worker-chunk", key=0) is None
-        assert fire("worker-chunk", key=10) is None
-        assert fire("worker-chunk", key=30) == "raise"
+            FaultSpec(site="online-admit", action="raise", key=30),)))
+        assert fire("online-admit", key=0) is None
+        assert fire("online-admit", key=10) is None
+        assert fire("online-admit", key=30) == "raise"
 
     def test_times_budget_without_scratch(self):
         install(FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", key=7, times=2),)))
-        assert fire("worker-chunk", key=7) == "raise"
-        assert fire("worker-chunk", key=7) == "raise"
-        assert fire("worker-chunk", key=7) is None
+            FaultSpec(site="online-admit", action="raise", key=7, times=2),)))
+        assert fire("online-admit", key=7) == "raise"
+        assert fire("online-admit", key=7) == "raise"
+        assert fire("online-admit", key=7) is None
 
     def test_reinstall_resets_local_accounting(self):
         plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", occurrence=1),))
+            FaultSpec(site="online-admit", action="raise", occurrence=1),))
         install(plan)
-        assert fire("worker-chunk") == "raise"
+        assert fire("online-admit") == "raise"
         install(plan)  # a fresh worker process starts from scratch
-        assert fire("worker-chunk") == "raise"
+        assert fire("online-admit") == "raise"
 
     def test_no_plan_is_inert(self):
         for site in SITES:
@@ -102,26 +106,26 @@ class TestMatching:
 class TestScratchAccounting:
     def test_markers_make_times_global(self, tmp_path):
         plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", occurrence=1),),
+            FaultSpec(site="online-admit", action="raise", occurrence=1),),
             scratch=str(tmp_path))
         install(plan)
-        assert fire("worker-chunk") == "raise"
+        assert fire("online-admit") == "raise"
         # simulate a second process (or a re-dispatched chunk in a
         # rebuilt pool): counters reset, but the marker file persists
         install(plan)
-        assert fire("worker-chunk") is None
+        assert fire("online-admit") is None
         assert list(tmp_path.iterdir()), "marker file expected"
 
     def test_times_slots_with_scratch(self, tmp_path):
         plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", key=5, times=2),),
+            FaultSpec(site="online-admit", action="raise", key=5, times=2),),
             scratch=str(tmp_path))
         install(plan)
-        assert fire("worker-chunk", key=5) == "raise"
+        assert fire("online-admit", key=5) == "raise"
         install(plan)
-        assert fire("worker-chunk", key=5) == "raise"
+        assert fire("online-admit", key=5) == "raise"
         install(plan)
-        assert fire("worker-chunk", key=5) is None
+        assert fire("online-admit", key=5) is None
 
     def test_filtered_plan_does_not_steal_other_specs_markers(self, tmp_path):
         """Regression: marker names must survive :meth:`FaultPlan.only`.
@@ -142,21 +146,13 @@ class TestScratchAccounting:
 
     def test_unwritable_scratch_never_fires(self, tmp_path):
         plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", occurrence=1),),
+            FaultSpec(site="online-admit", action="raise", occurrence=1),),
             scratch=str(tmp_path / "does-not-exist"))
         install(plan)
-        assert fire("worker-chunk") is None
+        assert fire("online-admit") is None
 
 
 class TestActions:
-    def test_hang_sleeps_then_continues(self):
-        install(FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="hang", occurrence=1),),
-            hang_seconds=0.05))
-        t0 = time.monotonic()
-        assert fire("worker-chunk") is None  # hang is transparent
-        assert time.monotonic() - t0 >= 0.04
-
     def test_crash_action_is_matched(self):
         # exercised via check() — fire() would os._exit this process;
         # the real crash path runs in tests/chaos/test_recovery.py
@@ -171,7 +167,7 @@ class TestPlanTools:
             FaultSpec(site="worker-chunk", action="crash"),
             FaultSpec(site="cache-read", action="corrupt"),
             FaultSpec(site="shm-attach", action="raise"),
-        ), scratch="/tmp/x", hang_seconds=0.5, seed=9)
+        ), scratch="/tmp/x", seed=9)
         parent = plan.only("cache-read")
         assert [s.site for s in parent.specs] == ["cache-read"]
         assert parent.scratch == plan.scratch

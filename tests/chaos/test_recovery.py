@@ -3,20 +3,20 @@
 Two layers:
 
 * ``TestResilientMap`` drives :meth:`ExecutionContext.map` directly
-  with tiny tasks — injected raises, worker crashes (``os._exit`` in a
-  pool worker), hangs vs ``chunk_timeout``, transport errors, and both
-  degradation modes (serial in the parent vs ``ParallelError``).
+  with tiny tasks — worker crashes (``os._exit`` in a pool worker at
+  the ``worker-chunk`` site), the rebuild budget, and both degradation
+  modes (serial in the parent vs ``ParallelError``).
 * ``TestChaosAcceptance`` is the headline contract: a 10-point
-  overhead sweep on the point-level pool that survives a worker crash,
-  a hung point and a corrupt cache entry — and still equals the fault-free
-  serial reference *exactly*, with every recovery recorded in
-  ``series.meta``.  The shared-memory attach failure of a shard result
-  block is driven in ``tests/chaos/test_shards.py``.
+  overhead sweep on the point-level pool that survives a worker crash
+  and a corrupt cache entry — and still equals the fault-free serial
+  reference *exactly*, with every recovery recorded in
+  ``series.meta``.  Shard pools and the shared-memory attach failure
+  of a shard result block are driven in ``tests/chaos/test_shards.py``.
 """
 
 import pytest
 
-from repro.errors import FaultInjected, ParallelError, TransportError
+from repro.errors import ParallelError
 from repro.experiments import (
     EvaluationCache,
     ExecutionContext,
@@ -25,7 +25,6 @@ from repro.experiments import (
     evaluate_application,
     evaluation_key,
 )
-from repro.experiments import faults
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.sweeps import sweep_load, sweep_overhead
 from repro.workloads import application_with_load, figure3_graph
@@ -38,36 +37,24 @@ OVERHEAD_LOAD = 0.6
 
 
 def _square(x):
-    """Worker task that honours the worker-chunk fault site."""
-    if faults.fire("worker-chunk", key=x) == "raise":
-        raise FaultInjected(f"injected at item {x}")
     return x * x
 
 
-def _flaky_transport(x, fail):
-    """Worker task standing in for an item whose transport fails."""
-    if fail:
-        raise TransportError(f"no segment for item {x}")
-    return x + 100
+def _add(x, y):
+    return x + y
+
+
+def _crash_plan(tmp_path, *keys):
+    """Crash the worker that runs each of the given map positions."""
+    return FaultPlan(specs=tuple(
+        FaultSpec(site="worker-chunk", action="crash", key=k)
+        for k in keys), scratch=str(tmp_path))
 
 
 class TestResilientMap:
-    def test_injected_raise_is_retried(self, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="raise", key=2),),
-            scratch=str(tmp_path))
-        with ExecutionContext(n_jobs=2, fault_plan=plan) as ctx:
-            assert ctx.map(_square, [(i,) for i in range(5)]) == \
-                [i * i for i in range(5)]
-            stats = ctx.resilience_stats()
-        assert stats["retries"] == 1
-        assert stats["degradations"] == 0
-
     def test_worker_crash_rebuilds_pool_once(self, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="crash", key=1),),
-            scratch=str(tmp_path))
-        with ExecutionContext(n_jobs=2, fault_plan=plan) as ctx:
+        with ExecutionContext(n_jobs=2,
+                              fault_plan=_crash_plan(tmp_path, 1)) as ctx:
             with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
                 results = ctx.map(_square, [(i,) for i in range(6)])
             assert results == [i * i for i in range(6)]
@@ -75,64 +62,53 @@ class TestResilientMap:
             assert ctx.resilience["degradations"] == 0
             assert ctx.pools_created == 2
 
-    def test_hung_item_redispatched_within_timeout(self, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="hang", key=0),),
-            scratch=str(tmp_path), hang_seconds=2.0)
-        policy = RetryPolicy(max_retries=6, chunk_timeout=0.4)
-        with ExecutionContext(n_jobs=2, fault_plan=plan) as ctx:
-            results = ctx.map(_square, [(i,) for i in range(4)],
-                              policy=policy)
-            assert results == [i * i for i in range(4)]
-            stats = ctx.resilience_stats()
-        assert stats["timeouts"] >= 1
-        assert stats["degradations"] == 0
-
-    def test_persistent_transport_error_is_retried_then_fails(self):
-        policy = RetryPolicy(max_retries=1)
-        with ExecutionContext(n_jobs=2) as ctx:
-            with pytest.raises(ParallelError), \
-                    pytest.warns(RuntimeWarning, match="serially"):
-                ctx.map(_flaky_transport, [(0, True)], policy=policy)
-            assert ctx.resilience["retries"] == 2
-            assert ctx.resilience["shm_fallbacks"] == 0
+    def test_zero_retries_degrades_on_the_first_break(self, tmp_path):
+        policy = RetryPolicy(max_retries=0)
+        with ExecutionContext(n_jobs=2,
+                              fault_plan=_crash_plan(tmp_path, 1)) as ctx:
+            with pytest.warns(RuntimeWarning, match="serially"):
+                results = ctx.map(_square, [(i,) for i in range(6)],
+                                  policy=policy)
+            assert results == [i * i for i in range(6)]
+            assert ctx.resilience["rebuilds"] == 0
+            assert ctx.resilience["degradations"] == 1
+            assert ctx.pools_created == 1
 
     def test_no_degrade_raises_parallel_error(self, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="crash", key=1),),
-            scratch=str(tmp_path))
-        policy = RetryPolicy(max_retries=0, degrade=False,
-                             max_pool_rebuilds=0)
-        with ExecutionContext(n_jobs=2, fault_plan=plan) as ctx:
+        policy = RetryPolicy(max_retries=0, degrade=False)
+        with ExecutionContext(n_jobs=2,
+                              fault_plan=_crash_plan(tmp_path, 1)) as ctx:
             with pytest.raises(ParallelError):
                 ctx.map(_square, [(i,) for i in range(4)], policy=policy)
+            assert ctx.resilience["degradations"] == 0
 
     def test_second_pool_break_degrades_to_serial(self, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="worker-chunk", action="crash", key=1),
-            FaultSpec(site="worker-chunk", action="crash", key=3),),
-            scratch=str(tmp_path))
-        policy = RetryPolicy(max_retries=8)
+        policy = RetryPolicy(max_retries=1)
         # one worker serializes the items, so the two crashes land in
         # separate pool generations (a 2-worker pool could hit both
         # before the parent notices the first break)
-        with ExecutionContext(n_jobs=1, fault_plan=plan) as ctx:
-            with pytest.warns(RuntimeWarning,
-                              match="degrading the remaining"):
+        with ExecutionContext(n_jobs=1,
+                              fault_plan=_crash_plan(tmp_path, 1, 3)) as ctx:
+            with pytest.warns(RuntimeWarning) as caught:
                 results = ctx.map(_square, [(i,) for i in range(6)],
                                   policy=policy)
             assert results == [i * i for i in range(6)]
             stats = ctx.resilience_stats()
+        messages = [str(w.message) for w in caught]
+        assert any("rebuilding the pool" in m for m in messages)
+        assert any("serially in the parent" in m for m in messages)
         assert stats["rebuilds"] == 1
-        assert stats["degradations"] >= 1
+        assert stats["degradations"] == 1
 
     def test_deterministic_exception_still_fails_fast(self):
-        # an ordinary worker exception is not retryable: it names a bug
+        # an ordinary worker exception is not a dead worker: it names a
+        # bug and would fail identically again
         with ExecutionContext(n_jobs=2) as ctx:
             with pytest.raises(ParallelError, match="item 1"):
-                ctx.map(_flaky_transport, [(0, False), (1,)],
+                ctx.map(_add, [(0, 1), (1,)],
                         labels=["item 0", "item 1"])
-            assert ctx.resilience["retries"] == 0
+            assert ctx.resilience["rebuilds"] == 0
+            assert ctx.resilience["degradations"] == 0
 
 
 class TestChaosAcceptance:
@@ -141,16 +117,14 @@ class TestChaosAcceptance:
 
         An overhead sweep cannot fuse, so a two-worker context sends
         its ten points out one per pool task, keyed by point index.
-        The plan crashes the worker running point 1, hangs point 8 past
-        the timeout and corrupts the one cache entry that exists
-        (pre-populated for point 0).  The hang may claim two firings: if it first lands in
-        the pool generation the crash tears down, it still hangs once
-        in the rebuilt pool.  The sweep must equal the fault-free serial
-        reference exactly and record every recovery in ``series.meta``.
+        The plan crashes the worker running point 1 and corrupts the
+        one cache entry that exists (pre-populated for point 0), so
+        all ten points miss and go to the pool.  The sweep must equal
+        the fault-free serial reference exactly and record every
+        recovery in ``series.meta``.
         """
         graph = figure3_graph()
-        cfg = RunConfig(schemes=("GSS", "SPM"), n_runs=50, seed=5,
-                        max_retries=6, chunk_timeout=1.0)
+        cfg = RunConfig(schemes=("GSS", "SPM"), n_runs=50, seed=5)
         reference = sweep_overhead(graph, cfg, OVERHEAD_LOAD, ADJUST_TIMES)
 
         scratch = tmp_path / "scratch"
@@ -164,9 +138,8 @@ class TestChaosAcceptance:
 
         plan = FaultPlan(specs=(
             FaultSpec(site="worker-chunk", action="crash", key=1),
-            FaultSpec(site="worker-chunk", action="hang", key=8, times=2),
             FaultSpec(site="cache-read", action="corrupt", occurrence=1),
-        ), scratch=str(scratch), hang_seconds=2.2)
+        ), scratch=str(scratch))
 
         with ExecutionContext(n_jobs=2, cache=cache, fault_plan=plan) as ctx:
             with pytest.warns(RuntimeWarning) as caught:
@@ -180,9 +153,7 @@ class TestChaosAcceptance:
 
         # --- every recovery recorded ------------------------------------
         res = series.meta["resilience"]
-        assert res["timeouts"] >= 1        # point 8 hung past the timeout
         assert res["rebuilds"] == 1        # point 1 crashed the pool
-        assert res["retries"] >= 2
         assert res["degradations"] == 0    # recovery never went serial
         cache_meta = series.meta["cache"]
         assert cache_meta["quarantined"] == 1
@@ -228,8 +199,7 @@ class TestChaosAcceptance:
     def test_rerun_after_chaos_hits_clean_cache(self, tmp_path):
         """Entries written during a chaotic sweep are trustworthy."""
         graph = figure3_graph()
-        cfg = RunConfig(schemes=("GSS",), n_runs=40, seed=9,
-                        max_retries=6)
+        cfg = RunConfig(schemes=("GSS",), n_runs=40, seed=9)
         adjust_times = ADJUST_TIMES[:4]
         reference = sweep_overhead(graph, cfg, OVERHEAD_LOAD, adjust_times)
         scratch = tmp_path / "scratch"
@@ -248,4 +218,4 @@ class TestChaosAcceptance:
         assert chaotic.points == reference.points
         assert replay.points == reference.points
         assert replay.meta["cache"]["hits"] == len(adjust_times)
-        assert replay.meta["resilience"]["retries"] == 0
+        assert replay.meta["resilience"]["rebuilds"] == 0

@@ -16,7 +16,7 @@ class TestParser:
         assert args.runs == 10 and args.jobs == 2 and args.oracle
 
     @pytest.mark.parametrize("flag", [["--shards", "3"],
-                                      ["--shard-mem-mb", "64"]])
+                                      ["--shards", "0"]])
     def test_fig_online_rejects_shard_flags(self, flag):
         # streams never fuse, so a shard request would be ignored
         with pytest.raises(SystemExit):

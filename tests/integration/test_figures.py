@@ -113,8 +113,7 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=next(iter(override))):
             figure(n_runs=10, **override)
 
-    @pytest.mark.parametrize("override", [{"shards": 3},
-                                          {"shard_mem_mb": 64}])
+    @pytest.mark.parametrize("override", [{"shards": 3}, {"shards": 0}])
     def test_online_rejects_shard_fields(self, override):
         # streams never fuse, so a shard request would be ignored
         with pytest.raises(ConfigError, match=next(iter(override))):

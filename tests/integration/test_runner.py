@@ -90,6 +90,19 @@ class TestEvaluateApplication:
         series = sweep_load(figure3_graph(), cfg, loads=(0.5,))
         assert all(0 < p.mean <= 1 for p in series.points)
 
+    def test_power_model_name_is_normalized(self):
+        assert RunConfig(power_model="Transmeta").power_model == "transmeta"
+        assert RunConfig().with_(power_model="XScale").power_model == \
+            "xscale"
+
+    def test_unknown_power_model_rejected_by_name(self):
+        # used to construct, then fail inside a sweep as a
+        # PowerModelError from make_power_model
+        with pytest.raises(ConfigError, match="power_model.*bogus"):
+            RunConfig(power_model="bogus", n_runs=5)
+        with pytest.raises(ConfigError, match="power_model"):
+            RunConfig().with_(power_model="pentium")
+
     def test_unknown_field_rejected_by_name(self):
         with pytest.raises(ConfigError, match="bogus"):
             RunConfig().with_(seed=3, bogus=1)

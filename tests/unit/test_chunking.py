@@ -34,7 +34,7 @@ def app():
 class TestKeyInsulation:
     @pytest.mark.parametrize("change", [
         {"max_retries": 9},
-        {"chunk_timeout": 2.5},
+        {"max_retries": 0},
         {"degrade": False},
     ])
     def test_resilience_knobs_do_not_change_evaluation_key(self, app,

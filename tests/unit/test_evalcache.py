@@ -1,8 +1,8 @@
 """Unit tests for the content-addressed evaluation cache.
 
 The contract: ``evaluation_key`` must change when — and only when — a
-field that can change the *result* changes.  Execution knobs (retry
-budget, hang timeout, degrade mode) shape wall-clock, never bits, so
+field that can change the *result* changes.  Execution knobs (pool
+rebuild budget, degrade mode) shape wall-clock, never bits, so
 they must hash identically; a cached entry loaded back must be
 bit-identical to the result that was stored; a corrupted, truncated
 or wrong-schema entry must degrade to a miss with a single warning —
@@ -78,7 +78,7 @@ class TestEvaluationKey:
 
     @pytest.mark.parametrize("change", [
         {"max_retries": 9},
-        {"chunk_timeout": 2.5},
+        {"max_retries": 0},
         {"degrade": False},
     ])
     def test_execution_knobs_do_not_change_key(self, app, cfg, change):
@@ -95,6 +95,14 @@ class TestEvaluationKey:
         assert evaluation_key(app, RunConfig()) == (
             "3e48b520f07db9ff364e34c84ac03e39"
             "e1c462bf96e5887af1df182f752cb50e")
+
+    def test_power_model_spelling_shares_key(self, app, cfg):
+        # make_power_model is case-insensitive, so "Transmeta" computes
+        # exactly what "transmeta" does and must file under its entry
+        assert evaluation_key(app, cfg.with_(power_model="Transmeta")) == \
+            evaluation_key(app, cfg.with_(power_model="transmeta"))
+        assert evaluation_key(app, RunConfig(power_model="XSCALE")) == \
+            evaluation_key(app, RunConfig(power_model="xscale"))
 
     def test_scheme_aliases_canonicalized(self, app, cfg):
         lower = cfg.with_(schemes=("gss", "ss1"))

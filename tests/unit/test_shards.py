@@ -2,9 +2,9 @@
 
 The bit-identity of sharded execution lives in the property tier
 (tests/property/test_fused_equivalence.py) and the chaos tier; these
-tests pin the small deterministic parts — the run-range planner, the
-memory estimate, shard-count resolution (explicit / config / session
-default / auto), config validation, the shm result-block round-trip,
+tests pin the small deterministic parts — the run-range planner,
+shard-count resolution (explicit / config / session default / auto),
+config validation, the shm result-block round-trip,
 and the cache-key contract that sharding is an execution knob.
 """
 
@@ -23,7 +23,7 @@ from repro.experiments.fused import (
     _resolve_shard_count,
     default_shards,
 )
-from repro.sim.sweepc import FUSED_MEM_FACTOR, fused_bytes_estimate, plan_shards
+from repro.sim.sweepc import plan_shards
 from repro.workloads import application_with_load, figure3_graph
 
 
@@ -58,79 +58,39 @@ class TestPlanShards:
             plan_shards(0, 2)
 
 
-class _StubProgram:
-    """Duck-typed CompiledPlan/StackedProgram for the estimator."""
-
-    def __init__(self, n_cols=4, n_slots=6):
-        self.comp_names = [f"c{i}" for i in range(n_cols)]
-        self.n_slots = n_slots
-
-
-class TestBytesEstimate:
-    def test_scales_linearly_with_the_run_axis(self):
-        prog = _StubProgram()
-        assert fused_bytes_estimate(prog, 200) == \
-            2 * fused_bytes_estimate(prog, 100)
-        assert fused_bytes_estimate(prog, 0) == 0
-
-    def test_counts_columns_and_slots(self):
-        per_run = fused_bytes_estimate(_StubProgram(n_cols=4, n_slots=6), 1)
-        assert per_run == int(8.0 * (4 + 6) * FUSED_MEM_FACTOR)
-
-
-class _StubBuild:
-    """Just enough _FusedBuild surface for _resolve_shard_count."""
-
-    def __init__(self, n_cols=4, n_slots=6):
-        self.stacked_static = _StubProgram(n_cols, n_slots)
-
-
 class TestResolveShardCount:
     def _cfgs(self, n=3, **kw):
         return [RunConfig(schemes=("GSS",), n_runs=40, seed=1, **kw)] * n
 
     def test_unset_everywhere_means_monolithic(self, monkeypatch):
         monkeypatch.setattr(fused_mod, "DEFAULT_SHARDS", None)
-        assert _resolve_shard_count(_StubBuild(), self._cfgs(), None) == 1
+        assert _resolve_shard_count(self._cfgs(), None) == 1
 
     def test_explicit_argument_outranks_the_config(self):
         cfgs = self._cfgs(shards=2)
-        assert _resolve_shard_count(_StubBuild(), cfgs, 5) == 5
-        assert _resolve_shard_count(_StubBuild(), cfgs, None) == 2
+        assert _resolve_shard_count(cfgs, 5) == 5
+        assert _resolve_shard_count(cfgs, None) == 2
 
     def test_session_default_applies_last(self, monkeypatch):
         monkeypatch.setattr(fused_mod, "DEFAULT_SHARDS", "4")
-        assert _resolve_shard_count(_StubBuild(), self._cfgs(), None) == 4
+        assert _resolve_shard_count(self._cfgs(), None) == 4
 
     def test_clamped_to_the_run_count(self):
-        assert _resolve_shard_count(_StubBuild(), self._cfgs(), 999) == 40
+        assert _resolve_shard_count(self._cfgs(), 999) == 40
 
     def test_mixed_run_counts_refuse_to_shard(self):
         cfgs = [RunConfig(schemes=("GSS",), n_runs=40, seed=1),
                 RunConfig(schemes=("GSS",), n_runs=30, seed=1)]
-        assert _resolve_shard_count(_StubBuild(), cfgs, 3) == 1
+        assert _resolve_shard_count(cfgs, 3) == 1
 
     def test_auto_follows_effective_cores(self, monkeypatch):
         monkeypatch.setattr(fused_mod, "effective_cores", lambda: 6)
-        assert _resolve_shard_count(_StubBuild(), self._cfgs(), 0) == 6
-
-    def test_auto_raised_by_the_memory_budget(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "effective_cores", lambda: 2)
-        build = _StubBuild()
-        cfgs = self._cfgs(shard_mem_mb=1)
-        est = fused_bytes_estimate(build.stacked_static, 3 * 40)
-        need = -(-est // (1 * 1024 * 1024))
-        expect = max(1, min(max(2, need), 40))
-        assert _resolve_shard_count(build, cfgs, 0) == expect
+        assert _resolve_shard_count(self._cfgs(), 0) == 6
 
     def test_auto_budget_never_exceeds_the_run_count(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "effective_cores", lambda: 1)
-        # a 1-byte budget demands more shards than there are runs
-        big = _StubBuild(n_cols=64, n_slots=64)
-        cfgs = self._cfgs(shard_mem_mb=1)
-        for cfg in cfgs:
-            assert cfg.n_runs == 40
-        assert _resolve_shard_count(big, cfgs, 0) <= 40
+        # more cores than runs: auto clamps to one run per shard
+        monkeypatch.setattr(fused_mod, "effective_cores", lambda: 64)
+        assert _resolve_shard_count(self._cfgs(), 0) == 40
 
 
 class TestDefaultShards:
@@ -158,13 +118,8 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="shards"):
             RunConfig(shards=-1)
 
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ConfigError, match="shard_mem_mb"):
-            RunConfig(shard_mem_mb=-1)
-
     def test_zero_is_auto_not_an_error(self):
-        cfg = RunConfig(shards=0, shard_mem_mb=0)
-        assert cfg.shards == 0 and cfg.shard_mem_mb == 0
+        assert RunConfig(shards=0).shards == 0
 
 
 class TestKeyInsulation:
@@ -173,8 +128,8 @@ class TestKeyInsulation:
     @pytest.mark.parametrize("change", [
         {"shards": 4},
         {"shards": 0},
-        {"shard_mem_mb": 64},
-        {"shards": 3, "shard_mem_mb": 128},
+        {"shards": 1},
+        {"shards": 3, "degrade": False},
     ])
     def test_shard_knobs_do_not_change_evaluation_key(self, change):
         app = application_with_load(figure3_graph(), 0.5, 2)
