@@ -188,12 +188,6 @@ class ShardBlock:
         self.dtype = dtype
         self.key = key
 
-    def __getstate__(self):
-        return (self.name, self.shape, self.dtype, self.key)
-
-    def __setstate__(self, state):
-        self.name, self.shape, self.dtype, self.key = state
-
     def take(self) -> np.ndarray:
         """Copy the matrix out and release the segment (parent, once).
 

@@ -137,19 +137,18 @@ class _View:
     its runs.
 
     The static view covers every run; the dynamic view may cover a
-    subset (points whose dynamic plan exists), with ``rows`` listing
-    the ``[lo, hi)`` spans of the full run axis its runs come from, in
-    order (``None``: every run).  Run
-    ``i`` of the view reads ``matrix[row_of[i]]`` (``row_of=None``: row
-    ``i``), so views share one realization matrix instead of copying
-    its rows.
+    subset (points whose dynamic plan exists).  ``spans`` holds each
+    view point's ``[lo, hi)`` range of the sweep's run axis, and
+    ``out_row`` maps view run ``i`` to its sweep run (``None``: ``i``).
+    Run ``i`` reads ``matrix[row_of[i]]`` (``row_of=None``: row ``i``),
+    so views share one realization matrix instead of copying its rows.
     """
 
     __slots__ = ("prog", "plans", "progs", "batches", "matrix", "row_of",
-                 "groups", "point_of", "offsets", "rows")
+                 "groups", "point_of", "offsets", "spans", "out_row")
 
     def __init__(self, prog, plans, progs, batches, matrix, row_of, groups,
-                 point_of, offsets, rows):
+                 point_of, offsets, spans, out_row):
         self.prog = prog
         self.plans = plans
         self.progs = progs
@@ -159,7 +158,8 @@ class _View:
         self.groups = groups
         self.point_of = point_of
         self.offsets = offsets
-        self.rows = rows
+        self.spans = spans
+        self.out_row = out_row
 
 
 class _FusedBuild:
@@ -220,7 +220,8 @@ def _build_fused(apps: Sequence[Application],
     engine is not "compiled"); the caller falls back to per-point
     evaluation.  Bails at the first structural mismatch — cheap for
     heterogeneous app sets, since plan construction is itself cached by
-    fingerprint.
+    fingerprint.  A warm sweep walks its static programs once, here:
+    :func:`stack_programs` finds the stack in its cache before walking.
     """
     base = configs[0]
     power = base.make_power()
@@ -303,23 +304,21 @@ def _plan_scheme(policy, name: str, plans, power, overhead):
     return "scalar", probes
 
 
-def _scalar_fallback(policy, probes, view: _View, power, overhead):
+def _scalar_fallback(policy, probes, view: _View, power, overhead,
+                     energy, finish, changes) -> None:
     """Per-point scalar-kernel loop for schemes the batch kernels skip
     (the oracle's per-realization probing, or a custom scheme outside
-    the declared protocol): ``(absolute, finish, changes)`` over the
-    view's run axis.
+    the declared protocol), writing each view run's energy, finish
+    (``finish`` may be ``None``) and switch count at its sweep run.
 
     A point's probe serves all of its runs when it *declares* that it
     mutates nothing during a simulation (``stateless``); any other run
     object is started afresh per run.
     """
     needs_rl = policy.needs_realization
-    total = int(view.offsets[-1])
-    abs_arr = np.empty(total)
-    fin_arr = np.empty(total)
-    chg_arr = np.empty(total)
     for p, plan in enumerate(view.plans):
         lo, hi = int(view.offsets[p]), int(view.offsets[p + 1])
+        at = view.spans[p][0]
         batch = view.batches[p]
         kernel = CompiledKernel(view.progs[p], power, overhead)
         if view.row_of is None:
@@ -338,10 +337,10 @@ def _scalar_fallback(policy, probes, view: _View, power, overhead):
                 run = policy.start_run(plan, power, overhead,
                                        realization=rl)
             res = kernel.run(run, rows[i], choice_rows[i])
-            abs_arr[lo + i] = res.total_energy
-            fin_arr[lo + i] = res.finish_time
-            chg_arr[lo + i] = res.n_speed_changes
-    return abs_arr, fin_arr, chg_arr
+            energy[at + i] = res.total_energy
+            if finish is not None:
+                finish[at + i] = res.finish_time
+            changes[at + i] = res.n_speed_changes
 
 
 def _sub_grouping(groups, spans: Sequence[Tuple[int, int]], total: int):
@@ -377,41 +376,23 @@ def _dyn_view(build: _FusedBuild, static: _View) -> _View:
         # (same structure object), so the grouping carries over
         return _View(build.stacked_dyn, build.dyn_plans, build.dyn_progs,
                      static.batches, static.matrix, static.row_of,
-                     static.groups, static.point_of, static.offsets, None)
+                     static.groups, static.point_of, static.offsets,
+                     static.spans, None)
     dyn_points = build.dyn_points
-    offsets = static.offsets
-    spans = [(int(offsets[i]), int(offsets[i + 1])) for i in dyn_points]
-    sel, sub_groups = _sub_grouping(static.groups, spans, int(offsets[-1]))
+    spans = [static.spans[i] for i in dyn_points]
+    sel, sub_groups = _sub_grouping(static.groups, spans,
+                                    int(static.offsets[-1]))
     row_of = static.row_of.take(sel) if static.row_of is not None else sel
     sub_counts = [len(static.batches[i]) for i in dyn_points]
     return _View(build.stacked_dyn, build.dyn_plans, build.dyn_progs,
                  [static.batches[i] for i in dyn_points], static.matrix,
                  row_of, sub_groups,
                  np.repeat(np.arange(len(dyn_points)), sub_counts),
-                 np.concatenate(([0], np.cumsum(sub_counts))), spans)
-
-
-def _place(view: _View, npm_energy, npm_finish, absolute, finish, changes):
-    """A scheme's outputs over a view, spread over every run: runs
-    outside the view (points without a dynamic plan) ran like NPM, with
-    zero switches."""
-    if view.rows is None:
-        return absolute, finish, changes
-    a = npm_energy.copy()
-    f = npm_finish.copy()
-    c = np.zeros(npm_energy.size)
-    at = 0
-    for lo, hi in view.rows:
-        part = slice(at, at + hi - lo)
-        a[lo:hi] = absolute[part]
-        f[lo:hi] = finish[part]
-        c[lo:hi] = changes[part]
-        at += hi - lo
-    return a, f, c
+                 np.concatenate(([0], np.cumsum(sub_counts))), spans, sel)
 
 
 def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
-              offsets, row_of=None):
+              offsets, row_of=None, finish: bool = False):
     """Every scheme of a sampled batch — the one evaluator behind fused
     sweeps, :func:`evaluate_batch` and through it
     ``evaluate_application`` and the online stream.
@@ -425,35 +406,53 @@ def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
     :func:`_plan_scheme` decides — one fixed-kernel call per fixed
     speed, the scalar kernel per run — except the batchable dynamic
     schemes, which are gathered per view into one stacked
-    :func:`~repro.sim.compiled.run_dynamic_batch` call.  Returns
-    ``(npm_energy, npm_finish, absolute, finish, changes)``, the last
-    three keyed by scheme in ``build.scheme_names`` order, or ``None``
-    when a scheme's shape punts the sweep to per-point evaluation.
+    :func:`~repro.sim.compiled.run_dynamic_batch` call.  The kernels
+    write into each scheme's arrays over the full run axis, allocated
+    once here; the runs a view skips (points without a dynamic plan)
+    hold NPM's energy and zero switches.  Returns ``(npm_energy,
+    absolute, finishes, changes)``, the last three keyed by scheme in
+    ``build.scheme_names`` order (a finish array is ``None`` unless
+    ``finish``), or ``None`` when a scheme's shape punts the sweep to
+    per-point evaluation.
     """
     power, overhead = build.power, build.overhead
     total = int(offsets[-1])
+    npm_energy = np.empty(total)
+    npm_finish = np.empty(total) if finish else None
     base = run_fixed_batch(build.stacked_static, power, NO_OVERHEAD, matrix,
                            groups, power.s_max, "NPM", point_of=point_of,
-                           row_of=row_of)
-    npm_energy, npm_finish = base.total_energy, base.finish_time
+                           row_of=row_of, out=(npm_energy, npm_finish))
+    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     static_view = _View(build.stacked_static, build.static_plans,
                         build.static_progs, batches, matrix, row_of, groups,
-                        point_of, offsets, None)
+                        point_of, offsets, spans, None)
+    npm_spans = [sp for p, sp in enumerate(spans)
+                 if p not in build.dyn_points]
     dyn_view: Optional[_View] = None
-    stacked: Dict[int, tuple] = {}  # id(view) -> (view, names, specs)
-    out: Dict[str, tuple] = {}
+    stacked: Dict[int, tuple] = {}  # id(view) -> (view, names, specs, outs)
+    absolute: Dict[str, np.ndarray] = {}
+    finishes: Dict[str, Optional[np.ndarray]] = {}
+    changes: Dict[str, np.ndarray] = {}
     for name in build.scheme_names:
         policy = get_policy(name)
         if name == "NPM":
-            out[name] = (npm_energy.copy(), npm_finish.copy(),
-                         np.full(total, float(base.n_speed_changes)))
+            # a view, not the baseline object: it pickles as its own floats
+            absolute[name] = npm_energy[:]
+            finishes[name] = npm_finish
+            changes[name] = np.full(total, float(base.n_speed_changes))
             continue
-        if policy.requires_reserve and not build.dyn_points:
-            # DVS disabled at every point: the scheme runs like NPM
-            out[name] = (npm_energy.copy(), npm_finish.copy(),
-                         np.zeros(total))
-            continue
+        e = absolute[name] = np.empty(total)
+        f = finishes[name] = np.empty(total) if finish else None
+        c = changes[name] = np.empty(total)
         if policy.requires_reserve:
+            # DVS disabled at a point: the scheme runs like NPM there
+            for lo, hi in npm_spans:
+                e[lo:hi] = npm_energy[lo:hi]
+                if f is not None:
+                    f[lo:hi] = npm_finish[lo:hi]
+                c[lo:hi] = 0.0
+            if not build.dyn_points:
+                continue
             if dyn_view is None:
                 dyn_view = _dyn_view(build, static_view)
             view = dyn_view
@@ -464,46 +463,41 @@ def _evaluate(build: _FusedBuild, batches, matrix, groups, point_of,
             return None
         kind, arg = how
         if kind == "dynamic":
-            entry = stacked.setdefault(id(view), (view, [], []))
+            entry = stacked.setdefault(id(view), (view, [], [], []))
             entry[1].append(name)
             entry[2].append(arg)
-            continue
-        if kind == "fixed":
+            entry[3].append((e, f, c))
+        elif kind == "fixed":
             res = run_fixed_batch(view.prog, power, overhead, view.matrix,
                                   view.groups, arg, name,
                                   point_of=view.point_of,
-                                  row_of=view.row_of)
-            per_point = np.asarray(res.n_speed_changes, dtype=float)
-            if per_point.ndim == 0:  # every point shares one speed
-                chg = np.full(res.total_energy.size, float(per_point))
-            else:
-                chg = per_point[view.point_of]
-            got = (res.total_energy, res.finish_time, chg)
+                                  row_of=view.row_of, out=(e, f),
+                                  out_row=view.out_row)
+            per_point = np.broadcast_to(
+                np.asarray(res.n_speed_changes, dtype=float),
+                (len(view.spans),))
+            for (lo, hi), value in zip(view.spans, per_point):
+                c[lo:hi] = value
         else:
-            got = _scalar_fallback(policy, arg, view, power, overhead)
-        out[name] = _place(view, npm_energy, npm_finish, *got)
-    for view, names, specs in stacked.values():
-        for res in run_dynamic_batch(view.prog, power, overhead,
-                                     view.matrix, view.groups, specs, names,
-                                     point_of=view.point_of,
-                                     row_of=view.row_of):
-            out[res.scheme] = _place(view, npm_energy, npm_finish,
-                                     res.total_energy, res.finish_time,
-                                     res.n_speed_changes.astype(float))
-    names = build.scheme_names
-    return (npm_energy, npm_finish, {n: out[n][0] for n in names},
-            {n: out[n][1] for n in names}, {n: out[n][2] for n in names})
+            _scalar_fallback(policy, arg, view, power, overhead, e, f, c)
+    for view, names, specs, outs in stacked.values():
+        run_dynamic_batch(view.prog, power, overhead, view.matrix,
+                          view.groups, specs, names, point_of=view.point_of,
+                          row_of=view.row_of, out=outs,
+                          out_row=view.out_row)
+    return npm_energy, absolute, finishes, changes
 
 
 def evaluate_batch(plan_dyn, plan_static, scheme_names: Sequence[str],
-                   power, overhead, batch):
+                   power, overhead, batch, finish: bool = False):
     """Every scheme on one point's sampled realization batch.
 
     The compiled path of ``runner.evaluate_application`` (via
     ``runner._simulate_runs_compiled``) and of the online stream: a
     one-point :func:`_evaluate` on the plain compiled programs, no
-    point axis.  Returns ``(npm_energy, npm_finish, absolute, finish,
-    changes, path_keys)``, keyed by canonical scheme name.
+    point axis.  Returns ``(npm_energy, absolute, finishes, changes,
+    path_keys)``, keyed by canonical scheme name; only ``finish=True``
+    stores the per-run makespans the online stream's ledger reads.
     """
     names = tuple(dict.fromkeys(get_policy(n).name for n in scheme_names))
     n = len(batch)
@@ -518,7 +512,7 @@ def evaluate_batch(plan_dyn, plan_static, scheme_names: Sequence[str],
     matrix = prog_static.realization_matrix(batch)
     groups, path_keys = prog_static.executed_paths(batch.choices, n)
     return _evaluate(build, [batch], matrix, groups, None,
-                     np.array([0, n])) + (path_keys,)
+                     np.array([0, n]), finish=finish) + (path_keys,)
 
 
 def _draw_key(structure, cfg: RunConfig) -> tuple:
@@ -628,7 +622,7 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
                     row_of)
     if out is None:
         return None
-    npm_energy, _npm_finish, absolute, _finish, changes = out
+    npm_energy, absolute, _finishes, changes = out
     return (offsets, npm_energy, absolute, changes, path_keys,
             {"draws": len(drawn), "decodes": len(decoded)})
 
@@ -665,13 +659,6 @@ class ShardTask:
         return (f"shard {self.index + 1}/{self.n_shards} "
                 f"runs[{self.lo}:{self.hi})")
 
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for s, v in state.items():
-            setattr(self, s, v)
-
 
 class ShardResult:
     """One shard's result block: a packed matrix, inline or via shm.
@@ -696,13 +683,6 @@ class ShardResult:
         self.schemes = schemes
         self.n_points = n_points
         self.counts = counts
-
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for s, v in state.items():
-            setattr(self, s, v)
 
 
 def _pack_shard(scheme_names, npm, absolute, changes) -> np.ndarray:
@@ -957,17 +937,19 @@ def evaluate_points_fused(apps: Sequence[Application],
             return None
     offsets, npm_energy, absolute, changes, path_keys, counts = out
 
+    # each point's arrays are views of the sweep's (a view pickles and
+    # caches as its own floats)
     scheme_names = build.scheme_names
     results = []
     for i, (app, cfg) in enumerate(zip(apps, configs)):
         lo, hi = int(offsets[i]), int(offsets[i + 1])
         res = EvaluationResult(app_name=app.name, config=cfg,
-                               npm_energy=npm_energy[lo:hi].copy(),
-                               path_keys=list(path_keys[lo:hi]))
+                               npm_energy=npm_energy[lo:hi],
+                               path_keys=path_keys[lo:hi])
         for name in scheme_names:
-            res.absolute[name] = absolute[name][lo:hi].copy()
+            res.absolute[name] = absolute[name][lo:hi]
             res.normalized[name] = res.absolute[name] / res.npm_energy
-            res.speed_changes[name] = changes[name][lo:hi].copy()
+            res.speed_changes[name] = changes[name][lo:hi]
         results.append(res)
 
     global _LAST_FUSED

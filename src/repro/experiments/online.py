@@ -41,7 +41,7 @@ stream compiles like a single evaluation point: one realization batch
 of ``n_admitted`` runs drawn from ``default_rng(seed)`` — *exactly*
 the batch :func:`~repro.experiments.runner.evaluate_application` draws
 for ``n_runs = n_admitted`` — evaluated by the same one-point call
-(:func:`~repro.experiments.fused.evaluate_batch`, which also returns
+(:func:`~repro.experiments.fused.evaluate_batch`, which also stores
 per-run finish times), or by the dict engine for ``engine="dict"``.
 Each scheme then replays the FIFO ledger with its own realized
 durations: ``start_j = max(a_j, finish_{j-1})``.
@@ -308,7 +308,7 @@ def _simulate_jobs(plan_dyn: Optional[OfflinePlan],
                    scheme_names: Sequence[str], power: PowerModel,
                    overhead: OverheadModel, batch: RealizationBatch,
                    engine: str
-                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray],
+                   ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
                               Dict[str, np.ndarray], Dict[str, np.ndarray],
                               List[str]]:
     """Per-job energies, durations and switch counts for every scheme.
@@ -325,15 +325,14 @@ def _simulate_jobs(plan_dyn: Optional[OfflinePlan],
         return _simulate_jobs_dict(plan_dyn, plan_static, scheme_names,
                                    power, overhead, batch)
     return evaluate_batch(plan_dyn, plan_static, scheme_names, power,
-                          overhead, batch)
+                          overhead, batch, finish=True)
 
 
 def _simulate_jobs_dict(plan_dyn: Optional[OfflinePlan],
                         plan_static: OfflinePlan,
                         scheme_names: Sequence[str], power: PowerModel,
                         overhead: OverheadModel, batch: RealizationBatch
-                        ) -> Tuple[np.ndarray, np.ndarray,
-                                   Dict[str, np.ndarray],
+                        ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
                                    Dict[str, np.ndarray],
                                    Dict[str, np.ndarray], List[str]]:
     """The reference dict-engine counterpart of :func:`_simulate_jobs`."""
@@ -347,7 +346,6 @@ def _simulate_jobs_dict(plan_dyn: Optional[OfflinePlan],
     n = len(batch)
     npm_policy = get_policy("NPM")
     npm_energy = np.empty(n)
-    npm_finish = np.empty(n)
     absolute = {name: np.empty(n) for name in policies}
     finish = {name: np.empty(n) for name in policies}
     changes = {name: np.empty(n, dtype=float) for name in policies}
@@ -357,7 +355,6 @@ def _simulate_jobs_dict(plan_dyn: Optional[OfflinePlan],
                                        realization=rl)
         base = simulate(plan_static, npm_run, power, NO_OVERHEAD, rl)
         npm_energy[i] = base.total_energy
-        npm_finish[i] = base.finish_time
         path_keys.append(_path_key(structure, base))
         for name, policy in policies.items():
             if name == "NPM":
@@ -376,7 +373,7 @@ def _simulate_jobs_dict(plan_dyn: Optional[OfflinePlan],
             absolute[name][i] = res.total_energy
             finish[name][i] = res.finish_time
             changes[name][i] = res.n_speed_changes
-    return npm_energy, npm_finish, absolute, finish, changes, path_keys
+    return npm_energy, absolute, finish, changes, path_keys
 
 
 def _replay_fifo(arrivals: np.ndarray, durations: np.ndarray,
@@ -438,9 +435,9 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     rng = np.random.default_rng(config.seed)
     batch = sample_realization_batch(plan_static.structure, rng, n_adm,
                                      sigma_fraction=config.sigma_fraction)
-    npm_energy, _npm_finish, absolute, finish, changes, path_keys = \
-        _simulate_jobs(plan_dyn, plan_static, scheme_names, power,
-                       config.overhead, batch, config.engine)
+    npm_energy, absolute, finish, changes, path_keys = _simulate_jobs(
+        plan_dyn, plan_static, scheme_names, power, config.overhead, batch,
+        config.engine)
 
     result.npm_energy = npm_energy
     result.path_keys = path_keys

@@ -9,7 +9,7 @@ what the benches and the CLI emit and what EXPERIMENTS.md records.
 from __future__ import annotations
 
 import io
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..types import SeriesResult, speed_change_items
 
@@ -106,7 +106,3 @@ def series_to_csv(series: SeriesResult) -> str:
         out.write(f"{p.x},{p.scheme},{p.mean:.6f},{p.std:.6f},"
                   f"{p.ci95:.6f},{p.n_runs}\n")
     return out.getvalue()
-
-
-def render_many(series_list: Iterable[SeriesResult], **kwargs) -> str:
-    return "\n".join(render_series(s, **kwargs) for s in series_list)

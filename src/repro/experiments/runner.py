@@ -308,9 +308,8 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
     compiled kernel per run.
     """
     from .fused import evaluate_batch  # fused imports this module
-    npm_energy, _npm_finish, absolute, _finish, changes, path_keys = \
-        evaluate_batch(plan_dyn, plan_static, scheme_names, power,
-                       overhead, batch)
+    npm_energy, absolute, _finishes, changes, path_keys = evaluate_batch(
+        plan_dyn, plan_static, scheme_names, power, overhead, batch)
     return npm_energy, absolute, changes, path_keys
 
 

@@ -19,7 +19,7 @@ re-selected on its own rows at each dispatch (``lo`` before ``θ``,
 ``hi`` from then on).  The path block, the WCET check and the
 per-point constant gathers run once per block for every scheme, and
 each scheme's outputs come back as its own
-:class:`DynamicBatchResult`, in request order.
+:class:`BatchResult`, in request order.
 
 **Row blocks.**  Both kernels split every path group into consecutive
 blocks of at most :data:`BLOCK_ROWS` kernel rows — runs for the fixed
@@ -39,9 +39,11 @@ contiguous row:
   kernel shares it between its schemes: the wall time divides a run's
   actual time by an ``(n_s, nb)`` view of the rows' speeds, a
   broadcast instead of a tiled copy of the block;
-* the finishes buffer ``fin`` is ``(n_slots, rows)``: predecessor
-  readiness is a row read (one ``np.maximum`` against the single
-  predecessor) or a row gather + ``max(axis=0)`` for joins;
+* the finishes buffer ``fin`` is ``(max_entries, rows)``, one row per
+  entry of the section being run (the tape's section-local slots, so
+  ``max_entries`` is the longest section, not the program's slot count):
+  predecessor readiness is a row read (one ``np.maximum`` against the
+  single predecessor) or a row gather + ``max(axis=0)`` for joins;
 * the processor state ``proc_free`` (and the dynamic kernel's level
   index ``proc_idx``) is one flat ``(m * rows,)`` array, processor
   ``j`` of row ``r`` at ``j * rows + r``, viewed as ``(m, rows)`` for
@@ -134,6 +136,18 @@ path gather and the WCET precheck read the matrix, both through
 only, the outputs equal those on ``matrix[row_of]`` bit for bit,
 errors included.  ``row_of=None`` means run ``i`` is row ``i``.
 
+**Destinations and finish times.**  With ``out``, the arrays to fill,
+each block stores its rows straight into the caller's arrays, run
+``i`` at ``out_row[i]`` (``out_row=None``: at ``i``), so a fused sweep
+allocates each scheme's per-run arrays once over its whole run axis.
+The ``int64`` switch counts land in a float destination exactly.  A
+``None`` finish destination skips that store: only the online stream's
+FIFO ledger reads finishes.  Without ``out`` the kernels return fresh
+arrays.  No float changes either way; an error leaves the rows of
+earlier blocks written.  The dynamic kernel allocates its block
+buffers (``fin``, ``proc_free``, ``proc_idx``) once per call, sized to
+its largest block.
+
 **Shared fixed dispatch.**  The fixed kernel's dispatch reads a run's
 realization row and its point's speed, never the deadline: that enters
 only the accounting after the section loop (the deadline check, the
@@ -193,34 +207,27 @@ _EPS = 1e-9
 BLOCK_ROWS = 16384
 
 
-class FixedBatchResult:
-    """Per-run outputs of one vectorized fixed-speed batch simulation."""
+class BatchResult:
+    """One scheme's per-run outputs of a batch simulation: the caller's
+    destination arrays when it passed ``out`` (``finish_time`` is
+    ``None`` if finishes were not stored), else fresh ones."""
 
     __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes")
 
     def __init__(self, scheme: str, total_energy: np.ndarray,
-                 finish_time: np.ndarray, n_speed_changes):
+                 finish_time: Optional[np.ndarray], n_speed_changes):
         self.scheme = scheme
         self.total_energy = total_energy
         self.finish_time = finish_time
-        #: switches per run (identical across runs for a fixed speed):
-        #: an int, or an ``(n_points,)`` int array when the batch was a
-        #: fused sweep with one fixed speed per point
+        #: switches: per run for a dynamic scheme (``int64`` unless the
+        #: caller supplied another destination); for a fixed speed one
+        #: count for every run, an int or, in a fused sweep with one
+        #: speed per point, an ``(n_points,)`` int array
         self.n_speed_changes = n_speed_changes
 
 
-class DynamicBatchResult:
-    """Per-run outputs of one scheme of a dynamic batch simulation."""
-
-    __slots__ = ("scheme", "total_energy", "finish_time", "n_speed_changes")
-
-    def __init__(self, scheme: str, total_energy: np.ndarray,
-                 finish_time: np.ndarray, n_speed_changes: np.ndarray):
-        self.scheme = scheme
-        self.total_energy = total_energy
-        self.finish_time = finish_time
-        #: switches per run, as an int array (runs differ)
-        self.n_speed_changes = n_speed_changes
+#: the fixed and the dynamic kernel return the same result type
+FixedBatchResult = DynamicBatchResult = BatchResult
 
 
 def _gather(value, pt):
@@ -350,6 +357,35 @@ def _precheck(tape, path, guard, g_pt, act_path: np.ndarray,
         "path-level WCET check tripped but no section reproduced it")
 
 
+def _block_energy(m: int, idle_power: float, dl_g, t_end, busy_time,
+                  over_time, e_busy, e_over, check_deadline: bool,
+                  schemes: Sequence[str], nb: int, named: bool):
+    """A block's per-row total energies once its last section ended: the
+    deadline check, the idle window and the energy sum, in the engine's
+    order.  Row ``k`` runs scheme ``schemes[k // nb]``; ``named`` adds
+    it to the idle-time error, as the dynamic kernel's message does."""
+    if check_deadline:
+        late = t_end > dl_g * (1 + 1e-9) + _EPS
+        if late.any():
+            k = int(np.argmax(late))
+            raise DeadlineMissError(float(t_end[k]), float(_at(dl_g, k)),
+                                    scheme=schemes[k // nb])
+    window = m * np.maximum(dl_g, t_end)
+    idle_time = window - busy_time - over_time
+    if isinstance(dl_g, np.ndarray):
+        thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
+    else:
+        thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
+    bad = idle_time < thresh
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f" under scheme {schemes[k // nb]!r}" if named else ""
+        raise SimulationError(
+            f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
+            f"overhead={_at(over_time, k)}, window={window[k]}{where}")
+    return e_busy + idle_power * np.maximum(idle_time, 0.0) + e_over
+
+
 def _shared_dispatch(pt: Optional[np.ndarray], src: np.ndarray, speed,
                      g_class: Optional[tuple]):
     """Which segments of a path group need their own fixed-speed
@@ -402,8 +438,10 @@ def run_fixed_batch(prog, power: PowerModel,
                     groups, speed, scheme: str,
                     check_deadline: bool = True,
                     point_of: Optional[np.ndarray] = None,
-                    row_of: Optional[np.ndarray] = None
-                    ) -> FixedBatchResult:
+                    row_of: Optional[np.ndarray] = None,
+                    out: Optional[tuple] = None,
+                    out_row: Optional[np.ndarray] = None
+                    ) -> BatchResult:
     """Vectorized fixed-speed simulation of a whole realization batch.
 
     ``matrix`` is the ``(n_runs, n_tasks)`` actual-time matrix in
@@ -415,9 +453,11 @@ def run_fixed_batch(prog, power: PowerModel,
     ``(n_points,)`` vector of per-point fixed speeds, and every derived
     preamble constant is computed with the same scalar formulas,
     selected per point; ``row_of`` maps each run to its ``matrix`` row
-    when runs share rows.  See the module docstring for the layout,
-    blocking, shared dispatch, bit-identity, fused-sweep and
-    error-selection contract.
+    when runs share rows.  ``out`` is an ``(energy, finish)`` pair of
+    destination arrays (``finish`` may be ``None``) written through
+    ``out_row``; without it fresh arrays over the runs are returned.
+    See the module docstring for the layout, blocking, shared dispatch,
+    bit-identity, fused-sweep, destination and error-selection contract.
     """
     tape = build_tape(prog)
     n, n_cols = matrix.shape
@@ -453,7 +493,7 @@ def run_fixed_batch(prog, power: PowerModel,
         speed_g = _gather(speed, pt)
         p_busy_g = _gather(p_busy, pt)
         t0_g = _gather(t0, pt)
-        fin = np.empty((prog.n_slots, ng))
+        fin = np.empty((tape.max_entries, ng))
         # processor free times are written by each section's dispatches
         # and only read by _first_min, so a processor still untouched in
         # the current section is set to t_section at the fallback
@@ -483,7 +523,7 @@ def run_fixed_batch(prog, power: PowerModel,
                 wall_all = act_path[offs[sec_i]:offs[sec_i + 1]] / speed_g
                 e_all = wall_all * p_busy_g
             n_forced = 0  # m once a tie turns the rule off
-            for is_and, gid, col, pred, crel in st.steps:
+            for is_and, slot, col, pred, crel in st.steps:
                 if pred is None:
                     ready = t_section
                 elif type(pred) is int:
@@ -491,7 +531,7 @@ def run_fixed_batch(prog, power: PowerModel,
                 else:
                     ready = np.maximum(t_section, fin[pred].max(axis=0))
                 if is_and:
-                    fin[gid] = ready
+                    fin[slot] = ready
                     if sec_max is None:
                         sec_max = ready.copy()
                     else:
@@ -512,7 +552,7 @@ def run_fixed_batch(prog, power: PowerModel,
                     fj += rows
                 last_dispatch = t
                 wall = wall_all[crel]
-                finish = np.add(t, wall, out=fin[gid])
+                finish = np.add(t, wall, out=fin[slot])
                 busy_time += wall
                 e_busy += e_all[crel]
                 proc_free[fj] = finish
@@ -539,8 +579,8 @@ def run_fixed_batch(prog, power: PowerModel,
             last_dispatch = t_end
         return t_end, busy_time, e_busy
 
-    total_energy = np.empty(n)
-    finish_time = np.empty(n)
+    total_energy, finish_time = (np.empty(n), np.empty(n)) if out is None \
+        else out
 
     for path, idx in groups:
         wcet = tape.path_wcet(path)
@@ -580,40 +620,21 @@ def run_fixed_batch(prog, power: PowerModel,
                     z = a + sel.size
                     store[0, a:z], store[1, a:z], store[2, a:z] = dispatch(
                         path, wcet, src_all.take(sel), pt_all.take(sel))
-                out = np.empty((3, hi - lo))
+                got = np.empty((3, hi - lo))
                 for p0, p1, shift, _is_own in pieces:
-                    out[:, p0 - lo:p1 - lo] = store[:, p0 + shift:p1 + shift]
-                t_end, busy_time, e_busy = out
+                    got[:, p0 - lo:p1 - lo] = store[:, p0 + shift:p1 + shift]
+                t_end, busy_time, e_busy = got
 
-            dl_g = _gather(deadline, pt)
-            ot_g = _gather(overhead_time, pt)
-            eo_g = _gather(e_over, pt)
-            if check_deadline:
-                late = t_end > dl_g * (1 + 1e-9) + _EPS
-                if late.any():
-                    k = int(np.argmax(late))
-                    raise DeadlineMissError(float(t_end[k]),
-                                            float(_at(dl_g, k)),
-                                            scheme=scheme)
-            window = m * np.maximum(dl_g, t_end)
-            idle_time = window - busy_time - ot_g
-            if isinstance(dl_g, np.ndarray):
-                thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
-            else:
-                thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
-            bad = idle_time < thresh
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise SimulationError(
-                    f"negative idle time {idle_time[k]}: "
-                    f"busy={busy_time[k]}, overhead={_at(ot_g, k)}, "
-                    f"window={window[k]}")
-            e_idle = idle_power * np.maximum(idle_time, 0.0)
-            blk_idx = idx[blk]
-            total_energy[blk_idx] = e_busy + e_idle + eo_g
-            finish_time[blk_idx] = t_end
+            energy = _block_energy(
+                m, idle_power, _gather(deadline, pt), t_end, busy_time,
+                _gather(overhead_time, pt), e_busy, _gather(e_over, pt),
+                check_deadline, (scheme,), t_end.size, False)
+            dst = idx[blk] if out_row is None else out_row.take(idx[blk])
+            total_energy[dst] = energy
+            if finish_time is not None:
+                finish_time[dst] = t_end
 
-    return FixedBatchResult(scheme, total_energy, finish_time, n_changes)
+    return BatchResult(scheme, total_energy, finish_time, n_changes)
 
 
 # one errstate for the whole kernel instead of one context per entry
@@ -625,14 +646,16 @@ def run_dynamic_batch(prog, power: PowerModel,
                       groups, runs: Sequence, schemes: Sequence[str],
                       check_deadline: bool = True,
                       point_of: Optional[np.ndarray] = None,
-                      row_of: Optional[np.ndarray] = None
-                      ) -> List[DynamicBatchResult]:
+                      row_of: Optional[np.ndarray] = None,
+                      out: Optional[Sequence[tuple]] = None,
+                      out_row: Optional[np.ndarray] = None
+                      ) -> List[BatchResult]:
     """Vectorized simulation of several dynamic schemes over one batch.
 
     The dynamic counterpart of :func:`run_fixed_batch` for the schemes
     that :func:`~repro.sim.compiled.supports_dynamic_batch` accepts:
     ``runs[i]`` is scheme ``schemes[i]``'s protocol run, and the result
-    is one :class:`DynamicBatchResult` per scheme, in request order.
+    is one :class:`BatchResult` per scheme, in request order.
     Every scheme sees the same realization rows, stacked on the row axis
     (see the module docstring).  Each processor's current speed is
     tracked as an *index* into the discrete level table, so the
@@ -647,9 +670,12 @@ def run_dynamic_batch(prog, power: PowerModel,
     for a fused sweep those attributes may hold ``(n_points,)``
     vectors, gathered per block like the program's per-entry constants
     and branch statistics, and ``row_of`` maps each run to its
-    ``matrix`` row as in :func:`run_fixed_batch`.  See the module
-    docstring for the layout,
-    blocking, bit-identity, fused-sweep and error-selection contract.
+    ``matrix`` row as in :func:`run_fixed_batch`.  ``out`` holds one
+    ``(energy, finish, changes)`` destination per scheme (``finish``
+    may be ``None``), written through ``out_row``; without it fresh
+    arrays over the runs are returned, the switches as ``int64``.  See
+    the module docstring for the layout, blocking, bit-identity,
+    fused-sweep, destination and error-selection contract.
     """
     n_s = len(runs)
     if not n_s:
@@ -690,12 +716,21 @@ def run_dynamic_batch(prog, power: PowerModel,
     respec = [(s, run.or_respec) for s, run in enumerate(runs)
               if run.floor_step is None and run.or_respec is not None]
 
-    total_energy = [np.empty(n) for _ in range(n_s)]
-    finish_time = [np.empty(n) for _ in range(n_s)]
-    n_changes = [np.empty(n, dtype=np.int64) for _ in range(n_s)]
+    if out is None:
+        out = [(np.empty(n), np.empty(n), np.empty(n, dtype=np.int64))
+               for _ in range(n_s)]
+
+    # one workspace for every block: each block overwrites what it reads
+    # (proc_idx is refilled, proc_free reset lazily as below)
+    size = max(1, BLOCK_ROWS // n_s)
+    cap = n_s * max((min(idx.size, size) for _path, idx in groups),
+                    default=0)
+    fin_ws = np.empty(tape.max_entries * cap)
+    pf_ws = np.empty(m * cap)
+    pi_ws = np.empty(m * cap, dtype=np.intp)
 
     for path, idx, (cols, offs, guard, g_pt, _g_class) in _blocks(
-            tape, groups, max(1, BLOCK_ROWS // n_s)):
+            tape, groups, size):
         nb = idx.size
         ng = n_s * nb
         rows = np.arange(ng)
@@ -707,11 +742,12 @@ def run_dynamic_batch(prog, power: PowerModel,
         dl_b = _gather(deadline, pt)
         dl_g = (np.tile(dl_b, n_s) if isinstance(dl_b, np.ndarray)
                 else dl_b)
-        fin = np.empty((prog.n_slots, ng))
+        fin = fin_ws[:tape.max_entries * ng].reshape(tape.max_entries, ng)
         # reset lazily at a section's fallback, as in run_fixed_batch
-        proc_free = np.empty(m * ng)
+        proc_free = pf_ws[:m * ng]
         pf = proc_free.reshape(m, ng)
-        proc_idx = np.full(m * ng, speeds_arr.size - 1, dtype=np.intp)
+        proc_idx = pi_ws[:m * ng]
+        proc_idx.fill(speeds_arr.size - 1)
         # rebound, never written in place
         t_section = last_dispatch = t_end = np.zeros(ng)
         busy_time = np.zeros(ng)
@@ -738,7 +774,8 @@ def run_dynamic_batch(prog, power: PowerModel,
             off = offs[pos]
             sec_max = None
             n_forced = 0  # m once a tie turns the rule off
-            for e, (is_and, gid, col, pred, crel) in enumerate(st.steps):
+            # an entry's slot is its position in the section
+            for is_and, e, col, pred, crel in st.steps:
                 if pred is None:
                     ready = t_section
                 elif type(pred) is int:
@@ -746,7 +783,7 @@ def run_dynamic_batch(prog, power: PowerModel,
                 else:
                     ready = np.maximum(t_section, fin[pred].max(axis=0))
                 if is_and:
-                    fin[gid] = ready
+                    fin[e] = ready
                     if sec_max is None:
                         sec_max = ready.copy()
                     else:
@@ -809,7 +846,7 @@ def run_dynamic_batch(prog, power: PowerModel,
                 proc_idx[fj] = new_idx
 
                 wall = np.divide(actual, speed.reshape(n_s, nb)).reshape(ng)
-                finish = np.add(start_exec, wall, out=fin[gid])
+                finish = np.add(start_exec, wall, out=fin[e])
                 busy_time += wall
                 e_busy += pow_arr.take(new_idx) * wall
                 proc_free[fj] = finish
@@ -849,34 +886,15 @@ def run_dynamic_batch(prog, power: PowerModel,
                     f_lo[sl] = np.where(horizon > 0, speeds_arr[snap_idx],
                                         s_max)
 
-        if check_deadline:
-            late = t_end > dl_g * (1 + 1e-9) + _EPS
-            if late.any():
-                k = int(np.argmax(late))
-                raise DeadlineMissError(float(t_end[k]),
-                                        float(_at(dl_g, k)),
-                                        scheme=schemes[k // nb])
-        window = m * np.maximum(dl_g, t_end)
-        idle_time = window - busy_time - overhead_time
-        if isinstance(dl_g, np.ndarray):
-            thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
-        else:
-            thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
-        bad = idle_time < thresh
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SimulationError(
-                f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
-                f"overhead={overhead_time[k]}, window={window[k]} "
-                f"under scheme {schemes[k // nb]!r}")
-        e_idle = idle_power * np.maximum(idle_time, 0.0)
-        energy = e_busy + e_idle + e_over
-        for s in range(n_s):
+        energy = _block_energy(m, idle_power, dl_g, t_end, busy_time,
+                               overhead_time, e_busy, e_over, check_deadline,
+                               schemes, nb, True)
+        dst = idx if out_row is None else out_row.take(idx)
+        for s, (e_out, f_out, c_out) in enumerate(out):
             sl = slice(s * nb, (s + 1) * nb)
-            total_energy[s][idx] = energy[sl]
-            finish_time[s][idx] = t_end[sl]
-            n_changes[s][idx] = changes[sl]
+            e_out[dst] = energy[sl]
+            if f_out is not None:
+                f_out[dst] = t_end[sl]
+            c_out[dst] = changes[sl]
 
-    return [DynamicBatchResult(name, total_energy[s], finish_time[s],
-                               n_changes[s])
-            for s, name in enumerate(schemes)]
+    return [BatchResult(name, *o) for name, o in zip(schemes, out)]

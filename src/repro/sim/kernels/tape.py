@@ -7,12 +7,16 @@ then pay CPython tuple unpacking and a nested ``for p in preds`` Python
 reduction on every entry of every path group.  This module lowers a
 program once into a **tape** per section —
 
-* ``steps`` — one ``(is_and, gid, col, pred, crel)`` tuple per entry:
-  the entry's slot in the global finishes buffer, its column in the
-  realization matrix (``-1`` for AND), its intra-section predecessors
-  pre-split as ``None`` / a single ``int`` / an index array (so the
-  readiness max-reduction is one gather + ``max`` instead of a Python
-  loop), and its ordinal among the section's computation entries;
+* ``steps`` — one ``(is_and, slot, col, pred, crel)`` tuple per entry:
+  the entry's row in the section's finishes buffer (its position in
+  the section), its column in the realization matrix (``-1`` for AND),
+  its intra-section predecessors' rows pre-split as ``None`` / a single
+  ``int`` / an index array (so the readiness max-reduction is one
+  gather + ``max`` instead of a Python loop), and its ordinal among the
+  section's computation entries.  Predecessors never leave their
+  section, so a kernel's finishes buffer needs only
+  :attr:`ProgramTape.max_entries` rows — the longest section — instead of
+  one per program slot;
 * ``c`` — the WCET lane, plus the computation-entry selectors
   ``comp_sel``/``comp_cols`` and guard row ``c_guard`` for the
   hoisted WCET check;
@@ -82,14 +86,16 @@ class SectionTape:
         stacked = False
         c_vary = False
         n_comp = 0
-        for e, (is_and, g, cl, c, fb, name, preds) in enumerate(entries):
+        pos_of = {entry[1]: e for e, entry in enumerate(entries)}
+        for e, (is_and, _g, cl, c, fb, name, preds) in enumerate(entries):
             names.append(name)
-            if not preds:
+            rows = [pos_of[p] for p in preds]
+            if not rows:
                 pred = None
-            elif len(preds) == 1:
-                pred = int(preds[0])
+            elif len(rows) == 1:
+                pred = rows[0]
             else:
-                pred = np.asarray(preds, dtype=np.intp)
+                pred = np.asarray(rows, dtype=np.intp)
             # crel: this entry's ordinal among the section's computation
             # entries — its column in the interpreter's per-section
             # precomputed matrices (-1 for AND nodes, never used)
@@ -99,7 +105,7 @@ class SectionTape:
                 n_comp += 1
                 comp_sel.append(e)
                 comp_cols.append(cl)
-            steps.append((bool(is_and), int(g), int(cl), pred, crel))
+            steps.append((bool(is_and), e, int(cl), pred, crel))
             c_cols.append(c)
             fb_cols.append(fb)
             c_vec = isinstance(c, np.ndarray)
@@ -139,11 +145,14 @@ class SectionTape:
 class ProgramTape:
     """The tape of every section of one program, plus per-path caches."""
 
-    __slots__ = ("sections", "n_points", "_wcet_cache")
+    __slots__ = ("sections", "n_points", "max_entries", "_wcet_cache")
 
     def __init__(self, sections: Dict[int, SectionTape], n_points: int):
         self.sections = sections
         self.n_points = n_points
+        #: rows of a kernel's finishes buffer: the longest section
+        self.max_entries = max(
+            (st.n_entries for st in sections.values()), default=0)
         self._wcet_cache: Dict[Tuple[int, ...], tuple] = {}
 
     def path_wcet(self, path: Tuple[int, ...]) -> tuple:

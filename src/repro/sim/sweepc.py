@@ -198,15 +198,13 @@ def stack_programs(progs: Sequence[CompiledPlan]
     cached by the tuple of point-program fingerprints when every input
     carries one (i.e. came through ``compile_plan``'s cache); stacked
     programs are immutable once built, so sharing them across identical
-    point sets cannot leak state.
+    point sets cannot leak state.  The cache is consulted first: a hit
+    was checked for compatibility when it was built, so only a miss
+    walks the programs.
     """
     global _stacked_hits, _stacked_misses
     if not progs:
         return None
-    base = progs[0]
-    for other in progs[1:]:
-        if not programs_compatible(base, other):
-            return None
     fps = tuple(getattr(p, "fingerprint", None) for p in progs)
     key = fps if all(fp is not None for fp in fps) else None
     if key is not None:
@@ -215,6 +213,10 @@ def stack_programs(progs: Sequence[CompiledPlan]
             _stacked_hits += 1
             _STACKED_CACHE.move_to_end(key)
             return stacked
+    base = progs[0]
+    for other in progs[1:]:
+        if not programs_compatible(base, other):
+            return None
     _stacked_misses += 1
     stacked = StackedProgram(progs)
     if key is not None:

@@ -47,18 +47,20 @@ class TestTapeLowering:
                     if not entry[0]]
             assert list(st.comp_sel) == comp
             assert list(st.comp_cols) == [sec.entries[k][2] for k in comp]
-            # each step reproduces its entry's slot, column and
-            # predecessor list exactly
+            # each step reproduces its entry's column and predecessor
+            # list exactly, its slots renumbered to the entries'
+            # positions in the section
+            pos_of = {entry[1]: k for k, entry in enumerate(sec.entries)}
             for k, entry in enumerate(sec.entries):
-                is_and, gid, col, pred, crel = st.steps[k]
-                assert (is_and, gid, col) == tuple(entry[:3])
+                is_and, slot, col, pred, crel = st.steps[k]
+                assert (is_and, slot, col) == (entry[0], k, entry[2])
                 if pred is None:
                     row = []
                 elif isinstance(pred, int):
                     row = [pred]
                 else:
                     row = list(pred)
-                assert row == list(entry[6])
+                assert row == [pos_of[p] for p in entry[6]]
                 assert crel == (-1 if is_and else comp.index(k))
 
 

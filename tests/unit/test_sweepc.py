@@ -305,3 +305,37 @@ class TestStackedProgramCache:
         stack_programs(progs)
         clear_stacked_cache()
         assert stacked_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
+
+
+class TestCompatibilityWalk:
+    """A warm sweep checks its static programs against the first once,
+    in ``_build_fused``; ``stack_programs`` finds both stacks in its
+    cache before walking them again."""
+
+    def test_warm_figure5_walks_each_program_once(self, monkeypatch):
+        from repro.experiments import figure5
+        from repro.sim import sweepc
+        calls = []
+        real = sweepc.programs_compatible
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(sweepc, "programs_compatible", counting)
+        monkeypatch.setattr(fused_mod, "programs_compatible", counting)
+        figure5(n_runs=5, seed=3)
+        calls.clear()
+        figure5(n_runs=5, seed=3)
+        # two power models, 10 load points each: 9 checks per sweep
+        assert len(calls) <= 18
+
+    def test_a_hit_skips_the_walk(self, monkeypatch):
+        from repro.sim import sweepc
+        progs = [_prog(atr_graph(), ld) for ld in (0.3, 0.6, 0.9)]
+        first = stack_programs(progs)
+        calls = []
+        monkeypatch.setattr(sweepc, "programs_compatible",
+                            lambda a, b: calls.append(1) or True)
+        assert stack_programs(progs) is first
+        assert calls == []
