@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cores import effective_cores
 from ..errors import ConfigError, ParallelError, TransportError
 from . import faults
 
@@ -48,22 +49,6 @@ try:  # pragma: no cover - import succeeds on every supported platform
 except ImportError:  # pragma: no cover - e.g. stripped-down interpreters
     _shared_memory = None
     _SHM_AVAILABLE = False
-
-
-def effective_cores() -> int:
-    """CPU cores actually available to this process.
-
-    Under a CPU affinity mask (taskset, cgroup-limited CI runners) the
-    schedulable set is smaller than the machine's core count;
-    ``os.cpu_count()`` reports the machine and would overstate it — and
-    on runners where it degrades to 1 it *understates* a wider mask.
-    Benchmarks record this so committed numbers name the parallelism
-    that actually produced them.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity (macOS, Windows)
-        return os.cpu_count() or 1
 
 
 def resolve_jobs(n_jobs: Optional[int], n_items: Optional[int] = None) -> int:

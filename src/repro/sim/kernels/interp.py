@@ -28,6 +28,16 @@ stay cache-sized however large the batch or the scheme list is.  Every
 row's computation depends on its own row only, so blocking changes no
 float.  Blocks hold the runs of several sweep points at once.
 
+Blocks are also the unit of in-process parallelism: a call with at
+least :data:`THREAD_ROWS` kernel rows runs its dynamic-kernel blocks
+(fixed kernel: its path groups, whose shared dispatch spans their
+blocks) on one thread per core, each with its own block workspace and
+the caller's ``np.errstate``.  Every unit reads and writes only its own
+rows, so no float changes.  The tape and the path WCET arrays are built
+in the calling thread first, and the thread pool is joined before the
+call returns.  Inside a pool worker a call stays serial (see
+:func:`_n_threads`).
+
 **Entries-major layout.**  Every per-block buffer keeps the block's
 rows on its *last* axis, so each per-entry read or write is a
 contiguous row:
@@ -144,7 +154,8 @@ The ``int64`` switch counts land in a float destination exactly.  A
 ``None`` finish destination skips that store: only the online stream's
 FIFO ledger reads finishes.  Without ``out`` the kernels return fresh
 arrays.  No float changes either way; an error leaves the rows of
-earlier blocks written.  The dynamic kernel allocates its block
+earlier blocks written, and on the threaded path rows of later blocks
+too.  The dynamic kernel allocates its block
 buffers (``fin``, ``proc_free``, ``proc_idx``) once per call, sized to
 its largest block.
 
@@ -169,7 +180,9 @@ share a row and every run is dispatched.
 
 **Errors.**  Invalid batches raise the engine's error classes and
 messages, in *block* order (path groups in order, each group's blocks
-in run order) rather than run order; within a block, an error names
+in run order) rather than run order — on the threaded path too, where
+every unit runs and the first error in block order is raised once they
+all finished; within a block, an error names
 the first violating row in scheme-major order, and a dynamic-kernel
 error names that row's scheme.  The WCET guard runs once per block
 over every computation entry on the path: an actual time is valid in
@@ -191,10 +204,14 @@ defensive path never fires on sampler-produced batches.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+import multiprocessing
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...cores import effective_cores
 from ...errors import DeadlineMissError, SimulationError, invalid_actual
 from ...power.model import PowerModel
 from ...power.overhead import OverheadModel
@@ -205,6 +222,13 @@ _EPS = 1e-9
 #: most kernel rows one block of a path group holds (runs for the fixed
 #: kernel, schemes × runs for the dynamic one)
 BLOCK_ROWS = 16384
+
+#: fewest kernel rows (runs for the fixed kernel, schemes × runs for the
+#: dynamic one) a call needs before it runs its units on threads.  On a
+#: 2-core host, threading every call of ``figure5`` lost at 1k–3k runs
+#: (dynamic calls of 36k–108k rows), broke even around 5k and won from
+#: 10k runs on; Figure 5's largest call at the paper's 1000 runs has 36k
+THREAD_ROWS = 200_000
 
 
 class BatchResult:
@@ -272,14 +296,88 @@ def _scheme_rows(table: np.ndarray, stride: int, pt, nb: int) -> np.ndarray:
     return table.take((base[:, None] + pt).reshape(-1))
 
 
-def _blocks(tape, groups, size: int):
+def _blocks(tape, groups, size: int) -> list:
     """Every path group in consecutive blocks of at most ``size`` runs:
     ``(path, idx, wcet)`` per block, ``wcet`` being the path's cached
     :meth:`~repro.sim.kernels.tape.ProgramTape.path_wcet` arrays."""
+    out = []
     for path, idx in groups:
         wcet = tape.path_wcet(path)
-        for lo in range(0, idx.size, size):
-            yield path, idx[lo:lo + size], wcet
+        out.extend((path, idx[lo:lo + size], wcet)
+                   for lo in range(0, idx.size, size))
+    return out
+
+
+def _n_threads(rows: int, n_units: int) -> int:
+    """Threads a kernel call runs its ``n_units`` independent units on.
+
+    One below :data:`THREAD_ROWS` (smaller calls lose more to thread
+    hand-off than the second core wins), for a single unit, and inside
+    a pool worker, whose pool already occupies the cores; else one per
+    :func:`~repro.cores.effective_cores`, at most one per unit.
+    """
+    if (rows < THREAD_ROWS or n_units < 2
+            or multiprocessing.parent_process() is not None):
+        return 1
+    return min(effective_cores(), n_units)
+
+
+def _run_units(units: Sequence, run: Callable, n_threads: int,
+               workspace: Callable = lambda: None) -> None:
+    """``run(todo, ws)`` over every unit, serially or on ``n_threads``
+    threads: the calling thread and ``n_threads - 1`` helpers of a pool
+    that is joined before this returns.
+
+    ``run`` loops over the units ``todo`` yields.  Serially that is
+    every unit, in order, and the first error propagates.  Threaded,
+    each thread's ``todo`` yields the next unit not yet taken, ``run``
+    gets the thread's own ``workspace()``, and the helpers run under
+    the caller's :func:`numpy.errstate` (NumPy's error state is per
+    thread).  Units write disjoint rows, so the order they run in
+    changes no float; every unit runs, and the first error in unit
+    order is raised — the error the serial loop would have stopped at.
+    ``run`` loops rather than taking one unit per call because a unit's
+    arrays then live until the next unit's replace them; with one call
+    per block, ``figure5`` at 1000 runs made 4,200 minor page faults per
+    call instead of 1,750.
+    """
+    if n_threads == 1:
+        run(units, workspace())
+        return
+    err = np.geterr()
+    todo = iter(enumerate(units))
+    lock = threading.Lock()
+    errors = [None] * len(units)
+
+    def drain():
+        taken = None  # the unit this thread runs
+
+        def take():
+            nonlocal taken
+            while True:
+                with lock:
+                    taken, unit = next(todo, (None, None))
+                if taken is None:
+                    return
+                yield unit
+
+        ws = workspace()
+        with np.errstate(**err):
+            while True:
+                try:
+                    run(take(), ws)
+                    return
+                except Exception as exc:
+                    errors[taken] = exc
+
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(n_threads - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _first_min(pf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -582,57 +680,64 @@ def run_fixed_batch(prog, power: PowerModel,
     total_energy, finish_time = (np.empty(n), np.empty(n)) if out is None \
         else out
 
-    for path, idx in groups:
-        wcet = tape.path_wcet(path)
-        pt_all = point_of.take(idx) if point_of is not None else None
-        src_all = row_of.take(idx) if row_of is not None else idx
-        # a group within one block is dispatched whole: sharing there
-        # cannot save a block's dispatch, only shrink it, and on
-        # Figure 5's ~1.5k-run groups at 1000 runs its bookkeeping cost
-        # more than that saved
-        segments = (_shared_dispatch(pt_all, src_all, speed, wcet[4])
-                    if row_of is not None and idx.size > BLOCK_ROWS
-                    else None)
-        if segments is not None:
-            store = np.empty((3, sum(hi - lo for lo, hi, _at, own
-                                     in segments if own)))
-        for lo in range(0, idx.size, BLOCK_ROWS):
-            blk = slice(lo, lo + BLOCK_ROWS)
-            pt = pt_all[blk] if pt_all is not None else None
-            if segments is None:
-                t_end, busy_time, e_busy = dispatch(path, wcet, src_all[blk],
-                                                    pt)
-            else:
-                # the block's pieces of each segment; its own pieces are
-                # dispatched together, in run order (so the WCET check
-                # names the run an unshared block's check would), into
-                # one contiguous store range
-                hi = min(lo + BLOCK_ROWS, idx.size)
-                pieces = [(max(s_lo, lo), min(s_hi, hi), at - s_lo, is_own)
-                          for s_lo, s_hi, at, is_own in segments
-                          if s_lo < hi and s_hi > lo]
-                own = [(p0, p1, shift) for p0, p1, shift, is_own in pieces
-                       if is_own]
-                if own:
-                    sel = np.concatenate([np.arange(p0, p1)
-                                          for p0, p1, _shift in own])
-                    a = own[0][0] + own[0][2]
-                    z = a + sel.size
-                    store[0, a:z], store[1, a:z], store[2, a:z] = dispatch(
-                        path, wcet, src_all.take(sel), pt_all.take(sel))
-                got = np.empty((3, hi - lo))
-                for p0, p1, shift, _is_own in pieces:
-                    got[:, p0 - lo:p1 - lo] = store[:, p0 + shift:p1 + shift]
-                t_end, busy_time, e_busy = got
+    def run_groups(todo, _ws):
+        """The path groups ``todo`` yields, each block by block (its
+        shared dispatch store spans its blocks)."""
+        for path, idx, wcet in todo:
+            pt_all = point_of.take(idx) if point_of is not None else None
+            src_all = row_of.take(idx) if row_of is not None else idx
+            # a group within one block is dispatched whole: sharing there
+            # cannot save a block's dispatch, only shrink it, and on
+            # Figure 5's ~1.5k-run groups at 1000 runs its bookkeeping cost
+            # more than that saved
+            segments = (_shared_dispatch(pt_all, src_all, speed, wcet[4])
+                        if row_of is not None and idx.size > BLOCK_ROWS
+                        else None)
+            if segments is not None:
+                store = np.empty((3, sum(hi - lo for lo, hi, _at, own
+                                         in segments if own)))
+            for lo in range(0, idx.size, BLOCK_ROWS):
+                blk = slice(lo, lo + BLOCK_ROWS)
+                pt = pt_all[blk] if pt_all is not None else None
+                if segments is None:
+                    t_end, busy_time, e_busy = dispatch(
+                        path, wcet, src_all[blk], pt)
+                else:
+                    # the block's pieces of each segment; its own pieces are
+                    # dispatched together, in run order (so the WCET check
+                    # names the run an unshared block's check would), into
+                    # one contiguous store range
+                    hi = min(lo + BLOCK_ROWS, idx.size)
+                    pieces = [(max(s_lo, lo), min(s_hi, hi), at - s_lo, is_own)
+                              for s_lo, s_hi, at, is_own in segments
+                              if s_lo < hi and s_hi > lo]
+                    own = [(p0, p1, shift) for p0, p1, shift, is_own in pieces
+                           if is_own]
+                    if own:
+                        sel = np.concatenate([np.arange(p0, p1)
+                                              for p0, p1, _shift in own])
+                        a = own[0][0] + own[0][2]
+                        z = a + sel.size
+                        store[0, a:z], store[1, a:z], store[2, a:z] = dispatch(
+                            path, wcet, src_all.take(sel), pt_all.take(sel))
+                    got = np.empty((3, hi - lo))
+                    for p0, p1, shift, _is_own in pieces:
+                        got[:, p0 - lo:p1 - lo] = \
+                            store[:, p0 + shift:p1 + shift]
+                    t_end, busy_time, e_busy = got
 
-            energy = _block_energy(
-                m, idle_power, _gather(deadline, pt), t_end, busy_time,
-                _gather(overhead_time, pt), e_busy, _gather(e_over, pt),
-                check_deadline, (scheme,), t_end.size, False)
-            dst = idx[blk] if out_row is None else out_row.take(idx[blk])
-            total_energy[dst] = energy
-            if finish_time is not None:
-                finish_time[dst] = t_end
+                energy = _block_energy(
+                    m, idle_power, _gather(deadline, pt), t_end, busy_time,
+                    _gather(overhead_time, pt), e_busy, _gather(e_over, pt),
+                    check_deadline, (scheme,), t_end.size, False)
+                dst = idx[blk] if out_row is None else out_row.take(idx[blk])
+                total_energy[dst] = energy
+                if finish_time is not None:
+                    finish_time[dst] = t_end
+
+    # the path WCETs are looked up (and cached) before any thread starts
+    units = [(path, idx, tape.path_wcet(path)) for path, idx in groups]
+    _run_units(units, run_groups, _n_threads(n, len(units)))
 
     return BatchResult(scheme, total_energy, finish_time, n_changes)
 
@@ -720,181 +825,190 @@ def run_dynamic_batch(prog, power: PowerModel,
         out = [(np.empty(n), np.empty(n), np.empty(n, dtype=np.int64))
                for _ in range(n_s)]
 
-    # one workspace for every block: each block overwrites what it reads
-    # (proc_idx is refilled, proc_free reset lazily as below)
+    # one workspace for every block a thread runs: each block overwrites
+    # what it reads (proc_idx is refilled, proc_free reset lazily as
+    # below)
     size = max(1, BLOCK_ROWS // n_s)
     cap = n_s * max((min(idx.size, size) for _path, idx in groups),
                     default=0)
-    fin_ws = np.empty(tape.max_entries * cap)
-    pf_ws = np.empty(m * cap)
-    pi_ws = np.empty(m * cap, dtype=np.intp)
 
-    for path, idx, (cols, offs, guard, g_pt, _g_class) in _blocks(
-            tape, groups, size):
-        nb = idx.size
-        ng = n_s * nb
-        rows = np.arange(ng)
-        pt = point_of.take(idx) if point_of is not None else None
-        f_lo = _scheme_rows(*floors, pt, nb)
-        step_rows = [(slice(s * nb, (s + 1) * nb), _gather(lo, pt),
-                      _gather(hi, pt), _gather(theta, pt))
-                     for s, (lo, hi, theta) in steps]
-        dl_b = _gather(deadline, pt)
-        dl_g = (np.tile(dl_b, n_s) if isinstance(dl_b, np.ndarray)
-                else dl_b)
-        fin = fin_ws[:tape.max_entries * ng].reshape(tape.max_entries, ng)
-        # reset lazily at a section's fallback, as in run_fixed_batch
-        proc_free = pf_ws[:m * ng]
-        pf = proc_free.reshape(m, ng)
-        proc_idx = pi_ws[:m * ng]
-        proc_idx.fill(speeds_arr.size - 1)
-        # rebound, never written in place
-        t_section = last_dispatch = t_end = np.zeros(ng)
-        busy_time = np.zeros(ng)
-        overhead_time = np.zeros(ng)
-        e_busy = np.zeros(ng)
-        e_over = np.zeros(ng)
-        changes = np.zeros(ng, dtype=np.int64)
+    def workspace():
+        return (np.empty(tape.max_entries * cap), np.empty(m * cap),
+                np.empty(m * cap, dtype=np.intp))
 
-        if cols.size:
-            # one (n_comp, nb) block shared by every scheme: the wall
-            # time divides it by a (n_s, nb) view of the speeds
-            src = row_of.take(idx) if row_of is not None else idx
-            act_path = _path_block(flat, n_cols, cols, src)
-            _precheck(tape, path, guard, g_pt, act_path, matrix, src, pt)
+    def run_blocks(todo, ws):
+        fin_ws, pf_ws, pi_ws = ws
+        for path, idx, (cols, offs, guard, g_pt, _g_class) in todo:
+            nb = idx.size
+            ng = n_s * nb
+            rows = np.arange(ng)
+            pt = point_of.take(idx) if point_of is not None else None
+            f_lo = _scheme_rows(*floors, pt, nb)
+            step_rows = [(slice(s * nb, (s + 1) * nb), _gather(lo, pt),
+                          _gather(hi, pt), _gather(theta, pt))
+                         for s, (lo, hi, theta) in steps]
+            dl_b = _gather(deadline, pt)
+            dl_g = (np.tile(dl_b, n_s) if isinstance(dl_b, np.ndarray)
+                    else dl_b)
+            fin = fin_ws[:tape.max_entries * ng].reshape(tape.max_entries, ng)
+            # reset lazily at a section's fallback, as in run_fixed_batch
+            proc_free = pf_ws[:m * ng]
+            pf = proc_free.reshape(m, ng)
+            proc_idx = pi_ws[:m * ng]
+            proc_idx.fill(speeds_arr.size - 1)
+            # rebound, never written in place
+            t_section = last_dispatch = t_end = np.zeros(ng)
+            busy_time = np.zeros(ng)
+            overhead_time = np.zeros(ng)
+            e_busy = np.zeros(ng)
+            e_over = np.zeros(ng)
+            changes = np.zeros(ng, dtype=np.int64)
 
-        for pos, sid in enumerate(path):
-            st = tape.sections[sid]
-            # per-point constants are gathered per run, not per row,
-            # and broadcast over an (n_s, nb) view of the rows
-            stacked = st.fb_pt is not None and pt is not None
-            fb_all = st.fb_pt.take(pt, axis=1) if stacked else None
-            c_vary = stacked and st.c_vary
-            c_all = st.c_pt.take(pt, axis=1) if c_vary else None
-            off = offs[pos]
-            sec_max = None
-            n_forced = 0  # m once a tie turns the rule off
-            # an entry's slot is its position in the section
-            for is_and, e, col, pred, crel in st.steps:
-                if pred is None:
-                    ready = t_section
-                elif type(pred) is int:
-                    ready = np.maximum(t_section, fin[pred])
-                else:
-                    ready = np.maximum(t_section, fin[pred].max(axis=0))
-                if is_and:
-                    fin[e] = ready
+            if cols.size:
+                # one (n_comp, nb) block shared by every scheme: the wall
+                # time divides it by a (n_s, nb) view of the speeds
+                src = row_of.take(idx) if row_of is not None else idx
+                act_path = _path_block(flat, n_cols, cols, src)
+                _precheck(tape, path, guard, g_pt, act_path, matrix, src, pt)
+
+            for pos, sid in enumerate(path):
+                st = tape.sections[sid]
+                # per-point constants are gathered per run, not per row,
+                # and broadcast over an (n_s, nb) view of the rows
+                stacked = st.fb_pt is not None and pt is not None
+                fb_all = st.fb_pt.take(pt, axis=1) if stacked else None
+                c_vary = stacked and st.c_vary
+                c_all = st.c_pt.take(pt, axis=1) if c_vary else None
+                off = offs[pos]
+                sec_max = None
+                n_forced = 0  # m once a tie turns the rule off
+                # an entry's slot is its position in the section
+                for is_and, e, col, pred, crel in st.steps:
+                    if pred is None:
+                        ready = t_section
+                    elif type(pred) is int:
+                        ready = np.maximum(t_section, fin[pred])
+                    else:
+                        ready = np.maximum(t_section, fin[pred].max(axis=0))
+                    if is_and:
+                        fin[e] = ready
+                        if sec_max is None:
+                            sec_max = ready.copy()
+                        else:
+                            np.maximum(sec_max, ready, out=sec_max)
+                        continue
+
+                    if n_forced < m:
+                        # forced dispatch (see run_fixed_batch); si is a
+                        # view of proc_idx, read before the store below
+                        t = np.maximum(ready, last_dispatch)
+                        fj = slice(n_forced * ng, (n_forced + 1) * ng)
+                        si = proc_idx[fj]
+                    else:
+                        j, free = _first_min(pf)
+                        t = np.maximum(np.maximum(ready, last_dispatch), free)
+                        fj = np.multiply(j, ng, dtype=np.intp)
+                        fj += rows
+                        si = proc_idx.take(fj)
+                    last_dispatch = t
+                    actual = act_path[off + crel]
+                    # a constant that is the same at every point is a
+                    # scalar in c_list/fb_list (vectors force c_pt/fb_pt)
+                    c_g = c_all[e] if c_vary else st.c_list[e]
+                    fb_g = fb_all[e] if stacked else st.fb_list[e]
+
+                    t_comp = tc_arr.take(si)
+                    avail = np.subtract(fb_g, t.reshape(n_s, nb)).reshape(ng)
+                    avail -= t_comp
+                    denom = avail - adjust_time
+                    # c / denom where denom > 0, else +inf
+                    s_req = np.divide(c_g, denom.reshape(n_s, nb)).reshape(ng)
+                    ok = denom > 0
+                    if not ok.all():
+                        s_req[~ok] = math.inf
+                    for sl, lo, hi, theta in step_rows:
+                        f_lo[sl] = np.where(t[sl] < theta, lo, hi)
+                    target = np.maximum(s_req, f_lo)
+                    if target.max() > s_max_guard:
+                        k = int(np.argmax(target > s_max_guard))
+                        raise SimulationError(
+                            f"guarantee violated for {st.names[e]!r}: "
+                            f"required speed {target[k]:.6g} exceeds maximum "
+                            f"(t={t[k]:.6g}, bound={_at(fb_g, k % nb):.6g}) "
+                            f"under scheme {schemes[k // nb]!r}")
+                    # a target in (s_max, s_max_guard] snaps to the top
+                    # level, as the engine's min(target, s_max) does
+                    new_idx = snap_levels.searchsorted(target - 1e-12,
+                                                       side="left")
+                    speed = speeds_arr.take(new_idx)
+                    # index inequality is the engine's 1e-9 speed test (the
+                    # level table's adjacent speeds are > 1e-9 apart)
+                    changed = new_idx != si
+                    t_adj = changed * adjust_time
+                    start_exec = t + t_comp + t_adj
+                    overhead_time += t_comp
+                    e_over += e_tc_arr.take(si)
+                    overhead_time += t_adj
+                    e_over += changed * adj_energy
+                    changes += changed
+                    proc_idx[fj] = new_idx
+
+                    wall = np.divide(actual,
+                                     speed.reshape(n_s, nb)).reshape(ng)
+                    finish = np.add(start_exec, wall, out=fin[e])
+                    busy_time += wall
+                    e_busy += pow_arr.take(new_idx) * wall
+                    proc_free[fj] = finish
+                    if n_forced < m:
+                        # the guard matters here: processor identity carries
+                        # its level, so a tie must go to the lowest id
+                        if (finish > t_section).all():
+                            n_forced += 1
+                        else:
+                            pf[n_forced + 1:] = t_section
+                            n_forced = m
                     if sec_max is None:
-                        sec_max = ready.copy()
+                        sec_max = finish.copy()
                     else:
-                        np.maximum(sec_max, ready, out=sec_max)
-                    continue
+                        np.maximum(sec_max, finish, out=sec_max)
 
-                if n_forced < m:
-                    # forced dispatch (see run_fixed_batch); si is a
-                    # view of proc_idx, read before the store below
-                    t = np.maximum(ready, last_dispatch)
-                    fj = slice(n_forced * ng, (n_forced + 1) * ng)
-                    si = proc_idx[fj]
-                else:
-                    j, free = _first_min(pf)
-                    t = np.maximum(np.maximum(ready, last_dispatch), free)
-                    fj = np.multiply(j, ng, dtype=np.intp)
-                    fj += rows
-                    si = proc_idx.take(fj)
-                last_dispatch = t
-                actual = act_path[off + crel]
-                # a constant that is the same at every point is a
-                # scalar in c_list/fb_list (vectors force c_pt/fb_pt)
-                c_g = c_all[e] if c_vary else st.c_list[e]
-                fb_g = fb_all[e] if stacked else st.fb_list[e]
-
-                t_comp = tc_arr.take(si)
-                avail = np.subtract(fb_g, t.reshape(n_s, nb)).reshape(ng)
-                avail -= t_comp
-                denom = avail - adjust_time
-                # c / denom where denom > 0, else +inf
-                s_req = np.divide(c_g, denom.reshape(n_s, nb)).reshape(ng)
-                ok = denom > 0
-                if not ok.all():
-                    s_req[~ok] = math.inf
-                for sl, lo, hi, theta in step_rows:
-                    f_lo[sl] = np.where(t[sl] < theta, lo, hi)
-                target = np.maximum(s_req, f_lo)
-                if target.max() > s_max_guard:
-                    k = int(np.argmax(target > s_max_guard))
-                    raise SimulationError(
-                        f"guarantee violated for {st.names[e]!r}: required "
-                        f"speed {target[k]:.6g} exceeds maximum "
-                        f"(t={t[k]:.6g}, bound={_at(fb_g, k % nb):.6g}) "
-                        f"under scheme {schemes[k // nb]!r}")
-                # a target in (s_max, s_max_guard] snaps to the top
-                # level, as the engine's min(target, s_max) does
-                new_idx = snap_levels.searchsorted(target - 1e-12,
-                                                   side="left")
-                speed = speeds_arr.take(new_idx)
-                # index inequality is the engine's 1e-9 speed test (the
-                # level table's adjacent speeds are > 1e-9 apart)
-                changed = new_idx != si
-                t_adj = changed * adjust_time
-                start_exec = t + t_comp + t_adj
-                overhead_time += t_comp
-                e_over += e_tc_arr.take(si)
-                overhead_time += t_adj
-                e_over += changed * adj_energy
-                changes += changed
-                proc_idx[fj] = new_idx
-
-                wall = np.divide(actual, speed.reshape(n_s, nb)).reshape(ng)
-                finish = np.add(start_exec, wall, out=fin[e])
-                busy_time += wall
-                e_busy += pow_arr.take(new_idx) * wall
-                proc_free[fj] = finish
-                if n_forced < m:
-                    # the guard matters here: processor identity carries
-                    # its level, so a tie must go to the lowest id
-                    if (finish > t_section).all():
-                        n_forced += 1
-                    else:
-                        pf[n_forced + 1:] = t_section
-                        n_forced = m
                 if sec_max is None:
-                    sec_max = finish.copy()
+                    t_end = t_section
                 else:
-                    np.maximum(sec_max, finish, out=sec_max)
+                    t_end = np.maximum(sec_max, t_section)
+                t_section = t_end
+                last_dispatch = t_end
+                if respec and pos + 1 < len(path):
+                    # branch stats stay on the program (not the tape): the
+                    # respec floor is per OR firing, outside the entry loop
+                    worst, average = prog.sections[sid].branch_stats[
+                        path[pos + 1]]
+                    for s, mode in respec:
+                        sl = slice(s * nb, (s + 1) * nb)
+                        work = _gather(average if mode == "average" else worst,
+                                       pt)
+                        horizon = dl_b - t_end[sl]
+                        raw = work / horizon
+                        want = np.minimum(raw, s_max)
+                        snap_idx = snap_levels.searchsorted(want - 1e-12,
+                                                            side="left")
+                        f_lo[sl] = np.where(horizon > 0, speeds_arr[snap_idx],
+                                            s_max)
 
-            if sec_max is None:
-                t_end = t_section
-            else:
-                t_end = np.maximum(sec_max, t_section)
-            t_section = t_end
-            last_dispatch = t_end
-            if respec and pos + 1 < len(path):
-                # branch stats stay on the program (not the tape): the
-                # respec floor is per OR firing, outside the entry loop
-                worst, average = prog.sections[sid].branch_stats[
-                    path[pos + 1]]
-                for s, mode in respec:
-                    sl = slice(s * nb, (s + 1) * nb)
-                    work = _gather(average if mode == "average" else worst,
-                                   pt)
-                    horizon = dl_b - t_end[sl]
-                    raw = work / horizon
-                    want = np.minimum(raw, s_max)
-                    snap_idx = snap_levels.searchsorted(want - 1e-12,
-                                                        side="left")
-                    f_lo[sl] = np.where(horizon > 0, speeds_arr[snap_idx],
-                                        s_max)
+            energy = _block_energy(m, idle_power, dl_g, t_end, busy_time,
+                                   overhead_time, e_busy, e_over,
+                                   check_deadline, schemes, nb, True)
+            dst = idx if out_row is None else out_row.take(idx)
+            for s, (e_out, f_out, c_out) in enumerate(out):
+                sl = slice(s * nb, (s + 1) * nb)
+                e_out[dst] = energy[sl]
+                if f_out is not None:
+                    f_out[dst] = t_end[sl]
+                c_out[dst] = changes[sl]
 
-        energy = _block_energy(m, idle_power, dl_g, t_end, busy_time,
-                               overhead_time, e_busy, e_over, check_deadline,
-                               schemes, nb, True)
-        dst = idx if out_row is None else out_row.take(idx)
-        for s, (e_out, f_out, c_out) in enumerate(out):
-            sl = slice(s * nb, (s + 1) * nb)
-            e_out[dst] = energy[sl]
-            if f_out is not None:
-                f_out[dst] = t_end[sl]
-            c_out[dst] = changes[sl]
+    # the path WCETs are looked up (and cached) before any thread starts
+    blocks = _blocks(tape, groups, size)
+    _run_units(blocks, run_blocks, _n_threads(n_s * n, len(blocks)),
+               workspace)
 
     return [BatchResult(name, *o) for name, o in zip(schemes, out)]

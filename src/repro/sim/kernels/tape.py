@@ -16,7 +16,9 @@ program once into a **tape** per section —
   section's computation entries.  Predecessors never leave their
   section, so a kernel's finishes buffer needs only
   :attr:`ProgramTape.max_entries` rows — the longest section — instead of
-  one per program slot;
+  one per program slot.  AND entries that cannot change an output — a
+  fork at the section root, a join at its sink — get no step, and
+  their readers no predecessor row for them (see :func:`_noop_ands`);
 * ``c`` — the WCET lane, plus the computation-entry selectors
   ``comp_sel``/``comp_cols`` and guard row ``c_guard`` for the
   hoisted WCET check;
@@ -65,6 +67,36 @@ def clear_tape_cache() -> None:
     _tape_misses = 0
 
 
+def _noop_ands(entries, pos_of) -> frozenset:
+    """Positions of the section's AND entries whose step cannot change
+    an output, so the tape leaves them out.
+
+    An AND whose predecessors are all such ANDs (a fork at the section
+    root) is ready at ``t_section``, which every reader's readiness
+    ``max(t_section, ...)`` already includes.  An AND that no kept step
+    reads (a join at the section sink) feeds only the section end
+    ``max(sec_max, t_section)``, which every predecessor's finish
+    already enters.  ``max`` is exact, so no float changes.
+    """
+    preds = [[pos_of[p] for p in entry[6]] for entry in entries]
+    dropped = set()
+    for e, entry in enumerate(entries):
+        if entry[0] and all(p in dropped for p in preds[e]):
+            dropped.add(e)
+    readers = [0] * len(entries)
+    for e in range(len(entries)):
+        if e not in dropped:
+            for p in preds[e]:
+                readers[p] += 1
+    # backwards, so an AND read only by a dropped sink AND goes too
+    for e in range(len(entries) - 1, -1, -1):
+        if entries[e][0] and e not in dropped and not readers[e]:
+            dropped.add(e)
+            for p in preds[e]:
+                readers[p] -= 1
+    return frozenset(dropped)
+
+
 class SectionTape:
     """One section of a program, lowered to flat arrays."""
 
@@ -87,9 +119,10 @@ class SectionTape:
         c_vary = False
         n_comp = 0
         pos_of = {entry[1]: e for e, entry in enumerate(entries)}
+        dropped = _noop_ands(entries, pos_of)
         for e, (is_and, _g, cl, c, fb, name, preds) in enumerate(entries):
             names.append(name)
-            rows = [pos_of[p] for p in preds]
+            rows = [pos_of[p] for p in preds if pos_of[p] not in dropped]
             if not rows:
                 pred = None
             elif len(rows) == 1:
@@ -105,7 +138,8 @@ class SectionTape:
                 n_comp += 1
                 comp_sel.append(e)
                 comp_cols.append(cl)
-            steps.append((bool(is_and), e, int(cl), pred, crel))
+            if e not in dropped:
+                steps.append((bool(is_and), e, int(cl), pred, crel))
             c_cols.append(c)
             fb_cols.append(fb)
             c_vec = isinstance(c, np.ndarray)

@@ -19,7 +19,9 @@ from repro.offline import build_plan
 from repro.sim import kernels
 from repro.sim.compiled import compile_plan
 from repro.sim.kernels.interp import _first_min
-from repro.workloads import application_with_load, atr_graph, figure3_graph
+from repro.experiments.figures import ATR_ALPHA
+from repro.workloads import (AtrConfig, application_with_load, atr_graph,
+                             figure3_graph)
 from tests.conftest import build_nested_or_graph
 
 
@@ -36,23 +38,51 @@ class TestTapeLowering:
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 1
 
+    #: (graph, m, the AND entries its tape leaves out): a root fork is
+    #: ready at t_section and a sink join feeds only the section end
+    DROPPED = (
+        (build_nested_or_graph, 2, set()),
+        # A1 is read by E and D and stays; each loop-skip section is a
+        # lone root AND
+        (figure3_graph, 2, {"A2", "LF#skip1", "LF#skip2", "LF#skip3"}),
+        # Figure 5's graph: sections 2-7 lose their fork and their join
+        (lambda: atr_graph(AtrConfig(
+            alpha=ATR_ALPHA, max_rois=6,
+            roi_probs=(0.05, 0.15, 0.20, 0.20, 0.15, 0.15, 0.10))), 6,
+         {f"k{k}_{end}" for k in range(1, 7) for end in ("fork", "join")}),
+    )
+
     def test_section_tapes_are_structurally_sound(self):
-        app = application_with_load(build_nested_or_graph(), 0.6, 2)
-        prog = compile_plan(build_plan(app, 2))
+        for graph_fn, m, dropped_names in self.DROPPED:
+            self._check_tape(graph_fn, m, dropped_names)
+
+    @staticmethod
+    def _check_tape(graph_fn, m, dropped_names):
+        app = application_with_load(graph_fn(), 0.6, m)
+        prog = compile_plan(build_plan(app, m))
         tape = kernels.build_tape(prog)
+        seen_dropped = set()
         for sid, sec in prog.sections.items():
             st = tape.sections[sid]
-            assert len(st.steps) == st.n_entries == len(sec.entries)
+            assert st.n_entries == len(sec.entries)
             comp = [k for k, entry in enumerate(sec.entries)
                     if not entry[0]]
             assert list(st.comp_sel) == comp
             assert list(st.comp_cols) == [sec.entries[k][2] for k in comp]
-            # each step reproduces its entry's column and predecessor
-            # list exactly, its slots renumbered to the entries'
-            # positions in the section
+            dropped = {k for k, entry in enumerate(sec.entries)
+                       if entry[5] in dropped_names}
+            seen_dropped |= {sec.entries[k][5] for k in dropped}
+            assert all(sec.entries[k][0] for k in dropped)
+            # each kept step reproduces its entry's column and
+            # predecessor list exactly, its slots renumbered to the
+            # entries' positions in the section and the dropped ANDs
+            # left out
+            kept = [k for k in range(len(sec.entries)) if k not in dropped]
+            assert len(st.steps) == len(kept)
             pos_of = {entry[1]: k for k, entry in enumerate(sec.entries)}
-            for k, entry in enumerate(sec.entries):
-                is_and, slot, col, pred, crel = st.steps[k]
+            for step, k in zip(st.steps, kept):
+                entry = sec.entries[k]
+                is_and, slot, col, pred, crel = step
                 assert (is_and, slot, col) == (entry[0], k, entry[2])
                 if pred is None:
                     row = []
@@ -60,8 +90,10 @@ class TestTapeLowering:
                     row = [pred]
                 else:
                     row = list(pred)
-                assert row == [pos_of[p] for p in entry[6]]
+                assert row == [pos_of[p] for p in entry[6]
+                               if pos_of[p] not in dropped]
                 assert crel == (-1 if is_and else comp.index(k))
+        assert seen_dropped == dropped_names
 
 
 @st.composite
