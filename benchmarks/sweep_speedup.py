@@ -1,4 +1,4 @@
-"""Sweep-scale execution-engine benchmark: fused, cache, pool, shards.
+"""Sweep-scale execution-engine benchmark: fused, cache, point pool.
 
 Times the same Figure-5-shaped load sweep (widened ATR graph, six
 processors) and emits ``BENCH_sweep.json``:
@@ -19,17 +19,6 @@ fanned out one point per worker on a warmed ``ExecutionContext(n_jobs=2)``.
 ``pool_speedup`` is serial/pooled; the two passes are asserted
 bit-identical and the pooled one to create exactly one pool.
 
-A third **fused_shard** section times the sharded fused path at a
-larger run count (``--shard-runs``): the same sweep executed
-monolithically in one process versus split into ``--shards``
-seed-aligned run-range shards (0 = auto: one per schedulable core)
-on a warmed worker pool.
-``shard_speedup`` is monolithic/sharded; both passes are asserted
-bit-identical and the record carries the resolved shard count,
-transport and the high-water RSS of the parent and its pool workers.
-On a single-core host auto-sharding correctly resolves to one shard
-(the monolithic pass), so the ratio sits at ~1.0 by construction.
-
 The cache pass is asserted bit-identical to the fused pass point by
 point before any timing is reported — a speedup that changes results
 is a bug, not a feature — and the fused pass is asserted to create
@@ -37,8 +26,7 @@ is a bug, not a feature — and the fused pass is asserted to create
 
 ``--budget-seconds`` (> 0) fails the invocation if the *fused* or the
 *pooled* sweep exceeds the budget.  ``--min-cache-speedup`` (> 0) gates
-``cache_speedup`` (fused over cache).  ``--min-shard-speedup`` (> 0)
-gates ``shard_speedup`` with the usual 5% timing-noise tolerance.
+``cache_speedup`` (fused over cache).
 
 Run from the repo root::
 
@@ -56,7 +44,6 @@ from _common import (
     FIG5_ATR,
     assert_series_equal,
     effective_cores,
-    peak_rss_mb,
     write_record,
 )
 from repro.experiments import (EvaluationCache, ExecutionContext, RunConfig,
@@ -90,18 +77,6 @@ def main(argv=None) -> int:
                     dest="pool_runs",
                     help="Monte-Carlo runs per point for the "
                          "point_pool section")
-    ap.add_argument("--shards", type=int, default=0,
-                    help="shard count for the fused_shard section "
-                         "(0 = auto: one per schedulable core)")
-    ap.add_argument("--shard-runs", type=int, default=360,
-                    dest="shard_runs",
-                    help="Monte-Carlo runs per point for the "
-                         "fused_shard section (larger than --runs so "
-                         "the fan-out has work to amortize against)")
-    ap.add_argument("--min-shard-speedup", type=float, default=0.0,
-                    dest="min_shard_speedup",
-                    help="required monolithic-vs-sharded speedup "
-                         "(0 = no gate; 5%% timing-noise tolerance)")
     args = ap.parse_args(argv)
     if args.points < 1 or args.pool_points < 1:
         ap.error("--points and --pool-points must be >= 1")
@@ -160,36 +135,6 @@ def main(argv=None) -> int:
           f"runs) {t_serial:8.3f} s")
     print(f"  pool   (2 workers, one point each){t_pool:9.3f} s")
 
-    # -- fused_shard: the sharded fused path at a larger run count ----------
-    cfg_shard_scale = cfg.with_(n_runs=args.shard_runs)
-    rss_before_shards = peak_rss_mb()
-    with ExecutionContext(n_jobs=1) as ctx:
-        t0 = time.perf_counter()
-        series_mono = sweep_load(graph, cfg_shard_scale, loads, context=ctx)
-        t_mono = time.perf_counter() - t0
-    rss_mono = peak_rss_mb()
-    print(f"  mono  ({args.shard_runs} runs, 1 proc) {t_mono:8.3f} s")
-
-    shard_request = args.shards if args.shards > 0 else effective_cores()
-    pool_jobs = max(1, min(shard_request, args.shard_runs))
-    cfg_sharded = cfg_shard_scale.with_(shards=args.shards or 0)
-    with ExecutionContext(n_jobs=pool_jobs) as ctx:
-        if pool_jobs > 1:  # spin the workers up outside the timing
-            ctx.map(_warm_task, [(i,) for i in range(pool_jobs)])
-        t0 = time.perf_counter()
-        series_shard = sweep_load(graph, cfg_sharded, loads, context=ctx)
-        t_shard = time.perf_counter() - t0
-    rss_shard = peak_rss_mb()
-    shard_meta = series_shard.meta.get("fused", {})
-    shards_ran = shard_meta.get("shards", 1)
-    shard_transport = shard_meta.get("transport", "inline")
-    print(f"  shard ({shards_ran} shards, {shard_transport})"
-          f"{t_shard:11.3f} s  "
-          f"(rss self {rss_shard['self']:.0f} MiB, "
-          f"workers {rss_shard['children']:.0f} MiB)")
-    assert_series_equal(series_mono, series_shard, "sharded vs mono")
-    shard_speedup = t_mono / t_shard if t_shard > 0 else float("inf")
-
     assert_series_equal(series_fused, series_hit, "cache vs fused")
 
     cache_speedup = t_fused / t_hit if t_hit > 0 else float("inf")
@@ -211,22 +156,10 @@ def main(argv=None) -> int:
         "serial_seconds": round(t_serial, 4),
         "pool_seconds": round(t_pool, 4),
         "pool_speedup": round(pool_speedup, 3),
-        "shard_runs": args.shard_runs,
-        "shards_requested": args.shards,
-        "shards_ran": shards_ran,
-        "shard_transport": shard_transport,
-        "mono_seconds": round(t_mono, 4),
-        "shard_seconds": round(t_shard, 4),
-        "shard_speedup": round(shard_speedup, 3),
-        "peak_rss_mb": {"baseline": rss_before_shards,
-                        "monolithic": rss_mono,
-                        "sharded": rss_shard},
     }
     write_record(record, args.out)
     print(f"  pool speedup  {pool_speedup:8.2f} x  (vs serial, "
           f"non-fusable sweep)")
-    print(f"  shard speedup {shard_speedup:8.2f} x  "
-          f"({shards_ran} shards vs mono at {args.shard_runs} runs)")
     print(f"  cache speedup {cache_speedup:8.2f} x  (vs fused)  "
           f"-> {args.out}")
 
@@ -241,14 +174,6 @@ def main(argv=None) -> int:
     if args.min_cache_speedup > 0 and cache_speedup < args.min_cache_speedup:
         print(f"FAIL: cache speedup {cache_speedup:.2f}x below required "
               f"{args.min_cache_speedup:.2f}x", file=sys.stderr)
-        return 1
-    # 5% tolerance: on a single-core host auto-sharding resolves to one
-    # shard and the honest ratio is two timings of identical work
-    if args.min_shard_speedup > 0 and \
-            shard_speedup < args.min_shard_speedup * 0.95:
-        print(f"FAIL: shard speedup {shard_speedup:.2f}x below required "
-              f"{args.min_shard_speedup:.2f}x (with 5% tolerance)",
-              file=sys.stderr)
         return 1
     return 0
 

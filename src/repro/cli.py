@@ -4,7 +4,7 @@ Usage::
 
     python -m repro tables
     python -m repro fig4 [--runs 1000] [--jobs 4] [--csv out.csv]
-    python -m repro fig5 --jobs 2 --shards 2
+    python -m repro fig5 --runs 50000
     python -m repro fig6 ...
     python -m repro fig_online --runs 500 --arrival bursty
     python -m repro run --app atr --load 0.5 --model xscale --procs 2
@@ -16,9 +16,11 @@ Figures print the same series the paper plots (normalized energy per
 scheme) as aligned tables plus the mean speed-change counts.  Each
 figure and ``suite`` command opens one worker pool of ``--jobs``
 processes and shares it across all its sweeps.  Load and α sweeps
-(fig4/5/6) always fuse into one array program and use the pool only
-for ``--shards``; sweeps that cannot fuse fan their points out over
-it.  ``report`` takes no ``--jobs``: its figures all fuse.
+(fig4/5/6) always fuse into one array program that runs in the
+command's own process (its batch kernels thread a large call over the
+cores); sweeps that cannot fuse (``--engine dict``, fig_online's rate
+points) fan their points out over the pool.  ``report`` takes no
+``--jobs``: its figures all fuse.
 """
 
 from __future__ import annotations
@@ -79,22 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="per-job relative-deadline load "
                                  "D = T_worst/load (default: 0.7)")
         fp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for shards and for "
-                             "sweep points that cannot fuse "
-                             "(0 = all cores)")
+                        help="worker processes for sweep points that "
+                             "cannot fuse (0 = all cores)")
         fp.add_argument("--seed", type=int, default=2002)
         fp.add_argument("--engine", choices=("compiled", "dict"),
                         default="compiled",
                         help="simulation kernel (results are "
                              "bit-identical; 'dict' is the reference "
                              "engine, ~4x slower)")
-        if fig != "fig_online":  # streams never fuse, so never shard
-            fp.add_argument("--shards", type=int, default=None,
-                            help="split the fused sweep's runs axis into "
-                                 "this many seed-aligned shards executed "
-                                 "on local pool workers "
-                                 "(0 = one per core; default: unsharded; "
-                                 "results are bit-identical)")
         fp.add_argument("--cache-stats", action="store_true",
                         dest="cache_stats",
                         help="print the kernel-side cache counters "
@@ -107,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--max-retries", type=int, default=2,
                         dest="max_retries",
                         help="pool rebuilds after a worker dies before "
-                             "the remaining points/shards degrade to "
-                             "serial execution")
+                             "the remaining points degrade to serial "
+                             "execution")
         fp.add_argument("--no-degrade", action="store_true",
                         dest="no_degrade",
                         help="fail with an error once the rebuild budget "
@@ -298,7 +292,7 @@ def _print_kernel_stats(context=None) -> None:
     The parent-process counters come first; when the context still has
     a live worker pool, each worker's program/tape/stacked counters are
     collected (one probe per process) and printed as an aggregated
-    ``workers`` line — sharded fused sweeps compile in the workers, so
+    ``workers`` line — pooled sweep points compile in the workers, so
     parent-only counters would read as all-miss.
     """
     from .sim.kernels import kernel_meta
@@ -388,8 +382,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     fig_kwargs["rates"] = tuple(args.rates)
                 if args.load is not None:
                     fig_kwargs["load"] = args.load
-            else:
-                fig_kwargs["shards"] = args.shards
             if args.profile:
                 series = _run_profiled(fig_fn, **fig_kwargs)
             else:

@@ -98,7 +98,7 @@ class ParallelError(ReproError):
     """A worker process failed during a parallel fan-out.
 
     Wraps the original exception together with the failing work item's
-    context (the sweep point or shard arguments), so a crash inside
+    context (the sweep point's label), so a crash inside
     a process pool is attributable without digging through subprocess
     tracebacks.  The original exception is chained as ``__cause__``.
     """
@@ -109,17 +109,6 @@ class ParallelError(ReproError):
             f"parallel worker failed for {label}: "
             f"{type(cause).__name__}: {cause}"
         )
-
-
-class TransportError(ReproError):
-    """A shard result could not be read over the shared-memory transport.
-
-    Raised in the parent when attaching a shard's result segment fails
-    (segment gone, ``/dev/shm`` trouble, or an injected ``shm-attach``
-    fault).  The parent treats it as a *transport* problem, not a data
-    problem: that one shard is recomputed inline while the rest of the
-    sweep keeps its workers' results.
-    """
 
 
 class FaultInjected(ReproError):

@@ -5,26 +5,21 @@ shared costs to once per sweep:
 
 * :class:`ExecutionContext` — a **persistent, reusable process pool**
   created lazily once per sweep/figure/suite and shared by the
-  point-level fan-out (:mod:`repro.experiments.parallel`) and the
-  sharded fused path (:mod:`repro.experiments.fused`).  Workers are
+  point-level fan-out of :mod:`repro.experiments.parallel` (sweeps
+  that cannot fuse, online rate points, suite cells).  Workers are
   long-lived, so their per-process caches (the offline round-1 plan
   cache, the compiled section-program cache keyed by plan
   fingerprint) persist across sweep points: each program compiles
   once per worker, not once per point.  :meth:`ExecutionContext.map`
   rebuilds the pool after a dead worker and degrades to serial
   execution in the parent past the :class:`RetryPolicy` budget.
-* **Shard result transport** — a pool worker publishes a large shard
-  result matrix in a :mod:`multiprocessing.shared_memory` segment and
-  ships only a small descriptor (:class:`ShardBlock`); small
-  matrices, or hosts without shared memory, fall back to the result
-  pickle — values are identical either way.
 * An optional **content-addressed evaluation cache**
   (:mod:`repro.experiments.evalcache`) attached to the context, so
   ``repro fig`` / ``repro suite`` regeneration is incremental.
 
 Everything here preserves the engine's core contract: results are
-**bit-identical** to sequential execution for every pool size and
-transport (workers only execute prebuilt, seed-aligned work).
+**bit-identical** to sequential execution for every pool size
+(workers only execute prebuilt, seed-aligned work).
 """
 
 from __future__ import annotations
@@ -33,22 +28,12 @@ import os
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..cores import effective_cores
-from ..errors import ConfigError, ParallelError, TransportError
+from ..errors import ConfigError, ParallelError
 from . import faults
-
-try:  # pragma: no cover - import succeeds on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-    _SHM_AVAILABLE = True
-except ImportError:  # pragma: no cover - e.g. stripped-down interpreters
-    _shared_memory = None
-    _SHM_AVAILABLE = False
 
 
 def resolve_jobs(n_jobs: Optional[int], n_items: Optional[int] = None) -> int:
@@ -98,156 +83,7 @@ class RetryPolicy:
 
 #: counters the resilient executor maintains per context — these are
 #: what sweeps surface as ``series.meta["resilience"]``
-RESILIENCE_COUNTERS = ("rebuilds", "degradations", "shm_fallbacks")
-
-
-# ---------------------------------------------------------------------------
-# shard result transport (worker-published segments)
-# ---------------------------------------------------------------------------
-
-@contextmanager
-def _untracked():
-    """Keep shared-memory segments out of the resource tracker (pre-3.13).
-
-    Pre-3.13 every ``SharedMemory`` create *and* attach registers the
-    segment with the calling process's resource tracker, and every
-    ``unlink`` unregisters it there (bpo-39959) — even when a different
-    process (and so possibly a different tracker) owns the segment.
-    Inside this block shared-memory registrations and unregistrations
-    are dropped, the pre-3.13 equivalent of ``track=False``; the
-    caller's own create/close/unlink calls then own the lifetime.
-    """
-    from multiprocessing import resource_tracker
-    original = resource_tracker.register, resource_tracker.unregister
-
-    def _skipping_shm(call):
-        def wrapper(rname, rtype):
-            if rtype != "shared_memory":  # pragma: no cover
-                call(rname, rtype)
-        return wrapper
-
-    resource_tracker.register = _skipping_shm(original[0])
-    resource_tracker.unregister = _skipping_shm(original[1])
-    try:
-        yield
-    finally:
-        resource_tracker.register, resource_tracker.unregister = original
-
-
-def _open_segment(name: str):
-    """Attach an existing segment without registering ownership."""
-    try:  # Python >= 3.13: opt out of resource tracking directly
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        # the attaching parent takes over a segment its worker created
-        # untracked: an attach-side registration here would leave the
-        # tracker reporting a segment that take() already unlinked
-        with _untracked():
-            return _shared_memory.SharedMemory(name=name)
-
-
-#: shard result matrices at least this large travel back from local
-#: pool workers through a shared-memory segment instead of the result
-#: pickle; below it the pickling cost is already negligible.  Module
-#: attribute so tests can force either transport.
-SHARD_SHM_MIN_BYTES = 1 << 20
-
-
-class ShardBlock:
-    """Picklable descriptor of one shard's packed result matrix.
-
-    The *worker* creates the segment and ships ``(name, shape, dtype,
-    key)`` — ``key`` is the shard's first run, the identity of the
-    ``shm-attach`` fault site; the parent attaches exactly once, copies
-    the matrix out, and closes **and unlinks** the segment
-    (:meth:`take`).  A block whose ``map`` call fails fast is never
-    taken and leaks its segment, since no resource tracker owns it.
-    """
-
-    __slots__ = ("name", "shape", "dtype", "key")
-
-    def __init__(self, name: str, shape: Tuple[int, int], dtype: str,
-                 key: object = None):
-        self.name = name
-        self.shape = shape
-        self.dtype = dtype
-        self.key = key
-
-    def take(self) -> np.ndarray:
-        """Copy the matrix out and release the segment (parent, once).
-
-        The segment is unlinked without touching the resource tracker:
-        the publishing worker never left a registration behind, so an
-        unregister here would only make this process's tracker raise
-        ``KeyError`` on a name it never held.  Attach problems — and
-        the ``shm-attach`` fault site — surface as
-        :class:`~repro.errors.TransportError` after the segment is
-        released; the caller recomputes that shard inline rather than
-        failing the sweep.
-        """
-        if not _SHM_AVAILABLE:  # pragma: no cover - publisher had shm
-            raise TransportError(
-                f"no shared memory to attach shard block {self.name!r}")
-        try:
-            seg = _open_segment(self.name)
-        except (OSError, ValueError) as exc:
-            raise TransportError(
-                f"could not attach shard result block {self.name!r}: "
-                f"{exc!r}") from exc
-        try:
-            if faults.fire("shm-attach", key=self.key) == "raise":
-                raise TransportError(
-                    f"injected shm attach failure for shard result "
-                    f"block {self.name!r}")
-            view = np.ndarray(self.shape, dtype=np.dtype(self.dtype),
-                              buffer=seg.buf)
-            return np.array(view, copy=True)
-        finally:
-            try:
-                seg.close()
-                with _untracked():
-                    seg.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-
-
-def _create_segment(size: int):
-    """Create a fresh segment without registering ownership here.
-
-    The attaching *parent* unlinks shard-block segments, so the
-    creating worker must not leave a tracker registration behind: a
-    worker's own tracker would report the segment as leaked at exit
-    and try to unlink it a second time."""
-    try:
-        return _shared_memory.SharedMemory(create=True, size=size,
-                                           track=False)
-    except TypeError:  # pre-3.13: no per-instance opt-out
-        with _untracked():
-            return _shared_memory.SharedMemory(create=True, size=size)
-
-
-def publish_shard_block(matrix: np.ndarray,
-                        key: object = None) -> Optional[ShardBlock]:
-    """Publish a packed shard result in shared memory, or ``None``.
-
-    ``key`` rides along as the block's :attr:`ShardBlock.key`.
-
-    ``None`` means "ship the matrix pickled instead": the platform has
-    no shared memory, the matrix is empty, or segment creation failed
-    (e.g. ``/dev/shm`` exhausted).  Values are identical either way.
-    """
-    if not _SHM_AVAILABLE or matrix.nbytes == 0:
-        return None
-    m = np.ascontiguousarray(matrix)
-    try:
-        seg = _create_segment(m.nbytes)
-    except OSError:  # pragma: no cover - depends on host state
-        return None
-    view = np.ndarray(m.shape, dtype=m.dtype, buffer=seg.buf)
-    view[:] = m
-    block = ShardBlock(seg.name, m.shape, m.dtype.str, key)
-    seg.close()  # drop this mapping; the segment lives until take()
-    return block
+RESILIENCE_COUNTERS = ("rebuilds", "degradations")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +155,8 @@ class ExecutionContext:
         after.
     policy:
         Default :class:`RetryPolicy` for :meth:`map` calls that do not
-        pass their own (pooled sweeps and shards pass the policy of
-        their :class:`~repro.experiments.runner.RunConfig`).
+        pass their own (pooled sweeps pass the policy of their
+        :class:`~repro.experiments.runner.RunConfig`).
     fault_plan:
         Optional :class:`~repro.experiments.faults.FaultPlan` for chaos
         testing: shipped to every pool worker through the pool
@@ -354,10 +190,8 @@ class ExecutionContext:
         if fault_plan is not None:
             # parent-side sites only: the parent must never crash
             # itself while recovering (workers get the full plan);
-            # online-admit runs in the driver, shm-attach where the
-            # parent takes shard result blocks
-            faults.install(fault_plan.only("cache-read", "online-admit",
-                                           "shm-attach"))
+            # online-admit runs in the driver
+            faults.install(fault_plan.only("cache-read", "online-admit"))
 
     # -- lifecycle ----------------------------------------------------------
     def __enter__(self) -> "ExecutionContext":

@@ -3,8 +3,8 @@
 A sweep point is fully determined by *what* is evaluated — the
 application (graph + deadline) and the result-relevant
 :class:`~repro.experiments.runner.RunConfig` fields — never by *how*
-(worker counts, shard counts, transports are all bit-identical by
-contract).  That makes evaluation results safely content-addressable:
+(worker counts and retry policies are bit-identical by contract).
+That makes evaluation results safely content-addressable:
 
 ``key = sha256(graph fingerprint, deadline, app name,
 canonical config payload, code-version salt)``
@@ -84,8 +84,8 @@ _ZIP_MAGIC = b"PK\x03\x04"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: RunConfig fields that determine evaluation *results*.  Execution
-#: knobs (max_retries, degrade, shards) are excluded by design: they are bit-identical by contract and must
-#: share entries.
+#: knobs (max_retries, degrade) are excluded by design: they are
+#: bit-identical by contract and must share entries.
 #: ``engine`` is included although engines are bit-identical too —
 #: being conservative there keeps the cache trustworthy while engines
 #: evolve.

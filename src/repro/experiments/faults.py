@@ -1,7 +1,7 @@
 """Deterministic fault injection for the execution engine.
 
-The resilience layer (pool rebuild after a dead worker, shard
-recompute after a failed shared-memory attach, cache quarantine) is
+The resilience layer (pool rebuild after a dead worker, cache
+quarantine, admission retry) is
 only trustworthy if every recovery path can be *driven* on demand and
 proven bit-identical to the fault-free run.  This module provides that
 driver: a :class:`FaultPlan` of :class:`FaultSpec` entries, installed
@@ -12,17 +12,11 @@ named **fault sites**:
 ``worker-chunk``
     Start of every pool task of
     :meth:`~repro.experiments.engine.ExecutionContext.map` (a sweep
-    point, a fused-sweep shard, an online rate point), keyed by the
+    point, an online rate point, a suite cell), keyed by the
     item's position in the call.  Action: ``crash`` (``os._exit`` —
     the pool breaks with
     :class:`~concurrent.futures.process.BrokenProcessPool`; the pool
     is rebuilt and the unfinished items re-dispatched).
-``shm-attach``
-    Shared-memory attach of a shard result block in the parent
-    (:meth:`~repro.experiments.engine.ShardBlock.take`), keyed by the
-    shard's first run.  Action: ``raise`` (surfaces as
-    :class:`~repro.errors.TransportError`; the parent recomputes that
-    shard inline and counts an ``shm_fallbacks``).
 ``cache-read``
     Evaluation-cache lookup in the parent.  Action: ``corrupt``
     (truncates the on-disk entry before it is read, simulating a torn
@@ -62,7 +56,6 @@ from ..errors import ConfigError
 #: docs/testing.md's site registry)
 SITE_ACTIONS = {
     "worker-chunk": ("crash",),
-    "shm-attach": ("raise",),
     "cache-read": ("corrupt",),
     "online-admit": ("raise",),
 }
@@ -83,8 +76,8 @@ class FaultSpec:
 
     ``occurrence`` counts calls at ``site`` within one process (1-based)
     and is ignored when ``key`` is given; ``key`` matches the identity
-    the call site passes to :func:`fire` (a sweep point's index, a
-    shard's index or first run, a cache key prefix).  ``times`` caps
+    the call site passes to :func:`fire` (an item's position in a
+    ``map`` call, an arrival index, a cache key prefix).  ``times`` caps
     total firings across every process sharing the plan's scratch
     directory.
     """

@@ -48,16 +48,14 @@ _FIXED = frozenset({"power_model", "n_processors"})
 
 
 def _model_configs(n_processors: int, n_runs: int, seed: int,
-                   overrides: Mapping[str, object],
-                   fixed_fields: frozenset = _FIXED) -> Dict[str, RunConfig]:
+                   overrides: Mapping[str, object]) -> Dict[str, RunConfig]:
     """One config per sub-figure: the figure's base plus ``overrides``.
 
-    Overriding one of ``fixed_fields`` (by default the power model and
-    processor count, which define the figure) raises
-    :class:`~repro.errors.ConfigError`, as does a name that is not a
-    :class:`RunConfig` field.
+    Overriding the power model or processor count, which define the
+    figure, raises :class:`~repro.errors.ConfigError`, as does a name
+    that is not a :class:`RunConfig` field.
     """
-    fixed = sorted(fixed_fields & set(overrides))
+    fixed = sorted(_FIXED & set(overrides))
     if fixed:
         raise ConfigError(
             f"the figure fixes {', '.join(fixed)}; it cannot be overridden")
@@ -71,7 +69,8 @@ def figure4(n_runs: int = 1000, seed: int = 2002, context=None,
     """Energy vs load, ATR, dual-processor (Figure 4a/4b).
 
     ``overrides`` are :class:`RunConfig` fields (``schemes``,
-    ``engine``, ``shards``, ...) applied to both sub-figures' configs.
+    ``engine``, ``max_retries``, ...) applied to both sub-figures'
+    configs.
     ``context`` (an :class:`~repro.experiments.engine.ExecutionContext`)
     says where the sweeps run: it shares one worker pool and evaluation
     cache across both sub-figures, and across figures if the caller
@@ -128,17 +127,15 @@ def fig_online(n_runs: int = 1000, seed: int = 2002,
     ``n_runs`` sets the *expected arrivals per point*
     (``OnlineConfig.target_arrivals``), so every rate sees comparable
     statistics; the miss/admit/reject ledger lands in
-    ``series.meta["online"]``.  ``overrides`` as for :func:`figure4`,
-    except ``shards``: streams never fuse, so it is rejected.
+    ``series.meta["online"]``.  ``overrides`` as for :func:`figure4`.
     """
     online = OnlineConfig(arrival=arrival, load=load,
                           target_arrivals=n_runs)
     return {model: sweep_arrival_rate(figure3_graph(), cfg, online, rates,
                                       name=f"fig-online-{model}",
                                       context=context)
-            for model, cfg in _model_configs(
-                2, n_runs, seed, overrides,
-                _FIXED | {"shards"}).items()}
+            for model, cfg in _model_configs(2, n_runs, seed,
+                                             overrides).items()}
 
 
 ALL_FIGURES = {

@@ -31,21 +31,11 @@ a ``figure6`` one samples per α (the ACETs differ) and decodes once
 ``draws`` and ``decodes``.  Every kernel row depends on its own
 realization row only, so the sharing changes no float.
 
-**Sharded execution.**  The fused pass itself is embarrassingly
-parallel along the run axis: every run's outputs are elementwise in its
-own realization row.  With ``shards=N`` (``RunConfig.shards``, CLI
-``--shards``, or the ``REPRO_SHARDS`` session default) the run axis is
-partitioned by :func:`~repro.sim.sweepc.plan_shards` into deterministic
-ranges and each shard executes the same stacked program over its row
-slice as an independent :class:`ShardTask` on the persistent local
-worker pool, inheriting the pool-rebuild recovery of
-:meth:`~repro.experiments.engine.ExecutionContext.map`.  Seed alignment
-makes this exact, not approximate: a shard samples each distinct
-*full* realization batch from its seed once and slices its row range,
-so it sees bit-for-bit the rows the monolithic pass would have, and the
-parent reduces shard blocks back by concatenation in shard-index order
-(fixed accumulation order).  Sharded output is therefore byte-identical
-to the unsharded fused reference — pinned by the golden suites.
+**One pass, in the calling process.**  A fused sweep never leaves
+the process that asked for it: there is no pool, worker or transport
+on this path.  The batch kernels spread a large call's independent
+row blocks over threads of the same process instead
+(:data:`~repro.sim.kernels.interp.THREAD_ROWS`).
 
 Returns ``None`` whenever fusion does not apply (heterogeneous configs,
 incompatible graph structure, a non-"compiled" engine); the caller
@@ -57,51 +47,22 @@ pins exactly.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.registry import get_policy
-from ..errors import ConfigError, ParallelError, TransportError
 from ..graph.andor import Application
 from ..power.overhead import NO_OVERHEAD
 from ..sim.compiled import (CompiledKernel, compile_plan, run_dynamic_batch,
                             run_fixed_batch, supports_dynamic_batch)
 from ..sim.realization import sample_realization_batch
-from ..sim.sweepc import (StackedProgram, _stack_values, plan_shards,
-                          programs_compatible, stack_programs)
-from .engine import (SHARD_SHM_MIN_BYTES, ExecutionContext,
-                     effective_cores, publish_shard_block)
+from ..sim.sweepc import (StackedProgram, _stack_values, programs_compatible,
+                          stack_programs)
 from .runner import EvaluationResult, RunConfig, build_plans
 
-#: session default consulted when ``RunConfig.shards`` is None, seeded
-#: from ``REPRO_SHARDS`` (module attribute so tests can monkeypatch it;
-#: read via :func:`default_shards` at call time).  ``None`` = unsharded
-#: monolithic execution, ``0`` = auto (effective cores), ``N`` =
-#: exactly N shards.
-DEFAULT_SHARDS = os.environ.get("REPRO_SHARDS")
-
-
-def default_shards() -> Optional[int]:
-    """The session-default shard request (env/monkeypatch, call time)."""
-    raw = DEFAULT_SHARDS
-    if raw in (None, ""):
-        return None
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"REPRO_SHARDS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"REPRO_SHARDS must be >= 0, got {value}")
-    return value
-
-
 #: observability snapshot of the most recent fused pass in this process
-#: (shard count, run ranges, transport, distinct draws and decodes);
-#: popped by the sweep layer into
+#: (point count, distinct draws and decodes); popped by the sweep layer into
 #: ``series.meta["fused"]`` via :func:`take_fused_meta`
 _LAST_FUSED: Optional[Dict[str, object]] = None
 
@@ -165,21 +126,18 @@ class _View:
 class _FusedBuild:
     """The structural half of a fused sweep: plans, programs, stacks.
 
-    Built once in the parent (and rebuilt deterministically inside each
-    shard worker, where the per-process plan/program/stacked caches make
-    it nearly free); holds everything that does not depend on sampled
-    runs, so the sampling/execution half can be invoked per run-range.
-    A one-point build (:func:`evaluate_batch`) holds the plain compiled
+    Holds everything that does not depend on sampled runs.  A one-point
+    build (:func:`evaluate_batch`) holds the plain compiled
     programs in place of the stacks.
     """
 
-    __slots__ = ("base", "power", "overhead", "scheme_names", "plans", "static_plans", "static_progs", "stacked_static",
-                 "dyn_points", "dyn_plans", "dyn_progs", "stacked_dyn")
+    __slots__ = ("power", "overhead", "scheme_names", "plans", "static_plans",
+                 "static_progs", "stacked_static", "dyn_points", "dyn_plans",
+                 "dyn_progs", "stacked_dyn")
 
-    def __init__(self, base, power, overhead, scheme_names, plans,
-                 static_plans, static_progs, stacked_static, dyn_points,
-                 dyn_plans, dyn_progs, stacked_dyn):
-        self.base = base
+    def __init__(self, power, overhead, scheme_names, plans, static_plans,
+                 static_progs, stacked_static, dyn_points, dyn_plans,
+                 dyn_progs, stacked_dyn):
         self.power = power
         self.overhead = overhead
         self.scheme_names = scheme_names
@@ -251,7 +209,7 @@ def _build_fused(apps: Sequence[Application],
         stacked_dyn = stack_programs(dyn_progs)
         if stacked_dyn is None:
             return None
-    return _FusedBuild(base, power, overhead, scheme_names, plans,
+    return _FusedBuild(power, overhead, scheme_names, plans,
                        static_plans, static_progs, stacked_static,
                        dyn_points, dyn_plans, dyn_progs, stacked_dyn)
 
@@ -504,7 +462,7 @@ def evaluate_batch(plan_dyn, plan_static, scheme_names: Sequence[str],
     prog_static = compile_plan(plan_static)
     dyn_plans = [] if plan_dyn is None else [plan_dyn]
     dyn_progs = [compile_plan(p) for p in dyn_plans]
-    build = _FusedBuild(None, power, overhead, names,
+    build = _FusedBuild(power, overhead, names,
                         [(plan_dyn, plan_static)], [plan_static],
                         [prog_static], prog_static,
                         [0] if dyn_plans else [], dyn_plans, dyn_progs,
@@ -539,9 +497,8 @@ def _same_choices(a, b) -> bool:
                                         for k in a)
 
 
-def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
-                   run_range: Optional[Tuple[int, int]] = None):
-    """Sample and execute a fused sweep over one run-range.
+def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig]):
+    """Sample and execute a fused sweep.
 
     Each point's batch is the one ``evaluate_application`` draws from
     ``default_rng(cfg.seed)``, but points with equal :func:`_draw_key`\\ s
@@ -551,12 +508,8 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
     path groups tiled by point offset.  Every kernel row depends on its
     own realization row only, so sharing changes no float.
 
-    ``run_range=None`` covers every run (the monolithic pass); a
-    ``(lo, hi)`` range samples each distinct *full* batch and slices
-    rows ``[lo, hi)`` — seed alignment — so a shard computes bit-for-bit
-    the rows the monolithic pass holds at those positions.  Returns
-    ``(offsets, npm_energy, absolute, changes, path_keys, counts)``
-    over the covered rows, ``counts`` being the pass's distinct
+    Returns ``(offsets, npm_energy, absolute, changes, path_keys,
+    counts)``, ``counts`` being the pass's distinct
     ``{"draws", "decodes"}``, or ``None`` when a scheme's shape punts
     the sweep to per-point evaluation.
     """
@@ -570,8 +523,6 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
             batch = sample_realization_batch(
                 ps.structure, np.random.default_rng(cfg.seed), cfg.n_runs,
                 sigma_fraction=cfg.sigma_fraction)
-            if run_range is not None:
-                batch = batch[run_range[0]:run_range[1]]
             d = draw_index[key] = len(drawn)
             drawn.append(batch)
         draw_of.append(d)
@@ -627,257 +578,8 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
             {"draws": len(drawn), "decodes": len(decoded)})
 
 
-# ---------------------------------------------------------------------------
-# sharded execution
-# ---------------------------------------------------------------------------
-
-class ShardTask:
-    """One run-range of a fused sweep, shipped to a worker whole.
-
-    Picklable and self-contained: carries the applications and configs
-    so the worker rebuilds the stacked program deterministically (the
-    per-process plan/program caches make the rebuild nearly free) and
-    samples its rows seed-aligned.  :func:`run_shard` executes it
-    through :meth:`~repro.experiments.engine.ExecutionContext.map`, so
-    shards inherit the pool's rebuild and degrade semantics.
-    """
-
-    __slots__ = ("index", "n_shards", "lo", "hi", "apps", "configs")
-
-    def __init__(self, index: int, n_shards: int, lo: int, hi: int,
-                 apps: Tuple[Application, ...],
-                 configs: Tuple[RunConfig, ...]):
-        self.index = index
-        self.n_shards = n_shards
-        self.lo = lo
-        self.hi = hi
-        self.apps = apps
-        self.configs = configs
-
-    @property
-    def name(self) -> str:
-        return (f"shard {self.index + 1}/{self.n_shards} "
-                f"runs[{self.lo}:{self.hi})")
-
-
-class ShardResult:
-    """One shard's result block: a packed matrix, inline or via shm.
-
-    The matrix stacks, over the shard's point-major row axis,
-    ``[npm, absolute per scheme..., speed changes per scheme...]``; the
-    path keys ride as an ordinary pickled list (shared key strings
-    memoize well).  ``block`` is an
-    :class:`~repro.experiments.engine.ShardBlock` descriptor when the
-    worker published the matrix through shared memory; ``counts`` are
-    the shard's distinct draws and decodes.
-    """
-
-    __slots__ = ("matrix", "block", "path_keys", "schemes", "n_points",
-                 "counts")
-
-    def __init__(self, matrix, block, path_keys, schemes, n_points,
-                 counts):
-        self.matrix = matrix
-        self.block = block
-        self.path_keys = path_keys
-        self.schemes = schemes
-        self.n_points = n_points
-        self.counts = counts
-
-
-def _pack_shard(scheme_names, npm, absolute, changes) -> np.ndarray:
-    rows = [np.asarray(npm, dtype=float)]
-    rows += [np.asarray(absolute[n], dtype=float) for n in scheme_names]
-    rows += [np.asarray(changes[n], dtype=float) for n in scheme_names]
-    return np.vstack(rows)
-
-
-def run_shard(task: ShardTask) -> ShardResult:
-    """Execute one shard (worker side): rebuild, sample, run, pack."""
-    build = _build_fused(task.apps, task.configs)
-    if build is None:
-        raise ParallelError(
-            task.name, RuntimeError("shard is no longer fusable"))
-    out = _compute_fused(build, task.configs, run_range=(task.lo, task.hi))
-    if out is None:
-        raise ParallelError(
-            task.name,
-            RuntimeError("shard punted to per-point evaluation"))
-    _offsets, npm, absolute, changes, path_keys, counts = out
-    matrix = _pack_shard(build.scheme_names, npm, absolute, changes)
-    if matrix.nbytes >= SHARD_SHM_MIN_BYTES:
-        block = publish_shard_block(matrix, key=task.lo)
-        if block is not None:
-            return ShardResult(None, block, list(path_keys),
-                               build.scheme_names, len(task.apps), counts)
-    return ShardResult(matrix, None, list(path_keys),
-                       build.scheme_names, len(task.apps), counts)
-
-
-def _stateful_scalar_schemes(build: _FusedBuild) -> Optional[List[str]]:
-    """Schemes whose scalar-path runs declare themselves stateful.
-
-    Sharding splits the run sequence across processes; a policy whose
-    ``PolicyRun`` declares ``stateless=False`` on the scalar-fallback
-    path may legitimately carry state across its ``start_run`` sequence
-    (that is what the declaration reserves the right to do), so such
-    sweeps refuse to shard and run monolithically instead.  Schemes
-    covered by the batch kernels never consult run state per row, and
-    ``needs_realization`` schemes construct every run independently
-    from its realization — both shard freely.
-
-    Returns ``None`` when the sweep mixes fixed and dynamic shapes for
-    one scheme — the monolithic pass would punt those to per-point
-    evaluation anyway.
-    """
-    stateful: List[str] = []
-    for name in build.scheme_names:
-        policy = get_policy(name)
-        if name == "NPM" or (policy.requires_reserve
-                             and not build.dyn_points):
-            continue
-        plans = (build.dyn_plans if policy.requires_reserve
-                 else build.static_plans)
-        how = _plan_scheme(policy, name, plans, build.power, build.overhead)
-        if how is None:
-            return None
-        kind, probes = how
-        if kind == "scalar" and probes is not None \
-                and not all(pr.stateless for pr in probes):
-            stateful.append(name)
-    return stateful
-
-
-def _resolve_shard_count(configs: Sequence[RunConfig],
-                         shards: Optional[int]) -> int:
-    """The effective shard count: explicit request, config, or auto.
-
-    Resolution order: the ``shards`` argument, then the base config's
-    ``shards`` field, then the ``REPRO_SHARDS`` session default; absent
-    everywhere means 1 (monolithic).  ``0`` selects
-    :func:`~repro.experiments.engine.effective_cores`.  Always clamped
-    to the run count, and to 1 when the points disagree on ``n_runs``
-    (run ranges must mean the same rows at every point).
-    """
-    base = configs[0]
-    request = shards
-    if request is None:
-        request = base.shards
-    if request is None:
-        request = default_shards()
-    if request is None:
-        return 1
-    n_runs = base.n_runs
-    if any(cfg.n_runs != n_runs for cfg in configs):
-        return 1
-    k = effective_cores() if request == 0 else request
-    return max(1, min(k, n_runs))
-
-
-def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
-                 configs: Sequence[RunConfig], ranges,
-                 context: Optional[ExecutionContext]):
-    """Fan shards out over a local pool; the shard results, in order.
-
-    Routes through the provided context when it has two or more
-    workers; otherwise spins up an ephemeral pool sized to the shards
-    and the schedulable cores.  Returns ``None`` when fewer than two
-    workers resolve — the caller then runs the monolithic pass, which
-    is always correct.
-    """
-    owned = context is None or context.jobs() < 2
-    ctx = ExecutionContext(n_jobs=min(len(ranges), effective_cores())) \
-        if owned else context
-    try:
-        if ctx.jobs(n_items=len(ranges)) < 2:
-            return None
-        n_points = len(apps)
-        tasks = [ShardTask(s, len(ranges), lo, hi, tuple(apps),
-                           tuple(configs))
-                 for s, (lo, hi) in enumerate(ranges)]
-        return ctx.map(run_shard, [(t,) for t in tasks],
-                       labels=[f"{t.name} x {n_points} point(s)"
-                               for t in tasks],
-                       policy=build.base.retry_policy())
-    finally:
-        if owned:
-            ctx.close()
-
-
-def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
-                   ranges, shard_results, context):
-    """Merge shard blocks into full sweep arrays, in shard-index order.
-
-    The reduction is pure placement — each shard's rows are copied into
-    their monolithic positions (concat, never summation), so float
-    accumulation order is fixed by construction.  A shard whose shm
-    block cannot be attached is recomputed inline in the parent (warned
-    and counted as an shm fallback): slower, still bit-identical.  The
-    pass's draw and decode counts are the largest any shard made.
-    """
-    scheme_names = build.scheme_names
-    n_points = len(configs)
-    n_runs = configs[0].n_runs
-    n_schemes = len(scheme_names)
-    total = n_points * n_runs
-    npm = np.empty(total)
-    absolute = {n: np.empty(total) for n in scheme_names}
-    changes = {n: np.empty(total) for n in scheme_names}
-    path_keys: List = [None] * total
-    pass_counts = {"draws": 0, "decodes": 0}
-    for (lo, hi), res in zip(ranges, shard_results):
-        span = hi - lo
-        matrix = None
-        keys = None
-        counts = None
-        if res is not None:
-            keys = res.path_keys
-            counts = res.counts
-            if res.matrix is not None:
-                matrix = res.matrix
-            else:
-                try:
-                    matrix = res.block.take()
-                except TransportError as exc:
-                    if context is not None:
-                        context.resilience["shm_fallbacks"] += 1
-                    warnings.warn(
-                        f"could not attach shard result block for "
-                        f"runs[{lo}:{hi}) ({exc}); recomputing the shard "
-                        "in the parent", RuntimeWarning, stacklevel=3)
-        if matrix is None:
-            out = _compute_fused(build, configs, run_range=(lo, hi))
-            if out is None:  # pragma: no cover - parent pre-checked
-                raise ParallelError(
-                    f"shard runs[{lo}:{hi})",
-                    RuntimeError("shard recompute punted"))
-            _off, s_npm, s_abs, s_chg, keys, counts = out
-            matrix = _pack_shard(scheme_names, s_npm, s_abs, s_chg)
-        expected = (1 + 2 * n_schemes, n_points * span)
-        if matrix.shape != expected:
-            raise ParallelError(
-                f"shard runs[{lo}:{hi})",
-                RuntimeError(f"shard block shape {matrix.shape} != "
-                             f"expected {expected}"))
-        for k in pass_counts:
-            pass_counts[k] = max(pass_counts[k], counts[k])
-        for p in range(n_points):
-            src = slice(p * span, (p + 1) * span)
-            dst = slice(p * n_runs + lo, p * n_runs + hi)
-            npm[dst] = matrix[0, src]
-            for j, name in enumerate(scheme_names):
-                absolute[name][dst] = matrix[1 + j, src]
-                changes[name][dst] = matrix[1 + n_schemes + j, src]
-            path_keys[p * n_runs + lo:p * n_runs + hi] = \
-                keys[p * span:(p + 1) * span]
-    offsets = np.arange(n_points + 1) * n_runs
-    return offsets, npm, absolute, changes, path_keys, pass_counts
-
-
 def evaluate_points_fused(apps: Sequence[Application],
-                          configs: Sequence[RunConfig],
-                          context: Optional[ExecutionContext] = None,
-                          shards: Optional[int] = None
+                          configs: Sequence[RunConfig]
                           ) -> Optional[List[EvaluationResult]]:
     """Evaluate a homogeneous sweep as one fused array program.
 
@@ -885,13 +587,6 @@ def evaluate_points_fused(apps: Sequence[Application],
     calling :func:`~repro.experiments.runner.evaluate_application` per
     point — or ``None`` when the points cannot fuse (the caller then
     falls back to per-point evaluation).
-
-    ``shards`` overrides the sharding request (``None`` defers to the
-    base config and the ``REPRO_SHARDS`` session default; ``0`` selects
-    the effective core count; ``N >= 2`` fans the
-    run axis out over ``context``'s pool).  ``context`` supplies the
-    pool for sharded execution; without one, an ephemeral pool is used
-    and closed again.
     """
     n_points = len(apps)
     if n_points == 0:
@@ -901,40 +596,9 @@ def evaluate_points_fused(apps: Sequence[Application],
     build = _build_fused(apps, configs)
     if build is None:
         return None
-
-    n_shards = _resolve_shard_count(configs, shards)
-    if n_shards > 1:
-        stateful = _stateful_scalar_schemes(build)
-        if stateful is None:
-            return None  # mixed shapes: per-point fallback either way
-        if stateful:
-            warnings.warn(
-                f"scheme(s) {', '.join(sorted(stateful))} declare stateful "
-                "runs (PolicyRun.stateless=False) on the scalar path; "
-                "sharding would split their run sequence across processes "
-                "— running the sweep unsharded", RuntimeWarning,
-                stacklevel=2)
-            n_shards = 1
-
-    transport = "inline"
-    shard_runs: List[int] = []
-    out = None
-    if n_shards > 1:
-        ranges = plan_shards(configs[0].n_runs, n_shards)
-        if len(ranges) > 1:
-            shard_results = _run_sharded(build, apps, configs, ranges,
-                                         context)
-            if shard_results is not None:
-                transport = "pool"
-                out = _reduce_shards(build, configs, ranges,
-                                     shard_results, context)
-                shard_runs = [hi - lo for lo, hi in ranges]
+    out = _compute_fused(build, configs)
     if out is None:
-        transport = "inline"
-        shard_runs = []
-        out = _compute_fused(build, configs)
-        if out is None:
-            return None
+        return None
     offsets, npm_energy, absolute, changes, path_keys, counts = out
 
     # each point's arrays are views of the sweep's (a view pickles and
@@ -953,14 +617,9 @@ def evaluate_points_fused(apps: Sequence[Application],
         results.append(res)
 
     global _LAST_FUSED
-    meta: Dict[str, object] = {
+    _LAST_FUSED = {
         "points": n_points,
-        "shards": len(shard_runs) if shard_runs else 1,
-        "transport": transport,
         "draws": counts["draws"],
         "decodes": counts["decodes"],
     }
-    if shard_runs:
-        meta["shard_runs"] = shard_runs
-    _LAST_FUSED = meta
     return results

@@ -6,9 +6,9 @@ by the cheapest route that applies: one fused array program when the
 points share a structure, else one point per worker over the pool of
 the caller's :class:`~repro.experiments.engine.ExecutionContext` when it
 has two or more workers, else a serial loop.  The context is the only
-source of parallelism; without one, a sweep never starts a pool unless
-its config asks for shards.  Results come back in submission order,
-keeping sweeps deterministic regardless of worker scheduling.
+source of a pool; without one, a sweep never starts one.  Results come
+back in submission order, keeping sweeps deterministic regardless of
+worker scheduling.
 
 Failure semantics: a worker exception fails fast — the outstanding
 futures are cancelled and the error is re-raised as
@@ -48,8 +48,8 @@ def map_evaluations(apps: Sequence[Application], config,
 
     1. **fused**: structurally homogeneous points are stacked into one
        array program and executed in a single batch-kernel pass in the
-       parent, or sharded over the local pool when a shard request is
-       set (:func:`~repro.experiments.fused.evaluate_points_fused`);
+       calling process
+       (:func:`~repro.experiments.fused.evaluate_points_fused`);
     2. **point-level pool**: heterogeneous points fan out one point per
        worker over the context's pool when it has two or more workers;
     3. **serial loop**: otherwise, including when no context is given.
@@ -99,8 +99,7 @@ def map_evaluations(apps: Sequence[Application], config,
         from .fused import evaluate_points_fused
         try:
             computed = evaluate_points_fused([apps[i] for i in pending],
-                                             [configs[i] for i in pending],
-                                             context=context)
+                                             [configs[i] for i in pending])
         except Exception as exc:
             raise ParallelError(
                 f"fused sweep over {len(pending)} point(s)", exc) from exc

@@ -68,19 +68,11 @@ class RunConfig:
     #: results are bit-identical either way
     engine: str = "compiled"
     #: pool rebuilds per pooled map call after a worker dies, before
-    #: the remaining points/shards degrade to serial execution in the
-    #: parent
+    #: the remaining points degrade to serial execution in the parent
     max_retries: int = 2
     #: whether an exhausted rebuild budget degrades to serial execution
     #: in the parent (with a warning) instead of raising ParallelError
     degrade: bool = True
-    #: shard request for the fused sweep path: ``None`` (resolve the
-    #: ``REPRO_SHARDS`` session default; unset everywhere = monolithic),
-    #: ``0`` (auto: the effective core count) or ``N >= 1`` explicit
-    #: shards of the fused run axis, executed on the local worker pool.
-    #: Sharded output is bit-identical to unsharded — execution knob,
-    #: never part of the evaluation cache key.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         # model names are case-insensitive; one spelling keeps one
@@ -103,9 +95,6 @@ class RunConfig:
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.shards is not None and self.shards < 0:
-            raise ConfigError(
-                f"shards must be >= 0 (0 = auto), got {self.shards}")
         if model == "continuous" and self.overhead.comp_cycles > 0:
             # the continuous model's minimum speed is 0, and the offline
             # reserve charges a speed computation at the minimum speed

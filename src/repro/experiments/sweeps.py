@@ -7,15 +7,17 @@ speed-change counts that back the paper's *explanations*.
 Each sweep takes what to compute (a graph, a :class:`RunConfig` and
 its x-values) and where to run it: an optional
 :class:`~repro.experiments.engine.ExecutionContext`, the only source of
-parallelism.  Pass one to share a persistent worker pool (and
+a worker pool.  Pass one to share a persistent worker pool (and
 optionally an on-disk evaluation cache) across several sweeps instead
 of paying pool spin-up per sweep.  When a cache is attached, the
 sweep's hit/miss counts land in ``series.meta["cache"]``.
 
 Load and α sweeps always fuse into one array program
-(:mod:`repro.experiments.fused`).  Processor-count and overhead sweeps
-cannot fuse; their points fan out over the context's pool when it has
-two or more workers, and otherwise run in a serial loop.
+(:mod:`repro.experiments.fused`) that runs in the calling process; its
+batch kernels thread a large call over the cores.  Processor-count and
+overhead sweeps cannot fuse; their points fan out over the context's
+pool when it has two or more workers, and otherwise run in a serial
+loop.
 
 Every sweep also records the compile-side cache counters (program /
 tape / stacked caches) in ``series.meta["kernel"]`` so a regenerated
@@ -87,10 +89,9 @@ def _cache_meta(context: Optional[ExecutionContext], before,
 def _fused_meta(meta: Dict[str, object]) -> Dict[str, object]:
     """Record how the sweep's fused pass executed, if one ran.
 
-    ``meta["fused"]`` carries the shard count, per-shard run counts,
-    the transport (``inline``/``pool``) and the distinct ``draws`` and
-    ``decodes`` of the most recent fused pass — popped, so one pass is
-    never attributed to two sweeps.
+    ``meta["fused"]`` carries the point count and the distinct
+    ``draws`` and ``decodes`` of the most recent fused pass — popped,
+    so one pass is never attributed to two sweeps.
     """
     from .fused import take_fused_meta
     fused = take_fused_meta()
@@ -106,8 +107,8 @@ def sweep_load(graph: AndOrGraph, config: RunConfig,
     """Normalized energy vs load (the Figure 4/5 x-axis).
 
     Load points share the graph shape, so the whole sweep compiles into
-    one fused array program and runs in the parent with no pool at all,
-    or sharded over ``context``'s pool when a shard request is set.  An
+    one fused array program and runs in the calling process with no
+    pool at all.  An
     invalid load raises :class:`~repro.errors.ParallelError` naming
     that ``load=``.
     """

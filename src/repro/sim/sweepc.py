@@ -31,7 +31,7 @@ pooled at the *point* level when a pool is available.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,31 +40,6 @@ from .compiled import CompiledPlan, _CompiledSection
 #: a per-entry constant in a stacked program: a plain float when every
 #: point agrees, else one value per point
 Stacked = Union[float, np.ndarray]
-
-def plan_shards(n_runs: int, shards: int) -> List[tuple]:
-    """Deterministic near-equal run ranges ``[(lo, hi), ...]``.
-
-    Partitions the run axis — every point keeps all its points-axis
-    structure; a shard is the same sweep over a contiguous slice of
-    each point's run rows.  The requested count is clamped into
-    ``[1, n_runs]`` (a shard must hold at least one run), the first
-    ``n_runs % shards`` ranges take the extra run, and ranges tile
-    ``[0, n_runs)`` exactly: run ``r`` lands in precisely one shard,
-    in run order, so a concat in shard-index order reproduces the
-    monolithic run axis.
-    """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    k = max(1, min(int(shards), n_runs))
-    base, rem = divmod(n_runs, k)
-    ranges = []
-    lo = 0
-    for i in range(k):
-        hi = lo + base + (1 if i < rem else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
 
 def _stack_values(values: Sequence[float]) -> Stacked:
     """Collapse one per-point constant column to a scalar when possible.

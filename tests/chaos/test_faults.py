@@ -69,10 +69,10 @@ class TestMatching:
 
     def test_occurrence_counts_are_per_site(self):
         install(FaultPlan(specs=(
-            FaultSpec(site="shm-attach", action="raise", occurrence=2),)))
-        assert fire("worker-chunk") is None  # does not advance shm-attach
-        assert fire("shm-attach") is None
-        assert fire("shm-attach") == "raise"
+            FaultSpec(site="cache-read", action="corrupt", occurrence=2),)))
+        assert fire("worker-chunk") is None  # does not advance cache-read
+        assert fire("cache-read") is None
+        assert fire("cache-read") == "corrupt"
 
     def test_key_match_overrides_occurrence(self):
         install(FaultPlan(specs=(
@@ -136,13 +136,13 @@ class TestScratchAccounting:
         silently disarm a worker-side fault.
         """
         plan = FaultPlan(specs=(
-            FaultSpec(site="shm-attach", action="raise", key=10),
+            FaultSpec(site="online-admit", action="raise", key=10),
             FaultSpec(site="cache-read", action="corrupt", occurrence=1),
         ), scratch=str(tmp_path))
         install(plan.only("cache-read"))  # the parent's copy fires first
         assert fire("cache-read") == "corrupt"
         install(plan)  # a worker's full copy must keep its own budget
-        assert fire("shm-attach", key=10) == "raise"
+        assert fire("online-admit", key=10) == "raise"
 
     def test_unwritable_scratch_never_fires(self, tmp_path):
         plan = FaultPlan(specs=(
@@ -166,7 +166,7 @@ class TestPlanTools:
         plan = FaultPlan(specs=(
             FaultSpec(site="worker-chunk", action="crash"),
             FaultSpec(site="cache-read", action="corrupt"),
-            FaultSpec(site="shm-attach", action="raise"),
+            FaultSpec(site="online-admit", action="raise"),
         ), scratch="/tmp/x", seed=9)
         parent = plan.only("cache-read")
         assert [s.site for s in parent.specs] == ["cache-read"]

@@ -2,12 +2,12 @@
 
 Each case builds a :meth:`FaultPlan.random` schedule from a small
 integer seed and runs the same cached sweep twice under it — once
-against a cold cache (faults land in the shard pool's dispatch path)
-and once warm (faults land in the cache-read path).  Whatever the plan injected, both
-sweeps must equal the fault-free serial reference exactly.  On failure
-the assertion message carries ``plan.describe()``; rebuilding the plan
-from the printed seed (with a fresh scratch directory) replays the
-exact fault schedule.
+against a cold cache (faults land in the worker pool's dispatch path)
+and once warm (faults land in the cache-read path).  Whatever the plan
+injected, both sweeps must equal the fault-free serial reference
+exactly.  On failure the assertion message carries
+``plan.describe()``; rebuilding the plan from the printed seed (with a
+fresh scratch directory) replays the exact fault schedule.
 """
 
 import warnings
@@ -16,11 +16,10 @@ import pytest
 
 from repro.experiments import EvaluationCache, ExecutionContext, RunConfig
 from repro.experiments.faults import FaultPlan
-from repro.experiments.sweeps import sweep_load, sweep_overhead
+from repro.experiments.sweeps import sweep_overhead
 from tests.conftest import build_nested_or_graph
 
 SEEDS = (0, 1, 2, 3, 4, 5)
-LOADS = (0.3, 0.6, 0.9)
 #: ten switch overheads: an overhead sweep cannot fuse, so its points
 #: go out on the pool dispatch path the worker-chunk faults target
 ADJUST_TIMES = [round(0.001 * i, 3) for i in range(10)]
@@ -39,18 +38,14 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def reference(graph, cfg):
-    return sweep_load(graph, cfg, LOADS)
-
-
-@pytest.fixture(scope="module")
 def overhead_reference(graph, cfg):
     return sweep_overhead(graph, cfg, OVERHEAD_LOAD, ADJUST_TIMES)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_fault_plan_is_invisible_in_results(tmp_path, graph, cfg,
-                                                   reference, seed):
+                                                   overhead_reference,
+                                                   seed):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     plan = FaultPlan.random(seed, scratch=str(scratch), n_faults=2)
@@ -60,16 +55,19 @@ def test_random_fault_plan_is_invisible_in_results(tmp_path, graph, cfg,
         with warnings.catch_warnings():
             # recovery warnings are the point here, not a failure
             warnings.simplefilter("ignore", RuntimeWarning)
-            # two shards put the cold sweep's work on the pool, where
-            # worker-chunk crashes land
-            cold = sweep_load(graph, cfg.with_(shards=2), LOADS,
-                              context=ctx)
-            warm = sweep_load(graph, cfg.with_(shards=2), LOADS,
-                              context=ctx)
-    assert cold.points == reference.points, detail
-    assert warm.points == reference.points, detail
-    assert cold.meta["speed_changes"] == reference.meta["speed_changes"], \
-        detail
+            # an overhead sweep cannot fuse: the cold pass puts its
+            # points on the pool, where worker-chunk crashes land, and
+            # the warm pass reads them back, where cache-read lands
+            cold = sweep_overhead(graph, cfg, OVERHEAD_LOAD, ADJUST_TIMES,
+                                  context=ctx)
+            warm = sweep_overhead(graph, cfg, OVERHEAD_LOAD, ADJUST_TIMES,
+                                  context=ctx)
+        assert ctx.pools_created >= 1, detail
+    assert cold.points == overhead_reference.points, detail
+    assert warm.points == overhead_reference.points, detail
+    assert cold.meta["speed_changes"] == \
+        overhead_reference.meta["speed_changes"], detail
+    assert warm.meta["cache"]["hits"] >= len(ADJUST_TIMES) - 2, detail
     assert cold.meta["resilience"]["degradations"] + \
         warm.meta["resilience"]["degradations"] <= 1, detail
 

@@ -10,8 +10,7 @@ Two layers:
   overhead sweep on the point-level pool that survives a worker crash
   and a corrupt cache entry — and still equals the fault-free serial
   reference *exactly*, with every recovery recorded in
-  ``series.meta``.  Shard pools and the shared-memory attach failure
-  of a shard result block are driven in ``tests/chaos/test_shards.py``.
+  ``series.meta``.
 """
 
 import pytest

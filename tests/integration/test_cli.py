@@ -15,12 +15,20 @@ class TestParser:
             ["fig4", "--runs", "10", "--jobs", "2", "--oracle"])
         assert args.runs == 10 and args.jobs == 2 and args.oracle
 
+    def test_fig5_rejects_the_removed_shards_flag(self):
+        # a fused sweep always runs in the command's own process: there
+        # is no run-axis sharding to request
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", "--runs", "10", "--no-cache", "--shards", "2"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("flag", [["--shards", "3"],
                                       ["--shards", "0"]])
     def test_fig_online_rejects_shard_flags(self, flag):
-        # streams never fuse, so a shard request would be ignored
-        with pytest.raises(SystemExit):
+        # no figure command takes a shard request, the stream one included
+        with pytest.raises(SystemExit) as exc:
             main(["fig_online", "--runs", "20", "--no-cache"] + flag)
+        assert exc.value.code == 2
 
     def test_report_has_no_jobs_flag(self, tmp_path):
         # the report's figures all fuse, so a pool would sit idle

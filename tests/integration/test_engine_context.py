@@ -41,7 +41,7 @@ def serial_overhead(graph, cfg):
 
 
 def _spy_pool(monkeypatch):
-    # every pool — point-level or shard-level — is created here
+    # every worker pool is created here
     import repro.experiments.engine as engine_mod
     calls = []
     orig = engine_mod.ProcessPoolExecutor
@@ -121,6 +121,31 @@ class TestPoolReuse:
         with ExecutionContext(n_jobs=2) as ctx:
             assert ctx.map(sorted, []) == []
             assert ctx.pools_created == 0  # no work, no pool
+
+
+def _identity(x):
+    return x
+
+
+class TestWorkerKernelStats:
+    """--cache-stats aggregation: probe every pool worker exactly once."""
+
+    def test_no_live_pool_returns_nothing(self):
+        with ExecutionContext(n_jobs=2) as ctx:
+            assert ctx.worker_kernel_stats() == []
+
+    def test_each_live_worker_reports_once(self):
+        with ExecutionContext(n_jobs=2) as ctx:
+            assert ctx.map(_identity, [(i,) for i in range(4)]) == \
+                [0, 1, 2, 3]  # spins the persistent pool up
+            stats = ctx.worker_kernel_stats()
+        assert len(stats) == 2  # deduplicated by worker pid
+        for counters in stats:
+            assert set(counters) >= {"program_cache", "tape_cache",
+                                     "stacked_cache"}
+            for label in ("program_cache", "tape_cache", "stacked_cache"):
+                assert counters[label]["hits"] >= 0
+                assert counters[label]["misses"] >= 0
 
 
 class TestCachedSweep:

@@ -113,9 +113,14 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=next(iter(override))):
             figure(n_runs=10, **override)
 
+    def test_shards_is_not_a_run_config_field(self):
+        # RunConfig.with_ names the unknown field before any sweep runs
+        with pytest.raises(ConfigError, match="shards"):
+            figure5(n_runs=10, shards=2)
+
     @pytest.mark.parametrize("override", [{"shards": 3}, {"shards": 0}])
     def test_online_rejects_shard_fields(self, override):
-        # streams never fuse, so a shard request would be ignored
+        # the stream figure rejects the field like every other figure
         with pytest.raises(ConfigError, match=next(iter(override))):
             fig_online(n_runs=10, **override)
 

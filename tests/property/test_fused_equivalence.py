@@ -1,20 +1,17 @@
 """The fused sweep compiler must be bit-identical to per-point paths.
 
-Four layers of the same contract:
+Three layers of the same contract:
 
 * golden exact equality — a fused load sweep (one stacked array program
   over every point) against the per-point compiled engine against the
   serial dict-engine reference, for every scheme including the
   per-run-fallback ones (PS on continuous floors, ORACLE), on multi-OR
   and AND-only graphs;
-* sharded exact equality — the same sweep split across seed-aligned
-  run-range shards on pool workers must reduce
-  to the very same floats, shard-count edges included, while stateful
-  scalar policies refuse to shard with a warning;
 * the ``stateless`` declaration — a stateful policy that mutates run
   state *outside* ``on_or_fired`` must get a fresh run object per run
   (the old "does not override on_or_fired" inference silently shared
-  it), while a declared-stateless scheme is probed exactly once;
+  it), in a single evaluation and in a fused sweep alike, while a
+  declared-stateless scheme is probed exactly once;
 * fusability gates — heterogeneous sweeps (different power models,
   different graph structures) must refuse to fuse rather than guess.
 """
@@ -25,8 +22,7 @@ import pytest
 import repro.core.registry as registry
 from repro.core import ALL_SCHEMES
 from repro.core.base import PolicyRun, SpeedPolicy
-from repro.experiments import ExecutionContext, RunConfig, \
-    evaluate_application
+from repro.experiments import RunConfig, evaluate_application
 from repro.experiments.fused import evaluate_points_fused, take_fused_meta
 from repro.workloads import application_with_load, atr_graph, figure3_graph
 from tests.conftest import build_fork_graph, build_nested_or_graph
@@ -117,112 +113,6 @@ class TestGoldenEquality:
         assert fused.meta["fused"]["decodes"] == 1
 
 
-class TestShardedEquality:
-    """Sharded fused == monolithic fused == dict engine, bit for bit.
-
-    The container's schedulable-core count can be 1, under which an
-    *owned* ephemeral context correctly degrades to the monolithic
-    pass; every test therefore passes an explicit context —
-    ``n_jobs=3`` resolves verbatim — so the fan-out genuinely crosses
-    process boundaries.
-    """
-
-    def _ctx(self):
-        return ExecutionContext(n_jobs=3)
-
-    @pytest.mark.parametrize("graph_fn,label", [
-        (atr_graph, "atr"),                 # multi-OR, the paper's app
-        (build_fork_graph, "fork"),         # AND-only, no ORs at all
-    ])
-    @pytest.mark.parametrize("model", ["transmeta", "xscale"])
-    def test_all_schemes_sharded_vs_references(self, graph_fn, label,
-                                               model):
-        cfg = RunConfig(schemes=ALL_SCHEMES, power_model=model,
-                        n_runs=40, seed=13)
-        apps = _apps(graph_fn(), cfg)
-        reference = evaluate_points_fused(apps, [cfg] * len(apps))
-        take_fused_meta()  # drop the monolithic pass's snapshot
-        with self._ctx() as ctx:
-            sharded = evaluate_points_fused(apps, [cfg] * len(apps),
-                                            context=ctx, shards=3)
-        assert sharded is not None, f"{label} sweep should fuse"
-        meta = take_fused_meta()
-        assert meta["shards"] == 3
-        assert meta["shard_runs"] == [14, 13, 13]  # 40 % 3 spread
-        assert meta["transport"] == "pool"
-        # every shard samples the shared batch once and decodes once
-        assert (meta["draws"], meta["decodes"]) == (1, 1)
-        for app, res, ref in zip(apps, sharded, reference):
-            _assert_identical(res, ref)
-            dict_ref = evaluate_application(app, cfg.with_(engine="dict"))
-            _assert_identical(res, dict_ref)
-
-    def test_more_shards_than_runs_clamps_and_matches(self):
-        cfg = RunConfig(schemes=("GSS", "SPM", "AS"), n_runs=10, seed=5)
-        apps = _apps(figure3_graph(), cfg, loads=(0.3, 0.6))
-        reference = evaluate_points_fused(apps, [cfg] * len(apps))
-        take_fused_meta()
-        with self._ctx() as ctx:
-            sharded = evaluate_points_fused(apps, [cfg] * len(apps),
-                                            context=ctx, shards=40)
-        meta = take_fused_meta()
-        assert meta["shards"] <= cfg.n_runs  # clamped to the run axis
-        assert sum(meta["shard_runs"]) == cfg.n_runs
-        for res, ref in zip(sharded, reference):
-            _assert_identical(res, ref)
-
-    def test_single_shard_stays_monolithic(self):
-        cfg = RunConfig(schemes=("GSS", "SS2"), n_runs=20, seed=9)
-        apps = _apps(atr_graph(), cfg, loads=(0.4, 0.8))
-        reference = evaluate_points_fused(apps, [cfg] * len(apps))
-        take_fused_meta()
-        with self._ctx() as ctx:
-            sharded = evaluate_points_fused(apps, [cfg] * len(apps),
-                                            context=ctx, shards=1)
-        meta = take_fused_meta()
-        assert meta["shards"] == 1
-        assert meta["transport"] == "inline"  # no fan-out at all
-        for res, ref in zip(sharded, reference):
-            _assert_identical(res, ref)
-
-    def test_stateful_scalar_policy_refuses_to_shard(self, monkeypatch):
-        monkeypatch.setitem(registry._REGISTRY, "decay", _DecayPolicy)
-        cfg = RunConfig(schemes=("GSS", "DECAY"), n_runs=15, seed=3)
-        apps = _apps(figure3_graph(), cfg, loads=(0.4, 0.7))
-        reference = evaluate_points_fused(apps, [cfg] * len(apps))
-        take_fused_meta()
-        with self._ctx() as ctx:
-            with pytest.warns(RuntimeWarning, match="stateful"):
-                sharded = evaluate_points_fused(apps, [cfg] * len(apps),
-                                                context=ctx, shards=3)
-        meta = take_fused_meta()
-        assert meta["shards"] == 1  # refused: ran the monolithic pass
-        for res, ref in zip(sharded, reference):
-            _assert_identical(res, ref)
-
-    def test_config_shards_route_through_the_sweep_api(self):
-        from repro.experiments.sweeps import sweep_load
-        cfg = RunConfig(schemes=("SPM", "GSS", "AS"), n_runs=30, seed=7)
-        graph = atr_graph()
-        reference = sweep_load(graph, cfg, LOADS)
-        with self._ctx() as ctx:
-            sharded = sweep_load(graph, cfg.with_(shards=3), LOADS,
-                                 context=ctx)
-        assert sharded.points == reference.points
-        assert sharded.meta["speed_changes"] == \
-            reference.meta["speed_changes"]
-        fused_meta = sharded.meta["fused"]
-        assert fused_meta["shards"] == 3
-        assert fused_meta["transport"] == "pool"
-        # without a config request the reference follows the session
-        # default (REPRO_SHARDS), which is "monolithic" when unset
-        from repro.experiments.fused import default_shards
-        expected_ref = default_shards()
-        if expected_ref is None:
-            assert "shards" not in reference.meta.get("fused", {}) or \
-                reference.meta["fused"]["shards"] == 1
-
-
 class _CountingGreedy(SpeedPolicy):
     """Stateless dynamic scheme that counts ``start_run`` calls."""
 
@@ -303,6 +193,18 @@ class TestStatelessDeclaration:
                               dict_ref.absolute["DECAY"])
         assert np.array_equal(compiled.speed_changes["DECAY"],
                               dict_ref.speed_changes["DECAY"])
+
+    def test_stateful_fused_sweep_is_exact(self, monkeypatch):
+        # the fused pass's scalar fallback must start every run of a
+        # stateful scheme afresh too, at every point of the sweep
+        monkeypatch.setitem(registry._REGISTRY, "decay", _DecayPolicy)
+        cfg = RunConfig(schemes=("GSS", "DECAY"), n_runs=15, seed=3)
+        apps = _apps(figure3_graph(), cfg, loads=(0.4, 0.7))
+        fused = evaluate_points_fused(apps, [cfg] * len(apps))
+        assert fused is not None
+        for app, res in zip(apps, fused):
+            dict_ref = evaluate_application(app, cfg.with_(engine="dict"))
+            _assert_identical(res, dict_ref)
 
     def test_stateful_runs_really_differ_when_shared(self, app):
         # the hazard is real: a shared _DecayRun yields different floors

@@ -21,7 +21,6 @@ import pytest
 from repro.core import get_policy
 from repro.errors import DeadlineMissError, SimulationError
 from repro.experiments import RunConfig
-from repro.experiments import fused as fused_mod
 from repro.experiments.evalcache import EvaluationCache, evaluation_key
 from repro.experiments.fused import (_build_fused, _evaluate, _plan_scheme,
                                      _sub_grouping, evaluate_points_fused)
@@ -320,8 +319,7 @@ class TestViewBackedResults:
                 for ld in PARTIAL]
         return apps, cfg, evaluate_points_fused(apps, [cfg] * len(apps))
 
-    def test_results_are_views(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "DEFAULT_SHARDS", None)
+    def test_results_are_views(self):
         _apps, _cfg, results = self._results()
         for res in results:
             assert res.npm_energy.base is not None

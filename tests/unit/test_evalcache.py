@@ -21,7 +21,9 @@ import pytest
 from repro.core.registry import ALL_SCHEMES
 from repro.experiments import (EvaluationCache, RunConfig,
                                evaluate_application, evaluation_key)
+from repro.experiments.figures import ATR_ALPHA
 from repro.power import PAPER_OVERHEAD
+from repro.workloads.atr import AtrConfig, atr_graph
 from repro.workloads import application_with_load, figure3_graph
 
 #: a record opens with an 8-byte magic and the u32 JSON header length
@@ -80,6 +82,7 @@ class TestEvaluationKey:
         {"max_retries": 9},
         {"max_retries": 0},
         {"degrade": False},
+        {"max_retries": 3, "degrade": False},
     ])
     def test_execution_knobs_do_not_change_key(self, app, cfg, change):
         # these shape recovery only; results are bit-identical, so a
@@ -95,6 +98,24 @@ class TestEvaluationKey:
         assert evaluation_key(app, RunConfig()) == (
             "3e48b520f07db9ff364e34c84ac03e39"
             "e1c462bf96e5887af1df182f752cb50e")
+
+    @pytest.mark.parametrize("model,digest", [
+        ("transmeta", "bd4e1011d14ab3f477756664d3f00778"
+                      "7d3bbdb1e058e657849ddc2fc7330b2e"),
+        ("xscale", "d619f807125e52ca67cef9abe958909f"
+                   "6ca7f2e458b1c1f133c235f971a1d2ba"),
+    ], ids=["transmeta", "xscale"])
+    def test_figure5_point_key_is_pinned(self, model, digest):
+        # figure5's load-0.5 point under each sub-figure's default
+        # config, as a cache filled by an older RunConfig (one with
+        # more execution fields) filed it: a warm .repro-cache must
+        # keep serving every figure5 point with hits
+        graph = atr_graph(AtrConfig(
+            alpha=ATR_ALPHA, max_rois=6,
+            roi_probs=(0.05, 0.15, 0.20, 0.20, 0.15, 0.15, 0.10)))
+        point = application_with_load(graph, 0.5, 6)
+        cfg = RunConfig(power_model=model, n_processors=6)
+        assert evaluation_key(point, cfg) == digest
 
     def test_power_model_spelling_shares_key(self, app, cfg):
         # make_power_model is case-insensitive, so "Transmeta" computes

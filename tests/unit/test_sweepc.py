@@ -12,7 +12,6 @@ stacked program instead of re-stacking.
 import dataclasses
 
 import numpy as np
-import pytest
 
 import repro.experiments.fused as fused_mod
 from repro.core import ALL_SCHEMES
@@ -145,12 +144,6 @@ class TestDecodeOnce:
 
     LOADS = (0.5, 1.0, 0.7)  # load 1.0 leaves no room for the reserve
 
-    @pytest.fixture(autouse=True)
-    def _in_process(self, monkeypatch):
-        # a session shard request (REPRO_SHARDS) would move the
-        # sampling and decoding counted here into pool workers
-        monkeypatch.setattr(fused_mod, "DEFAULT_SHARDS", None)
-
     def _sweep(self, seed_step=0, schemes=("NPM", "SPM", "GSS")):
         """A three-point load sweep; like a real sweep its points share
         the config seed, unless ``seed_step`` gives each its own."""
@@ -231,24 +224,6 @@ class TestDecodeOnce:
         assert sampler.calls == [cfg.n_runs] * len(alphas)
         meta = take_fused_meta()
         assert (meta["draws"], meta["decodes"]) == (len(alphas), 1)
-
-    def test_shards_sample_once_per_shard(self, monkeypatch):
-        # run the shards in this process so the sampler count sees them;
-        # each samples the full shared batch once and slices its range
-        def inline_shards(build, apps, configs, ranges, context):
-            return [fused_mod.run_shard(fused_mod.ShardTask(
-                s, len(ranges), lo, hi, tuple(apps), tuple(configs)))
-                for s, (lo, hi) in enumerate(ranges)]
-
-        monkeypatch.setattr(fused_mod, "_run_sharded", inline_shards)
-        sampler = _CountingSampler(monkeypatch)
-        apps, cfgs = self._sweep(schemes=ALL_SCHEMES)
-        fused = evaluate_points_fused(apps, cfgs, shards=2)
-        meta = take_fused_meta()
-        assert meta["shards"] == 2 and meta["transport"] == "pool"
-        assert (meta["draws"], meta["decodes"]) == (1, 1)
-        assert sampler.calls == [cfgs[0].n_runs] * 2
-        _assert_matches_per_point(apps, cfgs, fused)
 
     def test_partial_dynamic_sweep_matches_per_point(self):
         # only points 0 and 2 have a dynamic plan: the dynamic schemes
