@@ -23,6 +23,7 @@ Two families:
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -267,6 +268,34 @@ class DiscretePowerModel(PowerModel):
             table = np.asarray(self._speeds, dtype=np.float64)
             table.setflags(write=False)
             self._level_speed_table = table
+        return table
+
+    def snap_thresholds(self) -> np.ndarray:
+        """The snap-up thresholds of every level but the top one, as a
+        read-only float array (the vector counterpart of
+        :meth:`snap_up`, cached on the instance).
+
+        Threshold ``X[i]`` is the largest double ``x`` with
+        ``x - 1e-12 <= levels[i]`` in floating point.  Subtraction is
+        monotone, so for every double ``t`` (``±inf`` included)
+        ``n_levels - 1 - count(X >= t)`` equals
+        ``levels[:-1].searchsorted(t - 1e-12, side="left")``, the index
+        of ``snap_up(min(t, s_max))``; a NaN compares false everywhere
+        and lands on the top level, as it does in the search.
+        """
+        table = self.__dict__.get("_snap_thresholds")
+        if table is None:
+            xs = []
+            for level in self._speeds[:-1]:
+                x = level + 1e-12
+                while x - 1e-12 > level:
+                    x = math.nextafter(x, -math.inf)
+                while math.nextafter(x, math.inf) - 1e-12 <= level:
+                    x = math.nextafter(x, math.inf)
+                xs.append(x)
+            table = np.asarray(xs, dtype=np.float64)
+            table.setflags(write=False)
+            self._snap_thresholds = table
         return table
 
     def level_power_table(self) -> np.ndarray:

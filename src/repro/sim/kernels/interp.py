@@ -24,9 +24,13 @@ each scheme's outputs come back as its own
 **Row blocks.**  Both kernels split every path group into consecutive
 blocks of at most :data:`BLOCK_ROWS` kernel rows — runs for the fixed
 kernel, schemes × runs for the dynamic one — so the per-block buffers
-stay cache-sized however large the batch or the scheme list is.  Every
+stay bounded however large the batch or the scheme list is.  Every
 row's computation depends on its own row only, so blocking changes no
-float.  Blocks hold the runs of several sweep points at once.
+float.  Blocks hold the runs of several sweep points at once.  The
+block size is set by the threaded path, not by the cache: a dynamic
+step is some 40 short NumPy calls, and two threads hand the GIL to
+each other between them, so the longer each call runs the smaller the
+share of a block spent waiting for it (see :data:`BLOCK_ROWS`).
 
 Blocks are also the unit of in-process parallelism: a call with at
 least :data:`THREAD_ROWS` kernel rows runs its dynamic-kernel blocks
@@ -110,11 +114,22 @@ a scalar dict-engine run; the golden suites
   row by row in entry order;
 * the required speed is ``c / denom``, overwritten with ``+inf`` on
   the rows where ``denom > 0`` fails — the engine's conditional,
-  without a select over every row;
-* the snap-up searches every level but the top one, which returns
-  ``min(searchsorted(levels), n_lv - 1)`` exactly: a target past the
-  top level (up to the guarantee check's ``1e-6`` tolerance) lands on
-  it, as the engine's ``snap_up(min(target, s_max))`` does;
+  without a select over every row.  The chain from the available time
+  to the target runs in place in one buffer (``denom > 0`` is taken
+  before the division overwrites ``denom``), and the start time reuses
+  the speed-computation time's buffer once the accumulators have read
+  it: the same operations on the same operands;
+* the snap-up counts the model's snap thresholds at or above the
+  target (:meth:`~repro.power.DiscretePowerModel.snap_thresholds`:
+  per level but the top one, the largest double ``x`` with
+  ``x - 1e-12 <= level``), one broadcast compare and one byte-wide
+  count.  The level index is ``n_lv - 1`` minus the count: exactly the
+  left insertion point of ``target - 1e-12`` among every level but the
+  top one (the engine's ``bisect_left``), for every double, ``±inf``
+  included; a NaN lands on the top level, as a sorted search puts it.  A
+  target past the top level (up to the guarantee check's ``1e-6``
+  tolerance) lands on it with no clamp, as the engine's
+  ``snap_up(min(target, s_max))`` does;
 * a level switch is ``new_idx != si`` on level *indices*: the speed
   table's adjacent levels differ by more than the engine's ``1e-9``
   switch tolerance (a :class:`~repro.power.DiscretePowerModel`
@@ -220,14 +235,22 @@ from .tape import build_tape
 _EPS = 1e-9
 
 #: most kernel rows one block of a path group holds (runs for the fixed
-#: kernel, schemes × runs for the dynamic one)
-BLOCK_ROWS = 16384
+#: kernel, schemes × runs for the dynamic one).  Longer blocks make each
+#: NumPy call longer and cut the threads' waits for the GIL: on a 2-core
+#: host the dynamic calls of a warm ``figure5`` at 50k runs took
+#: 0.61-0.66 s at 16k rows, 0.49-0.55 s at 32k and 0.46-0.51 s at 64k,
+#: but 64k added 24% to the process's peak memory (32k: 8%) and slowed
+#: the fixed calls from 0.11-0.12 s to 0.17 s
+BLOCK_ROWS = 32768
 
 #: fewest kernel rows (runs for the fixed kernel, schemes × runs for the
 #: dynamic one) a call needs before it runs its units on threads.  On a
-#: 2-core host, threading every call of ``figure5`` lost at 1k–3k runs
-#: (dynamic calls of 36k–108k rows), broke even around 5k and won from
-#: 10k runs on; Figure 5's largest call at the paper's 1000 runs has 36k
+#: 2-core host with 32k-row blocks, threading every call of a warm
+#: ``figure5`` tied at 3k runs (dynamic calls of 108k rows; 3 of 6 pairs
+#: won) and won at 10k (5 of 6, median -16%); threading its dynamic calls
+#: only lost at 4k runs (144k rows; 2 of 8, +23%) and won narrowly at 5k
+#: (180k rows; 6 of 8, -6%), so the break-even lies a little under this
+#: threshold.  Figure 5's largest call at the paper's 1000 runs has 36k
 THREAD_ROWS = 200_000
 
 
@@ -397,6 +420,18 @@ def _first_min(pf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         above &= pf[r] > mn
         j += above
     return j, mn
+
+
+def _snap_up(snap_x: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The level index each of ``target`` snaps up to, against a
+    model's :meth:`~repro.power.DiscretePowerModel.snap_thresholds`
+    ``snap_x``: the number of levels below the top minus the number of
+    thresholds at or above the target — one broadcast compare and one
+    byte-wide count, whatever the number of levels."""
+    above = np.greater_equal(snap_x[:, None], target).view(np.uint8)
+    count = np.add.reduce(above, axis=0,
+                          dtype=np.uint8 if snap_x.size < 256 else np.intp)
+    return np.subtract(snap_x.size, count, dtype=np.intp)
 
 
 def _check_wcet(st, block: np.ndarray,
@@ -765,10 +800,10 @@ def run_dynamic_batch(prog, power: PowerModel,
     (see the module docstring).  Each processor's current speed is
     tracked as an *index* into the discrete level table, so the
     per-level speed-computation time and power draw become single
-    gathers; the greedy required speed, the floor, the snap-up
-    (``searchsorted`` with the same ``1e-12`` epsilon as
-    ``DiscretePowerModel.snap_up``) and the switch bookkeeping are one
-    NumPy operation each across a block.
+    gathers; the greedy required speed, the floor, the snap-up (a
+    count of the model's snap thresholds, which carry the same
+    ``1e-12`` epsilon as ``DiscretePowerModel.snap_up``) and the switch
+    bookkeeping are a few NumPy operations each across a block.
 
     Each run is consulted only for its protocol attributes
     (``floor_const``/``floor_step``/``or_respec``) and is not mutated;
@@ -796,11 +831,10 @@ def run_dynamic_batch(prog, power: PowerModel,
     s_max_guard = s_max * (1 + 1e-6)
 
     speeds_arr = power.level_speed_table()
-    # the engine snaps min(target, s_max) up to a level: a target past
-    # the top level lands on it.  Searching every level but the top one
-    # returns exactly min(searchsorted(speeds_arr), n_lv - 1), with no
-    # clamp
-    snap_levels = speeds_arr[:-1]
+    # thresholds of every level but the top one: a target past the top
+    # level counts none of them and lands on it with no clamp, as the
+    # engine's snap_up(min(target, s_max)) does
+    snap_x = power.snap_thresholds()
     pow_arr = power.level_power_table()
     tc_arr = overhead.computation_time_table(power)
     # the speed-computation energy per level: the product the engine
@@ -841,7 +875,7 @@ def run_dynamic_batch(prog, power: PowerModel,
         for path, idx, (cols, offs, guard, g_pt, _g_class) in todo:
             nb = idx.size
             ng = n_s * nb
-            rows = np.arange(ng)
+            rows = None  # built at the first _first_min dispatch
             pt = point_of.take(idx) if point_of is not None else None
             f_lo = _scheme_rows(*floors, pt, nb)
             step_rows = [(slice(s * nb, (s + 1) * nb), _gather(lo, pt),
@@ -905,6 +939,8 @@ def run_dynamic_batch(prog, power: PowerModel,
                         fj = slice(n_forced * ng, (n_forced + 1) * ng)
                         si = proc_idx[fj]
                     else:
+                        if rows is None:
+                            rows = np.arange(ng)
                         j, free = _first_min(pf)
                         t = np.maximum(np.maximum(ready, last_dispatch), free)
                         fj = np.multiply(j, ng, dtype=np.intp)
@@ -918,17 +954,19 @@ def run_dynamic_batch(prog, power: PowerModel,
                     fb_g = fb_all[e] if stacked else st.fb_list[e]
 
                     t_comp = tc_arr.take(si)
-                    avail = np.subtract(fb_g, t.reshape(n_s, nb)).reshape(ng)
-                    avail -= t_comp
-                    denom = avail - adjust_time
-                    # c / denom where denom > 0, else +inf
-                    s_req = np.divide(c_g, denom.reshape(n_s, nb)).reshape(ng)
-                    ok = denom > 0
+                    # avail -> denom -> s_req -> target, in one buffer
+                    target = np.subtract(fb_g, t.reshape(n_s, nb)).reshape(ng)
+                    target -= t_comp
+                    target -= adjust_time
+                    # s_req is c / denom where denom > 0, else +inf
+                    ok = target > 0
+                    np.divide(c_g, target.reshape(n_s, nb),
+                              out=target.reshape(n_s, nb))
                     if not ok.all():
-                        s_req[~ok] = math.inf
+                        target[~ok] = math.inf
                     for sl, lo, hi, theta in step_rows:
                         f_lo[sl] = np.where(t[sl] < theta, lo, hi)
-                    target = np.maximum(s_req, f_lo)
+                    np.maximum(target, f_lo, out=target)
                     if target.max() > s_max_guard:
                         k = int(np.argmax(target > s_max_guard))
                         raise SimulationError(
@@ -938,23 +976,24 @@ def run_dynamic_batch(prog, power: PowerModel,
                             f"under scheme {schemes[k // nb]!r}")
                     # a target in (s_max, s_max_guard] snaps to the top
                     # level, as the engine's min(target, s_max) does
-                    new_idx = snap_levels.searchsorted(target - 1e-12,
-                                                       side="left")
+                    new_idx = _snap_up(snap_x, target)
                     speed = speeds_arr.take(new_idx)
                     # index inequality is the engine's 1e-9 speed test (the
                     # level table's adjacent speeds are > 1e-9 apart)
                     changed = new_idx != si
-                    t_adj = changed * adjust_time
-                    start_exec = t + t_comp + t_adj
                     overhead_time += t_comp
                     e_over += e_tc_arr.take(si)
+                    t_adj = changed * adjust_time
                     overhead_time += t_adj
                     e_over += changed * adj_energy
                     changes += changed
                     proc_idx[fj] = new_idx
+                    # t + t_comp + t_adj, in t_comp's buffer once read
+                    start_exec = np.add(t, t_comp, out=t_comp)
+                    start_exec += t_adj
 
-                    wall = np.divide(actual,
-                                     speed.reshape(n_s, nb)).reshape(ng)
+                    wall = np.divide(actual, speed.reshape(n_s, nb),
+                                     out=speed.reshape(n_s, nb)).reshape(ng)
                     finish = np.add(start_exec, wall, out=fin[e])
                     busy_time += wall
                     e_busy += pow_arr.take(new_idx) * wall
@@ -990,8 +1029,7 @@ def run_dynamic_batch(prog, power: PowerModel,
                         horizon = dl_b - t_end[sl]
                         raw = work / horizon
                         want = np.minimum(raw, s_max)
-                        snap_idx = snap_levels.searchsorted(want - 1e-12,
-                                                            side="left")
+                        snap_idx = _snap_up(snap_x, want)
                         f_lo[sl] = np.where(horizon > 0, speeds_arr[snap_idx],
                                             s_max)
 

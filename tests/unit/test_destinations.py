@@ -5,7 +5,8 @@ whole run axis, and the batch kernels write their rows straight into
 them (``out``) through an output-row map (``out_row``: view run →
 sweep run).  These tests pin that path against the kernels' fresh
 outputs, bit for bit: stacked calls reading a shared matrix through
-``row_of``, at a 7-row and the default block size, over every point
+``row_of``, at a 7-row block, a 16,384-row one (the default before
+32,768) and the live default, over every point
 and over a partial dynamic view (a point without a dynamic plan); the
 errors an invalid batch raises; and the per-point results a sweep
 hands out as views of its arrays, which must pickle and cache exactly
@@ -118,7 +119,7 @@ def _untouched(dest, written):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("block_rows", [7, 16384])
+    @pytest.mark.parametrize("block_rows", [7, 16384, interp.BLOCK_ROWS])
     @pytest.mark.parametrize("finish", [True, False])
     def test_fixed_kernel_fills_mapped_rows(self, monkeypatch, block_rows,
                                             finish):
@@ -148,7 +149,7 @@ class TestBitIdentity:
             assert got.finish_time is None
         assert np.array_equal(got.n_speed_changes, fresh.n_speed_changes)
 
-    @pytest.mark.parametrize("block_rows", [7, 16384])
+    @pytest.mark.parametrize("block_rows", [7, 16384, interp.BLOCK_ROWS])
     @pytest.mark.parametrize("loads", [FULL, PARTIAL],
                              ids=["every-point", "partial-view"])
     @pytest.mark.parametrize("finish", [True, False])
@@ -178,7 +179,7 @@ class TestBitIdentity:
             else:
                 assert res.finish_time is None
 
-    @pytest.mark.parametrize("block_rows", [7, 16384])
+    @pytest.mark.parametrize("block_rows", [7, 16384, interp.BLOCK_ROWS])
     def test_evaluator_finishes_only_on_request(self, monkeypatch,
                                                 block_rows):
         monkeypatch.setattr(interp, "BLOCK_ROWS", block_rows)

@@ -5,7 +5,8 @@ runs its independent units — the dynamic kernel's row blocks, the fixed
 kernel's path groups — on threads of one process.  These tests force
 that path on small sweeps (a 7-row block size, a zero threshold, three
 threads whatever the host has) and pin it to the serial call: the same
-bytes in every destination, the same error when several blocks are
+bytes in every destination, also at the default block size with a path
+group several blocks long, the same error when several blocks are
 invalid, no NumPy warning escaping a worker thread, no thread left
 behind, and no threads at all inside a pool worker.
 """
@@ -19,11 +20,16 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core import get_policy
 from repro.errors import DeadlineMissError, SimulationError
 from repro.experiments import ExecutionContext
-from repro.power import NO_OVERHEAD, PAPER_OVERHEAD
-from repro.sim.compiled import run_dynamic_batch, run_fixed_batch
+from repro.offline import build_plan
+from repro.power import NO_OVERHEAD, PAPER_OVERHEAD, transmeta_model
+from repro.sim import sample_realization_batch
+from repro.sim.compiled import compile_plan, run_dynamic_batch, run_fixed_batch
 from repro.sim.kernels import build_tape, interp
+from repro.workloads import application_with_load
+from tests.conftest import build_or_graph
 from tests.unit.test_destinations import DYNAMIC, FULL, PARTIAL, _Sweep
 
 #: threads a forced call runs on, whatever the host's core count
@@ -128,6 +134,44 @@ class TestBitIdentity:
                     assert b is None and not finish
                 else:
                     assert _same(a, b)
+
+
+def test_default_blocks_of_a_group_spanning_several(mode):
+    """Threaded at the default block size, with a path group three
+    blocks long: the same bytes as the serial call at 7-row blocks."""
+    default = interp.BLOCK_ROWS
+    power = transmeta_model()
+    plan = build_plan(application_with_load(build_or_graph(), 0.6, 2), 2,
+                      reserve=PAPER_OVERHEAD.per_task_reserve(power))
+    prog = compile_plan(plan)
+    batch = sample_realization_batch(plan.structure,
+                                     np.random.default_rng(3), 300)
+    matrix = prog.realization_matrix(batch)
+    groups, _keys = prog.executed_paths(batch.choices, len(batch))
+    # 400 scheme rows per run: a default block holds 81 runs, and a
+    # 7-row block one.  Past the five batchable schemes the rows are GSS
+    # and SS1, whose per-block Python is the cheapest
+    names = (["GSS", "SS1", "SS2", "AS", "PS"] + ["GSS", "SS1"] * 196
+             + ["GSS", "SS1", "AS"])
+    runs = [get_policy(n).start_run(plan, power, PAPER_OVERHEAD)
+            for n in names]
+    assert max(idx.size for _path, idx in groups) > \
+        2 * (default // len(names))
+
+    def call():
+        return run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix,
+                                 groups, runs, names)
+    mode(False)
+    want = call()
+    used = mode(True)
+    interp.BLOCK_ROWS = default
+    got = call()
+    assert used == [THREADS]
+    for res, ref in zip(got, want):
+        assert res.scheme == ref.scheme
+        assert _same(res.total_energy, ref.total_energy)
+        assert _same(res.finish_time, ref.finish_time)
+        assert _same(res.n_speed_changes, ref.n_speed_changes)
 
 
 class TestErrors:

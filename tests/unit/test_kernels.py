@@ -1,12 +1,15 @@
 """Batch-kernel mechanics: tape lowering, the first-idle processor
-choice, the forced-dispatch guard, the WCET precheck's error
-selection, the run-to-row map, and the kernel observability snapshot.
+choice, the threshold snap-up, the forced-dispatch guard, the WCET
+precheck's and the guarantee check's error selection, the run-to-row
+map, and the kernel observability snapshot.
 
 The golden suites pin the kernels bit-identical to the dict engine
 through the public evaluation APIs; these tests pin what those suites
 cannot see — that the tape lowered onto a program is cached and
 structurally sound, and which error an invalid batch raises.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from repro.experiments import RunConfig
 from repro.offline import build_plan
 from repro.sim import kernels
 from repro.sim.compiled import compile_plan
-from repro.sim.kernels.interp import _first_min
+from repro.sim.kernels import interp
+from repro.sim.kernels.interp import _first_min, _snap_up
 from repro.experiments.figures import ATR_ALPHA
 from repro.workloads import (AtrConfig, application_with_load, atr_graph,
                              figure3_graph)
@@ -127,6 +131,84 @@ class TestFirstMin:
         j, mn = _first_min(pf)
         assert j.tolist() == [0] * 5
         assert mn.tolist() == [2.5] * 5
+
+
+def _dense_model():
+    """A level table whose adjacent levels are 2e-9 apart near the top,
+    just over the 1e-9 the model requires."""
+    from repro.power import DiscretePowerModel
+    return DiscretePowerModel([(500.0, 1.0), (999.999996, 1.1),
+                               (999.999998, 1.2), (1000.0, 1.3)],
+                              name="dense")
+
+
+def _binade_model():
+    """Levels one ulp below 0.5 and 0.25 (a 1 MHz top level keeps them
+    exact): ``level + 1e-12`` lands in the next binade, where
+    subtracting ``1e-12`` again can round back up past the level."""
+    from repro.power import DiscretePowerModel
+    return DiscretePowerModel([(math.nextafter(0.25, 0), 1.0),
+                               (math.nextafter(0.5, 0), 1.1), (1.0, 1.2)],
+                              name="binade")
+
+
+def _snap_models():
+    from repro.power import transmeta_model, xscale_model
+    return [transmeta_model(), xscale_model(), _dense_model(),
+            _binade_model()]
+
+
+def _searched(levels, target):
+    """The search the threshold snap replaces."""
+    return levels[:-1].searchsorted(target - 1e-12, side="left")
+
+
+class TestSnapThresholds:
+    """The dynamic kernel snaps a target up to a level by counting the
+    model's snap thresholds at or above it; that count must equal the
+    ``searchsorted`` of ``target - 1e-12`` over every level but the top
+    one for every double, the edge cases of the subtraction included."""
+
+    @pytest.mark.parametrize("model", _snap_models(),
+                             ids=["transmeta", "xscale", "dense", "binade"])
+    def test_equals_the_search_at_the_edges(self, model):
+        levels = model.level_speed_table()
+        x = model.snap_thresholds()
+        assert x.size == levels.size - 1 and not x.flags.writeable
+        assert model.snap_thresholds() is x  # cached on the model
+        # each threshold is the largest double that still snaps to its
+        # level: the next one up snaps past it
+        assert (_searched(levels, x) == np.arange(x.size)).all()
+        assert (_searched(levels, np.nextafter(x, np.inf))
+                == np.arange(1, x.size + 1)).all()
+        ulps = [x]
+        up = down = x
+        for _ in range(4):
+            up = np.nextafter(up, np.inf)
+            down = np.nextafter(down, -np.inf)
+            ulps += [up, down]
+        s_max = model.s_max
+        target = np.concatenate(ulps + [
+            levels, levels + 1e-12, levels - 1e-12,
+            [0.0, -0.25, s_max * (1 + 1e-6), np.inf, -np.inf, np.nan]])
+        got = _snap_up(x, target)
+        assert got.dtype == np.intp
+        assert got.tolist() == _searched(levels, target).tolist()
+        # NaN goes to the top level, as the search sends it
+        assert got[-1] == levels.size - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.1), min_size=1, max_size=50),
+           st.sampled_from(range(4)))
+    def test_equals_the_search(self, values, which):
+        model = _snap_models()[which]
+        target = np.asarray(values)
+        got = _snap_up(model.snap_thresholds(), target)
+        assert got.tolist() == _searched(model.level_speed_table(),
+                                         target).tolist()
+        # and the level it picks is the scalar snap of min(target, s_max)
+        assert [model.level_speed_table()[i] for i in got] == [
+            model.snap_up(min(v, model.s_max)) for v in values]
 
 
 class TestForcedDispatchGuard:
@@ -282,6 +364,41 @@ class TestGuaranteeViolation:
         assert "required speed inf" in str(want.value)
         assert str(got.value) == f"{want.value} under scheme 'GSS'"
 
+    def test_a_target_one_ulp_past_the_tolerance_raises(self):
+        """A floor at ``s_max * (1 + 1e-6)`` snaps to the top level like
+        ``s_max`` itself; one ulp above it is a guarantee violation,
+        named at the first violating row: the first run of the point
+        whose floor it is, at the first computation dispatch."""
+        import types
+        from repro.power import NO_OVERHEAD, transmeta_model
+        from repro.sim.compiled import run_dynamic_batch
+        power = transmeta_model()
+        _progs, stacked, _batch, matrix, groups, point_of, row_of = \
+            _stacked_sweep((0.5, 0.7))
+        guard = power.s_max * (1 + 1e-6)
+
+        def run(*floors):
+            runs = [types.SimpleNamespace(floor_const=np.asarray(f),
+                                          floor_step=None, or_respec=None)
+                    for f in floors]
+            return run_dynamic_batch(stacked, power, NO_OVERHEAD, matrix,
+                                     groups, runs, ["A", "B"],
+                                     point_of=point_of, row_of=row_of)
+
+        top, tolerated = run([power.s_max] * 2, [guard] * 2)
+        for field in ("total_energy", "finish_time", "n_speed_changes"):
+            assert getattr(top, field).tobytes() == \
+                getattr(tolerated, field).tobytes()
+        with pytest.raises(SimulationError) as err:
+            run([0.0, 0.0], [guard, np.nextafter(guard, np.inf)])
+        sec = kernels.build_tape(stacked).sections[stacked.root_sid]
+        e = next(step[1] for step in sec.steps if not step[0])
+        assert type(err.value) is SimulationError
+        assert str(err.value) == (
+            f"guarantee violated for {sec.names[e]!r}: required speed 1 "
+            f"exceeds maximum (t=0, bound={sec.fb_pt[e][1]:.6g}) "
+            f"under scheme 'B'")
+
 
 class TestRowMap:
     """With ``row_of``, runs read shared realization rows; both kernels
@@ -404,13 +521,12 @@ class TestSharedFixedDispatch:
         assert _shared_dispatch(pt, src, 1.0, (0, 1, 0)) == [
             (0, 4, 0, True), (4, 8, 4, True), (8, 12, 0, False)]
 
-    @pytest.mark.parametrize("block_rows", [7, 16384])
+    @pytest.mark.parametrize("block_rows", [7, 16384, interp.BLOCK_ROWS])
     @pytest.mark.parametrize("kind", ["repeated", "scalar"])
     def test_stacked_equals_per_point_calls(self, monkeypatch, block_rows,
                                             kind):
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim.compiled import run_fixed_batch
-        from repro.sim.kernels import interp
         monkeypatch.setattr(interp, "BLOCK_ROWS", block_rows)
         power = transmeta_model()
         progs, stacked, batch, matrix, groups, point_of, row_of = \
@@ -441,13 +557,12 @@ class TestSharedFixedDispatch:
                         else got.n_speed_changes)
             assert switches == want.n_speed_changes
 
-    @pytest.mark.parametrize("block_rows", [7, 16384])
+    @pytest.mark.parametrize("block_rows", [7, 16384, interp.BLOCK_ROWS])
     def test_deadline_miss_at_a_duplicated_point(self, monkeypatch,
                                                  block_rows):
         from repro.errors import DeadlineMissError
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim.compiled import run_fixed_batch
-        from repro.sim.kernels import interp
         monkeypatch.setattr(interp, "BLOCK_ROWS", block_rows)
         power = transmeta_model()
         # point 1 repeats point 0's rows and speed, so all of its runs
