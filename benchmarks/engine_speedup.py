@@ -6,7 +6,7 @@ and EXPERIMENTS.md can track the engine's throughput over time:
 
 1. **dict kernel** — ``_simulate_runs`` (the reference string-keyed
    engine) on prebuilt plans and a presampled realization batch;
-2. **compiled kernel** — ``_simulate_runs_compiled`` (the integer-
+2. **compiled kernel** — ``fused.evaluate_batch`` (the integer-
    indexed section program and its tape-interpreted batch kernels) on
    the same plans and batch, verified bit-identical;
 3. **evaluation** — one plain ``evaluate_application`` call at
@@ -42,11 +42,8 @@ from _common import best_of, effective_cores, peak_rss_mb, write_record
 from repro.core.registry import get_policy
 from repro.experiments import RunConfig, evaluate_application
 from repro.experiments.figures import ATR_ALPHA
-from repro.experiments.runner import (
-    _simulate_runs,
-    _simulate_runs_compiled,
-    build_plans,
-)
+from repro.experiments.fused import evaluate_batch
+from repro.experiments.runner import _simulate_runs, build_plans
 from repro.sim.realization import sample_realization_batch
 from repro.workloads import AtrConfig, application_with_load, atr_graph
 
@@ -82,11 +79,11 @@ def main(argv=None) -> int:
                               cfg.overhead, batch)
 
     def compiled_kernel():
-        return _simulate_runs_compiled(plan_dyn, plan_static, scheme_names,
-                                       power, cfg.overhead, batch)
+        return evaluate_batch(plan_dyn, plan_static, scheme_names, power,
+                              cfg.overhead, batch)
 
-    d_npm, d_abs, _, d_keys = dict_kernel()   # warm-up + reference output
-    c_npm, c_abs, _, c_keys = compiled_kernel()  # warm-up + check
+    d_npm, d_abs, _, _, d_keys = dict_kernel()   # warm-up + reference
+    c_npm, c_abs, _, _, c_keys = compiled_kernel()  # warm-up + check
     assert d_keys == c_keys, "compiled kernel diverged on path keys"
     assert np.array_equal(d_npm, c_npm), "compiled kernel diverged on NPM"
     for scheme in d_abs:

@@ -106,7 +106,7 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             series_hit = sweep_load(graph, cfg, loads, context=ctx)
             t_hit = time.perf_counter() - t0
-            stats = {k: ctx.cache_stats()[k] - before[k] for k in before}
+            stats = {k: cache.stats()[k] - before[k] for k in before}
         print(f"  cache (hits from disk)   {t_hit:8.3f} s  "
               f"({stats['hits']} hits / {stats['misses']} misses)")
         assert stats["hits"] >= args.points, \

@@ -21,15 +21,26 @@ command's own process (its batch kernels thread a large call over the
 cores); sweeps that cannot fuse (``--engine dict``, fig_online's rate
 points) fan their points out over the pool.  ``report`` takes no
 ``--jobs``: its figures all fuse.
+
+Every command runs under one :mod:`repro.obs` recording and ends with
+one summary line on stderr: its wall time, the share of it the layer
+spans account for, the slowest layers and every non-zero counter
+(``--save`` keeps each series' own block, ``meta["obs"]``).  Profile a
+command with ``python -m cProfile -m repro ...``.  Bad input ends with
+one ``repro <command>: error: <message>`` line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Dict, List, Optional
 
+from . import obs
 from .core.registry import ALL_SCHEMES, PAPER_SCHEMES
+from .errors import ReproError
+from .experiments.engine import ExecutionContext, recording
 from .experiments.figures import ALL_FIGURES
 from .experiments.report import (
     render_online_meta,
@@ -89,15 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulation kernel (results are "
                              "bit-identical; 'dict' is the reference "
                              "engine, ~4x slower)")
-        fp.add_argument("--cache-stats", action="store_true",
-                        dest="cache_stats",
-                        help="print the kernel-side cache counters "
-                             "(compiled-program / tape / stacked-program "
-                             "caches) after the figure, aggregated "
-                             "across live pool workers")
-        fp.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top 25 "
-                             "functions by cumulative time")
         fp.add_argument("--max-retries", type=int, default=2,
                         dest="max_retries",
                         help="pool rebuilds after a worker dies before "
@@ -137,14 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="compiled",
                     help="simulation kernel (results are bit-identical; "
                          "'dict' is the reference engine, ~4x slower)")
-    rp.add_argument("--cache-stats", action="store_true",
-                    dest="cache_stats",
-                    help="print the kernel-side cache counters "
-                         "(compiled-program / tape / stacked-program "
-                         "caches) after the evaluation")
-    rp.add_argument("--profile", action="store_true",
-                    help="run under cProfile and print the top 25 "
-                         "functions by cumulative time")
     rp.add_argument("--schemes", nargs="*", default=list(PAPER_SCHEMES),
                     help=f"subset of {list(ALL_SCHEMES)}")
 
@@ -265,64 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_context(n_jobs: int, no_cache: bool, cache_dir: Optional[str]):
     """One ExecutionContext per CLI command: shared pool + optional cache."""
-    from .experiments.engine import ExecutionContext
     cache = None
     if not no_cache:
         from .experiments.evalcache import DEFAULT_CACHE_DIR, EvaluationCache
         cache = EvaluationCache(cache_dir or DEFAULT_CACHE_DIR)
     return ExecutionContext(n_jobs=n_jobs, cache=cache)
-
-
-def _print_cache_stats(context) -> None:
-    stats = context.cache_stats()
-    if stats is not None:
-        print(f"(cache: {stats['hits']} hits, {stats['misses']} misses"
-              + (f", {stats['quarantined']} corrupt entries quarantined"
-                 if stats["quarantined"] else "")
-              + f" in {context.cache.root})")
-    res = context.resilience_stats()
-    if any(res.values()):
-        print("(resilience: "
-              + ", ".join(f"{k}={v}" for k, v in res.items() if v) + ")")
-
-
-def _print_kernel_stats(context=None) -> None:
-    """--cache-stats: the compile-side cache counters.
-
-    The parent-process counters come first; when the context still has
-    a live worker pool, each worker's program/tape/stacked counters are
-    collected (one probe per process) and printed as an aggregated
-    ``workers`` line — pooled sweep points compile in the workers, so
-    parent-only counters would read as all-miss.
-    """
-    from .sim.kernels import kernel_meta
-    meta = kernel_meta()
-    parts = []
-    for label in ("program_cache", "tape_cache", "stacked_cache"):
-        stats = meta[label]
-        part = (f"{label.replace('_cache', '')} "
-                f"{stats['hits']}h/{stats['misses']}m")
-        if "size" in stats:  # tapes live on their programs: no store
-            part += f" size={stats['size']}"
-        parts.append(part)
-    print("(kernel: " + ", ".join(parts) + ")")
-    if context is None:
-        return
-    worker_stats = context.worker_kernel_stats()
-    if not worker_stats:
-        return
-    totals = {"program_cache": {"hits": 0, "misses": 0},
-              "tape_cache": {"hits": 0, "misses": 0},
-              "stacked_cache": {"hits": 0, "misses": 0}}
-    for counters in worker_stats:
-        for label, agg in totals.items():
-            stats = counters.get(label, {})
-            agg["hits"] += int(stats.get("hits", 0))
-            agg["misses"] += int(stats.get("misses", 0))
-    joined = ", ".join(
-        f"{label.replace('_cache', '')} {agg['hits']}h/{agg['misses']}m"
-        for label, agg in totals.items())
-    print(f"(kernel workers: {len(worker_stats)} probed; {joined})")
 
 
 def _emit_figure(series_by_model: Dict[str, SeriesResult],
@@ -336,10 +277,6 @@ def _emit_figure(series_by_model: Dict[str, SeriesResult],
         print(render_speed_changes(series))
         if series.meta.get("online"):
             print(render_online_meta(series))
-        cache = series.meta.get("cache")
-        if cache is not None:
-            print(f"({series.name}: cache {cache['hits']} hits / "
-                  f"{cache['misses']} misses)")
         chunks.append(series_to_csv(series))
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:
@@ -347,66 +284,55 @@ def _emit_figure(series_by_model: Dict[str, SeriesResult],
         print(f"(csv written to {csv_path})")
 
 
-def _run_profiled(fn, *args, **kwargs):
-    """Run ``fn`` under cProfile, print top-25 cumulative, return result."""
-    import cProfile
-    import pstats
-    prof = cProfile.Profile()
-    result = prof.runcall(fn, *args, **kwargs)
-    stats = pstats.Stats(prof, stream=sys.stdout)
-    stats.sort_stats("cumulative").print_stats(25)
-    return result
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        with contextlib.ExitStack() as stack:
+            context = None
+            if hasattr(args, "cache_dir"):  # figure and suite commands
+                context = stack.enter_context(_make_context(
+                    args.jobs, args.no_cache, args.cache_dir))
+            with recording(context) as rec:
+                _run(args, context)
+    except ReproError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    print(f"repro {args.command}: {obs.summary(rec.totals())}",
+          file=sys.stderr)
+    return 0
 
+
+def _run(args: argparse.Namespace, context) -> None:
     if args.command == "tables":
         print(all_tables())
-        return 0
-
-    if args.command in ALL_FIGURES:
+    elif args.command in ALL_FIGURES:
         schemes = list(PAPER_SCHEMES)
         if args.oracle:
             schemes.append("ORACLE")
-        fig_fn = ALL_FIGURES[args.command]
-        with _make_context(args.jobs, args.no_cache, args.cache_dir) as ctx:
-            fig_kwargs = dict(
-                n_runs=args.runs, seed=args.seed, context=ctx,
-                schemes=tuple(schemes), engine=args.engine,
-                max_retries=args.max_retries,
-                degrade=not args.no_degrade)
-            if args.command == "fig_online":
-                fig_kwargs["arrival"] = args.arrival
-                if args.rates:
-                    fig_kwargs["rates"] = tuple(args.rates)
-                if args.load is not None:
-                    fig_kwargs["load"] = args.load
-            if args.profile:
-                series = _run_profiled(fig_fn, **fig_kwargs)
-            else:
-                series = fig_fn(**fig_kwargs)
-            _emit_figure(series, args.csv, chart=args.chart)
-            _print_cache_stats(ctx)
-            if args.cache_stats:
-                _print_kernel_stats(context=ctx)
+        fig_kwargs = dict(
+            n_runs=args.runs, seed=args.seed, context=context,
+            schemes=tuple(schemes), engine=args.engine,
+            max_retries=args.max_retries, degrade=not args.no_degrade)
+        if args.command == "fig_online":
+            fig_kwargs["arrival"] = args.arrival
+            if args.rates:
+                fig_kwargs["rates"] = tuple(args.rates)
+            if args.load is not None:
+                fig_kwargs["load"] = args.load
+        series = ALL_FIGURES[args.command](**fig_kwargs)
+        _emit_figure(series, args.csv, chart=args.chart)
         if args.save:
             from .experiments.persist import save_series
             save_series(series, args.save)
             print(f"(series bundle written to {args.save})")
-        return 0
-
-    if args.command == "run":
+    elif args.command == "run":
         graph = _APPS[args.app]()
         app = application_with_load(graph, args.load, args.procs)
         cfg = RunConfig(schemes=tuple(args.schemes),
                         power_model=args.model,
                         n_processors=args.procs, n_runs=args.runs,
                         seed=args.seed, engine=args.engine)
-        if args.profile:
-            result = _run_profiled(evaluate_application, app, cfg)
-        else:
-            result = evaluate_application(app, cfg)
+        result = evaluate_application(app, cfg)
         print(f"app={args.app} load={args.load} model={args.model} "
               f"m={args.procs} runs={args.runs}")
         print(f"{'scheme':>8} {'E/E_NPM':>10} {'switches':>10}")
@@ -415,20 +341,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         for scheme in result.normalized:
             print(f"{scheme:>8} {means[scheme]:>10.4f} "
                   f"{switches[scheme]:>10.1f}")
-        if args.cache_stats:
-            _print_kernel_stats()
-        return 0
-
-    if args.command == "gantt":
+    elif args.command == "gantt":
         from .sim.trace import render_gantt, trace_one_run
         graph = _APPS[args.app]()
         app = application_with_load(graph, args.load, args.procs)
         result = trace_one_run(app, args.scheme, power_model=args.model,
                                seed=args.seed)
         print(render_gantt(result, app.deadline))
-        return 0
-
-    if args.command == "analyze":
+    elif args.command == "analyze":
         from .analysis import graph_metrics, slack_profile
         from .offline import build_plan
         graph = _APPS[args.app]()
@@ -452,9 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"({prof.static_fraction:.0%} of D)  "
               f"path={prof.expected_path_slack:.2f}  "
               f"runtime={prof.expected_runtime_slack:.2f}")
-        return 0
-
-    if args.command == "stream":
+    elif args.command == "stream":
         from .workloads.frames import compare_streams, render_stream_report
         from .workloads.scaling import worst_case_length
         graph = _APPS[args.app]()
@@ -467,9 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"mission: {args.frames} frames, period {period:.2f} "
               f"(load {args.load}), {args.model}, m={args.procs}")
         print(render_stream_report(results))
-        return 0
-
-    if args.command == "online":
+    elif args.command == "online":
         from .experiments.online import (
             OnlineConfig,
             render_online_report,
@@ -486,9 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               burst_dwell=args.dwell,
                               trace_path=args.trace)
         print(render_online_report(simulate_online(graph, cfg, online)))
-        return 0
-
-    if args.command == "exact":
+    elif args.command == "exact":
         from .experiments.exact import exact_evaluation, render_exact
         graph = _APPS[args.app]()
         app = application_with_load(graph, args.load, args.procs)
@@ -497,9 +411,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"exact path-enumeration: app={args.app} load={args.load} "
               f"model={args.model} m={args.procs}")
         print(render_exact(exact_evaluation(app, cfg)))
-        return 0
-
-    if args.command == "misprofile":
+    elif args.command == "misprofile":
         from .experiments.misprofile import (
             misprofile_evaluation,
             render_misprofile,
@@ -513,16 +425,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"misprofiling regret: app={args.app} load={args.load} "
               f"model={args.model} ({args.runs} runs/γ)")
         print(render_misprofile(results))
-        return 0
-
-    if args.command == "report":
+    elif args.command == "report":
         from .experiments.report_md import write_report
         write_report(args.output, n_runs=args.runs, seed=args.seed,
                      figures=args.figures)
         print(f"report written to {args.output}")
-        return 0
-
-    if args.command == "suite":
+    elif args.command == "suite":
         from .experiments.suite import SuiteConfig, render_suite, run_suite
         cfg = SuiteConfig(loads=tuple(args.loads),
                           models=tuple(args.models),
@@ -530,12 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           seed=args.seed,
                           max_retries=args.max_retries,
                           degrade=not args.no_degrade)
-        with _make_context(args.jobs, args.no_cache, args.cache_dir) as ctx:
-            print(render_suite(run_suite(cfg, context=ctx)))
-            _print_cache_stats(ctx)
-        return 0
-
-    return 2  # pragma: no cover - argparse enforces the choices
+        print(render_suite(run_suite(cfg, context=context)))
 
 
 if __name__ == "__main__":  # pragma: no cover

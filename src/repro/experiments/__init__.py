@@ -7,7 +7,7 @@
 * :mod:`~repro.experiments.report` — text/CSV rendering,
 * :mod:`~repro.experiments.parallel` — process-pool fan-out,
 * :mod:`~repro.experiments.engine` — persistent sweep-scale execution
-  (one worker pool + shared-memory transport + evaluation cache),
+  (one worker pool + evaluation cache),
 * :mod:`~repro.experiments.evalcache` — content-addressed on-disk
   cache of evaluation points (with corrupt-entry quarantine),
 * :mod:`~repro.experiments.faults` — deterministic fault injection
@@ -19,8 +19,8 @@
 Resilience: :class:`RetryPolicy` (surfaced as the ``max_retries`` /
 ``degrade`` fields of :class:`RunConfig`) governs how often the
 execution engine rebuilds a pool whose worker died before degrading to
-serial execution in the parent; every recovery is counted in
-``series.meta["resilience"]``.
+serial execution in the parent; every recovery is counted in the
+sweep's :mod:`repro.obs` recording, ``series.meta["obs"]``.
 """
 
 from .chart import render_chart, render_charts

@@ -16,6 +16,11 @@ shared costs to once per sweep:
 * An optional **content-addressed evaluation cache**
   (:mod:`repro.experiments.evalcache`) attached to the context, so
   ``repro fig`` / ``repro suite`` regeneration is incremental.
+* :func:`recording` — the :mod:`repro.obs` recording of one sweep or
+  command, which also counts the context's cache hits and misses.  A
+  pooled task runs under its own recording in the worker and returns
+  the totals with its result, so the parent's recordings count the
+  compiles and spans that happened in the workers.
 
 Everything here preserves the engine's core contract: results are
 **bit-identical** to sequential execution for every pool size
@@ -24,13 +29,12 @@ Everything here preserves the engine's core contract: results are
 
 from __future__ import annotations
 
-import os
-import time
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..cores import effective_cores
 from ..errors import ConfigError, ParallelError
 from . import faults
@@ -81,54 +85,43 @@ class RetryPolicy:
             raise ConfigError("max_retries must be >= 0")
 
 
-#: counters the resilient executor maintains per context — these are
-#: what sweeps surface as ``series.meta["resilience"]``
-RESILIENCE_COUNTERS = ("rebuilds", "degradations")
-
-
-# ---------------------------------------------------------------------------
-# worker-side kernel-cache probe
-# ---------------------------------------------------------------------------
-
-def _kernel_probe_task(scratch: str, want: int, deadline_s: float):
-    """Worker task: report this process's kernel-cache counters.
-
-    Rendezvous probe: each worker drops a pid marker in ``scratch`` and
-    waits (bounded by ``deadline_s``) until ``want`` markers exist, so
-    submitting ``want`` probes reaches every pool worker exactly once
-    instead of letting one idle worker answer them all.
-    """
-    pid = os.getpid()
-    with open(os.path.join(scratch, str(pid)), "w"):
-        pass
-    deadline = time.monotonic() + deadline_s
-    while len(os.listdir(scratch)) < want and time.monotonic() < deadline:
-        time.sleep(0.005)
-    from ..sim.compiled import program_cache_stats
-    from ..sim.kernels import tape_cache_stats
-    from ..sim.sweepc import stacked_cache_stats
-    return pid, {"program_cache": program_cache_stats(),
-                 "tape_cache": tape_cache_stats(),
-                 "stacked_cache": stacked_cache_stats()}
-
-
 def _run_item(fn: Callable, position: int, args: Tuple):
     """Worker side of :meth:`ExecutionContext.map`: one task.
 
     Fires the ``worker-chunk`` fault site, keyed by the item's position
-    in the call, so the chaos tier can kill the worker mid-map.
+    in the call, so the chaos tier can kill the worker mid-map, and
+    returns ``(result, totals)``: the totals of the task's own
+    recording (counting ``experiments.engine.tasks``).
     """
     faults.fire("worker-chunk", key=position)
-    return fn(*args)
+    with obs.recording(detached=True) as rec:
+        obs.count("experiments.engine.tasks")
+        result = fn(*args)
+    return result, rec.totals()
+
+
+def _merged(pair):
+    """A task's result, its recording's totals added to the open ones."""
+    result, totals = pair
+    obs.merge(totals)
+    return result
 
 
 def _harvest(future, results: List, i: int) -> bool:
     """Keep item ``i``'s result if its future finished before the break."""
     if future is not None and future.done() and not future.cancelled() \
             and future.exception() is None:
-        results[i] = future.result()
+        results[i] = _merged(future.result())
         return True
     return False
+
+
+def recording(context: Optional["ExecutionContext"]):
+    """An :func:`repro.obs.recording` that also counts ``context``'s
+    evaluation-cache events as ``experiments.evalcache.*``."""
+    cache = None if context is None else context.cache
+    return obs.recording(
+        None if cache is None else {"experiments.evalcache": cache.stats})
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +176,6 @@ class ExecutionContext:
         #: a failed sweep resets the pool and the next use re-creates
         #: it).  Exposed for tests and the sweep benchmark.
         self.pools_created = 0
-        #: recovery counters (see :data:`RESILIENCE_COUNTERS`); sweeps
-        #: record their per-sweep delta in ``series.meta["resilience"]``
-        self.resilience: Dict[str, int] = {
-            name: 0 for name in RESILIENCE_COUNTERS}
         if fault_plan is not None:
             # parent-side sites only: the parent must never crash
             # itself while recovering (workers get the full plan);
@@ -249,6 +238,8 @@ class ExecutionContext:
         false.  Any other worker exception fails fast: the pool is reset
         and :class:`ParallelError` names the failing item.  Results keep
         submission order and are bit-identical to a serial loop.
+        Recovery counts as ``experiments.engine.rebuilds`` and
+        ``.degradations`` in the open :mod:`repro.obs` recordings.
         """
         if labels is None:
             labels = [f"args={args!r}" for args in args_list]
@@ -264,7 +255,7 @@ class ExecutionContext:
                 for j in pending:
                     futures[j] = pool.submit(_run_item, fn, j, args_list[j])
                 for j in pending:
-                    results[j] = futures[j].result()
+                    results[j] = _merged(futures[j].result())
                 return results
             except BrokenExecutor as exc:
                 self.reset()
@@ -272,7 +263,7 @@ class ExecutionContext:
                            if not _harvest(futures.get(i), results, i)]
                 breaks += 1
                 if breaks <= policy.max_retries:
-                    self.resilience["rebuilds"] += 1
+                    obs.count("experiments.engine.rebuilds")
                     warnings.warn(
                         f"worker pool broke while running {labels[j]}; "
                         "rebuilding the pool and re-dispatching "
@@ -281,7 +272,7 @@ class ExecutionContext:
                     continue
                 if not policy.degrade:
                     raise ParallelError(labels[j], exc) from exc
-                self.resilience["degradations"] += 1
+                obs.count("experiments.engine.degradations")
                 warnings.warn(
                     f"worker pool broke {breaks} time(s); running the "
                     f"remaining {len(pending)} item(s) serially in the "
@@ -296,41 +287,3 @@ class ExecutionContext:
                 self.reset()
                 raise ParallelError(labels[j], exc) from exc
         return results
-
-    # -- bookkeeping --------------------------------------------------------
-    def worker_kernel_stats(self) -> List[Dict[str, Dict[str, int]]]:
-        """Per-worker kernel-cache counters from the live pool.
-
-        Best effort and read-only: returns ``[]`` when no pool is live
-        (nothing pooled ran), and skips workers whose probe fails.
-        ``repro ... --cache-stats`` sums these with the parent's own
-        counters so pooled runs stop under-counting.
-        """
-        if self._pool is None or self._closed:
-            return []
-        import shutil
-        import tempfile
-        want = self.jobs()
-        scratch = tempfile.mkdtemp(prefix="repro-kprobe-")
-        try:
-            pool = self.pool()
-            futures = [pool.submit(_kernel_probe_task, scratch, want, 1.0)
-                       for _ in range(want)]
-            per_pid: Dict[int, Dict[str, Dict[str, int]]] = {}
-            for future in futures:
-                try:
-                    pid, stats = future.result(timeout=10.0)
-                except Exception:  # pragma: no cover - best effort
-                    continue
-                per_pid[pid] = stats
-            return list(per_pid.values())
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
-
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """The attached cache's hit/miss counters, or ``None``."""
-        return self.cache.stats() if self.cache is not None else None
-
-    def resilience_stats(self) -> Dict[str, int]:
-        """Recovery counters accumulated over the context's lifetime."""
-        return dict(self.resilience)

@@ -61,6 +61,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
+from .. import obs
 from ..core.registry import get_policy
 from ..graph.andor import Application
 from ..offline.plan import graph_fingerprint
@@ -109,6 +110,7 @@ def config_payload(config) -> Dict[str, object]:
     return payload
 
 
+@obs.span("experiments.evalcache.key")
 def evaluation_key(app: Application, config) -> str:
     """The content address of one ``evaluate_application(app, config)``."""
     blob = json.dumps({
@@ -160,6 +162,7 @@ class EvaluationCache:
             return None
 
     # -- read ---------------------------------------------------------------
+    @obs.span("experiments.evalcache.get")
     def get(self, key: str, app_name: str, config):
         """The cached :class:`EvaluationResult`, or ``None`` on a miss.
 
@@ -189,6 +192,7 @@ class EvaluationCache:
         return result
 
     # -- write --------------------------------------------------------------
+    @obs.span("experiments.evalcache.put")
     def put(self, key: str, result) -> None:
         """Store one result (best-effort, atomic within the directory)."""
         path = self.path_for(key)

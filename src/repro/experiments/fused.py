@@ -27,8 +27,9 @@ run→row map instead of a stacked copy per point, and decodes each
 distinct set of OR choices into path groups once, tiling the groups
 by point offset.  A ``figure5`` power model samples and decodes once;
 a ``figure6`` one samples per α (the ACETs differ) and decodes once
-(the choices coincide).  ``series.meta["fused"]`` records the pass's
-``draws`` and ``decodes``.  Every kernel row depends on its own
+(the choices coincide).  The pass counts its ``experiments.fused.points``,
+``.draws`` and ``.decodes`` in the open :mod:`repro.obs` recordings
+(``series.meta["obs"]``).  Every kernel row depends on its own
 realization row only, so the sharing changes no float.
 
 **One pass, in the calling process.**  A fused sweep never leaves
@@ -51,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..core.registry import get_policy
 from ..graph.andor import Application
 from ..power.overhead import NO_OVERHEAD
@@ -60,20 +62,6 @@ from ..sim.realization import sample_realization_batch
 from ..sim.sweepc import (StackedProgram, _stack_values, programs_compatible,
                           stack_programs)
 from .runner import EvaluationResult, RunConfig, build_plans
-
-#: observability snapshot of the most recent fused pass in this process
-#: (point count, distinct draws and decodes); popped by the sweep layer into
-#: ``series.meta["fused"]`` via :func:`take_fused_meta`
-_LAST_FUSED: Optional[Dict[str, object]] = None
-
-
-def take_fused_meta() -> Optional[Dict[str, object]]:
-    """Pop the most recent fused pass's meta (``None`` if none ran)."""
-    global _LAST_FUSED
-    out = _LAST_FUSED
-    _LAST_FUSED = None
-    return out
-
 
 class _FusedRunSpec:
     """A duck-typed PolicyRun whose protocol attributes are per-point.
@@ -450,9 +438,9 @@ def evaluate_batch(plan_dyn, plan_static, scheme_names: Sequence[str],
                    power, overhead, batch, finish: bool = False):
     """Every scheme on one point's sampled realization batch.
 
-    The compiled path of ``runner.evaluate_application`` (via
-    ``runner._simulate_runs_compiled``) and of the online stream: a
-    one-point :func:`_evaluate` on the plain compiled programs, no
+    The compiled path of ``runner.evaluate_application`` and of the
+    online stream (``runner._simulate_runs`` is its dict-engine
+    counterpart, with the same arguments and result): a one-point :func:`_evaluate` on the plain compiled programs, no
     point axis.  Returns ``(npm_energy, absolute, finishes, changes,
     path_keys)``, keyed by canonical scheme name; only ``finish=True``
     stores the per-run makespans the online stream's ledger reads.
@@ -508,10 +496,10 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig]):
     path groups tiled by point offset.  Every kernel row depends on its
     own realization row only, so sharing changes no float.
 
-    Returns ``(offsets, npm_energy, absolute, changes, path_keys,
-    counts)``, ``counts`` being the pass's distinct
-    ``{"draws", "decodes"}``, or ``None`` when a scheme's shape punts
-    the sweep to per-point evaluation.
+    Returns ``(offsets, npm_energy, absolute, changes, path_keys)``, or
+    ``None`` when a scheme's shape punts the sweep to per-point
+    evaluation; a completed pass counts its points and distinct draws
+    and decodes.
     """
     draw_index: Dict[tuple, int] = {}
     drawn = []    # the distinct batches, in first-use order
@@ -574,10 +562,13 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig]):
     if out is None:
         return None
     npm_energy, absolute, _finishes, changes = out
-    return (offsets, npm_energy, absolute, changes, path_keys,
-            {"draws": len(drawn), "decodes": len(decoded)})
+    obs.count("experiments.fused.points", len(configs))
+    obs.count("experiments.fused.draws", len(drawn))
+    obs.count("experiments.fused.decodes", len(decoded))
+    return offsets, npm_energy, absolute, changes, path_keys
 
 
+@obs.span("experiments.fused")
 def evaluate_points_fused(apps: Sequence[Application],
                           configs: Sequence[RunConfig]
                           ) -> Optional[List[EvaluationResult]]:
@@ -588,8 +579,7 @@ def evaluate_points_fused(apps: Sequence[Application],
     point — or ``None`` when the points cannot fuse (the caller then
     falls back to per-point evaluation).
     """
-    n_points = len(apps)
-    if n_points == 0:
+    if not apps:
         return []
     if not _configs_fusable(configs):
         return None
@@ -599,7 +589,7 @@ def evaluate_points_fused(apps: Sequence[Application],
     out = _compute_fused(build, configs)
     if out is None:
         return None
-    offsets, npm_energy, absolute, changes, path_keys, counts = out
+    offsets, npm_energy, absolute, changes, path_keys = out
 
     # each point's arrays are views of the sweep's (a view pickles and
     # caches as its own floats)
@@ -615,11 +605,4 @@ def evaluate_points_fused(apps: Sequence[Application],
             res.normalized[name] = res.absolute[name] / res.npm_energy
             res.speed_changes[name] = changes[name][lo:hi]
         results.append(res)
-
-    global _LAST_FUSED
-    _LAST_FUSED = {
-        "points": n_points,
-        "draws": counts["draws"],
-        "decodes": counts["decodes"],
-    }
     return results

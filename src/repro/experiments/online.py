@@ -64,13 +64,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.base import SpeedPolicy
+from .. import obs
 from ..core.registry import get_policy
 from ..errors import ConfigError, FaultInjected
 from ..graph.andor import AndOrGraph
-from ..power.model import PowerModel
-from ..power.overhead import NO_OVERHEAD, OverheadModel
-from ..offline.plan import OfflinePlan
 from ..sim.arrivals import (
     ARRIVAL_KINDS,
     arrival_rng,
@@ -84,9 +81,7 @@ from ..sim.compiled import (  # noqa: F401
     run_dynamic_batch,
     run_fixed_batch,
 )
-from ..sim.engine import simulate
-from ..sim.kernels import kernel_meta
-from ..sim.realization import RealizationBatch, sample_realization_batch
+from ..sim.realization import sample_realization_batch
 from ..types import SeriesResult
 from ..workloads.scaling import (
     application_with_load,
@@ -97,9 +92,9 @@ from . import faults
 from .engine import ExecutionContext
 from .fused import evaluate_batch
 from .parallel import map_custom
-from .runner import RunConfig, build_plans
+from .runner import RunConfig, _simulate_runs, build_plans
 from .stats import summarize
-from .sweeps import _cache_before, _cache_meta
+from .sweeps import recorded
 
 #: default arrival-rate grid for ``sweep_arrival_rate`` / ``fig_online``
 #: (mean arrivals per canonical worst-case length; the DVS schemes
@@ -174,6 +169,7 @@ class OnlineConfig:
             return self.target_arrivals / self.rate
         return self.horizon
 
+    @obs.span("sim.arrivals.sample")
     def arrival_times(self, t_worst: float, seed: int) -> np.ndarray:
         """Sample the absolute-time arrival instants of this stream."""
         trace = self.trace
@@ -303,79 +299,6 @@ def _admit_stream(times: np.ndarray, t_worst: float, t_avg: float,
     return admitted, windows, retries
 
 
-def _simulate_jobs(plan_dyn: Optional[OfflinePlan],
-                   plan_static: OfflinePlan,
-                   scheme_names: Sequence[str], power: PowerModel,
-                   overhead: OverheadModel, batch: RealizationBatch,
-                   engine: str
-                   ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
-                              Dict[str, np.ndarray], Dict[str, np.ndarray],
-                              List[str]]:
-    """Per-job energies, durations and switch counts for every scheme.
-
-    The offline evaluator itself: the compiled engine runs
-    :func:`~repro.experiments.fused.evaluate_batch`, the evaluation
-    ``runner._simulate_runs_compiled`` makes, and the dict engine its
-    reference mirror — so energies and switch counts are bit-identical
-    to :func:`~repro.experiments.runner.evaluate_application` on the
-    same batch — and also returns each run's realized makespan, the
-    service time the FIFO ledger advances by.
-    """
-    if engine == "dict":
-        return _simulate_jobs_dict(plan_dyn, plan_static, scheme_names,
-                                   power, overhead, batch)
-    return evaluate_batch(plan_dyn, plan_static, scheme_names, power,
-                          overhead, batch, finish=True)
-
-
-def _simulate_jobs_dict(plan_dyn: Optional[OfflinePlan],
-                        plan_static: OfflinePlan,
-                        scheme_names: Sequence[str], power: PowerModel,
-                        overhead: OverheadModel, batch: RealizationBatch
-                        ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
-                                   Dict[str, np.ndarray],
-                                   Dict[str, np.ndarray], List[str]]:
-    """The reference dict-engine counterpart of :func:`_simulate_jobs`."""
-    from .runner import _path_key
-    structure = plan_static.structure
-    policies: Dict[str, SpeedPolicy] = {}
-    for name in scheme_names:
-        policy = get_policy(name)
-        policies[policy.name] = policy
-
-    n = len(batch)
-    npm_policy = get_policy("NPM")
-    npm_energy = np.empty(n)
-    absolute = {name: np.empty(n) for name in policies}
-    finish = {name: np.empty(n) for name in policies}
-    changes = {name: np.empty(n, dtype=float) for name in policies}
-    path_keys: List[str] = []
-    for i, rl in enumerate(batch):
-        npm_run = npm_policy.start_run(plan_static, power, NO_OVERHEAD,
-                                       realization=rl)
-        base = simulate(plan_static, npm_run, power, NO_OVERHEAD, rl)
-        npm_energy[i] = base.total_energy
-        path_keys.append(_path_key(structure, base))
-        for name, policy in policies.items():
-            if name == "NPM":
-                absolute[name][i] = base.total_energy
-                finish[name][i] = base.finish_time
-                changes[name][i] = base.n_speed_changes
-                continue
-            if policy.requires_reserve and plan_dyn is None:
-                absolute[name][i] = base.total_energy
-                finish[name][i] = base.finish_time
-                changes[name][i] = 0.0
-                continue
-            plan = plan_dyn if policy.requires_reserve else plan_static
-            run = policy.start_run(plan, power, overhead, realization=rl)
-            res = simulate(plan, run, power, overhead, rl)
-            absolute[name][i] = res.total_energy
-            finish[name][i] = res.finish_time
-            changes[name][i] = res.n_speed_changes
-    return npm_energy, absolute, finish, changes, path_keys
-
-
 def _replay_fifo(arrivals: np.ndarray, durations: np.ndarray,
                  deadline: float) -> Tuple[np.ndarray, np.ndarray]:
     """FIFO ledger replay: realized finish instants and late flags."""
@@ -390,6 +313,7 @@ def _replay_fifo(arrivals: np.ndarray, durations: np.ndarray,
     return fin, miss
 
 
+@obs.span("experiments.online")
 def simulate_online(graph: AndOrGraph, config: RunConfig,
                     online: OnlineConfig) -> OnlineResult:
     """Simulate one sporadic-arrival stream under every scheme.
@@ -435,9 +359,14 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     rng = np.random.default_rng(config.seed)
     batch = sample_realization_batch(plan_static.structure, rng, n_adm,
                                      sigma_fraction=config.sigma_fraction)
-    npm_energy, absolute, finish, changes, path_keys = _simulate_jobs(
+    # the offline evaluator itself, so energies and switch counts are
+    # bit-identical to evaluate_application's on the same batch, plus
+    # each job's realized makespan: the service time the ledger replays
+    simulate_runs = _simulate_runs if config.engine == "dict" \
+        else evaluate_batch
+    npm_energy, absolute, finish, changes, path_keys = simulate_runs(
         plan_dyn, plan_static, scheme_names, power, config.overhead, batch,
-        config.engine)
+        finish=True)
 
     result.npm_energy = npm_energy
     result.path_keys = path_keys
@@ -451,12 +380,7 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     return result
 
 
-def _rate_point(graph: AndOrGraph, config: RunConfig,
-                online: OnlineConfig) -> OnlineResult:
-    """One picklable sweep point (also the pool-worker task)."""
-    return simulate_online(graph, config, online)
-
-
+@recorded
 def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
                        online: OnlineConfig,
                        rates: Sequence[float] = DEFAULT_RATES,
@@ -475,9 +399,8 @@ def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
     ``series.meta["online"]`` (aligned ``[rate, value]`` pairs, like
     the ``speed_changes`` meta).
     """
-    before = _cache_before(context)
     args = [(graph, config, online.with_(rate=float(r))) for r in rates]
-    results: List[OnlineResult] = map_custom(_rate_point, args,
+    results: List[OnlineResult] = map_custom(simulate_online, args,
                                              context=context)
 
     online_meta: Dict[str, object] = {
@@ -493,8 +416,7 @@ def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
     series = SeriesResult(name=name, x_label="rate",
                           meta={"app": graph.name,
                                 "power_model": config.power_model,
-                                "n_processors": config.n_processors,
-                                "kernel": kernel_meta()})
+                                "n_processors": config.n_processors})
     series.meta["speed_changes"] = []
     for r, res in zip(rates, results):
         x = float(r)
@@ -515,7 +437,6 @@ def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
                      if st.job_changes.size else 0.0)
                  for s, st in res.per_scheme.items()}])
     series.meta["online"] = online_meta
-    _cache_meta(context, before, series.meta)
     return series
 
 

@@ -23,7 +23,7 @@ def render_series(series: SeriesResult, precision: int = 3,
     width = max(9, precision + 5 + (7 if with_ci else 0))
     out = io.StringIO()
     header_meta = ", ".join(f"{k}={v}" for k, v in series.meta.items()
-                            if k not in ("speed_changes", "online"))
+                            if k not in ("speed_changes", "online", "obs"))
     out.write(f"# {series.name}")
     if header_meta:
         out.write(f"  [{header_meta}]")

@@ -39,11 +39,7 @@ from ..sim.compiled import (  # noqa: F401
     run_fixed_batch,
 )
 from ..sim.engine import simulate
-from ..sim.realization import (
-    Realization,
-    RealizationBatch,
-    sample_realization_batch,
-)
+from ..sim.realization import Realization, sample_realization_batch
 
 
 #: engines selectable via :attr:`RunConfig.engine`
@@ -231,13 +227,15 @@ def _simulate_runs(plan_dyn: Optional[OfflinePlan],
                    scheme_names: Sequence[str],
                    power: PowerModel,
                    overhead: OverheadModel,
-                   realizations: Sequence[Realization]
-                   ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
-                              Dict[str, np.ndarray], List[str]]:
+                   realizations: Sequence[Realization],
+                   finish: bool = False):
     """Simulate a block of prebuilt realizations under every scheme.
 
-    The reference dict-engine path: runs are simulated one at a time,
-    strictly in the order of ``realizations``.
+    The reference dict-engine counterpart of
+    :func:`~repro.experiments.fused.evaluate_batch`, with the same
+    arguments and result: runs are simulated one at a time, strictly in
+    the order of ``realizations``, and each scheme's finish times are
+    kept only with ``finish``.
     """
     structure = plan_static.structure
     policies: Dict[str, SpeedPolicy] = {}
@@ -249,6 +247,7 @@ def _simulate_runs(plan_dyn: Optional[OfflinePlan],
     npm_policy = get_policy("NPM")
     npm_energy = np.empty(n)
     absolute = {name: np.empty(n) for name in policies}
+    finishes = {name: np.empty(n) if finish else None for name in policies}
     changes = {name: np.empty(n, dtype=float) for name in policies}
     path_keys: List[str] = []
 
@@ -260,46 +259,21 @@ def _simulate_runs(plan_dyn: Optional[OfflinePlan],
         path_keys.append(_path_key(structure, base))
         for name, policy in policies.items():
             if name == "NPM":
-                absolute[name][i] = base.total_energy
-                changes[name][i] = base.n_speed_changes
-                continue
-            if policy.requires_reserve and plan_dyn is None:
+                res, n_changes = base, base.n_speed_changes
+            elif policy.requires_reserve and plan_dyn is None:
                 # DVS disabled at this load: the scheme runs like NPM
-                absolute[name][i] = base.total_energy
-                changes[name][i] = 0.0
-                continue
-            plan = plan_dyn if policy.requires_reserve else plan_static
-            run = policy.start_run(plan, power, overhead,
-                                   realization=rl)
-            res = simulate(plan, run, power, overhead, rl)
+                res, n_changes = base, 0.0
+            else:
+                plan = plan_dyn if policy.requires_reserve else plan_static
+                run = policy.start_run(plan, power, overhead,
+                                       realization=rl)
+                res = simulate(plan, run, power, overhead, rl)
+                n_changes = res.n_speed_changes
             absolute[name][i] = res.total_energy
-            changes[name][i] = res.n_speed_changes
-    return npm_energy, absolute, changes, path_keys
-
-
-def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
-                            plan_static: OfflinePlan,
-                            scheme_names: Sequence[str],
-                            power: PowerModel,
-                            overhead: OverheadModel,
-                            batch: RealizationBatch
-                            ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
-                                       Dict[str, np.ndarray], List[str]]:
-    """The compiled-engine counterpart of :func:`_simulate_runs`.
-
-    Bit-identical outputs, different execution strategy: the batch
-    stays in the matrix form it was sampled as and goes through the
-    one evaluator of :mod:`repro.experiments.fused` as a one-point call
-    (:func:`~repro.experiments.fused.evaluate_batch`) — NPM/SPM through
-    the fixed-speed batch kernel, the protocol-declared dynamic schemes
-    (GSS, SS1, SS2, AS, PS on a discrete power model) through one
-    stacked dynamic batch call, and anything else through the scalar
-    compiled kernel per run.
-    """
-    from .fused import evaluate_batch  # fused imports this module
-    npm_energy, absolute, _finishes, changes, path_keys = evaluate_batch(
-        plan_dyn, plan_static, scheme_names, power, overhead, batch)
-    return npm_energy, absolute, changes, path_keys
+            changes[name][i] = n_changes
+            if finish:
+                finishes[name][i] = res.finish_time
+    return npm_energy, absolute, finishes, changes, path_keys
 
 
 def evaluate_application(app: Application,
@@ -336,9 +310,10 @@ def evaluate_application(app: Application,
         plan_static.structure, rng, config.n_runs,
         sigma_fraction=config.sigma_fraction)
 
-    simulate_runs = (_simulate_runs_compiled if config.engine == "compiled"
+    from .fused import evaluate_batch  # fused imports this module
+    simulate_runs = (evaluate_batch if config.engine == "compiled"
                      else _simulate_runs)
-    npm_energy, absolute, changes, path_keys = simulate_runs(
+    npm_energy, absolute, _finishes, changes, path_keys = simulate_runs(
         plan_dyn, plan_static, scheme_names, power, config.overhead,
         realizations)
 

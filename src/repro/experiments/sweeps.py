@@ -9,8 +9,7 @@ its x-values) and where to run it: an optional
 :class:`~repro.experiments.engine.ExecutionContext`, the only source of
 a worker pool.  Pass one to share a persistent worker pool (and
 optionally an on-disk evaluation cache) across several sweeps instead
-of paying pool spin-up per sweep.  When a cache is attached, the
-sweep's hit/miss counts land in ``series.meta["cache"]``.
+of paying pool spin-up per sweep.
 
 Load and α sweeps always fuse into one array program
 (:mod:`repro.experiments.fused`) that runs in the calling process; its
@@ -19,21 +18,24 @@ overhead sweeps cannot fuse; their points fan out over the context's
 pool when it has two or more workers, and otherwise run in a serial
 loop.
 
-Every sweep also records the compile-side cache counters (program /
-tape / stacked caches) in ``series.meta["kernel"]`` so a regenerated
-figure states how it was computed.
+Every sweep runs under one :mod:`repro.obs` recording and stores its
+totals as ``series.meta["obs"]``: the sweep's wall time, its per-layer
+spans and its counters (cache hits and misses, the fused pass's draws
+and decodes, pool recoveries), pool workers' included, so a
+regenerated figure states how it was computed.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ParallelError
 from ..graph.andor import AndOrGraph
-from ..sim.kernels import kernel_meta
 from ..types import SeriesResult
 from ..workloads.scaling import application_with_load
-from .engine import ExecutionContext
+from .engine import ExecutionContext, recording
 from .parallel import map_evaluations
 from .runner import EvaluationResult, RunConfig
 from .stats import summarize
@@ -59,47 +61,23 @@ def _series_from(name: str, x_label: str, xs: Sequence[float],
     return series
 
 
-def _cache_before(context: Optional[ExecutionContext]):
-    """Snapshot of the context's cache/resilience counters."""
-    if context is None:
-        return None
-    return context.cache_stats(), context.resilience_stats()
+def recorded(sweep: Callable[..., SeriesResult]
+             ) -> Callable[..., SeriesResult]:
+    """Run ``sweep`` under one recording of its ``context`` and store
+    the totals as the series' ``meta["obs"]``."""
+    signature = inspect.signature(sweep)
+
+    @functools.wraps(sweep)
+    def run(*args, **kwargs) -> SeriesResult:
+        context = signature.bind(*args, **kwargs).arguments.get("context")
+        with recording(context) as rec:
+            series = sweep(*args, **kwargs)
+        series.meta["obs"] = rec.totals()
+        return series
+    return run
 
 
-def _cache_meta(context: Optional[ExecutionContext], before,
-                meta: Dict[str, object]) -> Dict[str, object]:
-    """Add this sweep's cache hit/miss and recovery deltas to the meta.
-
-    ``meta["cache"]`` carries the hit/miss/error/quarantine delta of
-    the attached evaluation cache; ``meta["resilience"]`` the
-    rebuild/degradation/shm-fallback delta of the execution context.  A regenerated figure thus records every recovery that
-    happened while computing it.
-    """
-    if context is None or before is None:
-        return meta
-    cache_b, res_b = before
-    cache_a = context.cache_stats()
-    if cache_b is not None and cache_a is not None:
-        meta["cache"] = {k: cache_a[k] - cache_b[k] for k in cache_a}
-    res_a = context.resilience_stats()
-    meta["resilience"] = {k: res_a[k] - res_b[k] for k in res_a}
-    return meta
-
-
-def _fused_meta(meta: Dict[str, object]) -> Dict[str, object]:
-    """Record how the sweep's fused pass executed, if one ran.
-
-    ``meta["fused"]`` carries the point count and the distinct
-    ``draws`` and ``decodes`` of the most recent fused pass — popped,
-    so one pass is never attributed to two sweeps.
-    """
-    from .fused import take_fused_meta
-    fused = take_fused_meta()
-    if fused is not None:
-        meta["fused"] = fused
-    return meta
-
-
+@recorded
 def sweep_load(graph: AndOrGraph, config: RunConfig,
                loads: Sequence[float] = DEFAULT_LOADS,
                name: str = "load-sweep",
@@ -118,18 +96,16 @@ def sweep_load(graph: AndOrGraph, config: RunConfig,
             apps.append(application_with_load(graph, ld, config.n_processors))
         except Exception as exc:
             raise ParallelError(f"load={ld!r}", exc) from exc
-    before = _cache_before(context)
     results = map_evaluations(apps, config, context=context,
                               labels=[f"load={ld!r}" for ld in loads])
     return _series_from(name, "load", loads, results,
-                        meta=_cache_meta(context, before, _fused_meta(
-                                         {"app": graph.name,
-                                          "power_model": config.power_model,
-                                          "n_processors": config.n_processors,
-                                          "n_runs": config.n_runs,
-                                          "kernel": kernel_meta()})))
+                        meta={"app": graph.name,
+                              "power_model": config.power_model,
+                              "n_processors": config.n_processors,
+                              "n_runs": config.n_runs})
 
 
+@recorded
 def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
                 config: RunConfig, load: float,
                 alphas: Sequence[float] = DEFAULT_ALPHAS,
@@ -146,18 +122,16 @@ def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
     apps = [application_with_load(graph_factory(a), load,
                                   config.n_processors)
             for a in alphas]
-    before = _cache_before(context)
     results = map_evaluations(apps, config, context=context)
     return _series_from(name, "alpha", alphas, results,
-                        meta=_cache_meta(context, before, _fused_meta(
-                                         {"app": apps[0].name if apps else "?",
-                                          "load": load,
-                                          "power_model": config.power_model,
-                                          "n_processors": config.n_processors,
-                                          "n_runs": config.n_runs,
-                                          "kernel": kernel_meta()})))
+                        meta={"app": apps[0].name if apps else "?",
+                              "load": load,
+                              "power_model": config.power_model,
+                              "n_processors": config.n_processors,
+                              "n_runs": config.n_runs})
 
 
+@recorded
 def sweep_processors(graph_builder: Callable[[], AndOrGraph],
                      config: RunConfig, load: float,
                      processor_counts: Sequence[int] = (2, 4, 6),
@@ -176,19 +150,17 @@ def sweep_processors(graph_builder: Callable[[], AndOrGraph],
     for m in processor_counts:
         apps.append(application_with_load(graph_builder(), load, m))
         configs.append(config.with_(n_processors=m))
-    before = _cache_before(context)
     results = map_evaluations(apps, configs, context=context,
                               labels=[f"n_processors={m}"
                                       for m in processor_counts])
     return _series_from(name, "processors",
                         [float(m) for m in processor_counts], results,
-                        meta=_cache_meta(context, before,
-                                         {"load": load,
-                                          "power_model": config.power_model,
-                                          "n_runs": config.n_runs,
-                                          "kernel": kernel_meta()}))
+                        meta={"load": load,
+                              "power_model": config.power_model,
+                              "n_runs": config.n_runs})
 
 
+@recorded
 def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
                    adjust_times: Sequence[float],
                    name: str = "overhead-sweep",
@@ -207,14 +179,11 @@ def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
         configs.append(config.with_(
             overhead=config.overhead.with_(adjust_time=t_adj)))
         apps.append(application_with_load(graph, load, config.n_processors))
-    before = _cache_before(context)
     results = map_evaluations(apps, configs, context=context,
                               labels=[f"adjust_time={t!r}"
                                       for t in adjust_times])
     return _series_from(name, "adjust_time",
                         [float(t) for t in adjust_times], results,
-                        meta=_cache_meta(context, before,
-                                         {"load": load, "app": graph.name,
-                                          "power_model": config.power_model,
-                                          "n_runs": config.n_runs,
-                                          "kernel": kernel_meta()}))
+                        meta={"load": load, "app": graph.name,
+                              "power_model": config.power_model,
+                              "n_runs": config.n_runs})

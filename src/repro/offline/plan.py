@@ -26,6 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .. import obs
 from ..errors import InfeasibleError, ValidationError
 from ..graph.andor import AndOrGraph, Application
 from ..graph.sections import SectionStructure
@@ -180,6 +181,9 @@ def plan_cache_stats() -> Dict[str, int]:
             "size": len(_PLAN_CACHE)}
 
 
+obs.watch("offline.plan_cache", plan_cache_stats)
+
+
 def _canonical_stage(app: Application, n_processors: int, reserve: float,
                      structure: Optional[SectionStructure],
                      heuristic: str, use_cache: bool) -> _CanonicalStage:
@@ -225,6 +229,7 @@ def _canonical_stage(app: Application, n_processors: int, reserve: float,
     return stage
 
 
+@obs.span("offline.build_plan")
 def build_plan(app: Application, n_processors: int,
                reserve: float = 0.0,
                structure: Optional[SectionStructure] = None,

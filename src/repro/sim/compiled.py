@@ -65,6 +65,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..errors import DeadlineMissError, SimulationError, invalid_actual
 from ..offline.plan import OfflinePlan
 from ..power.model import PowerModel
@@ -191,6 +192,7 @@ class CompiledPlan:
         return batch.actuals[:, cols]
 
     # -- executed paths -----------------------------------------------------
+    @obs.span("sim.compiled.executed_paths")
     def executed_paths(self, choices: Mapping[str, Sequence[int]], n: int
                        ) -> Tuple[List[Tuple[Tuple[int, ...], np.ndarray]],
                                   List[str]]:
@@ -272,6 +274,9 @@ def program_cache_stats() -> Dict[str, int]:
             "size": len(_PROGRAM_CACHE)}
 
 
+obs.watch("sim.compiled.program_cache", program_cache_stats)
+
+
 def clear_program_cache() -> None:
     """Drop every cached program and reset the hit/miss counters
     (tests and memory-pressure escape hatch)."""
@@ -281,6 +286,7 @@ def clear_program_cache() -> None:
     _program_cache_misses = 0
 
 
+@obs.span("sim.compiled.compile_plan")
 def compile_plan(plan: OfflinePlan) -> CompiledPlan:
     """The plan's section program, compiled once and cached.
 
@@ -558,9 +564,10 @@ def simulate_compiled(plan: OfflinePlan, policy_run, power: PowerModel,
 
     Compiles (or reuses) the plan's section program and runs the scalar
     compiled kernel on one realization.  Results are bit-identical to
-    the dict engine's.
+    the dict engine's.  A per-run call reads the plan's own program
+    slot, so only the first call on a plan takes a compile span.
     """
-    prog = compile_plan(plan)
+    prog = plan.compiled if plan.compiled is not None else compile_plan(plan)
     kernel = CompiledKernel(prog, power, overhead)
     return kernel.run(policy_run, prog.actuals_row(realization),
                       realization.choices, collect_trace=collect_trace,

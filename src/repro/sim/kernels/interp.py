@@ -226,6 +226,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ... import obs
 from ...cores import effective_cores
 from ...errors import DeadlineMissError, SimulationError, invalid_actual
 from ...power.model import PowerModel
@@ -566,6 +567,7 @@ def _shared_dispatch(pt: Optional[np.ndarray], src: np.ndarray, speed,
     return segments
 
 
+@obs.span("sim.kernels.fixed")
 def run_fixed_batch(prog, power: PowerModel,
                     overhead: OverheadModel, matrix: np.ndarray,
                     groups, speed, scheme: str,
@@ -781,6 +783,7 @@ def run_fixed_batch(prog, power: PowerModel,
 # (~1us each); it only silences divide/invalid *warnings* — the guarded
 # np.where selections below are unchanged float for float
 @np.errstate(divide="ignore", invalid="ignore")
+@obs.span("sim.kernels.dynamic")
 def run_dynamic_batch(prog, power: PowerModel,
                       overhead: OverheadModel, matrix: np.ndarray,
                       groups, runs: Sequence, schemes: Sequence[str],

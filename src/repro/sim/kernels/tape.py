@@ -49,6 +49,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ... import obs
+
 _tape_hits = 0
 _tape_misses = 0
 
@@ -57,6 +59,9 @@ def tape_cache_stats() -> Dict[str, int]:
     """Hit/miss counters of this process's tape builds (hits = a program
     whose tape was already built, misses = fresh lowerings)."""
     return {"hits": _tape_hits, "misses": _tape_misses}
+
+
+obs.watch("sim.kernels.tape_cache", tape_cache_stats)
 
 
 def clear_tape_cache() -> None:
@@ -240,6 +245,7 @@ class ProgramTape:
         return entry
 
 
+@obs.span("sim.kernels.build_tape")
 def build_tape(prog) -> ProgramTape:
     """The program's tape, lowered once and cached on the instance."""
     global _tape_hits, _tape_misses

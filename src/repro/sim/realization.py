@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .. import obs
 from ..errors import SimulationError
 from ..graph.sections import SectionStructure
 
@@ -215,6 +216,7 @@ def sample_realizations(structure: SectionStructure,
         yield sample_realization(structure, rng, sigma_fraction)
 
 
+@obs.span("sim.realization.sample")
 def sample_realization_batch(structure: SectionStructure,
                              rng: np.random.Generator, n: int,
                              sigma_fraction: float = 1.0 / 3.0

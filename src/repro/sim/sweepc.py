@@ -35,6 +35,7 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import obs
 from .compiled import CompiledPlan, _CompiledSection
 
 #: a per-entry constant in a stacked program: a plain float when every
@@ -156,6 +157,9 @@ def stacked_cache_stats() -> Dict[str, int]:
             "size": len(_STACKED_CACHE)}
 
 
+obs.watch("sim.sweepc.stacked_cache", stacked_cache_stats)
+
+
 def clear_stacked_cache() -> None:
     """Drop every cached stacked program and reset the counters."""
     global _stacked_hits, _stacked_misses
@@ -164,6 +168,7 @@ def clear_stacked_cache() -> None:
     _stacked_misses = 0
 
 
+@obs.span("sim.sweepc.stack_programs")
 def stack_programs(progs: Sequence[CompiledPlan]
                    ) -> Optional[StackedProgram]:
     """Stack compatible per-point programs, or ``None``.

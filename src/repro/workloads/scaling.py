@@ -9,6 +9,7 @@ is tied to the processor count it was scaled for.
 
 from __future__ import annotations
 
+from .. import obs
 from ..errors import ConfigError
 from ..graph.andor import AndOrGraph, Application
 from ..graph.validate import validate_graph
@@ -38,6 +39,7 @@ def average_case_length(graph: AndOrGraph, n_processors: int) -> float:
     return plan.t_avg
 
 
+@obs.span("workloads.app_with_load")
 def application_with_load(graph: AndOrGraph, load: float,
                           n_processors: int,
                           name: str = "") -> Application:

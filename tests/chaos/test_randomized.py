@@ -42,6 +42,10 @@ def overhead_reference(graph, cfg):
     return sweep_overhead(graph, cfg, OVERHEAD_LOAD, ADJUST_TIMES)
 
 
+def _degradations(counters):
+    return counters.get("experiments.engine.degradations", 0)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_fault_plan_is_invisible_in_results(tmp_path, graph, cfg,
                                                    overhead_reference,
@@ -67,9 +71,12 @@ def test_random_fault_plan_is_invisible_in_results(tmp_path, graph, cfg,
     assert warm.points == overhead_reference.points, detail
     assert cold.meta["speed_changes"] == \
         overhead_reference.meta["speed_changes"], detail
-    assert warm.meta["cache"]["hits"] >= len(ADJUST_TIMES) - 2, detail
-    assert cold.meta["resilience"]["degradations"] + \
-        warm.meta["resilience"]["degradations"] <= 1, detail
+    cold_counts = cold.meta["obs"]["counters"]
+    warm_counts = warm.meta["obs"]["counters"]
+    assert warm_counts["experiments.evalcache.hits"] >= \
+        len(ADJUST_TIMES) - 2, detail
+    assert _degradations(cold_counts) + _degradations(warm_counts) <= 1, \
+        detail
 
 
 def test_replayed_plan_injects_identically(tmp_path, graph, cfg,
@@ -90,6 +97,8 @@ def test_replayed_plan_injects_identically(tmp_path, graph, cfg,
                 series = sweep_overhead(graph, cfg, OVERHEAD_LOAD,
                                         ADJUST_TIMES, context=ctx)
         assert series.points == overhead_reference.points, plan.describe()
-        metas.append(series.meta["resilience"])
+        counters = series.meta["obs"]["counters"]
+        metas.append({name: counters.get(f"experiments.engine.{name}", 0)
+                      for name in ("rebuilds", "degradations")})
     assert metas[0] == metas[1]
     assert metas[0]["rebuilds"] == 1  # the plan really injected something

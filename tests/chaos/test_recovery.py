@@ -15,6 +15,7 @@ Two layers:
 
 import pytest
 
+from repro import obs
 from repro.errors import ParallelError
 from repro.experiments import (
     EvaluationCache,
@@ -39,6 +40,12 @@ def _square(x):
     return x * x
 
 
+def _recovery(counters):
+    """``(rebuilds, degradations)`` counted in a recording."""
+    return (counters.get("experiments.engine.rebuilds", 0),
+            counters.get("experiments.engine.degradations", 0))
+
+
 def _add(x, y):
     return x + y
 
@@ -54,32 +61,32 @@ class TestResilientMap:
     def test_worker_crash_rebuilds_pool_once(self, tmp_path):
         with ExecutionContext(n_jobs=2,
                               fault_plan=_crash_plan(tmp_path, 1)) as ctx:
-            with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
+            with pytest.warns(RuntimeWarning, match="rebuilding the pool"), \
+                    obs.recording() as rec:
                 results = ctx.map(_square, [(i,) for i in range(6)])
             assert results == [i * i for i in range(6)]
-            assert ctx.resilience["rebuilds"] == 1
-            assert ctx.resilience["degradations"] == 0
+            assert _recovery(rec.counters) == (1, 0)
             assert ctx.pools_created == 2
 
     def test_zero_retries_degrades_on_the_first_break(self, tmp_path):
         policy = RetryPolicy(max_retries=0)
         with ExecutionContext(n_jobs=2,
                               fault_plan=_crash_plan(tmp_path, 1)) as ctx:
-            with pytest.warns(RuntimeWarning, match="serially"):
+            with pytest.warns(RuntimeWarning, match="serially"), \
+                    obs.recording() as rec:
                 results = ctx.map(_square, [(i,) for i in range(6)],
                                   policy=policy)
             assert results == [i * i for i in range(6)]
-            assert ctx.resilience["rebuilds"] == 0
-            assert ctx.resilience["degradations"] == 1
+            assert _recovery(rec.counters) == (0, 1)
             assert ctx.pools_created == 1
 
     def test_no_degrade_raises_parallel_error(self, tmp_path):
         policy = RetryPolicy(max_retries=0, degrade=False)
         with ExecutionContext(n_jobs=2,
                               fault_plan=_crash_plan(tmp_path, 1)) as ctx:
-            with pytest.raises(ParallelError):
+            with pytest.raises(ParallelError), obs.recording() as rec:
                 ctx.map(_square, [(i,) for i in range(4)], policy=policy)
-            assert ctx.resilience["degradations"] == 0
+            assert _recovery(rec.counters)[1] == 0
 
     def test_second_pool_break_degrades_to_serial(self, tmp_path):
         policy = RetryPolicy(max_retries=1)
@@ -88,26 +95,25 @@ class TestResilientMap:
         # before the parent notices the first break)
         with ExecutionContext(n_jobs=1,
                               fault_plan=_crash_plan(tmp_path, 1, 3)) as ctx:
-            with pytest.warns(RuntimeWarning) as caught:
+            with pytest.warns(RuntimeWarning) as caught, \
+                    obs.recording() as rec:
                 results = ctx.map(_square, [(i,) for i in range(6)],
                                   policy=policy)
             assert results == [i * i for i in range(6)]
-            stats = ctx.resilience_stats()
         messages = [str(w.message) for w in caught]
         assert any("rebuilding the pool" in m for m in messages)
         assert any("serially in the parent" in m for m in messages)
-        assert stats["rebuilds"] == 1
-        assert stats["degradations"] == 1
+        assert _recovery(rec.counters) == (1, 1)
 
     def test_deterministic_exception_still_fails_fast(self):
         # an ordinary worker exception is not a dead worker: it names a
         # bug and would fail identically again
         with ExecutionContext(n_jobs=2) as ctx:
-            with pytest.raises(ParallelError, match="item 1"):
+            with pytest.raises(ParallelError, match="item 1"), \
+                    obs.recording() as rec:
                 ctx.map(_add, [(0, 1), (1,)],
                         labels=["item 0", "item 1"])
-            assert ctx.resilience["rebuilds"] == 0
-            assert ctx.resilience["degradations"] == 0
+            assert _recovery(rec.counters) == (0, 0)
 
 
 class TestChaosAcceptance:
@@ -151,12 +157,11 @@ class TestChaosAcceptance:
             reference.meta["speed_changes"]
 
         # --- every recovery recorded ------------------------------------
-        res = series.meta["resilience"]
-        assert res["rebuilds"] == 1        # point 1 crashed the pool
-        assert res["degradations"] == 0    # recovery never went serial
-        cache_meta = series.meta["cache"]
-        assert cache_meta["quarantined"] == 1
-        assert cache_meta["errors"] == 1
+        counters = series.meta["obs"]["counters"]
+        # point 1 crashed the pool; recovery never went serial
+        assert _recovery(counters) == (1, 0)
+        assert counters["experiments.evalcache.quarantined"] == 1
+        assert counters["experiments.evalcache.errors"] == 1
 
         # the corrupt entry was moved aside, not destroyed
         quarantined = list(cache.quarantine_dir().iterdir())
@@ -192,7 +197,8 @@ class TestChaosAcceptance:
         assert series.points == reference.points
         assert series.meta["speed_changes"] == \
             reference.meta["speed_changes"]
-        assert series.meta["cache"]["quarantined"] == 1
+        assert series.meta["obs"]["counters"][
+            "experiments.evalcache.quarantined"] == 1
         assert len(list(cache.quarantine_dir().iterdir())) == 1
 
     def test_rerun_after_chaos_hits_clean_cache(self, tmp_path):
@@ -216,5 +222,6 @@ class TestChaosAcceptance:
                                     context=ctx)
         assert chaotic.points == reference.points
         assert replay.points == reference.points
-        assert replay.meta["cache"]["hits"] == len(adjust_times)
-        assert replay.meta["resilience"]["rebuilds"] == 0
+        counters = replay.meta["obs"]["counters"]
+        assert counters["experiments.evalcache.hits"] == len(adjust_times)
+        assert _recovery(counters) == (0, 0)

@@ -140,3 +140,48 @@ class TestStatisticsCommands:
                      "--gammas", "0.5", "2.0"]) == 0
         out = capsys.readouterr().out
         assert "regret" in out and "0.50" in out
+
+
+class TestRunSummary:
+    def test_figure_prints_one_summary_line(self, tmp_path, capsys):
+        argv = ["fig5", "--runs", "5", "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        # stdout carries the results only, identical cold and warm
+        assert cold.out == warm.out
+        lines = warm.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro fig5: ")
+        assert "experiments.evalcache.hits=20" in lines[0]
+        assert "experiments.evalcache.misses" not in lines[0]
+        assert "experiments.fused.draws=2" in cold.err
+
+    def test_every_command_prints_one(self, capsys):
+        assert main(["tables"]) == 0
+        assert capsys.readouterr().err.startswith("repro tables: ")
+
+    @pytest.mark.parametrize("flag", ["--cache-stats", "--profile"])
+    def test_removed_statistics_flags(self, flag):
+        # python -m cProfile -m repro ... profiles any command
+        for argv in (["fig5", "--runs", "5", "--no-cache", flag],
+                     ["run", "--runs", "5", flag]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["fig5", "--runs", "0", "--no-cache"], "n_runs must be >= 1"),
+        (["fig5", "--jobs", "-1", "--no-cache"], "n_jobs must be >= 0"),
+        (["run", "--load", "0"], "load must be in (0, 1]"),
+        (["run", "--procs", "0"], "at least one processor"),
+    ])
+    def test_bad_input_is_one_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err

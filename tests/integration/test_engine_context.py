@@ -6,6 +6,8 @@ every execution variant — persistent pool, cache hits from disk — must
 be bit-identical to the serial reference.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,10 @@ def _spy_pool(monkeypatch):
 def _assert_series_equal(a, b):
     assert a.points == b.points
     assert a.meta.get("speed_changes") == b.meta.get("speed_changes")
+
+
+def _counters(series):
+    return series.meta["obs"]["counters"]
 
 
 def _assert_identical(a, b):
@@ -123,29 +129,45 @@ class TestPoolReuse:
             assert ctx.pools_created == 0  # no work, no pool
 
 
-def _identity(x):
-    return x
+class _CountingPool(ProcessPoolExecutor):
+    """A worker pool that records every task submitted to it."""
+
+    submitted: list = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted.append(fn)
+        return super().submit(fn, *args, **kwargs)
 
 
-class TestWorkerKernelStats:
-    """--cache-stats aggregation: probe every pool worker exactly once."""
+class TestPooledCounts:
+    """A pooled task's counts come back with its result."""
 
-    def test_no_live_pool_returns_nothing(self):
+    def test_worker_compiles_reach_the_sweep(self, graph, cfg,
+                                             serial_overhead, monkeypatch):
+        import repro.experiments.engine as engine_mod
+        from repro.sim.compiled import clear_program_cache
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
+                            _CountingPool)
+        monkeypatch.setattr(_CountingPool, "submitted", [])
+        # the workers start with no compiled program, so every program
+        # compiles in a worker; an overhead sweep never fuses, so the
+        # parent compiles nothing
+        clear_program_cache()
         with ExecutionContext(n_jobs=2) as ctx:
-            assert ctx.worker_kernel_stats() == []
-
-    def test_each_live_worker_reports_once(self):
-        with ExecutionContext(n_jobs=2) as ctx:
-            assert ctx.map(_identity, [(i,) for i in range(4)]) == \
-                [0, 1, 2, 3]  # spins the persistent pool up
-            stats = ctx.worker_kernel_stats()
-        assert len(stats) == 2  # deduplicated by worker pid
-        for counters in stats:
-            assert set(counters) >= {"program_cache", "tape_cache",
-                                     "stacked_cache"}
-            for label in ("program_cache", "tape_cache", "stacked_cache"):
-                assert counters[label]["hits"] >= 0
-                assert counters[label]["misses"] >= 0
+            series = sweep_overhead(graph, cfg, 0.6, ADJUST_TIMES,
+                                    context=ctx)
+        _assert_series_equal(serial_overhead, series)
+        block = series.meta["obs"]
+        counters = block["counters"]
+        assert counters["sim.compiled.program_cache.misses"] > 0
+        assert counters["experiments.engine.tasks"] == len(ADJUST_TIMES)
+        # the points' kernels ran in the workers, and their spans came
+        # back: at least one fixed-kernel call (NPM) per point
+        assert block["spans"]["sim.kernels.fixed"]["calls"] >= \
+            len(ADJUST_TIMES)
+        # one task per point, nothing else: no probe tasks
+        assert _CountingPool.submitted == \
+            [engine_mod._run_item] * len(ADJUST_TIMES)
 
 
 class TestCachedSweep:
@@ -161,8 +183,8 @@ class TestCachedSweep:
         assert stats["misses"] == len(LOADS)
         assert stats["hits"] == len(LOADS)
         # the per-sweep delta lands in the series meta
-        assert first.meta["cache"]["misses"] == len(LOADS)
-        assert second.meta["cache"]["hits"] == len(LOADS)
+        assert _counters(first)["experiments.evalcache.misses"] == len(LOADS)
+        assert _counters(second)["experiments.evalcache.hits"] == len(LOADS)
 
     def test_cache_entry_serves_serial_rerun(self, graph, cfg, tmp_path):
         # an entry computed by the pooled sweep must satisfy a later
@@ -188,8 +210,10 @@ class TestCachedSweep:
             with pytest.warns(RuntimeWarning, match="quarantined"):
                 series = sweep_load(graph, cfg, LOADS, context=ctx)
         _assert_series_equal(serial_series, series)
-        delta = series.meta["cache"]
-        assert (delta["hits"], delta["misses"], delta["quarantined"]) \
+        delta = _counters(series)
+        assert (delta["experiments.evalcache.hits"],
+                delta["experiments.evalcache.misses"],
+                delta["experiments.evalcache.quarantined"]) \
             == (len(LOADS) - 1, 1, 1)
 
     def test_serial_unfused_sweep_counts_each_miss_once(self, graph, cfg,
@@ -203,6 +227,8 @@ class TestCachedSweep:
                                     context=ctx)
         _assert_series_equal(serial_overhead, first)
         _assert_series_equal(serial_overhead, second)
-        assert first.meta["cache"]["misses"] == len(ADJUST_TIMES)
-        assert second.meta["cache"]["hits"] == len(ADJUST_TIMES)
+        assert _counters(first)["experiments.evalcache.misses"] == \
+            len(ADJUST_TIMES)
+        assert _counters(second)["experiments.evalcache.hits"] == \
+            len(ADJUST_TIMES)
         assert cache.stats()["misses"] == len(ADJUST_TIMES)

@@ -23,7 +23,8 @@ import repro.core.registry as registry
 from repro.core import ALL_SCHEMES
 from repro.core.base import PolicyRun, SpeedPolicy
 from repro.experiments import RunConfig, evaluate_application
-from repro.experiments.fused import evaluate_points_fused, take_fused_meta
+from repro import obs
+from repro.experiments.fused import evaluate_points_fused
 from repro.workloads import application_with_load, atr_graph, figure3_graph
 from tests.conftest import build_fork_graph, build_nested_or_graph
 
@@ -69,12 +70,13 @@ class TestGoldenEquality:
         cfg = RunConfig(schemes=ALL_SCHEMES, power_model=model,
                         n_runs=40, seed=13)
         apps = _apps(graph_fn(), cfg)
-        fused = evaluate_points_fused(apps, [cfg] * len(apps))
+        with obs.recording() as rec:
+            fused = evaluate_points_fused(apps, [cfg] * len(apps))
         assert fused is not None, f"{label} sweep should fuse"
         assert len(fused) == len(apps)
         # a load sweep's points share one draw and one decode
-        meta = take_fused_meta()
-        assert (meta["draws"], meta["decodes"]) == (1, 1)
+        assert (rec.counters["experiments.fused.draws"],
+                rec.counters["experiments.fused.decodes"]) == (1, 1)
         for app, res in zip(apps, fused):
             compiled = evaluate_application(app, cfg)
             _assert_identical(res, compiled)
@@ -91,8 +93,9 @@ class TestGoldenEquality:
         assert fused.points == per_point.points
         assert fused.meta["speed_changes"] == \
             per_point.meta["speed_changes"]
-        assert fused.meta["fused"]["draws"] == 1
-        assert fused.meta["fused"]["decodes"] == 1
+        counters = fused.meta["obs"]["counters"]
+        assert counters["experiments.fused.draws"] == 1
+        assert counters["experiments.fused.decodes"] == 1
 
     def test_alpha_sweep_shares_its_decode(self):
         # alpha rescales the ACETs, so every point draws its own actual
@@ -109,8 +112,9 @@ class TestGoldenEquality:
         assert fused.points == per_point.points
         assert fused.meta["speed_changes"] == \
             per_point.meta["speed_changes"]
-        assert fused.meta["fused"]["draws"] == len(alphas)
-        assert fused.meta["fused"]["decodes"] == 1
+        counters = fused.meta["obs"]["counters"]
+        assert counters["experiments.fused.draws"] == len(alphas)
+        assert counters["experiments.fused.decodes"] == 1
 
 
 class _CountingGreedy(SpeedPolicy):

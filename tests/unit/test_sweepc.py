@@ -16,7 +16,8 @@ import numpy as np
 import repro.experiments.fused as fused_mod
 from repro.core import ALL_SCHEMES
 from repro.experiments import RunConfig, evaluate_application
-from repro.experiments.fused import evaluate_points_fused, take_fused_meta
+from repro import obs
+from repro.experiments.fused import evaluate_points_fused
 from repro.offline import build_plan
 from repro.sim.compiled import CompiledPlan, compile_plan
 from repro.sim.sweepc import (
@@ -29,6 +30,11 @@ from repro.sim.sweepc import (
 )
 from repro.workloads import application_with_load, atr_graph, figure3_graph
 from tests.conftest import build_fork_graph, build_nested_or_graph
+
+
+def _draws_decodes(rec):
+    return (rec.counters["experiments.fused.draws"],
+            rec.counters["experiments.fused.decodes"])
 
 
 def _prog(graph, load, m=2):
@@ -205,11 +211,11 @@ class TestDecodeOnce:
     def test_sweep_samples_once(self, monkeypatch):
         sampler = _CountingSampler(monkeypatch)
         apps, cfgs = self._sweep()
-        _assert_matches_per_point(apps, cfgs,
-                                  evaluate_points_fused(apps, cfgs))
+        with obs.recording() as rec:
+            _assert_matches_per_point(apps, cfgs,
+                                      evaluate_points_fused(apps, cfgs))
         assert sampler.calls == [cfgs[0].n_runs]
-        meta = take_fused_meta()
-        assert (meta["draws"], meta["decodes"]) == (1, 1)
+        assert _draws_decodes(rec) == (1, 1)
         # an alpha sweep changes the ACETs, hence the draw, per point;
         # the OR choices come after the normals in the stream, so they
         # stay shared
@@ -219,11 +225,11 @@ class TestDecodeOnce:
         apps = [application_with_load(figure3_graph(a), 0.5,
                                       cfg.n_processors) for a in alphas]
         cfgs = [cfg] * len(apps)
-        _assert_matches_per_point(apps, cfgs,
-                                  evaluate_points_fused(apps, cfgs))
+        with obs.recording() as rec:
+            _assert_matches_per_point(apps, cfgs,
+                                      evaluate_points_fused(apps, cfgs))
         assert sampler.calls == [cfg.n_runs] * len(alphas)
-        meta = take_fused_meta()
-        assert (meta["draws"], meta["decodes"]) == (len(alphas), 1)
+        assert _draws_decodes(rec) == (len(alphas), 1)
 
     def test_partial_dynamic_sweep_matches_per_point(self):
         # only points 0 and 2 have a dynamic plan: the dynamic schemes
@@ -243,9 +249,10 @@ class TestDecodeOnce:
         apps = [application_with_load(atr_graph(), ld, cfg.n_processors)
                 for ld in (0.4, 0.6, 0.8)]
         cfgs = [cfg] * len(apps)
-        _assert_matches_per_point(apps, cfgs,
-                                  evaluate_points_fused(apps, cfgs))
-        assert take_fused_meta()["draws"] == 1
+        with obs.recording() as rec:
+            _assert_matches_per_point(apps, cfgs,
+                                      evaluate_points_fused(apps, cfgs))
+        assert rec.counters["experiments.fused.draws"] == 1
 
 
 class TestStackedProgramCache:
