@@ -25,11 +25,14 @@ Each entry is one format-2 record, ``<root>/<key[:2]>/<key>.rec``:
   (NPM energy, each scheme's absolute energy, each scheme's switch
   count), then ``int32[n]`` path ids indexing ``paths``.
 
-A hit reads the file once, parses one JSON header and returns row views
-of the matrix (exact float64 bits; ``normalized`` is re-derived by the
-same division the runner performs, so a cache hit is bit-identical to a
-recompute).  Entries are written atomically (tmp + rename) so
-concurrent writers can share one cache directory.  A corrupted,
+A hit opens the file once (a missing file is a plain miss, so there is
+no separate existence check), parses one JSON header and returns row
+views of the matrix (exact float64 bits; ``normalized`` is re-derived
+by the same division the runner performs, so a cache hit is
+bit-identical to a recompute) and the stored ``int32`` path ids with
+their table, from which ``path_keys`` is derived only on request.
+Entries are written atomically (tmp + rename) so concurrent writers
+can share one cache directory.  A corrupted,
 truncated or wrong-schema entry — bad magic, unknown format, a body
 whose length or crc32 does not match, path ids that do not cover every
 run or fall outside the path table — is treated as a miss and
@@ -57,7 +60,7 @@ import struct
 import warnings
 import zlib
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -110,16 +113,39 @@ def config_payload(config) -> Dict[str, object]:
     return payload
 
 
+#: ``(config, canonical scheme labels, config JSON)`` of the last config
+#: object seen: a sweep keys and reads every point with one frozen
+#: config, so its schemes resolve and its payload encodes once per sweep
+_last_config: Optional[Tuple[object, List[str], str]] = None
+
+
+def _config_parts(config) -> Tuple[List[str], str]:
+    """A config's canonical scheme labels and its payload's JSON."""
+    global _last_config
+    memo = _last_config
+    if memo is None or memo[0] is not config:
+        payload = config_payload(config)
+        memo = _last_config = (config, payload["schemes"], json.dumps(
+            payload, sort_keys=True, separators=(",", ":")))
+    return memo[1], memo[2]
+
+
 @obs.span("experiments.evalcache.key")
 def evaluation_key(app: Application, config) -> str:
-    """The content address of one ``evaluate_application(app, config)``."""
-    blob = json.dumps({
-        "salt": CACHE_SALT,
-        "graph": graph_fingerprint(app.graph),
-        "deadline": repr(float(app.deadline)),
-        "app": app.name,
-        "config": config_payload(config),
-    }, sort_keys=True, separators=(",", ":"))
+    """The content address of one ``evaluate_application(app, config)``.
+
+    The SHA-256 of one sorted-key compact JSON object — ``app``,
+    ``config`` (:func:`config_payload`), ``deadline`` (its ``repr``),
+    ``graph`` (the fingerprint), ``salt`` — written out field by field
+    around the config's memoized JSON (a string encodes the same with
+    any separators).
+    """
+    dumps = json.dumps
+    blob = (f'{{"app":{dumps(app.name)},'
+            f'"config":{_config_parts(config)[1]},'
+            f'"deadline":{dumps(repr(float(app.deadline)))},'
+            f'"graph":{dumps(graph_fingerprint(app.graph))},'
+            f'"salt":{dumps(CACHE_SALT)}}}')
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -133,14 +159,18 @@ class EvaluationCache:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
         self.root = Path(root)
+        self._prefix = os.path.join(os.fspath(self.root), "")
         self.hits = 0
         self.misses = 0
         self.errors = 0
         self.quarantined = 0
 
     def path_for(self, key: str) -> Path:
+        return Path(self._path_str(key))
+
+    def _path_str(self, key: str) -> str:
         # two-level fan-out keeps directory listings small at scale
-        return self.root / key[:2] / f"{key}.rec"
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.rec"
 
     def quarantine_dir(self) -> Path:
         """Where corrupt entries are moved for post-mortem inspection."""
@@ -169,18 +199,22 @@ class EvaluationCache:
         ``config`` is re-attached to the reconstructed result (it is
         part of the key, so it describes the stored arrays exactly).
         """
-        path = self.path_for(key)
-        if not path.is_file():
+        path = self._path_str(key)
+        try:
+            buf = read_record(path)
+            # only an entry that exists can be torn
+            if faults.fire("cache-read", key=key[:8]) == "corrupt":
+                _truncate_entry(path)
+                buf = read_record(path)
+            result = decode_record(buf, app_name, config)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            # no entry, or one another process moved aside since
             self.misses += 1
             return None
-        if faults.fire("cache-read", key=key[:8]) == "corrupt":
-            _truncate_entry(path)
-        try:
-            result = decode_record(read_record(path), app_name, config)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             self.errors += 1
             self.misses += 1
-            qpath = self._quarantine(path)
+            qpath = self._quarantine(Path(path))
             where = (f"quarantined to {qpath}" if qpath is not None
                      else "deleted (quarantine unavailable)")
             warnings.warn(
@@ -218,10 +252,10 @@ class EvaluationCache:
                 "errors": self.errors, "quarantined": self.quarantined}
 
 
-def _truncate_entry(path: Path) -> None:
+def _truncate_entry(path: str) -> None:
     """Injected 'torn write': chop the entry to half its bytes."""
     try:
-        size = path.stat().st_size
+        size = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.truncate(size // 2)
     except OSError:  # pragma: no cover - injected path, best effort
@@ -240,18 +274,15 @@ def encode_record(result) -> bytes:
     ``absolute / npm_energy`` and is re-derived on decode by the same
     division, so a round-trip is bit-identical.
     """
+    from .runner import first_seen_paths  # runner does not import us
     schemes = list(result.absolute)
-    table: Dict[str, int] = {}
-    ids = np.fromiter((table.setdefault(k, len(table))
-                       for k in result.path_keys),
-                      dtype="<i4", count=len(result.path_keys))
+    ids, paths = first_seen_paths(result.path_ids, result.path_table)
     matrix = np.stack(
         [result.npm_energy]
         + [result.absolute[name] for name in schemes]
         + [result.speed_changes[name] for name in schemes]
     ).astype("<f8", copy=False)
-    body = matrix.tobytes() + ids.tobytes()
-    paths = list(table)
+    body = matrix.tobytes() + ids.astype("<i4", copy=False).tobytes()
     header = json.dumps({
         "format": CACHE_FORMAT,
         "schemes": schemes,
@@ -299,7 +330,7 @@ def decode_record(buf: bytearray, app_name: str, config):
         raise ValueError(
             f"unsupported evaluation record format {header.get('format')!r}")
     schemes = header["schemes"]
-    expected = [get_policy(name).name for name in config.schemes]
+    expected = _config_parts(config)[0]
     if schemes != expected:
         raise ValueError(
             f"record schemes {schemes} do not match config {expected}")
@@ -321,15 +352,12 @@ def decode_record(buf: bytearray, app_name: str, config):
     matrix = np.frombuffer(buf, dtype="<f8", count=rows * n,
                            offset=start).reshape(rows, n)
     ids = np.frombuffer(buf, dtype="<i4", count=n, offset=start + floats)
-    # an object table hands out the header's own str objects: the
-    # runs of one path share one key string
-    table = np.array(paths, dtype=object)
-    if n and (ids.min() < 0 or ids.max() >= table.size):
+    if n and (ids.min() < 0 or ids.max() >= len(paths)):
         raise ValueError(
-            f"record path ids outside its {table.size}-entry path table")
+            f"record path ids outside its {len(paths)}-entry path table")
     npm = matrix[0]
     result = EvaluationResult(app_name=app_name, config=config,
-                              npm_energy=npm, path_keys=table[ids].tolist())
+                              npm_energy=npm, path_ids=ids, path_table=paths)
     for i, name in enumerate(schemes):
         absolute = matrix[1 + i]
         result.absolute[name] = absolute

@@ -18,9 +18,10 @@ named **fault sites**:
     :class:`~concurrent.futures.process.BrokenProcessPool`; the pool
     is rebuilt and the unfinished items re-dispatched).
 ``cache-read``
-    Evaluation-cache lookup in the parent.  Action: ``corrupt``
-    (truncates the on-disk entry before it is read, simulating a torn
-    write; the cache must quarantine and recompute).
+    Evaluation-cache lookup of an entry that exists, in the parent.
+    Action: ``corrupt`` (truncates the on-disk entry and reads it
+    again, simulating a torn write; the cache must quarantine and
+    recompute).
 ``online-admit``
     The admission probe of the online sporadic-arrival simulator
     (:func:`~repro.experiments.online.simulate_online`), fired in the

@@ -56,8 +56,9 @@ from .. import obs
 from ..core.registry import get_policy
 from ..graph.andor import Application
 from ..power.overhead import NO_OVERHEAD
-from ..sim.compiled import (CompiledKernel, compile_plan, run_dynamic_batch,
-                            run_fixed_batch, supports_dynamic_batch)
+from ..sim.compiled import (CompiledKernel, compile_plan, path_index,
+                            run_dynamic_batch, run_fixed_batch,
+                            supports_dynamic_batch)
 from ..sim.realization import sample_realization_batch
 from ..sim.sweepc import (StackedProgram, _stack_values, programs_compatible,
                           stack_programs)
@@ -496,10 +497,11 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig]):
     path groups tiled by point offset.  Every kernel row depends on its
     own realization row only, so sharing changes no float.
 
-    Returns ``(offsets, npm_energy, absolute, changes, path_keys)``, or
-    ``None`` when a scheme's shape punts the sweep to per-point
-    evaluation; a completed pass counts its points and distinct draws
-    and decodes.
+    Returns ``(offsets, npm_energy, absolute, changes, paths)``, where
+    ``paths[p]`` is point ``p``'s ``(int32 path ids, path table)`` pair
+    (shared by the points of one decode), or ``None`` when a scheme's
+    shape punts the sweep to per-point evaluation; a completed pass
+    counts its points and distinct draws and decodes.
     """
     draw_index: Dict[tuple, int] = {}
     drawn = []    # the distinct batches, in first-use order
@@ -532,28 +534,30 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig]):
                                  for d, n in zip(draw_of, counts)])
 
     # one decode per distinct choice set
-    decoded = []    # (choices, (groups, keys)) per distinct choice set
+    decoded = []    # (choices, groups, (ids, table)) per distinct choice set
     decode_of = []  # draw -> index into decoded
     for batch in drawn:
-        for c, (choices, _paths) in enumerate(decoded):
+        for c, (choices, _groups, _paths) in enumerate(decoded):
             if _same_choices(batch.choices, choices):
                 break
         else:
             c = len(decoded)
-            decoded.append((batch.choices, prog.executed_paths(
-                batch.choices, len(batch))))
+            groups_c, _ = prog.executed_paths(batch.choices, len(batch),
+                                              keys=False)
+            decoded.append((batch.choices, groups_c,
+                            path_index(groups_c, len(batch))))
         decode_of.append(c)
     # each point's groups shifted to its offset: points run in order and
     # each point's groups come in first-occurrence order with ascending
     # indices, so the merged groups are a fresh decode's of the fused axis
     by_path: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-    path_keys: List[str] = []
+    paths = []
     for p, d in enumerate(draw_of):
-        groups_p, keys_p = decoded[decode_of[d]][1]
+        _choices, groups_p, paths_p = decoded[decode_of[d]]
         off = int(offsets[p])
         for path, idx in groups_p:
             by_path.setdefault(path, []).append(idx + off)
-        path_keys.extend(keys_p)
+        paths.append(paths_p)
     groups = [(path, np.concatenate(parts))
               for path, parts in by_path.items()]
 
@@ -565,7 +569,7 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig]):
     obs.count("experiments.fused.points", len(configs))
     obs.count("experiments.fused.draws", len(drawn))
     obs.count("experiments.fused.decodes", len(decoded))
-    return offsets, npm_energy, absolute, changes, path_keys
+    return offsets, npm_energy, absolute, changes, paths
 
 
 @obs.span("experiments.fused")
@@ -589,7 +593,7 @@ def evaluate_points_fused(apps: Sequence[Application],
     out = _compute_fused(build, configs)
     if out is None:
         return None
-    offsets, npm_energy, absolute, changes, path_keys = out
+    offsets, npm_energy, absolute, changes, paths = out
 
     # each point's arrays are views of the sweep's (a view pickles and
     # caches as its own floats)
@@ -597,9 +601,10 @@ def evaluate_points_fused(apps: Sequence[Application],
     results = []
     for i, (app, cfg) in enumerate(zip(apps, configs)):
         lo, hi = int(offsets[i]), int(offsets[i + 1])
+        path_ids, path_table = paths[i]
         res = EvaluationResult(app_name=app.name, config=cfg,
                                npm_energy=npm_energy[lo:hi],
-                               path_keys=path_keys[lo:hi])
+                               path_ids=path_ids, path_table=path_table)
         for name in scheme_names:
             res.absolute[name] = absolute[name][lo:hi]
             res.normalized[name] = res.absolute[name] / res.npm_energy

@@ -93,7 +93,7 @@ from .engine import ExecutionContext
 from .fused import evaluate_batch
 from .parallel import map_custom
 from .runner import RunConfig, _simulate_runs, build_plans
-from .stats import summarize
+from .stats import mean, summarize
 from .sweeps import recorded
 
 #: default arrival-rate grid for ``sweep_arrival_rate`` / ``fig_online``
@@ -433,8 +433,7 @@ def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
             [x, {s: st.miss_ratio() for s, st in res.per_scheme.items()}])
         online_meta["admit_retries"] += res.admit_retries
         series.meta["speed_changes"].append(
-            [x, {s: (float(st.job_changes.mean())
-                     if st.job_changes.size else 0.0)
+            [x, {s: mean(st.job_changes) if st.job_changes.size else 0.0
                  for s, st in res.per_scheme.items()}])
     series.meta["online"] = online_meta
     return series

@@ -40,6 +40,7 @@ from ..sim.compiled import (  # noqa: F401
 )
 from ..sim.engine import simulate
 from ..sim.realization import Realization, sample_realization_batch
+from .stats import mean
 
 
 #: engines selectable via :attr:`RunConfig.engine`
@@ -136,26 +137,45 @@ class EvaluationResult:
     speed_changes: Dict[str, np.ndarray] = field(default_factory=dict)
     #: per-run NPM energy (the denominator)
     npm_energy: np.ndarray = field(default_factory=lambda: np.empty(0))
-    #: per-run executed path key (e.g. "0>2>5"); schemes share the
-    #: realization, so one key per run describes every scheme's run
-    path_keys: List[str] = field(default_factory=list)
+    #: per-run executed path, an index into ``path_table``; schemes
+    #: share the realization, so one path per run describes every
+    #: scheme's run
+    path_ids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int32))
+    #: the distinct executed path keys (e.g. ``"0>2>5"``) in first-seen
+    #: order
+    path_table: List[str] = field(default_factory=list)
+
+    @property
+    def path_keys(self) -> List[str]:
+        """Per-run executed path key, derived from the ids on request."""
+        return np.array(self.path_table, dtype=object)[self.path_ids].tolist()
 
     def mean_normalized(self) -> Dict[str, float]:
-        return {k: float(v.mean()) for k, v in self.normalized.items()}
+        return {k: mean(v) for k, v in self.normalized.items()}
 
     def mean_speed_changes(self) -> Dict[str, float]:
-        return {k: float(v.mean()) for k, v in self.speed_changes.items()}
+        return {k: mean(v) for k, v in self.speed_changes.items()}
+
+    def _first_seen_paths(self) -> Tuple[np.ndarray, List[str]]:
+        if self.path_ids.size == 0:
+            raise ConfigError("path keys were not recorded for this run")
+        return first_seen_paths(self.path_ids, self.path_table)
 
     def conditional_normalized(self, scheme: str) -> Dict[str, np.ndarray]:
         """Per-run normalized energies grouped by executed path."""
         if scheme not in self.normalized:
             raise ConfigError(f"scheme {scheme!r} not in result")
-        if len(self.path_keys) != self.normalized[scheme].size:
+        values = self.normalized[scheme]
+        if self.path_ids.size != values.size:
             raise ConfigError("path keys were not recorded for this run")
-        groups: Dict[str, list] = {}
-        for key, value in zip(self.path_keys, self.normalized[scheme]):
-            groups.setdefault(key, []).append(float(value))
-        return {k: np.asarray(v) for k, v in groups.items()}
+        if values.size == 0:
+            return {}
+        ids, table = self._first_seen_paths()
+        # a stable sort keeps each path's runs in run order
+        order = np.argsort(ids, kind="stable")
+        parts = np.split(values[order], np.cumsum(np.bincount(ids))[:-1])
+        return dict(zip(table, parts))
 
     def path_frequencies(self) -> Dict[str, float]:
         """Observed fraction of runs per executed path.
@@ -165,13 +185,35 @@ class EvaluationResult:
         and the values sum to 1.0 up to at most one rounding error per
         path.
         """
-        n = len(self.path_keys)
-        if n == 0:
-            raise ConfigError("path keys were not recorded for this run")
-        counts: Dict[str, int] = {}
-        for key in self.path_keys:
-            counts[key] = counts.get(key, 0) + 1
-        return {key: count / n for key, count in counts.items()}
+        ids, table = self._first_seen_paths()
+        n = ids.size
+        return {key: int(count) / n
+                for key, count in zip(table, np.bincount(ids))}
+
+
+def index_paths(keys: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
+    """Per-run path keys as ``(int32 ids, table)``, table in first-seen
+    order."""
+    table: Dict[str, int] = {}
+    ids = np.fromiter((table.setdefault(k, len(table)) for k in keys),
+                      dtype=np.int32, count=len(keys))
+    return ids, list(table)
+
+
+def first_seen_paths(ids: np.ndarray, table: Sequence[str]
+                     ) -> Tuple[np.ndarray, List[str]]:
+    """``(ids, table)`` renumbered so the table holds each used key once,
+    in first-seen order: the pair :func:`index_paths` makes of the same
+    per-run keys."""
+    slot: Dict[str, int] = {}
+    merged = np.array([slot.setdefault(k, len(slot)) for k in table],
+                      dtype=np.intp)[ids]
+    used, first = np.unique(merged, return_index=True)
+    order = used[np.argsort(first)]
+    rank = np.empty(len(slot), dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    keys = list(slot)
+    return rank[merged], [keys[k] for k in order]
 
 
 def _path_key(structure, sim_result) -> str:
@@ -317,9 +359,10 @@ def evaluate_application(app: Application,
         plan_dyn, plan_static, scheme_names, power, config.overhead,
         realizations)
 
+    path_ids, path_table = index_paths(path_keys)
     result = EvaluationResult(app_name=app.name, config=config,
-                              npm_energy=npm_energy,
-                              path_keys=list(path_keys))
+                              npm_energy=npm_energy, path_ids=path_ids,
+                              path_table=path_table)
     for name in scheme_names:
         result.absolute[name] = absolute[name]
         result.normalized[name] = absolute[name] / npm_energy

@@ -20,9 +20,10 @@ loop.
 
 Every sweep runs under one :mod:`repro.obs` recording and stores its
 totals as ``series.meta["obs"]``: the sweep's wall time, its per-layer
-spans and its counters (cache hits and misses, the fused pass's draws
-and decodes, pool recoveries), pool workers' included, so a
-regenerated figure states how it was computed.
+spans (the per-point summaries are ``experiments.summaries``) and its
+counters (cache hits and misses, the fused pass's draws and decodes,
+pool recoveries), pool workers' included, so a regenerated figure
+states how it was computed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import functools
 import inspect
 from typing import Callable, Dict, List, Optional, Sequence
 
+from .. import obs
 from ..errors import ParallelError
 from ..graph.andor import AndOrGraph
 from ..types import SeriesResult
@@ -45,6 +47,7 @@ DEFAULT_LOADS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 
+@obs.span("experiments.summaries")
 def _series_from(name: str, x_label: str, xs: Sequence[float],
                  results: Sequence[EvaluationResult],
                  meta: Optional[Dict[str, object]] = None) -> SeriesResult:

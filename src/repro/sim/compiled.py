@@ -193,16 +193,19 @@ class CompiledPlan:
 
     # -- executed paths -----------------------------------------------------
     @obs.span("sim.compiled.executed_paths")
-    def executed_paths(self, choices: Mapping[str, Sequence[int]], n: int
+    def executed_paths(self, choices: Mapping[str, Sequence[int]], n: int,
+                       keys: bool = True
                        ) -> Tuple[List[Tuple[Tuple[int, ...], np.ndarray]],
-                                  List[str]]:
+                                  Optional[List[str]]]:
         """Group ``n`` runs by the section path their OR choices select.
 
         ``choices`` maps each branching OR node to a length-``n``
         sequence of chosen section ids.  Returns ``(groups, keys)``:
         ``groups`` is a list of ``(path, run_indices)`` pairs in first-
         occurrence order and ``keys`` the per-run path key, formatted
-        exactly like ``ExecutionPath.key()`` (``"0>2>5"``).
+        exactly like ``ExecutionPath.key()`` (``"0>2>5"``), or ``None``
+        when ``keys`` is false (:func:`path_index` numbers the groups
+        instead, without a string per run).
 
         The runs are partitioned with NumPy, one path prefix at a time:
         a prefix's run indices (ascending) split by the branch each run
@@ -251,10 +254,28 @@ class CompiledPlan:
         if error is not None:
             raise SimulationError(error[1])
         done.sort(key=lambda g: int(g[1][0]))
+        if not keys:
+            return done, None
         key_of = np.empty(n, dtype=object)
         for path, runs in done:
-            key_of[runs] = ">".join(str(s) for s in path)
+            key_of[runs] = path_key(path)
         return done, key_of.tolist()
+
+
+def path_key(path: Sequence[int]) -> str:
+    """A section path's key, formatted like ``ExecutionPath.key()``."""
+    return ">".join(str(s) for s in path)
+
+
+def path_index(groups: Sequence[Tuple[Tuple[int, ...], np.ndarray]],
+               n: int) -> Tuple[np.ndarray, List[str]]:
+    """:meth:`CompiledPlan.executed_paths` groups as ``(int32 ids,
+    table)``: run ``i`` took path ``table[ids[i]]``, the table in the
+    groups' first-occurrence order."""
+    ids = np.empty(n, dtype=np.int32)
+    for g, (_path, runs) in enumerate(groups):
+        ids[runs] = g
+    return ids, [path_key(path) for path, _runs in groups]
 
 
 #: cross-instance program cache keyed by plan *fingerprint* (graph,

@@ -4,11 +4,16 @@ Small run counts keep these fast; the assertions target the *shapes* the
 paper reports, not absolute values (see EXPERIMENTS.md).
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import (
     DEFAULT_ALPHAS,
+    EvaluationCache,
+    ExecutionContext,
+    RunConfig,
+    evaluate_application,
     fig_online,
     figure4,
     figure5,
@@ -137,3 +142,73 @@ class TestTables:
         assert "XScale" in text
         assert "1000" in text and "150" in text
         assert "1.80" in text and "0.75" in text
+
+
+def _figure_fingerprint(out):
+    return [(m, [(p.x, p.scheme, p.n_runs, p.mean.hex(), p.std.hex(),
+                  p.ci95.hex()) for p in out[m].points],
+             repr(out[m].meta["speed_changes"])) for m in sorted(out)]
+
+
+class TestRepeatedCachedFigure:
+    """A second cached figure costs only its record reads: the figure's
+    graph (and with it the section decomposition) is built once per
+    process, and every point is a hit."""
+
+    def test_second_call_builds_no_graph(self, tmp_path, monkeypatch):
+        import repro.experiments.figures as figures
+        from repro.graph.sections import SectionStructure
+        first_cache = EvaluationCache(tmp_path)
+        with ExecutionContext(cache=first_cache) as ctx:
+            first = figure5(n_runs=40, context=ctx)
+        built, decomposed = [], []
+        real_atr, real_decompose = figures.atr_graph, \
+            SectionStructure._decompose
+        monkeypatch.setattr(figures, "atr_graph",
+                            lambda *a: built.append(a) or real_atr(*a))
+        monkeypatch.setattr(
+            SectionStructure, "_decompose",
+            lambda self: decomposed.append(self) or real_decompose(self))
+        cache = EvaluationCache(tmp_path)
+        with ExecutionContext(cache=cache) as ctx:
+            second = figure5(n_runs=40, context=ctx)
+        assert built == [] and decomposed == []
+        assert cache.stats() == {"hits": 20, "misses": 0, "errors": 0,
+                                 "quarantined": 0}
+        assert _figure_fingerprint(second) == _figure_fingerprint(first)
+
+
+class TestPathIds:
+    """Per-run paths are int32 ids into a first-seen table; the keys,
+    frequencies and per-path energies read the same on a cache miss, a
+    cache hit, a fused sweep point and the dict engine."""
+
+    def test_every_route_reads_the_same_paths(self, tmp_path):
+        from repro.experiments.fused import evaluate_points_fused
+        from repro.workloads import application_with_load, atr_graph
+        cfg = RunConfig(n_processors=6, n_runs=40, seed=5)
+        graph = atr_graph()
+        apps = [application_with_load(graph, ld, 6) for ld in (0.4, 0.7)]
+        with ExecutionContext(cache=EvaluationCache(tmp_path)) as ctx:
+            miss = evaluate_application(apps[1], cfg, context=ctx)
+            hit = evaluate_application(apps[1], cfg, context=ctx)
+            assert ctx.cache.stats()["hits"] == 1
+        routes = {"miss": miss, "hit": hit,
+                  "fused": evaluate_points_fused(apps, [cfg] * 2)[1],
+                  "dict": evaluate_application(
+                      apps[1], cfg.with_(engine="dict"))}
+        want = routes.pop("dict")
+        assert want.path_ids.dtype == np.int32
+        assert len(want.path_table) > 1  # several paths are exercised
+        for name, res in routes.items():
+            assert res.path_ids.dtype == np.int32, name
+            assert res.path_keys == want.path_keys, name
+            freq = res.path_frequencies()
+            assert list(freq.items()) == \
+                list(want.path_frequencies().items()), name
+            for scheme in cfg.schemes:
+                got = res.conditional_normalized(scheme)
+                ref = want.conditional_normalized(scheme)
+                assert list(got) == list(ref), name
+                assert all(got[k].tobytes() == ref[k].tobytes()
+                           for k in ref), (name, scheme)

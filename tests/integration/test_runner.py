@@ -14,6 +14,7 @@ from repro.experiments import (
     sweep_overhead,
     sweep_processors,
 )
+from repro.experiments.runner import index_paths
 from repro.power import OverheadModel
 from repro.workloads import application_with_load, atr_graph, figure3_graph
 
@@ -205,19 +206,22 @@ class TestPathConditional:
             result.conditional_normalized("NOPE")
 
 
+def _with_paths(n_runs, keys):
+    ids, table = index_paths(keys)
+    return EvaluationResult(app_name="x", config=RunConfig(n_runs=n_runs),
+                            path_ids=ids, path_table=table)
+
+
 class TestPathFrequencies:
     def test_exact_fractions(self):
-        res = EvaluationResult(app_name="x", config=RunConfig(n_runs=7),
-                               path_keys=["a", "b", "a", "c", "a", "b",
-                                          "a"])
+        res = _with_paths(7, ["a", "b", "a", "c", "a", "b", "a"])
         freq = res.path_frequencies()
         assert freq == {"a": 4 / 7, "b": 2 / 7, "c": 1 / 7}
 
     def test_sum_is_exact_for_large_n(self):
         # the old 1/n accumulation drifted; counting must not
         keys = (["p"] * 333) + (["q"] * 334) + (["r"] * 333)
-        res = EvaluationResult(app_name="x", config=RunConfig(n_runs=1000),
-                               path_keys=keys)
+        res = _with_paths(1000, keys)
         freq = res.path_frequencies()
         assert freq["p"] == 333 / 1000
         assert freq["q"] == 334 / 1000

@@ -306,7 +306,8 @@ class TestViewBackedResults:
         out = dataclasses.replace(res, normalized={}, absolute={},
                                   speed_changes={},
                                   npm_energy=res.npm_energy.copy(),
-                                  path_keys=list(res.path_keys))
+                                  path_ids=res.path_ids.copy(),
+                                  path_table=list(res.path_table))
         for name in res.absolute:
             out.absolute[name] = res.absolute[name].copy()
             out.normalized[name] = res.normalized[name].copy()

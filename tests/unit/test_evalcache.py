@@ -15,14 +15,20 @@ import struct
 import warnings
 import zlib
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.registry import ALL_SCHEMES
+import repro.experiments.evalcache as evalcache
+from repro.core.registry import ALL_SCHEMES, get_policy
 from repro.experiments import (EvaluationCache, RunConfig,
                                evaluate_application, evaluation_key)
 from repro.experiments.figures import ATR_ALPHA
-from repro.power import PAPER_OVERHEAD
+from repro.offline import graph_fingerprint
+from repro.power import PAPER_OVERHEAD, OverheadModel
 from repro.workloads.atr import AtrConfig, atr_graph
 from repro.workloads import application_with_load, figure3_graph
 
@@ -131,6 +137,61 @@ class TestEvaluationKey:
         assert evaluation_key(app, lower) == evaluation_key(app, canon)
 
 
+def _one_dumps_key(app, config):
+    """The key as one ``json.dumps(sort_keys=True)`` of the whole object,
+    the formula the field-by-field key must reproduce byte for byte."""
+    blob = json.dumps({
+        "salt": evalcache.CACHE_SALT,
+        "graph": graph_fingerprint(app.graph),
+        "deadline": repr(float(app.deadline)),
+        "app": app.name,
+        "config": {
+            "power_model": config.power_model,
+            "n_processors": config.n_processors,
+            "n_runs": config.n_runs, "seed": config.seed,
+            "sigma_fraction": config.sigma_fraction,
+            "idle_fraction": config.idle_fraction,
+            "heuristic": config.heuristic, "engine": config.engine,
+            "schemes": [get_policy(n).name for n in config.schemes],
+            "overhead": {
+                "comp_cycles": config.overhead.comp_cycles,
+                "adjust_time": config.overhead.adjust_time,
+                "time_unit_us": config.overhead.time_unit_us}},
+    }, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+_ALIASES = [n for name in ALL_SCHEMES for n in (name, name.lower())]
+
+
+class TestKeyEqualsOneDumps:
+    @given(schemes=st.lists(st.sampled_from(_ALIASES), min_size=1,
+                            max_size=4),
+           model=st.sampled_from(["transmeta", "XScale"]),
+           seed=st.integers(0, 2**63),
+           n_runs=st.integers(1, 10**6),
+           cycles=st.sampled_from([0.0, 300.0, 1e4]),
+           adjust=st.sampled_from([0.0, 5.0, 12.5e-3]),
+           sigma=st.sampled_from([1.0 / 3.0, 0.1]),
+           name=st.text(max_size=12),
+           load=st.sampled_from([0.3, 0.6, 1.0]))
+    @settings(deadline=None)
+    def test_field_by_field_key(self, schemes, model, seed, n_runs, cycles,
+                                adjust, sigma, name, load):
+        app = application_with_load(figure3_graph(), load, 2, name=name)
+        config = RunConfig(
+            schemes=tuple(schemes), power_model=model, seed=seed,
+            n_runs=n_runs, sigma_fraction=sigma,
+            overhead=OverheadModel(comp_cycles=cycles, adjust_time=adjust))
+        assert evaluation_key(app, config) == _one_dumps_key(app, config)
+        # an equal config object, and the memo switching between configs
+        twin = config.with_()
+        assert evaluation_key(app, twin) == _one_dumps_key(app, config)
+        assert evaluation_key(app, RunConfig()) == \
+            _one_dumps_key(app, RunConfig())
+        assert evaluation_key(app, config) == _one_dumps_key(app, config)
+
+
 class TestCacheRoundTrip:
     def test_put_get_bit_identical(self, app, cfg, tmp_path):
         cache = EvaluationCache(tmp_path)
@@ -158,6 +219,47 @@ class TestCacheRoundTrip:
                          app.name, cfg) is None
         assert cache.stats() == {"hits": 0, "misses": 1, "errors": 0,
                                  "quarantined": 0}
+
+    def test_entry_vanishing_before_the_read_is_a_plain_miss(
+            self, app, cfg, tmp_path, monkeypatch):
+        # another process quarantines the entry between this process
+        # finding it and reading it: a miss, not a corrupt entry
+        cache = EvaluationCache(tmp_path)
+        key = evaluation_key(app, cfg)
+        cache.put(key, evaluate_application(app, cfg))
+        path = cache.path_for(key)
+        real = evalcache.read_record
+
+        def moved_aside_first(where):
+            path.unlink()
+            return real(where)
+
+        monkeypatch.setattr(evalcache, "read_record", moved_aside_first)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.get(key, app.name, cfg) is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "errors": 0,
+                                 "quarantined": 0}
+        assert not cache.quarantine_dir().exists()
+
+    def test_cache_read_fault_lands_on_an_entry_that_exists(
+            self, app, cfg, tmp_path):
+        # a lookup that finds nothing does not use up the injected
+        # torn write: it lands on the first entry actually read
+        from repro.experiments import faults
+        cache = EvaluationCache(tmp_path / "cache")
+        key = evaluation_key(app, cfg)
+        faults.install(faults.FaultPlan(specs=(faults.FaultSpec(
+            site="cache-read", action="corrupt", occurrence=1),)))
+        try:
+            assert cache.get(key, app.name, cfg) is None
+            cache.put(key, evaluate_application(app, cfg))
+            with pytest.warns(RuntimeWarning, match="quarantined"):
+                assert cache.get(key, app.name, cfg) is None
+        finally:
+            faults.uninstall()
+        assert cache.stats() == {"hits": 0, "misses": 2, "errors": 1,
+                                 "quarantined": 1}
 
     def test_corrupt_entry_recomputes_with_warning(self, app, cfg,
                                                    tmp_path):

@@ -212,3 +212,27 @@ class TestSweepRecordsItself:
             # the layers account for nearly all of a fused sweep
             assert covered >= 0.5 * block["wall_s"]
             assert block["spans"]["sim.kernels.dynamic"]["calls"] == 1
+
+    def test_summaries_take_one_span_per_sweep(self, cfg):
+        series = sweep_load(atr_graph(), cfg, LOADS)
+        assert series.meta["obs"]["spans"]["experiments.summaries"][
+            "calls"] == 1
+        for series in figure5(n_runs=20).values():
+            assert series.meta["obs"]["spans"]["experiments.summaries"][
+                "calls"] == 1
+
+    def test_cached_figure_spans_cover_the_sweep(self, tmp_path):
+        # cache reads, keys and summaries account for most of a fully
+        # cached sweep; only the glue between them is outside a span
+        from repro.experiments import EvaluationCache, ExecutionContext
+        for _ in range(2):
+            cache = EvaluationCache(tmp_path)
+            with ExecutionContext(cache=cache) as ctx:
+                out = figure5(n_runs=200, context=ctx)
+        assert cache.stats()["misses"] == 0
+        for series in out.values():
+            block = series.meta["obs"]
+            covered = sum(sp["s"] for sp in block["spans"].values())
+            assert block["spans"]["experiments.evalcache.get"]["calls"] \
+                == 10
+            assert 0.5 * block["wall_s"] <= covered <= block["wall_s"]

@@ -192,9 +192,9 @@ class TestDecodeOnce:
         calls = []
         real = StackedProgram.executed_paths
 
-        def counting(self, choices, n):
+        def counting(self, choices, n, **kwargs):
             calls.append(n)
-            return real(self, choices, n)
+            return real(self, choices, n, **kwargs)
 
         monkeypatch.setattr(StackedProgram, "executed_paths", counting)
         apps, cfgs = self._sweep()
